@@ -55,7 +55,6 @@ from repro.execution import (
     run_health,
     stage_timings,
 )
-from repro.kernels import HAVE_NUMBA
 from repro.netsim import table_i_workload
 from repro.synthesis import SynthesisEngine, reference_synthesize_link_trace
 
@@ -84,9 +83,8 @@ BACKEND = os.environ.get("REPRO_BENCH_BACKEND") or (
 )
 
 #: Required end-to-end speedup.  On a single CPU only the algorithmic
-#: wins apply (2.5x once the compiled kernels are live — numba present —
-#: else the pure-NumPy floor); with >= 4 CPUs cell synthesis also fans
-#: out over the worker pool (5x), and with >= 8 CPUs the full 8-worker
+#: wins of the NumPy kernels apply; with >= 4 CPUs cell synthesis also
+#: fans out over the worker pool (5x), and with >= 8 CPUs the full 8-worker
 #: shared-memory acceptance bar of 6x applies.  Quick mode runs a
 #: capture *below* the whole-trace path's memory cliff (its flow tables
 #: still fit in cache), where the engine's advantage is structurally
@@ -98,8 +96,6 @@ elif _CPUS >= 8:
     MIN_SPEEDUP = 6.0
 elif _CPUS >= 4:
     MIN_SPEEDUP = 5.0
-elif HAVE_NUMBA:
-    MIN_SPEEDUP = 2.5
 else:
     MIN_SPEEDUP = 1.8
 
@@ -217,7 +213,6 @@ def test_synthesis_scaling(benchmark):
         "chunk_packets": int(CHUNK),
         "workers": int(WORKERS),
         "backend": BACKEND,
-        "numba": bool(HAVE_NUMBA),
         "cpus": int(_CPUS),
         "reference_s": float(t_reference),
         "engine_s": float(t_engine),

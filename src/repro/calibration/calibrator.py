@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from ..exceptions import ParameterError
-from ..generation.engine import GenerationEngine
+from ..execution import make_pool
 from .accumulators import (
     DEFAULT_BINS,
     DEFAULT_TAIL_K,
@@ -105,10 +105,8 @@ def calibrate_sizes(
         )
         for i in range(0, sizes.size, step)
     ]
-    if len(items) == 1 and workers == 1:
-        return _accumulate_task(items[0])
-    engine = GenerationEngine(workers=workers, backend=backend)
-    return _merge_parts(acc, engine.map_ordered(_accumulate_task, items))
+    with make_pool(backend, workers) as pool:
+        return _merge_parts(acc, pool.map_ordered(_accumulate_task, items))
 
 
 def calibrate_accumulator(
@@ -268,22 +266,25 @@ def calibrate_archive(
         acc = CalibrationAccumulator(
             duration=span, bins=bins, tail_k=tail_k, time_bins=time_bins
         )
-        engine = GenerationEngine(workers=workers, backend=backend)
         batch = []
         batch_limit = max(int(workers), 1)
-        for block in _record_reader(path, format, chunk, errors):
-            if block.size == 0:
-                continue
-            batch.append((
-                block["octets"].astype(np.float64),
-                block["start"].astype(np.float64) - offset,
-                acc.duration, acc.bins, acc.tail_k, acc.time_bins,
-            ))
-            if len(batch) >= batch_limit:
-                _merge_parts(acc, engine.map_ordered(_accumulate_task, batch))
-                batch = []
-        if batch:
-            _merge_parts(acc, engine.map_ordered(_accumulate_task, batch))
+        # one pool for the whole stream; it forks on the first batch
+        with make_pool(backend, workers) as pool:
+            for block in _record_reader(path, format, chunk, errors):
+                if block.size == 0:
+                    continue
+                batch.append((
+                    block["octets"].astype(np.float64),
+                    block["start"].astype(np.float64) - offset,
+                    acc.duration, acc.bins, acc.tail_k, acc.time_bins,
+                ))
+                if len(batch) >= batch_limit:
+                    _merge_parts(
+                        acc, pool.map_ordered(_accumulate_task, batch)
+                    )
+                    batch = []
+            if batch:
+                _merge_parts(acc, pool.map_ordered(_accumulate_task, batch))
         metadata["records"] = scan.records
         capacity = link_capacity_bps
     else:

@@ -8,18 +8,22 @@ Three interchangeable backends::
              through shared-memory ring buffers (see :mod:`.shm`)
 
 All three expose the same tiny surface — ``map_ordered(fn, items)``,
-``close()``, context management, ``.backend`` / ``.workers`` — so the
-generation, synthesis, measurement and network engines route through a
-single :func:`make_pool` call and stay bit-for-bit identical across
-backends (every engine's chunk/worker invariance contract extends to
-the backend axis).
+``close()``, context management, ``.backend`` / ``.workers`` — and
+every engine runs its independent tasks through one :func:`make_pool`
+call, so results stay bit-for-bit identical across backends (every
+engine's chunk/worker invariance contract extends to the backend axis).
+
+Pools cost nothing until used: threads start, and the process backend
+forks its workers and shared-memory ring, on the first ``map_ordered``
+of two or more items, sized to ``min(workers, len(items))``.  A caller
+therefore builds one pool up front and maps through it unconditionally.
 
 The process backend requires ``fn`` and the items to be picklable
 (module-level functions, plain data).  Two guards keep it safe to
 request anywhere:
 
-* ``workers <= 1`` or a single item degrade to serial execution, so a
-  one-core host never pays fork overhead;
+* ``workers <= 1`` or a single item run inline, so a one-core host
+  never pays fork overhead;
 * inside a daemonic pool worker (which may not spawn children —
   e.g. per-link tasks of the network engine running a measurement
   engine) ``process`` silently downgrades to ``thread``.
@@ -223,7 +227,17 @@ def _install_signal_handlers() -> None:
 
 
 def _worker_init(free_slots, slot_names, threshold, slot_bytes):
+    """Attach the ring and drop the parent's pool-cleanup state.
+
+    A forked worker inherits the parent's chained SIGTERM/SIGINT
+    handler and its live-pool set; left in place, a terminated worker
+    would close its copy of the parent's pool (killing its siblings and
+    unlinking the parent's segments) instead of simply exiting.
+    """
     global _WORKER_TRANSPORT
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    _LIVE_POOLS.clear()
     slots = [shared_memory.SharedMemory(name=n) for n in slot_names]
     _WORKER_TRANSPORT = ShmTransport(free_slots, slots, threshold, slot_bytes)
 
@@ -247,11 +261,14 @@ def _worker_run(payload):
 class SharedMemoryPool:
     """Fork-based process pool with zero-pickle array hand-off.
 
-    The parent owns ``2 * workers + 2`` reusable shared-memory ring
-    slots; the free-slot queue and the attached segments are inherited
-    by the workers at fork time (``multiprocessing.Pool`` passes
-    initargs through the ``Process`` constructor, so the queue is
-    never pickled).  ``map_ordered`` stages each item, streams results
+    Nothing is forked at construction: the first ``map_ordered`` of two
+    or more items narrows ``workers`` to ``min(workers, len(items))``
+    and starts the workers.  The parent then owns ``2 * workers + 2``
+    reusable shared-memory ring slots; the free-slot queue and the
+    attached segments are inherited by the workers at fork time
+    (``multiprocessing.Pool`` passes initargs through the ``Process``
+    constructor, so the queue is never pickled).  ``map_ordered``
+    stages each item, streams results
     back through an ordered ``imap`` and unstages them promptly, which
     keeps slots cycling; when the ring is momentarily dry either side
     falls back to a one-shot segment, so progress never blocks on the
@@ -279,27 +296,27 @@ class SharedMemoryPool:
     ):
         self.workers = max(1, int(workers))
         self.retry = retry
-        self._n_slots = (
-            int(slots) if slots is not None else 2 * self.workers + 2
-        )
+        self._slots = slots
         self._slot_bytes = int(slot_bytes)
         self._threshold = int(threshold)
         self._closed = False
+        self._pool = None  # forked by the first map of >= 2 items
         self._segments: list = []
-        self._spawn()
-        _LIVE_POOLS.add(self)
-        _install_signal_handlers()
 
     def _spawn(self) -> None:
         ctx = multiprocessing.get_context("fork")
+        n_slots = (
+            int(self._slots) if self._slots is not None
+            else 2 * self.workers + 2
+        )
         self._segments = [
             shared_memory.SharedMemory(
                 name=new_segment_name(), create=True, size=self._slot_bytes
             )
-            for _ in range(self._n_slots)
+            for _ in range(n_slots)
         ]
         self._free = ctx.Queue()
-        for i in range(self._n_slots):
+        for i in range(n_slots):
             self._free.put(i)
         self._transport = ShmTransport(
             self._free, self._segments, self._threshold, self._slot_bytes
@@ -317,9 +334,11 @@ class SharedMemoryPool:
 
     def _teardown(self) -> None:
         try:
-            self._pool.terminate()
-            self._pool.join()
+            if self._pool is not None:
+                self._pool.terminate()
+                self._pool.join()
         finally:
+            self._pool = None
             for seg in self._segments:
                 try:
                     seg.close()
@@ -332,10 +351,13 @@ class SharedMemoryPool:
         if self._closed:
             raise ParameterError("pool is closed")
         items = list(items)
-        if not items:
-            return []
-        if len(items) == 1:
-            return [fn(items[0])]
+        if len(items) <= 1:
+            return [fn(item) for item in items]
+        if self._pool is None:
+            self.workers = min(self.workers, len(items))
+            self._spawn()
+            _LIVE_POOLS.add(self)
+            _install_signal_handlers()
         policy = self.retry
         timeout = float(policy.timeout_s) if policy is not None else None
         retries_left = int(policy.max_retries) if policy is not None else 0
@@ -372,8 +394,8 @@ class SharedMemoryPool:
                     except Exception:
                         pass
                 if retries_left <= 0:
+                    # the next map forks a fresh pool
                     self._teardown()
-                    self._spawn()
                     raise WorkerFailure(
                         f"{detail}; retries exhausted "
                         f"(max_retries={policy.max_retries})"
@@ -444,7 +466,8 @@ def make_pool(
 ):
     """Build the pool implementing ``backend`` with ``workers`` lanes.
 
-    ``workers <= 1`` and ``backend="serial"`` return the inline pool;
+    ``workers <= 1`` and ``backend="serial"`` return the inline pool,
+    and no backend starts a thread or process before its first map;
     ``backend="process"`` downgrades to threads wherever a fork-based
     pool cannot be created, so requesting it is always safe.  The
     routine downgrade inside a daemonic pool worker (nested engines)

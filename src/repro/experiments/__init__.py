@@ -16,9 +16,7 @@ from .harness import (
     SCALED_TIMEOUT,
     IntervalMeasurement,
     cov_validation_points,
-    measure_trace,
     measurement_from_result,
-    run_cov_validation,
     utilization_class,
     validation_workloads,
 )
@@ -30,9 +28,7 @@ __all__ = [
     "SCALED_INTERVAL",
     "IntervalMeasurement",
     "cov_validation_points",
-    "measure_trace",
     "measurement_from_result",
-    "run_cov_validation",
     "utilization_class",
     "validation_workloads",
     "fig1_flow_splitting",

@@ -7,8 +7,7 @@ rate, parameterise the model from the flow statistics, and compare.  The
 loop itself now lives in the scenario pipeline
 (:mod:`repro.pipeline`); this module adapts pipeline results into the
 :class:`IntervalMeasurement` scatter points the per-figure benchmarks
-consume, and keeps the historical free functions as thin deprecation
-shims.
+consume.
 
 Scaled constants
 ----------------
@@ -26,12 +25,10 @@ link                  OC-12 622 Mb/s  19.4 Mb/s
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from ..core.parameters import FlowStatistics
-from ..flows.records import FlowSet
-from ..generation.engine import GenerationEngine
+from ..execution import make_pool
 from ..netsim.workloads import DEFAULT_SCALE, LinkWorkload, table_i_workloads
 from ..pipeline.runner import ScenarioResult, ScenarioRunner
 from ..pipeline.spec import (
@@ -41,17 +38,14 @@ from ..pipeline.spec import (
     ScenarioSpec,
 )
 from ..pipeline.stages import AccountFlows, Estimate, FitModel, Synthesize
-from ..trace.packet import PacketTrace
 
 __all__ = [
     "DELTA",
     "SCALED_TIMEOUT",
     "SCALED_INTERVAL",
     "IntervalMeasurement",
-    "measure_trace",
     "measurement_from_result",
     "cov_validation_points",
-    "run_cov_validation",
     "utilization_class",
     "validation_workloads",
 ]
@@ -113,7 +107,7 @@ def utilization_class(
     return "high"
 
 
-#: The measurement stage chain behind :func:`measure_trace` — no
+#: The measurement stage chain behind :func:`cov_validation_points` — no
 #: generation, no validation report, exactly the section VI loop.
 _MEASURE_STAGES = (Synthesize(), AccountFlows(), Estimate(), FitModel())
 
@@ -153,65 +147,6 @@ def measurement_from_result(
     )
 
 
-def _measure_interval(
-    trace: PacketTrace,
-    *,
-    flow_kind: str,
-    delta: float,
-    timeout: float,
-    powers,
-    workload: str = "",
-    seed: int = -1,
-) -> tuple[IntervalMeasurement, FlowSet]:
-    spec = _measurement_spec(
-        name=workload or trace.name,
-        flow_kind=flow_kind,
-        delta=delta,
-        timeout=timeout,
-        powers=powers,
-    )
-    result = ScenarioRunner(_MEASURE_STAGES).run(spec, trace=trace)
-    measurement = measurement_from_result(result, seed=seed, workload=workload)
-    return measurement, result.accounting.flows
-
-
-def measure_trace(
-    trace: PacketTrace,
-    *,
-    flow_kind: str = "five_tuple",
-    delta: float = DELTA,
-    timeout: float = SCALED_TIMEOUT,
-    powers=(0.0, 1.0, 2.0),
-    workload: str = "",
-    seed: int = -1,
-) -> tuple[IntervalMeasurement, FlowSet]:
-    """Run the section VI measurement pipeline on one interval.
-
-    .. deprecated:: 1.1
-        Thin shim over the scenario pipeline; use
-        :func:`repro.pipeline.run_scenario` (with
-        ``repro.pipeline.MEASUREMENT_STAGES`` and ``trace=...``) instead.
-
-    Returns the measurement point plus the exported flow set (reused by
-    figure-specific diagnostics).
-    """
-    warnings.warn(
-        "measure_trace is deprecated; use repro.pipeline.run_scenario("
-        "spec, trace=..., stages=repro.pipeline.MEASUREMENT_STAGES)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _measure_interval(
-        trace,
-        flow_kind=flow_kind,
-        delta=delta,
-        timeout=timeout,
-        powers=powers,
-        workload=workload,
-        seed=seed,
-    )
-
-
 def validation_workloads(
     *, interval: float = SCALED_INTERVAL, scale: float = DEFAULT_SCALE
 ) -> list[LinkWorkload]:
@@ -233,58 +168,28 @@ def cov_validation_points(
 
     Each (workload, seed) pair is one independent interval; the paper's
     clusters come from the spread of link utilisations in Table I.  Pairs
-    fan out over the generation engine's worker pool (``workers``); each
-    carries its own seed, so the point list is deterministic regardless
-    of the worker count.
+    fan out over a thread pool of ``workers`` lanes; each carries its own
+    seed, so the point list is deterministic regardless of the worker
+    count.
     """
     if workloads is None:
         workloads = validation_workloads()
 
     def one(task):
         workload, seed = task
-        trace = workload.synthesize(seed=seed).trace
-        measurement, _ = _measure_interval(
-            trace,
+        spec = _measurement_spec(
+            name=workload.name,
             flow_kind=flow_kind,
             delta=delta,
             timeout=timeout,
             powers=powers,
-            workload=workload.name,
-            seed=int(seed),
         )
-        return measurement
+        trace = workload.synthesize(seed=seed).trace
+        result = ScenarioRunner(_MEASURE_STAGES).run(spec, trace=trace)
+        return measurement_from_result(
+            result, seed=int(seed), workload=workload.name
+        )
 
     tasks = [(w, s) for w in workloads for s in seeds]
-    engine = GenerationEngine(workers=int(workers))
-    return engine.map_ordered(one, tasks)
-
-
-def run_cov_validation(
-    *,
-    flow_kind: str = "five_tuple",
-    seeds=range(4),
-    workloads: list[LinkWorkload] | None = None,
-    powers=(0.0, 1.0, 2.0),
-    delta: float = DELTA,
-    timeout: float = SCALED_TIMEOUT,
-) -> list[IntervalMeasurement]:
-    """Deprecated alias of :func:`cov_validation_points`.
-
-    .. deprecated:: 1.1
-        Use :func:`cov_validation_points` (same output, engine-parallel)
-        or run registry scenarios via :func:`repro.pipeline.run_scenarios`.
-    """
-    warnings.warn(
-        "run_cov_validation is deprecated; use cov_validation_points or "
-        "repro.pipeline.run_scenarios",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return cov_validation_points(
-        flow_kind=flow_kind,
-        seeds=seeds,
-        workloads=workloads,
-        powers=powers,
-        delta=delta,
-        timeout=timeout,
-    )
+    with make_pool("thread", int(workers)) as pool:
+        return pool.map_ordered(one, tasks)

@@ -31,13 +31,12 @@ can still contribute, and dropped once the horizon has passed them — so
 arbitrarily long horizons run in memory proportional to the stationary
 flow population, not the duration.
 
-**Parallelism.**  Chunks cover disjoint bin ranges and independent
-links/seeds are independent tasks, so both fan out over a
-``concurrent.futures`` thread pool (``workers``).  Sampling is either a
-single compat RNG stream (exact mode) or per-cell ``SeedSequence``
-children keyed only by cell index, hence results are deterministic for a
-given seed regardless of worker count, and — for the exact scatter path
-— bitwise invariant to the chunk size as well.
+**Parallelism.**  Chunks cover disjoint bin ranges, so they fan out over
+a :func:`repro.execution.make_pool` pool (``workers`` x ``backend``).
+Sampling is either a single compat RNG stream (exact mode) or per-cell
+``SeedSequence`` children keyed only by cell index, hence results are
+deterministic for a given seed regardless of worker count, and — for
+the exact scatter path — bitwise invariant to the chunk size as well.
 """
 
 from __future__ import annotations
@@ -182,8 +181,8 @@ def _scatter_chunk(shot, starts, sizes, durations, lo, hi, delta, b0, b1):
     accumulates rows sequentially, so every bin sums its contributions in
     the same order as the reference per-flow loop — bit-for-bit equal.
     Power shots route through :func:`repro.kernels.powershot_scatter`
-    (compiled when numba is available; its NumPy fallback is this very
-    expansion), table-interpolated shots keep the generic path below.
+    (this very expansion with the closed-form power curve);
+    table-interpolated shots keep the generic path below.
     """
     a = np.maximum(lo, b0)
     b = np.minimum(hi, b1)
@@ -262,18 +261,6 @@ def _rect_chunk(starts, sizes, durations, delta, b0, b1, n_bins):
         np.add.at(acc, hi_full[grow] - b0, -rate[~single][grow])
         volumes += np.cumsum(acc[:-1]) * delta
     return volumes
-
-
-class _StarTask:
-    """Picklable ``fn(*task)`` adapter for the pool's single-arg map."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __call__(self, task):
-        return self.fn(*task)
 
 
 def _rect_task(task):
@@ -430,53 +417,6 @@ class GenerationEngine:
             (float(t0), float(min(t0 + chunk, duration))) for t0 in edges
         ]
 
-    def _make_pool(self, n_tasks: int):
-        """Backend pool sized for ``n_tasks`` (serial when pointless)."""
-        width = min(self.config.workers, max(n_tasks, 1))
-        return make_pool(
-            self.config.backend, width, retry=self.config.retry
-        )
-
-    def _run_ordered(self, fn, tasks):
-        """Evaluate ``fn(*task)`` for every task, preserving order.
-
-        With the ``process`` backend ``fn`` must be picklable (a
-        module-level function); ``serial``/``thread`` accept closures.
-        """
-        if self.config.workers <= 1 or len(tasks) <= 1:
-            return [fn(*task) for task in tasks]
-        with self._make_pool(len(tasks)) as pool:
-            return pool.map_ordered(_StarTask(fn), tasks)
-
-    def map_ordered(self, fn, items) -> list:
-        """Run ``fn(item)`` for independent items, preserving input order.
-
-        The scenario-pipeline fan-out: items carry their own seeds (or no
-        randomness at all), so the engine only supplies the worker pool —
-        results never depend on ``workers``.  Use :meth:`map_seeded` when
-        the tasks need engine-managed per-task seed streams instead.
-        """
-        return self._run_ordered(fn, [(item,) for item in items])
-
-    def map_seeded(self, fn, n_tasks: int, seed=0) -> list:
-        """Run ``fn(index, seed_sequence_child)`` for independent tasks.
-
-        Every task gets its own ``SeedSequence`` child keyed by position,
-        so the result list is deterministic for a given ``seed`` no
-        matter how many workers execute it.  Used for multi-link /
-        multi-seed scenario fan-out.
-        """
-        n_tasks = int(n_tasks)
-        if n_tasks < 1:
-            raise ParameterError(f"n_tasks must be >= 1, got {n_tasks}")
-        root = (
-            seed
-            if isinstance(seed, np.random.SeedSequence)
-            else np.random.SeedSequence(seed)
-        )
-        children = root.spawn(n_tasks)
-        return self._run_ordered(fn, list(enumerate(children)))
-
     # -- fluid rate path: compat (bit-for-bit) sampling ------------------
 
     def rate_series(
@@ -564,11 +504,9 @@ class GenerationEngine:
                 for (b0, b1), cand in zip(ranges, buckets)
             ]
 
-        if self.config.workers <= 1 or len(tasks) <= 1:
-            parts = [run(task) for task in tasks]
-        else:
-            with self._make_pool(len(tasks)) as pool:
-                parts = pool.map_ordered(run, tasks)
+        c = self.config
+        with make_pool(c.backend, c.workers, retry=c.retry) as pool:
+            parts = pool.map_ordered(run, tasks)
         volumes = np.zeros(n_bins)
         for (b0, b1), part in zip(ranges, parts):
             volumes[b0:b1] = part
@@ -620,8 +558,9 @@ class GenerationEngine:
 
         buffer = _StreamBuffer()
         volumes = np.zeros(n_bins)
-        group = max(1, self.config.workers)
-        with self._make_pool(group) as pool:
+        c = self.config
+        group = c.workers
+        with make_pool(c.backend, c.workers, retry=c.retry) as pool:
             for g0 in range(0, len(ranges), group):
                 tasks = []
                 for b0, b1 in ranges[g0: g0 + group]:
@@ -640,10 +579,7 @@ class GenerationEngine:
                             buffer.gather(t_start, t_end),
                         )
                     )
-                if len(tasks) <= 1 or self.config.workers <= 1:
-                    parts = [_stream_accum_task(task) for task in tasks]
-                else:
-                    parts = pool.map_ordered(_stream_accum_task, tasks)
+                parts = pool.map_ordered(_stream_accum_task, tasks)
                 for (_, _, _, _, b0, b1, _), part in zip(tasks, parts):
                     volumes[b0:b1] = part
         if sampler.total_flows == 0:

@@ -1,25 +1,20 @@
-"""Compiled hot kernels with a graceful pure-NumPy fallback.
+"""The pipeline's three hottest inner loops, vectorised with NumPy.
 
-The three hottest inner loops of the pipeline — the TCP round→packet
-expansion, the power-shot rate-series scatter and the EWMA replay — are
-provided here twice: a vectorised NumPy implementation (extracted
-verbatim from the engines; always available and always correct) and a
-``numba.njit`` version that removes the remaining full-trace-size
-temporaries and Python dispatch.  When numba is importable the public
-functions route to the compiled versions; otherwise they fall back to
-NumPy with identical results:
+The TCP round→packet expansion, the power-shot rate-series scatter and
+the EWMA replay, extracted from the engines so each has one home and one
+equivalence test (``tests/test_kernels.py`` pins them against plain
+Python loops):
 
-* :func:`expand_rounds` — the compiled loop performs every arithmetic
-  operation on the same operand values in the same order as the NumPy
-  expansion, so the packet schedule is **bit-for-bit identical**.
+* :func:`expand_rounds` — the per-packet schedule, bit-for-bit equal to
+  a round-by-round loop.
 * :func:`powershot_scatter` — accumulates per-row increments in flow
-  order exactly like ``np.bincount`` over the expanded rows, so it stays
-  bit-for-bit equal to ``reference_rate_series`` (the engines only use
-  it for :class:`~repro.core.shots.PowerShot`; table-interpolated shots
-  keep the NumPy path).
-* :func:`ewma` — the compiled version *is* the sequential recurrence
-  ``y ← (1-eps)·y + eps·x`` (exactly ``EwmaEstimator``); the NumPy
-  fallback is the blocked closed form, equal to ~1e-12 relative.
+  order through ``np.bincount``, so it stays bit-for-bit equal to
+  ``reference_rate_series`` (the engines only use it for
+  :class:`~repro.core.shots.PowerShot`; table-interpolated shots keep
+  the generic path).
+* :func:`ewma` — the blocked closed form of ``y ← (1-eps)·y + eps·x``,
+  equal to the sequential recurrence (``EwmaEstimator``) to ~1e-12
+  relative.
 
 Nothing here imports an engine, so the module is safely importable from
 worker processes before the heavyweight packages.
@@ -30,32 +25,12 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "HAVE_NUMBA",
-    "njit",
     "expand_rounds",
     "powershot_scatter",
     "ewma",
 ]
 
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - the live path in minimal installs
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        """No-op ``numba.njit`` stand-in (decorates to the plain function)."""
-        if args and callable(args[0]):
-            return args[0]
-
-        def decorate(fn):
-            return fn
-
-        return decorate
-
-
-#: Observations folded per closed-form step in the NumPy EWMA fallback.
+#: Observations folded per closed-form step in the EWMA closed form.
 #: Bounds the weight ``(1-eps)^k`` evaluated in one block so it cannot
 #: underflow even for the smallest gains.
 EWMA_BLOCK = 4096
@@ -96,46 +71,6 @@ def _expand_rounds_numpy(
     return pkt_flow, pkt_offset, wire.astype(np.uint16)
 
 
-@njit(cache=True)
-def _expand_rounds_njit(
-    round_flow,
-    round_start,
-    round_count,
-    round_length,
-    round_sent_before,
-    total_packets,
-    last_payload,
-    mss,
-    header_bytes,
-):  # pragma: no cover - compiled only where numba is installed
-    total = 0
-    for r in range(round_count.size):
-        total += round_count[r]
-    pkt_flow = np.empty(total, np.int64)
-    pkt_offset = np.empty(total, np.float64)
-    wire = np.empty(total, np.uint16)
-    k = 0
-    for r in range(round_count.size):
-        f = round_flow[r]
-        pace = round_length[r] / round_count[r]
-        start = round_start[r]
-        sent0 = round_sent_before[r]
-        last_index = total_packets[f] - 1
-        for w in range(round_count[r]):
-            pkt_flow[k] = f
-            pkt_offset[k] = w * pace + start
-            if sent0 + w == last_index:
-                payload = last_payload[f]
-            else:
-                payload = mss
-            size = payload + header_bytes
-            if size > 65535.0:
-                size = 65535.0
-            wire[k] = np.uint16(size)
-            k += 1
-    return pkt_flow, pkt_offset, wire
-
-
 def expand_rounds(
     round_flow,
     round_start,
@@ -153,8 +88,7 @@ def expand_rounds(
     offset from the flow start (float64) and wire size (uint16) per
     packet, packets laid out round by round.
     """
-    impl = _expand_rounds_njit if HAVE_NUMBA else _expand_rounds_numpy
-    return impl(
+    return _expand_rounds_numpy(
         round_flow,
         round_start,
         round_count,
@@ -198,35 +132,6 @@ def _powershot_scatter_numpy(
     return np.bincount(gbin - b0, weights=c_right - c_left, minlength=b1 - b0)
 
 
-@njit(cache=True)
-def _powershot_scatter_njit(
-    starts, sizes, durations, a, b, power, delta, b0, b1
-):  # pragma: no cover - compiled only where numba is installed
-    volumes = np.zeros(b1 - b0)
-    p1 = power + 1.0
-    for i in range(a.size):
-        hi = b[i]
-        if hi <= a[i]:
-            continue
-        t = starts[i]
-        s = sizes[i]
-        d = durations[i]
-        for j in range(a[i], hi):
-            gb = float(j)
-            v_left = (delta * gb - t) / d
-            if v_left < 0.0:
-                v_left = 0.0
-            elif v_left > 1.0:
-                v_left = 1.0
-            v_right = (delta * (gb + 1.0) - t) / d
-            if v_right < 0.0:
-                v_right = 0.0
-            elif v_right > 1.0:
-                v_right = 1.0
-            volumes[j - b0] += s * v_right**p1 - s * v_left**p1
-    return volumes
-
-
 def powershot_scatter(
     starts, sizes, durations, a, b, power: float, delta: float, b0: int, b1: int
 ):
@@ -248,8 +153,7 @@ def powershot_scatter(
         int(b0),
         int(b1),
     )
-    impl = _powershot_scatter_njit if HAVE_NUMBA else _powershot_scatter_numpy
-    return impl(*args)
+    return _powershot_scatter_numpy(*args)
 
 
 # -- EWMA replay --------------------------------------------------------
@@ -272,23 +176,12 @@ def _ewma_numpy(x, eps):
     return y
 
 
-@njit(cache=True)
-def _ewma_njit(x, eps):  # pragma: no cover - compiled only with numba
-    y = x[0]
-    q = 1.0 - eps
-    for i in range(1, x.size):
-        y = q * y + eps * x[i]
-    return y
-
-
 def ewma(values: np.ndarray, eps: float) -> float:
     """Final value of ``y ← (1-eps)·y + eps·x`` over ``values``.
 
-    The compiled version is the recurrence itself; the NumPy fallback is
-    the blocked closed form (one dot product per ``EWMA_BLOCK``
-    observations), equal to the loop to ~1e-12 relative at any length.
+    Evaluated in blocked closed form (one dot product per
+    ``EWMA_BLOCK`` observations), equal to the loop to ~1e-12 relative
+    at any length.
     """
     x = np.ascontiguousarray(values, dtype=np.float64)
-    if HAVE_NUMBA:
-        return float(_ewma_njit(x, float(eps)))
     return float(_ewma_numpy(x, float(eps)))

@@ -412,11 +412,9 @@ class StreamingMeasurement:
     ``delta`` and ``duration`` to additionally accumulate the
     single-packet-filtered rate series (``delta=None`` accounts flows
     only).  ``shards`` splits the key space into independently processed
-    carry tables, run concurrently on a thread pool that persists across
-    chunks (created lazily, released by :meth:`finalize`); pass ``pool``
-    (anything with ``map_ordered(fn, items)``, e.g. a
-    :class:`~repro.generation.engine.GenerationEngine`) to supply the
-    pool externally instead.  Results are invariant to both.
+    carry tables, run concurrently on one ``backend`` pool that persists
+    across chunks (it starts on the first multi-shard chunk and is
+    released by :meth:`finalize`).  Results are invariant to both.
 
     Chunks must be time-ordered across calls (a valid capture); packets
     *within* a chunk may be in any order.
@@ -434,7 +432,6 @@ class StreamingMeasurement:
         shards: int = 1,
         backend: str = "thread",
         retry=None,
-        pool=None,
         keep_raw_series: bool = False,
     ) -> None:
         check_backend("backend", backend)
@@ -485,8 +482,8 @@ class StreamingMeasurement:
         self._states = [_ShardState(self._pend_width) for _ in range(shards)]
         self.backend = str(backend)
         self.retry = retry
-        self._pool = pool
-        self._owned_pool = None
+        # one pool for the whole measurement, not one per chunk
+        self._pool = make_pool(self.backend, shards, retry=retry)
         self._volumes = np.zeros(self.n_bins)
         # pre-discard volumes: what RateSeries.from_packets with no mask
         # sees — a router watching the raw link rate (anomaly detection)
@@ -579,16 +576,7 @@ class StreamingMeasurement:
     def _run_shards(self, tasks):
         """Process shard tasks, concurrently when more than one shard."""
         with stage_timer("measurement.shards"):
-            if len(tasks) <= 1:
-                return [_process_shard(task) for task in tasks]
-            if self._pool is not None:
-                return self._pool.map_ordered(_process_shard, tasks)
-            if self._owned_pool is None:
-                # one pool for the whole measurement, not one per chunk
-                self._owned_pool = make_pool(
-                    self.backend, len(self._states), retry=self.retry
-                )
-            return self._owned_pool.map_ordered(_process_shard, tasks)
+            return self._pool.map_ordered(_process_shard, tasks)
 
     def close(self) -> None:
         """Release the shard worker pool (idempotent; finalize calls it).
@@ -597,9 +585,7 @@ class StreamingMeasurement:
         failed measurement does not strand workers (or shared-memory
         segments) until GC.
         """
-        if self._owned_pool is not None:
-            self._owned_pool.close()
-            self._owned_pool = None
+        self._pool.close()
 
     def finalize(self) -> tuple[FlowSet, RateSeries | None]:
         """Close all open flows and assemble the final artifacts."""

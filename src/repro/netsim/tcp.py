@@ -177,11 +177,9 @@ def simulate_tcp_flows(
     round_length = np.concatenate(length_chunks)
     round_sent_before = np.concatenate(sent_before_chunks)
 
-    # expand rounds -> packets via the hot kernel (numba when available,
-    # vectorised NumPy otherwise).  Both implementations perform every
-    # arithmetic operation on the same operand values in the same order,
-    # so the schedule is bit-for-bit identical either way — pinned by the
-    # reference_* equivalence tests.
+    # expand rounds -> packets via the vectorised hot kernel, bit-for-bit
+    # equal to a round-by-round loop (pinned by the reference_*
+    # equivalence tests).
     last_payload = sizes - (total_packets - 1) * params.mss
     pkt_flow, pkt_offset, wire = expand_rounds(
         round_flow,

@@ -29,6 +29,7 @@ import numpy as np
 
 from .._util import as_rng, check_positive
 from ..exceptions import ParameterError
+from ..execution import make_pool
 from .addresses import AddressSpace
 from .arrivals import ArrivalProcess, PoissonArrivals
 from .link import LinkSynthesis
@@ -301,17 +302,17 @@ def synthesize_scenario(
     synthesiser.  This is how whole Table I campaigns (seven links, many
     seeds) are produced in one call.
     """
-    from ..generation.engine import GenerationEngine
-
     workloads = list(workloads)
     if not workloads:
         raise ParameterError("workloads must not be empty")
-    engine = GenerationEngine(workers=workers)
+    children = np.random.SeedSequence(seed).spawn(len(workloads))
 
-    def run(index, child):
-        return workloads[index].synthesize(seed=as_rng(child))
+    def run(task):
+        workload, child = task
+        return workload.synthesize(seed=as_rng(child))
 
-    return engine.map_seeded(run, len(workloads), seed=seed)
+    with make_pool("thread", workers) as pool:
+        return pool.map_ordered(run, list(zip(workloads, children)))
 
 
 def multi_link_rate_series(
@@ -340,11 +341,11 @@ def multi_link_rate_series(
         raise ParameterError("workloads must not be empty")
     # parallelism lives at the link level; the per-link engine stays
     # single-worker so pools do not nest (workers^2 threads otherwise)
-    outer = GenerationEngine(workers=workers)
     per_link = GenerationEngine(chunk=chunk)
+    children = np.random.SeedSequence(seed).spawn(len(workloads))
 
-    def run(index, child):
-        workload = workloads[index]
+    def run(task):
+        workload, child = task
         return per_link.rate_series(
             workload.arrival_rate,
             workload.model_ensemble(),
@@ -354,4 +355,5 @@ def multi_link_rate_series(
             rng=as_rng(child),
         )
 
-    return outer.map_seeded(run, len(workloads), seed=seed)
+    with make_pool("thread", workers) as pool:
+        return pool.map_ordered(run, list(zip(workloads, children)))

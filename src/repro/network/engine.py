@@ -44,7 +44,7 @@ import numpy as np
 from .._util import check_positive, check_probability
 from ..applications.anomaly import AnomalyDetector, AnomalyEvent
 from ..applications.dimensioning import provision_capacity
-from ..checkpoint import CheckpointStore, run_fingerprint
+from ..checkpoint import CheckpointStore, map_in_batches, run_fingerprint
 from ..core.model import PoissonShotNoiseModel
 from ..core.shots import variance_shape_factor
 from ..exceptions import ParameterError
@@ -666,34 +666,14 @@ class NetworkEngine:
                 keep_packets,
             ))
             task_keys.append(key)
-        with stage_timer("network.links"):
-            # without a checkpoint dir everything goes in one fan-out;
-            # with one, links go through in pool-width batches so each
-            # completed batch lands on disk before the next starts
-            width = min(self.workers, max(len(tasks), 1))
-            batch_size = len(tasks) if store is None else max(1, width)
-            pool = None
-            try:
-                for b0 in range(0, len(tasks), batch_size):
-                    batch = tasks[b0:b0 + batch_size]
-                    if len(batch) <= 1 or self.workers <= 1:
-                        results = [_simulate_link_task(t) for t in batch]
-                    else:
-                        if pool is None:
-                            pool = make_pool(
-                                self.backend, width, retry=self.retry
-                            )
-                        results = pool.map_ordered(
-                            _simulate_link_task, batch
-                        )
-                    for offset, result in enumerate(results):
-                        task = batch[offset]
-                        simulation.links[task[0]] = result
-                        if store is not None:
-                            store.save(task_keys[b0 + offset], result)
-            finally:
-                if pool is not None:
-                    pool.close()
+        with stage_timer("network.links"), make_pool(
+            self.backend, self.workers, retry=self.retry
+        ) as pool:
+            done = map_in_batches(pool, _simulate_link_task, tasks, store)
+            for key, (task, result) in zip(task_keys, done):
+                simulation.links[task[0]] = result
+                if store is not None:
+                    store.save(key, result)
         # restore topology order (empty links were inserted eagerly)
         simulation.links = {
             link: simulation.links[link] for link in topology.links

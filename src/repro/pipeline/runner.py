@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, replace
 
 from ..exceptions import ParameterError
-from ..generation.engine import GenerationEngine
+from ..execution import make_pool
 from ..trace.packet import PacketTrace
 from .spec import ScenarioSpec
 from .stages import (
@@ -235,7 +235,7 @@ class ScenarioRunner:
     def run_many(
         self, specs, *, workers: int = 1
     ) -> list[ScenarioResult]:
-        """Run many specs in parallel over the engine's worker pool.
+        """Run many specs in parallel over a thread pool.
 
         Each spec carries its own seed, so results are deterministic and
         independent of ``workers``.
@@ -243,8 +243,8 @@ class ScenarioRunner:
         specs = list(specs)
         if not specs:
             raise ParameterError("run_many needs at least one scenario spec")
-        engine = GenerationEngine(workers=int(workers))
-        return engine.map_ordered(self.run, specs)
+        with make_pool("thread", int(workers)) as pool:
+            return pool.map_ordered(self.run, specs)
 
 
 def run_scenario(

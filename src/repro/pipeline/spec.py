@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -136,57 +135,21 @@ def _to_jsonable(value):
     return value
 
 
-#: Sections that accept the deprecated flat ``chunk``/``workers`` keys in
-#: addition to their canonical ``execution`` sub-section (class name →
-#: section label used in error messages and deprecation warnings).
-_LEGACY_EXECUTION_SECTIONS: dict[str, str] = {}
-
-#: The deprecated per-section execution keys (pre-ExecutionSpec spelling).
-_LEGACY_EXECUTION_KEYS = ("chunk", "workers")
-
-
-def _spec_from_dict(cls, data, *, path: str, stacklevel: int = 2):
+def _spec_from_dict(cls, data, *, path: str):
     """Strictly decode ``data`` into spec dataclass ``cls``.
 
     Unknown keys raise with the list of valid keys; nested sections recurse
     with a dotted path so the error pinpoints the offending entry.
-    Sections registered in :data:`_LEGACY_EXECUTION_SECTIONS` additionally
-    accept the deprecated flat ``chunk``/``workers`` keys (decoded through
-    the constructor's shim with a :class:`DeprecationWarning`).
-
-    ``stacklevel`` is the deprecation warning's distance to the *user's*
-    line: every public entry point (``from_dict``, ``from_json``,
-    ``from_file``, ``with_overrides``) calls this function directly and
-    passes 3, and each recursion adds one, so the warning always points
-    at the caller's line, not at this module.
     """
     if not isinstance(data, dict):
         raise ParameterError(
             f"{path} must be a JSON object, got {type(data).__name__}"
         )
     valid = {f.name for f in fields(cls)}
-    legacy: tuple[str, ...] = ()
-    if cls.__name__ in _LEGACY_EXECUTION_SECTIONS:
-        legacy = tuple(k for k in _LEGACY_EXECUTION_KEYS if k in data)
-        valid |= set(_LEGACY_EXECUTION_KEYS)
     unknown = sorted(set(data) - valid)
     if unknown:
         raise ParameterError(
             f"{path}: unknown key(s) {unknown}; valid keys are {sorted(valid)}"
-        )
-    if legacy and "execution" in data:
-        raise ParameterError(
-            f"{path}: give execution knobs either as 'execution': "
-            f"{{\"chunk\": ..., \"workers\": ...}} or as the deprecated "
-            f"flat {list(legacy)} key(s), not both"
-        )
-    if legacy:
-        warnings.warn(
-            f"{path}: the flat {list(legacy)} key(s) are deprecated; "
-            "spell execution knobs as 'execution': {\"chunk\": ..., "
-            "\"workers\": ...} (see MIGRATION.md)",
-            DeprecationWarning,
-            stacklevel=stacklevel,
         )
     kwargs = {}
     for name in valid:
@@ -195,10 +158,7 @@ def _spec_from_dict(cls, data, *, path: str, stacklevel: int = 2):
         value = data[name]
         nested = _NESTED.get((cls.__name__, name))
         if nested is not None and value is not None:
-            value = _spec_from_dict(
-                nested, value, path=f"{path}.{name}",
-                stacklevel=stacklevel + 1,
-            )
+            value = _spec_from_dict(nested, value, path=f"{path}.{name}")
         kwargs[name] = value
     try:
         return cls(**kwargs)
@@ -486,10 +446,6 @@ class FlowAccountingSpec:
             )
 
 
-#: Sentinel distinguishing "legacy key not given" from any real value.
-_UNSET = object()
-
-
 def _validate_execution(section: str, chunk, workers, backend="thread") -> None:
     """The one validation path for execution knobs, section-qualified.
 
@@ -522,10 +478,8 @@ class ExecutionSpec:
     ``measurement``, ``network`` and ``sweep`` sections — every engine
     is chunk/worker/backend invariant, so an ``ExecutionSpec`` never
     changes a scenario's results, only its memory footprint and
-    wall-clock.  The legacy flat ``chunk``/``workers`` keys of those
-    sections still decode via deprecation shims, and specs written
-    before the ``backend`` key default to the previous thread-pool
-    behaviour (see MIGRATION.md).
+    wall-clock.  Specs written before the ``backend`` key default to the
+    previous thread-pool behaviour (see MIGRATION.md).
 
     ``retry`` arms the process backend's watchdog (per-task deadline,
     pool respawn, deterministic re-execution — see
@@ -566,48 +520,24 @@ class ExecutionSpec:
 _register_nested("ExecutionSpec", "retry", RetryPolicy)
 
 
-def _merge_execution(section: str, execution, chunk, workers) -> ExecutionSpec:
-    """Resolve a section's ``execution`` field against its legacy keys.
-
-    One spelling at a time: the canonical ``execution`` section, or the
-    deprecated flat ``chunk``/``workers`` keys.  *Conflicting* values
-    across the two raise a section-qualified :class:`ParameterError`.
-    Equal duplicates are tolerated because :func:`dataclasses.replace`
-    re-passes the read-through alias values alongside the stored spec;
-    the JSON decoder (:func:`_spec_from_dict`) rejects any mixing
-    outright, so spec files stay unambiguous.
-    """
-    has_chunk = chunk is not _UNSET
-    has_workers = workers is not _UNSET
-    if execution is not None:
-        if not isinstance(execution, ExecutionSpec):
-            raise ParameterError(
-                f"{section}.execution must be an ExecutionSpec (or a JSON "
-                f"object), got {type(execution).__name__}"
-            )
-        if (has_chunk and chunk != execution.chunk) or (
-            has_workers and workers != execution.workers
-        ):
-            raise ParameterError(
-                f"{section}: give execution knobs either as "
-                f"'execution': {{\"chunk\": ..., \"workers\": ...}} or as "
-                f"the deprecated flat 'chunk'/'workers' keys, not both"
-            )
-        return execution
-    chunk = None if not has_chunk else chunk
-    workers = 1 if not has_workers else workers
-    _validate_execution(section, chunk, workers)
-    return ExecutionSpec(chunk=chunk, workers=workers)
+def _section_execution(section: str, execution) -> ExecutionSpec:
+    """A section's ``execution`` field, defaulted and type-checked."""
+    if execution is None:
+        return ExecutionSpec()
+    if not isinstance(execution, ExecutionSpec):
+        raise ParameterError(
+            f"{section}.execution must be an ExecutionSpec (or a JSON "
+            f"object), got {type(execution).__name__}"
+        )
+    return execution
 
 
 def _alias_execution(cls):
     """Attach read-through ``chunk``/``workers``/``backend`` aliases.
 
-    Pre-ExecutionSpec call sites (and specs) read the knobs directly off
-    the section; the aliases (plus ``uses_engine``) keep those reads
-    working while the stored representation is normalised to one
-    ``execution`` field — so legacy and canonical spellings compare
-    equal and serialize identically.
+    Call sites read the knobs directly off the section; the aliases
+    (plus ``uses_engine``) keep those reads short while the stored
+    representation is one ``execution`` field.
     """
     cls.chunk = property(lambda self: self.execution.chunk)
     cls.workers = property(lambda self: self.execution.workers)
@@ -615,35 +545,16 @@ def _alias_execution(cls):
     cls.retry = property(lambda self: self.execution.retry)
     cls.uses_engine = property(lambda self: self.execution.uses_engine)
 
-    def with_execution(
-        self, execution=None, *, chunk=_UNSET, workers=_UNSET,
-        backend=_UNSET, retry=_UNSET,
-    ):
+    def with_execution(self, execution=None, **knobs):
         """A copy with only the execution strategy swapped out.
 
-        Give either a whole :class:`ExecutionSpec` or individual knobs;
-        omitted knobs keep their current values.  This is the supported
-        way to retune ``chunk``/``workers``/``backend``/``retry`` on a
-        frozen section spec (``dataclasses.replace`` with the flat keys
-        conflicts with the stored ``execution`` field).
+        Give either a whole :class:`ExecutionSpec` or individual knobs
+        (``chunk``/``workers``/``backend``/``retry``); omitted knobs
+        keep their current values.
         """
         if execution is None:
-            execution = ExecutionSpec(
-                chunk=self.execution.chunk if chunk is _UNSET else chunk,
-                workers=(
-                    self.execution.workers if workers is _UNSET else workers
-                ),
-                backend=(
-                    self.execution.backend if backend is _UNSET else backend
-                ),
-                retry=self.execution.retry if retry is _UNSET else retry,
-            )
-        return dataclasses.replace(
-            self,
-            execution=execution,
-            chunk=execution.chunk,
-            workers=execution.workers,
-        )
+            execution = dataclasses.replace(self.execution, **knobs)
+        return dataclasses.replace(self, execution=execution)
 
     cls.with_execution = with_execution
     return cls
@@ -667,14 +578,12 @@ class SynthesisSpec:
     """
 
     execution: ExecutionSpec | None = None
-    chunk: InitVar[object] = _UNSET
-    workers: InitVar[object] = _UNSET
 
-    def __post_init__(self, chunk, workers) -> None:
+    def __post_init__(self) -> None:
         object.__setattr__(
             self,
             "execution",
-            _merge_execution("synthesis", self.execution, chunk, workers),
+            _section_execution("synthesis", self.execution),
         )
 
 
@@ -692,14 +601,12 @@ class MeasurementSpec:
     """
 
     execution: ExecutionSpec | None = None
-    chunk: InitVar[object] = _UNSET
-    workers: InitVar[object] = _UNSET
 
-    def __post_init__(self, chunk, workers) -> None:
+    def __post_init__(self) -> None:
         object.__setattr__(
             self,
             "execution",
-            _merge_execution("measurement", self.execution, chunk, workers),
+            _section_execution("measurement", self.execution),
         )
 
 
@@ -707,8 +614,6 @@ _alias_execution(SynthesisSpec)
 _alias_execution(MeasurementSpec)
 _register_nested("SynthesisSpec", "execution", ExecutionSpec)
 _register_nested("MeasurementSpec", "execution", ExecutionSpec)
-_LEGACY_EXECUTION_SECTIONS["SynthesisSpec"] = "synthesis"
-_LEGACY_EXECUTION_SECTIONS["MeasurementSpec"] = "measurement"
 
 
 #: Telemetry formats the ingest stage accepts (``"auto"`` sniffs magic
@@ -754,10 +659,8 @@ class IngestSpec:
     duration: float | None = None
     link_capacity_bps: float | None = None
     execution: ExecutionSpec | None = None
-    chunk: InitVar[object] = _UNSET
-    workers: InitVar[object] = _UNSET
 
-    def __post_init__(self, chunk, workers) -> None:
+    def __post_init__(self) -> None:
         _check_choice("ingest.format", self.format, INGEST_FORMATS)
         _check_choice("ingest.order", self.order, ("auto", "start", "export"))
         _check_choice(
@@ -775,7 +678,7 @@ class IngestSpec:
         object.__setattr__(
             self,
             "execution",
-            _merge_execution("ingest", self.execution, chunk, workers),
+            _section_execution("ingest", self.execution),
         )
 
     def require_path(self) -> str:
@@ -911,14 +814,12 @@ class CalibrationSpec:
     tail_rtol: float = 0.35
     cov_atol: float = 0.25
     execution: ExecutionSpec | None = None
-    chunk: InitVar[object] = _UNSET
-    workers: InitVar[object] = _UNSET
 
-    def __post_init__(self, chunk, workers) -> None:
+    def __post_init__(self) -> None:
         object.__setattr__(
             self,
             "execution",
-            _merge_execution("calibration", self.execution, chunk, workers),
+            _section_execution("calibration", self.execution),
         )
         object.__setattr__(self, "families", tuple(self.families))
         if not self.families:
@@ -1332,14 +1233,12 @@ class NetworkSpec:
     duration: float = 60.0
     events: tuple[NetworkEventSpec, ...] = ()
     execution: ExecutionSpec | None = None
-    chunk: InitVar[object] = _UNSET
-    workers: InitVar[object] = _UNSET
 
-    def __post_init__(self, chunk, workers) -> None:
+    def __post_init__(self) -> None:
         object.__setattr__(
             self,
             "execution",
-            _merge_execution("network", self.execution, chunk, workers),
+            _section_execution("network", self.execution),
         )
         _freeze_spec_list(
             self, "demands", DemandSpec, path="network.demands"
@@ -1383,7 +1282,6 @@ class NetworkSpec:
 _alias_execution(NetworkSpec)
 _register_nested("NetworkSpec", "topology", TopologySpec)
 _register_nested("NetworkSpec", "execution", ExecutionSpec)
-_LEGACY_EXECUTION_SECTIONS["NetworkSpec"] = "network"
 
 
 #: Routing policies a sweep may range over (the ``network.routing`` set).
@@ -1424,14 +1322,12 @@ class SweepSpec:
     simulate: str = "marginal"
     shape_factor: float = 1.8
     execution: ExecutionSpec | None = None
-    chunk: InitVar[object] = _UNSET
-    workers: InitVar[object] = _UNSET
 
-    def __post_init__(self, chunk, workers) -> None:
+    def __post_init__(self) -> None:
         object.__setattr__(
             self,
             "execution",
-            _merge_execution("sweep", self.execution, chunk, workers),
+            _section_execution("sweep", self.execution),
         )
         _freeze_tuple(self, "demand_factors")
         if not self.demand_factors:
@@ -1470,7 +1366,6 @@ class SweepSpec:
 
 _alias_execution(SweepSpec)
 _register_nested("SweepSpec", "execution", ExecutionSpec)
-_LEGACY_EXECUTION_SECTIONS["SweepSpec"] = "sweep"
 
 
 @dataclass(frozen=True)
@@ -1576,7 +1471,7 @@ class ScenarioSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
         """Strict inverse of :meth:`to_dict` (unknown keys are errors)."""
-        return _spec_from_dict(cls, data, path="spec", stacklevel=3)
+        return _spec_from_dict(cls, data, path="spec")
 
     def to_json(self, *, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -1587,7 +1482,7 @@ class ScenarioSpec:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParameterError(f"spec is not valid JSON: {exc}") from None
-        return _spec_from_dict(cls, data, path="spec", stacklevel=3)
+        return _spec_from_dict(cls, data, path="spec")
 
     def to_file(self, path) -> Path:
         path = Path(path)
@@ -1605,7 +1500,7 @@ class ScenarioSpec:
             data = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ParameterError(f"spec is not valid JSON: {exc}") from None
-        return _spec_from_dict(cls, data, path="spec", stacklevel=3)
+        return _spec_from_dict(cls, data, path="spec")
 
     # -- convenience -----------------------------------------------------
 
@@ -1615,9 +1510,7 @@ class ScenarioSpec:
         for key, value in changes.items():
             nested = _NESTED.get(("ScenarioSpec", key))
             if nested is not None and isinstance(value, dict):
-                value = _spec_from_dict(
-                    nested, value, path=f"spec.{key}", stacklevel=3
-                )
+                value = _spec_from_dict(nested, value, path=f"spec.{key}")
             decoded[key] = value
         return dataclasses.replace(self, **decoded)
 

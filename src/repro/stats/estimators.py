@@ -34,16 +34,16 @@ def ewma_final(values, eps: float) -> float:
 
     Computes ``y_i = (1 - eps) * y_{i-1} + eps * x_i`` (first observation
     initialises, exactly like :class:`EwmaEstimator`) through
-    :func:`repro.kernels.ewma`: a compiled sequential loop when numba is
-    installed, otherwise the blocked closed-form solution of the linear
-    recurrence — per block of ``B`` observations,
+    :func:`repro.kernels.ewma`, the blocked closed-form solution of the
+    linear recurrence — per block of ``B`` observations,
 
         ``y <- (1-eps)^B * y + eps * sum_j (1-eps)^(B-1-j) * x_j``
 
     — one dot product with a precomputed geometric weight vector instead
     of a Python loop per observation.  Blocking keeps the exponents small
-    enough that the weights never underflow, so the two paths match to
-    floating-point accumulation accuracy (~1e-12 relative) at any length.
+    enough that the weights never underflow, so it matches the
+    sequential loop to floating-point accumulation accuracy (~1e-12
+    relative) at any length.
     """
     x = np.ascontiguousarray(values, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..checkpoint import CheckpointStore, run_fingerprint
+from ..checkpoint import CheckpointStore, map_in_batches, run_fingerprint
 from ..exceptions import ParameterError
 from ..execution import RunHealth, make_pool, run_health
 from .cells import SweepCell, expand_cells
@@ -206,40 +206,22 @@ def run_sweep(spec, *, checkpoint_dir=None, resume=False) -> SweepResult:
     }
     simulations: dict[int, object] = {}
     outcome_of: dict[int, CellResult] = dict(restored)
-    if to_simulate:
-        # cell specs are pinned to one worker each (see expand_cells), so
-        # the sweep's pool is the only fan-out and pools never nest
-        workers = int(sweep.workers)
-        backend = str(sweep.backend)
-        width = min(workers, len(to_simulate))
-        # without a checkpoint dir everything goes in one fan-out; with
-        # one, cells go through in pool-width batches so each completed
-        # batch lands on disk before the next starts
-        batch_size = len(to_simulate) if store is None else max(1, width)
-        pool = None
-        try:
-            for b0 in range(0, len(to_simulate), batch_size):
-                batch = to_simulate[b0:b0 + batch_size]
-                if workers <= 1 or len(batch) <= 1:
-                    results = [_simulate_cell(cell) for cell in batch]
-                else:
-                    if pool is None:
-                        pool = make_pool(backend, width, retry=sweep.retry)
-                    results = pool.map_ordered(_simulate_cell, batch)
-                for cell, result in zip(batch, results):
-                    simulations[cell.index] = result
-                    outcome = _simulated_outcome(
-                        cell,
-                        assessment_of[cell.index],
-                        result,
-                        sla_utilization=sweep.sla_utilization,
-                    )
-                    outcome_of[cell.index] = outcome
-                    if store is not None:
-                        store.save(f"cell-{cell.index:04d}", outcome)
-        finally:
-            if pool is not None:
-                pool.close()
+    # cell specs are pinned to one worker each (see expand_cells), so the
+    # sweep's pool is the only fan-out and pools never nest
+    with make_pool(sweep.backend, sweep.workers, retry=sweep.retry) as pool:
+        for cell, result in map_in_batches(
+            pool, _simulate_cell, to_simulate, store
+        ):
+            simulations[cell.index] = result
+            outcome = _simulated_outcome(
+                cell,
+                assessment_of[cell.index],
+                result,
+                sla_utilization=sweep.sla_utilization,
+            )
+            outcome_of[cell.index] = outcome
+            if store is not None:
+                store.save(f"cell-{cell.index:04d}", outcome)
 
     outcomes = []
     for cell, assessment in zip(cells, assessments):

@@ -18,9 +18,8 @@ blocks into globally time-ordered ``PACKET_DTYPE`` chunks:
   the trace: a cell's packets are dropped as soon as the merge has
   emitted past them.
 * **Sharding** (``workers``): cells are independent given their seed
-  child, so groups of ``workers`` cells run concurrently on a persistent
-  worker pool (pass ``pool=`` — anything with ``map_ordered`` — to
-  supply it externally, e.g. a ``GenerationEngine``).
+  child, so groups of ``workers`` cells run concurrently on one worker
+  pool per stream (:func:`repro.execution.make_pool`).
 * **Determinism**: the output depends only on ``(seed, cell)`` and the
   workload — never on ``chunk`` or ``workers``.  The canonical packet
   order is: per-cell blocks sorted by timestamp, merged by one *stable*
@@ -193,13 +192,14 @@ class StreamingSynthesis:
         seed=None,
         *,
         keep_ground_truth: bool = False,
-        pool=None,
     ) -> None:
         self.plan = plan
         self.config = config
         self.keep_ground_truth = keep_ground_truth
-        self._pool = pool
-        self._owned_pool = None
+        # one pool for the whole stream; it forks on the first cell group
+        self._pool = make_pool(
+            config.backend, config.workers, retry=config.retry
+        )
         root = _as_seed_sequence(seed)
         children = root.spawn(plan.n_cells + 1)
         self._presample_seed = children[0]
@@ -248,25 +248,11 @@ class StreamingSynthesis:
 
     def _run_cells(self, tasks):
         with stage_timer("synthesis.cells"):
-            if len(tasks) <= 1 or self.config.workers <= 1:
-                return [synthesize_cell(*task) for task in tasks]
-            if self._pool is not None:
-                return self._pool.map_ordered(_synthesize_cell_task, tasks)
-            if self._owned_pool is None:
-                # one pool for the whole stream, not one per cell group
-                self._owned_pool = make_pool(
-                    self.config.backend, self.config.workers,
-                    retry=self.config.retry,
-                )
-            return self._owned_pool.map_ordered(
-                _synthesize_cell_task, tasks
-            )
+            return self._pool.map_ordered(_synthesize_cell_task, tasks)
 
     def close(self) -> None:
         """Release the worker pool (idempotent; exhaustion calls it)."""
-        if self._owned_pool is not None:
-            self._owned_pool.close()
-            self._owned_pool = None
+        self._pool.close()
 
     def write_trace(self, path) -> int:
         """Drain this stream straight into a ``.rptr`` file.
@@ -495,8 +481,7 @@ class SynthesisEngine:
     # -- entry points ------------------------------------------------------
 
     def synthesize_chunks(
-        self, seed=None, *, keep_ground_truth: bool = False, pool=None,
-        **plan_kwargs,
+        self, seed=None, *, keep_ground_truth: bool = False, **plan_kwargs
     ) -> StreamingSynthesis:
         """Stream a synthesized capture as time-ordered packet chunks."""
         plan = self.plan(**plan_kwargs)
@@ -505,10 +490,9 @@ class SynthesisEngine:
             self.config,
             seed,
             keep_ground_truth=keep_ground_truth,
-            pool=pool,
         )
 
-    def synthesize(self, seed=None, *, pool=None, **plan_kwargs) -> LinkSynthesis:
+    def synthesize(self, seed=None, **plan_kwargs) -> LinkSynthesis:
         """Materialise a full :class:`~repro.netsim.link.LinkSynthesis`.
 
         Drains the engine's own stream, so the result is bit-for-bit the
@@ -517,7 +501,7 @@ class SynthesisEngine:
         :func:`~repro.netsim.link.synthesize_link_trace` output.
         """
         stream = self.synthesize_chunks(
-            seed, keep_ground_truth=True, pool=pool, **plan_kwargs
+            seed, keep_ground_truth=True, **plan_kwargs
         )
         blocks = list(stream)
         packets = (
@@ -537,11 +521,11 @@ class SynthesisEngine:
             flow_protocols=protocols,
         )
 
-    def write_trace(self, path, seed=None, *, pool=None, **plan_kwargs) -> int:
+    def write_trace(self, path, seed=None, **plan_kwargs) -> int:
         """Stream a synthesized capture straight to a ``.rptr`` file.
 
         See :meth:`StreamingSynthesis.write_trace`; returns the number
         of packets written.
         """
-        stream = self.synthesize_chunks(seed, pool=pool, **plan_kwargs)
+        stream = self.synthesize_chunks(seed, **plan_kwargs)
         return stream.write_trace(path)

@@ -96,3 +96,28 @@ def test_golden_is_chunk_and_backend_invariant(tmp_path):
         for skip in ("backend", "workers"):
             reference.pop(skip, None), other.pop(skip, None)
         assert other == reference
+
+
+def test_streamed_archive_forks_one_pool(tmp_path, monkeypatch):
+    # 800 records in 100-record blocks over 2 workers make several
+    # two-block batches, and all of them must share one forked pool
+    from repro.execution import SharedMemoryPool
+
+    archive = tmp_path / "golden.nf5"
+    write_netflow5(golden_records(), archive)
+    serial = calibrate_archive(archive, seed=0, chunk=100).to_dict()
+    forks = []
+    spawn = SharedMemoryPool._spawn
+
+    def counting_spawn(pool):
+        forks.append(pool)
+        spawn(pool)
+
+    monkeypatch.setattr(SharedMemoryPool, "_spawn", counting_spawn)
+    streamed = calibrate_archive(
+        archive, seed=0, chunk=100, workers=2, backend="process"
+    ).to_dict()
+    assert len(forks) == 1
+    for skip in ("backend", "workers"):
+        serial.pop(skip), streamed.pop(skip)
+    assert streamed == serial

@@ -6,12 +6,22 @@ pytest invocation.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.core import EmpiricalEnsemble
+from repro.experiments import DELTA, SCALED_TIMEOUT, measurement_from_result
 from repro.flows import export_five_tuple_flows, export_prefix_flows
 from repro.netsim import medium_utilization_link
+from repro.pipeline import (
+    MEASUREMENT_STAGES,
+    EstimationSpec,
+    FlowAccountingSpec,
+    ScenarioSpec,
+    run_scenario,
+)
 
 
 @pytest.fixture(scope="session")
@@ -55,3 +65,27 @@ def five_tuple_flows(trace):
 @pytest.fixture(scope="session")
 def prefix_flows(trace):
     return export_prefix_flows(trace, timeout=8.0)
+
+
+@pytest.fixture(scope="session")
+def measure_interval(trace):
+    """The section VI loop on the shared trace, through the pipeline.
+
+    ``measure_interval(kind, seed)`` returns the scatter point and the
+    exported flows; results are cached per argument pair.
+    """
+
+    @functools.cache
+    def measure(kind="five_tuple", seed=-1):
+        spec = ScenarioSpec(
+            name=trace.name,
+            workload=None,
+            flows=FlowAccountingSpec(kind=kind, timeout=SCALED_TIMEOUT),
+            estimation=EstimationSpec(delta=DELTA),
+            generation=None,
+        )
+        result = run_scenario(spec, trace=trace, stages=MEASUREMENT_STAGES)
+        point = measurement_from_result(result, seed=seed)
+        return point, result.accounting.flows
+
+    return measure

@@ -9,6 +9,7 @@ error propagation every test asserts nothing leaks into ``/dev/shm``
 from __future__ import annotations
 
 import glob
+import signal
 
 import numpy as np
 import pytest
@@ -190,6 +191,34 @@ class TestClose:
 
     def test_close_releases_segments(self):
         pool = make_pool("process", 2)
+        assert not _leaked_segments()  # nothing forked before first use
+        pool.map_ordered(_double, [1, 2])
         assert _leaked_segments()  # ring exists while the pool is open
         pool.close()
         assert not _leaked_segments()
+
+
+class TestLazyStart:
+    def test_fork_waits_for_a_multi_item_map(self):
+        with make_pool("process", 4) as pool:
+            assert pool.map_ordered(_double, [5]) == [10]
+            assert not _leaked_segments()  # one item runs inline
+            pool.map_ordered(_double, [1, 2])
+            # sized to the first fan-out, not the requested width
+            assert pool.workers == 2
+
+    def test_later_pools_workers_exit_on_sigterm(self):
+        # the parent's chained cleanup handler must not survive the fork:
+        # a worker running it would close its copy of the parent's pool
+        # on terminate() instead of exiting
+        for _ in range(2):
+            with make_pool("process", 2) as pool:
+                handlers = pool.map_ordered(_sigterm_handler, [0, 1])
+        assert handlers == [signal.SIG_DFL] * 2
+
+
+def _sigterm_handler(_):
+    handler = signal.getsignal(signal.SIGTERM)
+    if isinstance(handler, signal.Handlers):
+        return handler
+    return getattr(handler, "__qualname__", repr(handler))

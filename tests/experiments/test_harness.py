@@ -16,15 +16,14 @@ from repro.experiments import (
     fig8_rate_autocorrelation,
     fig9_13_scatter,
     fig11_power_histogram,
-    measure_trace,
     utilization_class,
 )
 from repro.netsim import DEFAULT_SCALE, medium_utilization_link, table_i_workload
 
 
 class TestMeasureTrace:
-    def test_fields_populated(self, trace):
-        measurement, flows = measure_trace(trace, flow_kind="five_tuple")
+    def test_fields_populated(self, measure_interval):
+        measurement, flows = measure_interval("five_tuple")
         assert measurement.n_flows == len(flows)
         assert measurement.measured_cov > 0
         assert set(measurement.model_cov) == {0.0, 1.0, 2.0}
@@ -32,14 +31,14 @@ class TestMeasureTrace:
         assert np.isfinite(measurement.fitted_power)
         assert measurement.statistics.flow_count == len(flows)
 
-    def test_relative_error_and_band(self, trace):
-        measurement, _ = measure_trace(trace, flow_kind="five_tuple")
+    def test_relative_error_and_band(self, measure_interval):
+        measurement, _ = measure_interval("five_tuple")
         for power in (0.0, 1.0, 2.0):
             rel = measurement.relative_error(power)
             assert measurement.within_band(power, 0.20) == (abs(rel) <= 0.20)
 
-    def test_prefix_kind(self, trace):
-        measurement, flows = measure_trace(trace, flow_kind="prefix")
+    def test_prefix_kind(self, measure_interval):
+        measurement, flows = measure_interval("prefix")
         assert measurement.flow_kind == "prefix"
         assert flows.key_kind == "prefix"
 
@@ -106,15 +105,15 @@ class TestFigureBuilders:
             # paper Figure 8: correlation still high at 400 ms
             assert rho[-1] > 0.5
 
-    def test_fig9_13_scatter(self, trace):
-        m1, _ = measure_trace(trace, flow_kind="five_tuple", seed=1)
-        m2, _ = measure_trace(trace, flow_kind="five_tuple", seed=2)
+    def test_fig9_13_scatter(self, measure_interval):
+        m1, _ = measure_interval("five_tuple", seed=1)
+        m2, _ = measure_interval("five_tuple", seed=2)
         scatter = fig9_13_scatter([m1, m2], power=1.0)
         assert scatter.measured.shape == (2,)
         assert 0.0 <= scatter.within_20pct <= 1.0
 
-    def test_fig11_histogram(self, trace):
-        m, _ = measure_trace(trace, flow_kind="five_tuple")
+    def test_fig11_histogram(self, measure_interval):
+        m, _ = measure_interval("five_tuple")
         edges, share, mean_b = fig11_power_histogram([m, m])
         assert share.sum() == pytest.approx(100.0)
         assert mean_b == pytest.approx(m.fitted_power)

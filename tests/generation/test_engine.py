@@ -270,15 +270,6 @@ class TestEngineConfig:
         assert engine.config.workers == 2
         assert engine.config.arrival_cell == EngineConfig().arrival_cell
 
-    def test_map_seeded_deterministic_and_ordered(self):
-        def task(index, child):
-            return index, float(np.random.default_rng(child).random())
-
-        a = GenerationEngine(workers=1).map_seeded(task, 6, seed=5)
-        b = GenerationEngine(workers=4).map_seeded(task, 6, seed=5)
-        assert a == b
-        assert [i for i, _ in a] == list(range(6))
-
 
 class TestSplitmixJitter:
     def test_uniform_range_and_determinism(self):

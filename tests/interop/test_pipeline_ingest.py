@@ -10,6 +10,7 @@ import pytest
 from repro.exceptions import ParameterError, ReproError
 from repro.interop import write_ipfix, write_netflow5, write_pcap
 from repro.pipeline import (
+    ExecutionSpec,
     INGEST_STAGES,
     IngestSpec,
     ScenarioSpec,
@@ -55,7 +56,7 @@ class TestIngestSpec:
             IngestSpec().require_path()
 
     def test_chunk_aliases_into_execution(self):
-        spec = IngestSpec(path="a.nf5", chunk=512)
+        spec = IngestSpec(path="a.nf5", execution=ExecutionSpec(chunk=512))
         assert spec.execution.chunk == 512
         assert spec.chunk == 512
 
@@ -64,7 +65,7 @@ class TestIngestSpec:
                                         "execution": {"chunk": 256}}}
         spec = ScenarioSpec.from_dict(data)
         assert spec.ingest.execution.chunk == 256
-        # the flat legacy key never existed for ingest: hard error, no shim
+        # a flat execution key is an unknown key, like any other typo
         with pytest.raises(ParameterError, match=r"unknown key\(s\) \['chunk'\]"):
             ScenarioSpec.from_dict(
                 {"name": "x", "ingest": {"path": "a.nf5", "chunk": 256}}

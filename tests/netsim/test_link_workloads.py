@@ -129,6 +129,20 @@ class TestMultiLinkScenarios:
         for a, b in zip(serial, threaded):
             np.testing.assert_array_equal(a.trace.packets, b.trace.packets)
 
+    def test_synthesize_scenario_seeds_links_by_position(self):
+        # link i draws from SeedSequence(seed) child i, whatever the
+        # worker count, and results come back in workload order
+        workloads = [w.with_duration(5.0) for w in table_i_workloads()[:3]]
+        children = np.random.SeedSequence(5).spawn(len(workloads))
+        expected = [
+            w.synthesize(seed=np.random.default_rng(c)).trace.packets
+            for w, c in zip(workloads, children)
+        ]
+        for workers in (1, 4):
+            got = synthesize_scenario(workloads, seed=5, workers=workers)
+            for packets, link in zip(expected, got):
+                np.testing.assert_array_equal(link.trace.packets, packets)
+
     def test_synthesize_scenario_links_are_independent(self):
         workloads = [w.with_duration(10.0) for w in table_i_workloads()[:2]]
         a, b = synthesize_scenario(workloads, seed=3)

@@ -98,7 +98,9 @@ class TestCalibrationSpecValidation:
             CalibrationSpec(lambda_rtol=-0.1)
 
     def test_execution_aliases(self):
-        section = CalibrationSpec(chunk=5000, workers=3)
+        section = CalibrationSpec(
+            execution=ExecutionSpec(chunk=5000, workers=3)
+        )
         assert section.chunk == 5000
         assert section.workers == 3
         assert section.execution == ExecutionSpec(chunk=5000, workers=3)

@@ -1,17 +1,15 @@
 """The unified ExecutionSpec: one chunk/workers surface for four sections.
 
-Pins the deprecation contract: ``synthesis``/``measurement``/``network``/
-``sweep`` sections all store a single ``execution: {chunk, workers}``
-block; the legacy flat ``chunk``/``workers`` keys still decode (with a
-DeprecationWarning pointing at MIGRATION.md) to an *equal* spec, mixing
-the two spellings in a JSON document is rejected outright, and JSON
-round-trips are identity for either input spelling.
+``synthesis``/``measurement``/``network``/``sweep`` sections all store a
+single ``execution: {chunk, workers}`` block, read through as
+``section.chunk``/``section.workers``.  The flat per-section keys are
+gone: in JSON they fail as unknown keys (the error lists ``execution``),
+and the constructors do not accept them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -62,18 +60,7 @@ class TestExecutionSpec:
 
 
 class TestCtorSugar:
-    """The dataclass constructors accept both spellings, warning-free."""
-
-    @pytest.mark.parametrize("section,cls,kwargs", SECTIONS)
-    def test_flat_kwargs_equal_execution_kwarg(self, section, cls, kwargs):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # ctor sugar must not warn
-            flat = cls(chunk=50_000, workers=3, **kwargs)
-        nested = cls(
-            execution=ExecutionSpec(chunk=50_000, workers=3), **kwargs
-        )
-        assert flat == nested
-        assert flat.execution == ExecutionSpec(chunk=50_000, workers=3)
+    """The dataclass constructors take one ``execution`` spelling."""
 
     @pytest.mark.parametrize("section,cls,kwargs", SECTIONS)
     def test_aliases_read_through(self, section, cls, kwargs):
@@ -84,7 +71,7 @@ class TestCtorSugar:
 
     @pytest.mark.parametrize("section,cls,kwargs", SECTIONS)
     def test_conflicting_spellings_rejected(self, section, cls, kwargs):
-        with pytest.raises(ParameterError, match=section):
+        with pytest.raises(TypeError, match="chunk"):
             cls(
                 execution=ExecutionSpec(chunk=1_000, workers=1),
                 chunk=2_000,
@@ -93,10 +80,13 @@ class TestCtorSugar:
 
     @pytest.mark.parametrize("section,cls,kwargs", SECTIONS)
     def test_validation_errors_name_the_section(self, section, cls, kwargs):
-        with pytest.raises(ParameterError, match=f"{section}.chunk"):
-            cls(chunk=-1, **kwargs)
-        with pytest.raises(ParameterError, match=f"{section}.workers"):
-            cls(workers=0, **kwargs)
+        for knob, bad in (("chunk", -1), ("workers", 0)):
+            doc = _scenario_dict(section, {"execution": {knob: bad}})
+            with pytest.raises(
+                ParameterError,
+                match=rf"spec\.{section}\.execution: execution\.{knob}",
+            ):
+                ScenarioSpec.from_dict(doc)
 
     @pytest.mark.parametrize("section,cls,kwargs", SECTIONS)
     def test_replace_round_trips(self, section, cls, kwargs):
@@ -131,30 +121,7 @@ def _scenario_dict(section: str, body: dict) -> dict:
 
 
 class TestJsonDecode:
-    """The JSON layer: deprecation shims, strict mixing, round-trips."""
-
-    @pytest.mark.parametrize("section,cls,kwargs", SECTIONS)
-    def test_legacy_keys_decode_with_deprecation_warning(
-        self, section, cls, kwargs
-    ):
-        doc = _scenario_dict(section, {"chunk": 40_000, "workers": 2})
-        with pytest.warns(DeprecationWarning, match=section):
-            legacy = ScenarioSpec.from_dict(doc)
-        modern = ScenarioSpec.from_dict(
-            _scenario_dict(
-                section, {"execution": {"chunk": 40_000, "workers": 2}}
-            )
-        )
-        assert legacy == modern
-        assert getattr(legacy, section).execution == ExecutionSpec(
-            chunk=40_000, workers=2
-        )
-
-    @pytest.mark.parametrize("section,cls,kwargs", SECTIONS)
-    def test_warning_points_at_migration_guide(self, section, cls, kwargs):
-        doc = _scenario_dict(section, {"workers": 2})
-        with pytest.warns(DeprecationWarning, match="MIGRATION.md"):
-            ScenarioSpec.from_dict(doc)
+    """The JSON layer: one nested spelling, strict rejection, round-trips."""
 
     @pytest.mark.parametrize("section,cls,kwargs", SECTIONS)
     def test_mixed_spellings_rejected(self, section, cls, kwargs):
@@ -162,29 +129,23 @@ class TestJsonDecode:
             section,
             {"chunk": 40_000, "execution": {"chunk": 40_000, "workers": 1}},
         )
-        with pytest.raises(ParameterError, match="not both"):
+        with pytest.raises(
+            ParameterError, match=r"unknown key\(s\) \['chunk'\]"
+        ) as err:
             ScenarioSpec.from_dict(doc)
+        assert "'execution'" in str(err.value)  # the valid-key list
 
     @pytest.mark.parametrize("section,cls,kwargs", SECTIONS)
-    def test_round_trip_identity_both_spellings(self, section, cls, kwargs):
-        """Either input spelling round-trips to the same canonical JSON."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = ScenarioSpec.from_dict(
-                _scenario_dict(section, {"chunk": 40_000, "workers": 2})
-            )
-        modern = ScenarioSpec.from_dict(
+    def test_round_trip_identity(self, section, cls, kwargs):
+        spec = ScenarioSpec.from_dict(
             _scenario_dict(
                 section, {"execution": {"chunk": 40_000, "workers": 2}}
             )
         )
-        assert legacy.to_dict() == modern.to_dict()
-        # canonical output spells only the nested form ...
-        body = legacy.to_dict()[section]
-        assert "execution" in body
-        assert "chunk" not in body and "workers" not in body
-        # ... and decoding it again is identity
-        assert ScenarioSpec.from_dict(legacy.to_dict()) == legacy
+        assert getattr(spec, section).execution == ExecutionSpec(
+            chunk=40_000, workers=2
+        )
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
     def test_registry_specs_round_trip(self):
         for spec in default_registry().specs():

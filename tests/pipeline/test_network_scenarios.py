@@ -8,6 +8,7 @@ import pytest
 from repro.exceptions import ParameterError
 from repro.pipeline import (
     DemandSpec,
+    ExecutionSpec,
     NETWORK_STAGES,
     NetworkEventSpec,
     NetworkSpec,
@@ -182,7 +183,7 @@ class TestSimulateNetworkStage:
     def test_results_invariant_to_chunk_and_workers(self):
         base = run_scenario(network_spec())
         varied = run_scenario(
-            network_spec(chunk=2048, workers=3)
+            network_spec(execution=ExecutionSpec(chunk=2048, workers=3))
         )
         for link, entry in base.network.simulation.links.items():
             other = varied.network.simulation.links[link]

@@ -13,6 +13,7 @@ from repro.flows import export_flows
 from repro.netsim import medium_utilization_link, table_i_workload
 from repro.pipeline import (
     EstimationSpec,
+    ExecutionSpec,
     FitSpec,
     GenerationSpec,
     MEASUREMENT_STAGES,
@@ -86,7 +87,9 @@ class TestStreamingMeasurement:
     def test_streaming_measurement_identical_report(self, chunk, workers):
         base_spec = _short("medium")
         streamed_spec = base_spec.with_overrides(
-            measurement=MeasurementSpec(chunk=chunk, workers=workers)
+            measurement=MeasurementSpec(
+                ExecutionSpec(chunk=chunk, workers=workers)
+            )
         )
         base = run_scenario(base_spec, stages=MEASUREMENT_STAGES)
         streamed = run_scenario(streamed_spec, stages=MEASUREMENT_STAGES)
@@ -122,7 +125,7 @@ class TestStreamingMeasurement:
         """The streaming engine provides the series directly, so the
         missing packet map is not an error on that path."""
         spec = _short(
-            "medium", measurement=MeasurementSpec(chunk=4096)
+            "medium", measurement=MeasurementSpec(ExecutionSpec(chunk=4096))
         )
         result = run_scenario(spec, stages=MEASUREMENT_STAGES)
         assert result.accounting.flows.packet_flow_ids is None
@@ -274,7 +277,7 @@ class TestStreamedSynthesis:
         classic = run_scenario(_short(name, **spec_overrides))
         streamed = run_scenario(_short(
             name,
-            synthesis={"chunk": 3000, "workers": 2},
+            synthesis={"execution": {"chunk": 3000, "workers": 2}},
             **spec_overrides,
         ))
         return classic, streamed
@@ -309,7 +312,7 @@ class TestStreamedSynthesis:
     def test_anomaly_injection_falls_back_to_materialised(self):
         spec = _short(
             "flash-flood",
-            synthesis={"chunk": 2500},
+            synthesis={"execution": {"chunk": 2500}},
             anomaly={"kind": "flood", "start": 8.0, "duration": 6.0},
         )
         result = run_scenario(spec)
@@ -319,7 +322,9 @@ class TestStreamedSynthesis:
         assert result.trace is not None
 
     def test_spec_round_trips_synthesis_section(self):
-        spec = _short("medium", synthesis={"chunk": 1234, "workers": 3})
+        spec = _short(
+            "medium", synthesis={"execution": {"chunk": 1234, "workers": 3}}
+        )
         again = ScenarioSpec.from_json(spec.to_json())
         assert again.synthesis.chunk == 1234
         assert again.synthesis.workers == 3

@@ -16,6 +16,7 @@ from repro.pipeline import (
     AnomalySpec,
     ArrivalSpec,
     EstimationSpec,
+    ExecutionSpec,
     FitSpec,
     GenerationSpec,
     MeasurementSpec,
@@ -38,7 +39,9 @@ def _rich_spec() -> ScenarioSpec:
             duration=60.0,
             arrivals=ArrivalSpec(kind="diurnal", relative_amplitude=0.3),
         ),
-        measurement=MeasurementSpec(chunk=100_000, workers=4),
+        measurement=MeasurementSpec(
+            execution=ExecutionSpec(chunk=100_000, workers=4)
+        ),
         estimation=EstimationSpec(delta=0.1, estimator="ewma"),
         fit=FitSpec(powers=(0.0, 1.5), class_split_bytes=10e3),
         generation=GenerationSpec(mode="streamed", chunk=5.0, workers=2),
@@ -84,16 +87,18 @@ class TestRoundTrip:
     def test_measurement_section(self):
         default = MeasurementSpec()
         assert not default.uses_engine
-        assert MeasurementSpec(chunk=1000).uses_engine
-        assert MeasurementSpec(workers=2).uses_engine
-        with pytest.raises(ParameterError, match="measurement.chunk"):
-            MeasurementSpec(chunk=0)
-        with pytest.raises(ParameterError, match="measurement.workers"):
-            MeasurementSpec(workers=0)
-        with pytest.raises(ParameterError, match="measurement.workers"):
-            MeasurementSpec(workers=1.5)  # silently truthy if truncated
+        assert MeasurementSpec(ExecutionSpec(chunk=1000)).uses_engine
+        assert MeasurementSpec(ExecutionSpec(workers=2)).uses_engine
         data = default_registry().get("medium").to_dict()
-        data["measurement"] = {"chunk": 5000, "workers": 2, "typo": 1}
+        for knob, bad in (("chunk", 0), ("workers", 0), ("workers", 1.5)):
+            # 1.5 workers would be silently truthy if truncated
+            data["measurement"] = {"execution": {knob: bad}}
+            with pytest.raises(
+                ParameterError,
+                match=rf"spec\.measurement\.execution: execution\.{knob}",
+            ):
+                ScenarioSpec.from_dict(data)
+        data["measurement"] = {"execution": {"chunk": 5000}, "typo": 1}
         with pytest.raises(ParameterError, match=r"spec\.measurement"):
             ScenarioSpec.from_dict(data)
 

@@ -9,6 +9,7 @@ import pytest
 from repro.__main__ import build_parser, main
 from repro.pipeline import (
     DemandSpec,
+    ExecutionSpec,
     NetworkSpec,
     ScenarioSpec,
     SweepSpec,
@@ -375,7 +376,7 @@ class TestExecutionPrecedence:
                 demand_factors=(1.0,),
                 failures="none",
                 simulate="none",
-                workers=workers,
+                execution=ExecutionSpec(workers=workers),
             ),
         )
         path = tmp_path / "precedence.json"
@@ -576,7 +577,6 @@ class TestRetrySurvivesFlagMerge:
         and silently drop the spec's retry policy — disarming the
         watchdog on exactly the runs that asked for it."""
         from repro.execution import RetryPolicy
-        from repro.pipeline import ExecutionSpec
 
         spec = ScenarioSpec(
             name="retry-keeper",

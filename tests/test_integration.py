@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import PoissonShotNoiseModel, PowerShot, fit_power_from_variance
-from repro.experiments import SCALED_TIMEOUT, measure_trace
+from repro.experiments import SCALED_TIMEOUT
 from repro.flows import export_five_tuple_flows, export_prefix_flows
 from repro.generation import generate_rate_series
 from repro.prediction import ModelBasedPredictor, prediction_error
@@ -31,17 +31,17 @@ class TestFullPipeline:
         assert report.qq_correlation > 0.99
         assert 0.8 < report.cov < 1.2
 
-    def test_model_cov_within_40pct_of_measured(self, trace):
+    def test_model_cov_within_40pct_of_measured(self, measure_interval):
         """The Figures 9-13 headline: model CoV tracks measured CoV."""
         for kind in ("five_tuple", "prefix"):
-            measurement, _ = measure_trace(trace, flow_kind=kind)
+            measurement, _ = measure_interval(kind)
             best = min(
                 abs(measurement.relative_error(b)) for b in (0.0, 1.0, 2.0)
             )
             assert best < 0.40
 
-    def test_fitted_power_reasonable(self, trace):
-        measurement, _ = measure_trace(trace, flow_kind="five_tuple")
+    def test_fitted_power_reasonable(self, measure_interval):
+        measurement, _ = measure_interval("five_tuple")
         assert 0.0 <= measurement.fitted_power < 8.0  # Figure 11 support
 
     def test_mean_rate_agreement(self, trace, five_tuple_flows):

@@ -1,10 +1,7 @@
-"""Equivalence gates for the compiled hot kernels.
+"""Equivalence gates for the vectorised hot kernels.
 
-Each kernel has a NumPy implementation (always available) and an
-``@njit`` twin used when numba is installed.  The tests pin the NumPy
-path against independent pure-Python oracles written here, and — where
-numba is present — pin the compiled path bit-for-bit against NumPy, so
-either dispatch target satisfies the engines' bitwise contracts.
+Each NumPy kernel is pinned against an independent pure-Python oracle
+written here, so the engines' bitwise contracts rest on a plain loop.
 """
 
 from __future__ import annotations
@@ -14,18 +11,13 @@ import pytest
 
 from repro.core.shots import PowerShot
 from repro.kernels import (
-    HAVE_NUMBA,
-    _expand_rounds_njit,
     _expand_rounds_numpy,
-    _powershot_scatter_njit,
     _powershot_scatter_numpy,
     ewma,
     expand_rounds,
     powershot_scatter,
 )
 from repro.stats.estimators import EwmaEstimator
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
 
 
 # -- TCP round expansion ------------------------------------------------
@@ -66,7 +58,7 @@ def _round_fixture(seed=0, n_flows=40):
 
 
 def _expand_rounds_oracle(args, mss=1460.0, header=40.0):
-    """Straight per-packet Python loop; the semantics being compiled."""
+    """Straight per-packet Python loop; the semantics being vectorised."""
     (flow, start, count, length, sent_before, total, last_payload) = args
     out_flow, out_offset, out_wire = [], [], []
     for r in range(flow.size):
@@ -106,16 +98,6 @@ def test_expand_rounds_last_packet_payload():
     )
     _, _, wire = _expand_rounds_numpy(*args, 1460.0, 40.0)
     assert wire.tolist() == [1500, 1500, 140]
-
-
-@needs_numba
-def test_expand_rounds_njit_bitwise_equal():
-    args = _round_fixture(seed=3)
-    a = _expand_rounds_numpy(*args, 1460.0, 40.0)
-    b = _expand_rounds_njit(*args, 1460.0, 40.0)
-    for x, y in zip(a, b):
-        assert x.dtype == y.dtype
-        assert x.tobytes() == y.tobytes()
 
 
 def test_expand_rounds_dispatcher_matches_numpy():
@@ -170,18 +152,6 @@ def test_powershot_scatter_matches_shot_cumulative():
     assert got.tobytes() == oracle.tobytes()  # bitwise
 
 
-@needs_numba
-def test_powershot_scatter_njit_bitwise_equal():
-    starts, sizes, durations, a, b, delta = _scatter_fixture(seed=4)
-    x = _powershot_scatter_numpy(
-        starts, sizes, durations, a, b, 1.3, delta, 3, 40
-    )
-    y = _powershot_scatter_njit(
-        starts, sizes, durations, a, b, 1.3, delta, 3, 40
-    )
-    assert x.tobytes() == y.tobytes()
-
-
 def test_powershot_scatter_dispatcher_handles_empty_ranges():
     starts, sizes, durations, a, b, delta = _scatter_fixture(n=5)
     got = powershot_scatter(
@@ -201,8 +171,4 @@ def test_ewma_matches_sequential_estimator(n, eps):
     est = EwmaEstimator(eps)
     for v in x:
         est.update(v)
-    got = ewma(x, eps)
-    if HAVE_NUMBA:
-        assert got == est.value  # the njit path IS the recurrence
-    else:
-        assert got == pytest.approx(est.value, rel=1e-11)
+    assert ewma(x, eps) == pytest.approx(est.value, rel=1e-11)
