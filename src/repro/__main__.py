@@ -14,20 +14,17 @@ the canonical path:
   pre-filter, marginal cells simulated, one ranked report;
 * ``list-scenarios`` — show the built-in scenario registry, grouped by
   family (single-link vs network);
-* ``synthesize``     — generate a scaled backbone capture to a trace file;
-* ``measure``        — run the section VI measurement pipeline on an
-  existing trace file (``--format`` accepts operator telemetry too:
-  NetFlow v5, IPFIX and pcap archives stream through the same engine);
-* ``import``         — fit the model to real operator telemetry: stream
-  a NetFlow v5 / IPFIX / pcap archive through the measurement pipeline;
+* ``synthesize``     — stream a scaled backbone capture to a trace file;
+* ``measure``        — (alias ``import``) fit the model to a capture:
+  a ``.rptr`` trace or a NetFlow v5 / IPFIX / pcap archive streams
+  through the section VI measurement pipeline;
 * ``calibrate``      — fit the flow-size families to a telemetry archive
   (or a scenario) out-of-core, select the best model, and emit a
   runnable fitted scenario spec, optionally closed-loop validated;
 * ``export``         — re-export a capture (or any importable archive)
   as NetFlow v5, IPFIX or pcap for downstream tooling;
 * ``generate``       — produce model-driven traffic (section VII-C)
-  calibrated on an input trace, via the chunked generation engine;
-* ``scenario``       — synthesize all seven Table I links in parallel.
+  calibrated on an input capture, via the chunked generation engine.
 
 Examples::
 
@@ -45,7 +42,6 @@ Examples::
     python -m repro calibrate router.nf5 -o fitted-spec.json --validate
     python -m repro export /tmp/link.rptr /tmp/link.nf5 --format netflow5
     python -m repro generate /tmp/link.rptr /tmp/synthetic.rptr --chunk 30
-    python -m repro scenario /tmp/links --workers 4 --seed 3
 """
 
 from __future__ import annotations
@@ -58,7 +54,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PoissonShotNoiseModel
 from .exceptions import (
     CheckpointError,
     ParameterError,
@@ -68,7 +63,6 @@ from .exceptions import (
 from .execution import reset_run_health, run_health
 from .generation import GenerationEngine, generate_packet_trace
 from .measurement import MeasurementEngine
-from .netsim import synthesize_scenario, table_i_workloads
 from .pipeline import (
     CALIBRATION_FAMILIES,
     CalibrationSpec,
@@ -76,20 +70,18 @@ from .pipeline import (
     ExecutionSpec,
     FlowAccountingSpec,
     INGEST_FORMATS,
+    INGEST_STAGES,
     IngestSpec,
-    MEASUREMENT_STAGES,
     MeasurementSpec,
     SELECTION_CRITERIA,
     ScenarioSpec,
-    Synthesize,
     ValidationSpec,
     WorkloadSpec,
     apply_quick_mode,
     default_registry,
     run_scenario,
 )
-from .pipeline.stages import PipelineContext
-from .trace import read_trace, write_trace
+from .trace import write_trace
 
 
 #: CLI exit codes: 2 = bad spec/parameters, 3 = runtime/engine failure,
@@ -138,8 +130,9 @@ def _execution_parent() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--chunk", type=int, default=None,
-        help="packets per streamed engine block (0 forces the in-memory "
-        "path; default: keep the spec's 'execution' section)",
+        help="packets per streamed engine block (0 clears the spec's "
+        "chunk, e.g. back to in-memory synthesis for run; default: keep "
+        "the spec's 'execution' section)",
     )
     group.add_argument(
         "--workers", type=int, default=None,
@@ -214,6 +207,13 @@ def _resolve_execution(
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
+    """``synthesize``: stream a workload's capture straight to disk.
+
+    Synthesis cells are merged into ``--chunk``-packet blocks (default
+    10^6) and appended to the trace file as they complete, so even a
+    full-rate (``--scale 1``) OC-12 preset writes its capture in bounded
+    memory.  The file is bit-for-bit the same for any chunk/workers.
+    """
     error = _check_execution_flags(args)
     if error is not None:
         return _fail(error)
@@ -222,43 +222,19 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     if args.scale is not None:
         workload_kwargs["scale"] = args.scale
     try:
-        workload_spec = WorkloadSpec(**workload_kwargs)
         spec = ScenarioSpec(
             name=f"synthesize-{args.preset}",
             seed=args.seed,
-            workload=workload_spec,
+            workload=WorkloadSpec(**workload_kwargs),
             generation=None,
         )
-    except ParameterError as exc:
-        return _fail(str(exc))
-    if execution.uses_engine:
-        return _cmd_synthesize_streaming(args, workload_spec, execution)
-    context = PipelineContext(spec=spec)
-    trace = Synthesize().run(context).trace
-    write_trace(trace, args.output)
-    print(f"wrote {trace} -> {args.output}")
-    return 0
-
-
-def _cmd_synthesize_streaming(
-    args, workload_spec: WorkloadSpec, execution: ExecutionSpec
-) -> int:
-    """Out-of-core ``synthesize --chunk N``: cells stream to the writer.
-
-    The capture never exists in memory — synthesis cells are merged into
-    ``--chunk``-packet blocks and appended to the trace file as they
-    complete, so a full-rate (``--scale 1``) OC-12 preset writes a
-    10^7-packet capture in bounded memory.  The file contents are
-    bit-for-bit what the in-memory path writes, for any chunk/workers.
-    """
-    workload = workload_spec.build()
-    stream = workload.synthesize_chunks(
-        seed=args.seed,
-        chunk=execution.chunk or 1_000_000,
-        workers=execution.workers,
-        backend=execution.backend,
-    )
-    try:
+        workload = spec.workload.build()
+        stream = workload.synthesize_chunks(
+            seed=spec.seed,
+            chunk=execution.chunk or 1_000_000,
+            workers=execution.workers,
+            backend=execution.backend,
+        )
         stream.write_trace(args.output)
     except ParameterError as exc:
         return _fail(str(exc))
@@ -272,125 +248,39 @@ def _cmd_synthesize_streaming(
     return 0
 
 
-def _measure_spec(
-    args: argparse.Namespace,
-    *,
-    name: str,
-    workers: int = 1,
-    backend: str = "thread",
+def _ingest_spec(
+    args: argparse.Namespace, execution: ExecutionSpec, **ingest
 ) -> ScenarioSpec:
-    """Scenario spec equivalent of the measure-style CLI flags.
+    """The scenario a measure-style command runs on ``args.file``.
 
-    ``measure --chunk N`` does not pass through here: the streaming path
-    (:func:`_cmd_measure_streaming`) bypasses the pipeline so the trace
-    file is never materialised.
+    ``ingest`` holds the :class:`IngestSpec` fields beyond the path and
+    the execution strategy (format, order, rebase, ...).
     """
     return ScenarioSpec(
-        name=name,
-        workload=None,
+        name=Path(args.file).stem,
         flows=FlowAccountingSpec(
             kind=args.flow_kind,
             timeout=args.timeout,
             prefix_length=args.prefix_length,
         ),
-        measurement=MeasurementSpec(
-            execution=ExecutionSpec(workers=workers, backend=backend)
-        ),
+        measurement=MeasurementSpec(execution=execution),
         estimation=EstimationSpec(delta=args.delta),
         validation=ValidationSpec(epsilon=getattr(args, "epsilon", 0.01)),
         generation=None,
+        ingest=IngestSpec(path=args.file, execution=execution, **ingest),
     )
 
 
 def _trace_line(name, packet_count, duration, utilization) -> str:
-    """The ``trace :`` report line, shared by both measure paths.
-
-    One format string for the in-memory and streaming branches keeps the
-    CLI outputs byte-identical by construction (pinned by the CLI tests)
-    without tying the report to ``PacketTrace.__repr__``.
-    """
+    """The ``PacketTrace(...)`` line of ``synthesize`` and ``run``."""
     return (
         f"PacketTrace(name={name!r}, packets={packet_count}, "
         f"duration={duration:g}s, utilization={utilization:.1%})"
     )
 
 
-def _print_measurement(
-    args, trace_line, flows, stats, model, fit, series, fitted_cov,
-    capacity_bps,
-) -> None:
-    """Shared section VI report printer (in-memory and streaming paths)."""
-    print(f"trace      : {trace_line}")
-    print(f"flows      : {len(flows)} ({args.flow_kind}, "
-          f"timeout {args.timeout:g} s, {flows.discarded_packets} pkts "
-          "discarded as single-packet flows)")
-    print(f"parameters : lambda = {stats.arrival_rate:.2f}/s   "
-          f"E[S] = {stats.mean_size:.0f} B   "
-          f"E[S^2/D] = {stats.mean_square_size_over_duration:.4g} B^2/s")
-    print(f"mean rate  : model {model.mean * 8 / 1e6:.3f} Mbps   "
-          f"measured {series.mean * 8 / 1e6:.3f} Mbps")
-    print(f"CoV        : measured {series.coefficient_of_variation:.2%}   "
-          f"model(b={fit.power:.2f}) {fitted_cov:.2%}")
-    print(f"shot fit   : b = {fit.power:.2f}  (kappa = {fit.kappa:.2f}"
-          f"{', clipped' if fit.clipped else ''})")
-    print(f"capacity   : {capacity_bps / 1e6:.3f} Mbps for "
-          f"P(congestion) <= {args.epsilon:g}")
-
-
-def _report_measured(args, trace_line, measured) -> None:
-    """Fit + print a :class:`MeasurementResult` (streaming/import paths).
-
-    Mirrors FitModel.run / Validate's required_capacity_bps; the CLI
-    byte-equality test pins this against the in-memory pipeline branch.
-    """
-    flows = measured.flows
-    stats = flows.statistics(measured.duration)
-    model = PoissonShotNoiseModel.from_flows(
-        flows.sizes, flows.durations, measured.duration
-    )
-    fit = model.fit_power(measured.series.variance)
-    fitted = model.with_shot(fit.shot)
-    _print_measurement(
-        args, trace_line, flows, stats, model, fit, measured.series,
-        fitted.coefficient_of_variation,
-        8.0 * fitted.required_capacity(args.epsilon),
-    )
-
-
-def _cmd_measure_streaming(
-    args: argparse.Namespace, execution: ExecutionSpec
-) -> int:
-    """Out-of-core ``measure --chunk N``: the capture never leaves disk.
-
-    Packets stream through :meth:`MeasurementEngine.measure_file`, so
-    peak memory is bounded by the chunk (plus the open-flow carry
-    tables) — and the printed report is byte-identical to the in-memory
-    path, which the CLI tests pin.
-    """
-    engine = MeasurementEngine(
-        chunk=execution.chunk, workers=execution.workers,
-        backend=execution.backend,
-    )
-    measured = engine.measure_file(
-        args.trace,
-        delta=args.delta,
-        key=args.flow_kind,
-        timeout=args.timeout,
-        prefix_length=args.prefix_length,
-    )
-    _report_measured(
-        args,
-        _trace_line(
-            Path(args.trace).stem, measured.packet_count,
-            measured.duration, measured.utilization,
-        ),
-        measured,
-    )
-    return 0
-
-
 def _ingest_line(summary: dict) -> str:
-    """The archive description line shared by ``import`` and ``run``."""
+    """The archive description line shared by ``measure`` and ``run``."""
     name = Path(summary["path"]).name
     skipped = summary.get("records_skipped", 0)
     line = (
@@ -404,169 +294,83 @@ def _ingest_line(summary: dict) -> str:
     return line
 
 
-def _cmd_measure_import(
-    args: argparse.Namespace, execution: ExecutionSpec, fmt: str
-) -> int:
-    """``measure --format netflow5|ipfix|pcap``: operator telemetry.
+def _write_report(path, result) -> None:
+    Path(path).write_text(json.dumps(result.report(), indent=2) + "\n")
+    print(f"report     : wrote {path}")
 
-    Flow archives are expanded back into packets and re-measured through
-    the engine's idle-timeout carry tables, so the report means the same
-    thing it does for a native capture.
-    """
-    from .interop import open_import_stream
 
-    stream = open_import_stream(
-        args.trace, format=fmt, chunk=execution.chunk,
-        errors=getattr(args, "errors", "strict"),
-    )
-    engine = MeasurementEngine(
-        chunk=execution.chunk, workers=execution.workers,
-        backend=execution.backend,
-    )
-    measured = engine.measure_chunks(
-        stream,
-        delta=args.delta,
-        key=args.flow_kind,
-        timeout=args.timeout,
-        prefix_length=args.prefix_length,
-    )
-    _report_measured(
-        args,
-        _trace_line(
-            Path(args.trace).stem, measured.packet_count,
-            measured.duration, measured.utilization,
-        ),
-        measured,
-    )
-    return 0
+def _print_measurement(args: argparse.Namespace, result) -> None:
+    """The section VI report of ``measure``."""
+    flows = result.accounting.flows
+    stats = result.estimation.statistics
+    series = result.estimation.series
+    fit = result.fit.power_fit
+    report = result.validation
+    print(f"trace      : {_ingest_line(result.ingest.summary())}")
+    print(f"flows      : {len(flows)} ({args.flow_kind}, "
+          f"timeout {args.timeout:g} s, {flows.discarded_packets} pkts "
+          "discarded as single-packet flows)")
+    print(f"parameters : lambda = {stats.arrival_rate:.2f}/s   "
+          f"E[S] = {stats.mean_size:.0f} B   "
+          f"E[S^2/D] = {stats.mean_square_size_over_duration:.4g} B^2/s")
+    print(f"mean rate  : model {result.fit.model.mean * 8 / 1e6:.3f} Mbps   "
+          f"measured {series.mean * 8 / 1e6:.3f} Mbps")
+    print(f"CoV        : measured {series.coefficient_of_variation:.2%}   "
+          f"model(b={fit.power:.2f}) {report.fitted_cov:.2%}")
+    print(f"shot fit   : b = {fit.power:.2f}  (kappa = {fit.kappa:.2f}"
+          f"{', clipped' if fit.clipped else ''})")
+    print(f"capacity   : {report.required_capacity_bps / 1e6:.3f} Mbps for "
+          f"P(congestion) <= {args.epsilon:g}")
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
+    """``measure`` (alias ``import``): fit the paper's model to a capture.
+
+    A native ``.rptr`` trace or a NetFlow v5 / IPFIX / pcap archive
+    streams out-of-core through the ingest pipeline (ImportFlows →
+    AccountFlows → Estimate → FitModel → Validate) and the section VI
+    report is printed.  Flow archives are expanded back into packets, so
+    the idle-timeout accounting means the same thing for every format.
+    """
     error = _check_execution_flags(args)
     if error is not None:
         return _fail(error)
-    execution = _cli_execution(args)
-    fmt = getattr(args, "format", "rptr")
-    if fmt == "auto":
-        try:
-            from .interop import detect_format
-
-            fmt = detect_format(args.trace)
-        except (ReproError, OSError):
-            # let the native path own the error message for bad files
-            fmt = "rptr"
-    if fmt != "rptr":
-        try:
-            return _cmd_measure_import(args, execution, fmt)
-        except ReproError as exc:
-            return _fail_for(exc)
-    if execution.chunk is not None:
-        return _cmd_measure_streaming(args, execution)
-    trace = read_trace(args.trace)
-    spec = _measure_spec(
-        args, name=Path(args.trace).stem, workers=execution.workers,
-        backend=execution.backend,
-    )
-    result = run_scenario(spec, trace=trace, stages=MEASUREMENT_STAGES)
-    report = result.validation
-    _print_measurement(
+    spec = _ingest_spec(
         args,
-        _trace_line(
-            result.trace.name, len(result.trace), result.trace.duration,
-            result.trace.utilization,
-        ),
-        result.accounting.flows,
-        result.estimation.statistics,
-        result.fit.model,
-        result.fit.power_fit,
-        result.estimation.series,
-        report.fitted_cov,
-        report.required_capacity_bps,
+        _cli_execution(args),
+        format=args.format,
+        order=args.order,
+        rebase=args.rebase,
+        duration=args.duration,
+        link_capacity_bps=args.link_capacity,
+        errors=args.errors,
     )
+    result = run_scenario(spec)
+    _print_measurement(args, result)
+    if args.report:
+        _write_report(args.report, result)
     return 0
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    trace = read_trace(args.trace)
-    spec = _measure_spec(args, name=Path(args.trace).stem)
-    # generate only needs the fit — skip the Validate stage's report work
-    result = run_scenario(spec, trace=trace, stages=MEASUREMENT_STAGES[:-1])
-    fit = result.fit.power_fit
-    engine = GenerationEngine(
-        chunk=args.chunk if args.chunk > 0 else None, workers=args.workers
+    # generate only needs the fit — stop before the Validate stage
+    result = run_scenario(
+        _ingest_spec(args, ExecutionSpec()), stages=INGEST_STAGES[:-1]
     )
+    meta = result.ingest.meta
+    fit = result.fit.power_fit
     generated = generate_packet_trace(
         result.fit.model.arrival_rate,
         result.fit.model.ensemble,
         fit.shot,
-        duration=args.duration or trace.duration,
-        link_capacity=trace.link_capacity,
+        duration=args.duration or meta.duration,
+        link_capacity=meta.link_capacity,
         rng=args.seed,
         name="generated",
-        engine=engine,
+        engine=GenerationEngine(chunk=args.chunk if args.chunk > 0 else None),
     )
     write_trace(generated, args.output)
     print(f"calibrated b = {fit.power:.2f}; wrote {generated} -> {args.output}")
-    return 0
-
-
-def _cmd_import(args: argparse.Namespace) -> int:
-    """``import``: fit the paper's model to real operator telemetry.
-
-    Runs the ingest pipeline (ImportFlows → AccountFlows → Estimate →
-    FitModel → Validate) on a NetFlow v5 / IPFIX / pcap / ``.rptr``
-    archive, streaming out-of-core, and prints the measure-style report.
-    """
-    error = _check_execution_flags(args)
-    if error is not None:
-        return _fail(error)
-    execution = _cli_execution(args)
-    try:
-        spec = ScenarioSpec(
-            name=Path(args.file).stem,
-            flows=FlowAccountingSpec(
-                kind=args.flow_kind,
-                timeout=args.timeout,
-                prefix_length=args.prefix_length,
-            ),
-            measurement=MeasurementSpec(execution=execution),
-            estimation=EstimationSpec(delta=args.delta),
-            validation=ValidationSpec(epsilon=args.epsilon),
-            generation=None,
-            ingest=IngestSpec(
-                path=args.file,
-                format=args.format,
-                order=args.order,
-                rebase=args.rebase,
-                duration=args.duration,
-                link_capacity_bps=args.link_capacity,
-                errors=args.errors,
-                execution=execution,
-            ),
-        )
-    except ParameterError as exc:
-        return _fail(str(exc))
-    try:
-        result = run_scenario(spec)
-    except ReproError as exc:
-        return _fail_for(exc)
-    report = result.validation
-    _print_measurement(
-        args,
-        _ingest_line(result.ingest.summary()),
-        result.accounting.flows,
-        result.estimation.statistics,
-        result.fit.model,
-        result.fit.power_fit,
-        result.estimation.series,
-        report.fitted_cov,
-        report.required_capacity_bps,
-    )
-    if args.report:
-        Path(args.report).write_text(
-            json.dumps(result.report(), indent=2) + "\n"
-        )
-        print(f"report     : wrote {args.report}")
     return 0
 
 
@@ -777,22 +581,47 @@ def _load_spec(target: str) -> ScenarioSpec:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    """``run``, ``network`` and ``sweep``: one scenario front door.
+
+    The spec picks the report printer — single-link, network or sweep —
+    so ``run`` (and ``network``) redirect network and sweep specs; the
+    prelude (flags, seed, ``--execution`` precedence, quick mode, a
+    clean health registry) and the epilogue (health line, ``--report``)
+    are shared.
+    """
     try:
         spec = _load_spec(args.spec)
     except ReproError as exc:
         return _fail(str(exc))
     if spec.sweep is not None:
-        # sweep/network scenarios share run's flags; route them to the
-        # matching report printer instead of the single-link one
-        return _cmd_sweep(args)
-    if spec.network is not None:
-        return _cmd_network(args)
+        section, printer = "sweep", _print_sweep
+    elif spec.network is not None:
+        section, printer = "network", _print_network
+    elif args.command == "network":
+        return _fail(
+            f"scenario {spec.name!r} has no 'network' section; use "
+            "'run' for single-link scenarios (see list-scenarios)"
+        )
+    else:
+        # the flags override the section that drives the packet source
+        section = "ingest" if spec.ingest is not None else "synthesis"
+        printer = _print_link
+    if args.command == "sweep" and section != "sweep":
+        return _fail(
+            f"scenario {spec.name!r} has no 'sweep' section; use "
+            "'network' or 'run' for plain scenarios (see list-scenarios)"
+        )
     error = _check_execution_flags(args)
     if error is not None:
         return _fail(error)
+    checkpoint_dir = getattr(args, "checkpoint_dir", None)
+    resume = bool(getattr(args, "resume", False))
+    if resume and not checkpoint_dir:
+        return _fail("--resume needs --checkpoint-dir to resume from")
     if args.seed is not None:
         spec = spec.with_overrides(seed=args.seed)
-    if getattr(args, "ingest_path", None) is not None:
+    ingest_path = getattr(args, "ingest_path", None)
+    if ingest_path is not None:
         if spec.ingest is None:
             return _fail(
                 f"scenario {spec.name!r} has no 'ingest' section; "
@@ -800,35 +629,44 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "(see list-scenarios)"
             )
         spec = dataclasses.replace(
-            spec,
-            ingest=dataclasses.replace(spec.ingest, path=args.ingest_path),
+            spec, ingest=dataclasses.replace(spec.ingest, path=ingest_path)
         )
-    # stream synthesize → measure when an engine is configured: the
-    # trace is never materialised, and (chunk, workers) never change
-    # the scenario's results; _resolve_execution applies the
-    # --execution precedence rule between flags and spec values.
-    if spec.ingest is not None:
-        execution = _resolve_execution(args, spec.ingest.execution)
-        if execution != spec.ingest.execution:
-            spec = dataclasses.replace(
-                spec, ingest=spec.ingest.with_execution(execution)
-            )
-    else:
-        execution = _resolve_execution(args, spec.synthesis.execution)
-        if execution != spec.synthesis.execution:
-            spec = dataclasses.replace(
-                spec, synthesis=spec.synthesis.with_execution(execution)
-            )
+    # _resolve_execution applies the --execution precedence rule between
+    # the flags and the section's values; (chunk, workers) never change
+    # a scenario's results
+    current = getattr(spec, section)
+    execution = _resolve_execution(args, current.execution)
+    if execution != current.execution:
+        spec = dataclasses.replace(
+            spec, **{section: current.with_execution(execution)}
+        )
     spec = apply_quick_mode(spec)
     reset_run_health()
     try:
-        result = run_scenario(spec)
+        result = run_scenario(
+            spec, checkpoint_dir=checkpoint_dir, resume=resume
+        )
     except ReproError as exc:
         return _fail_for(exc, f"scenario {spec.name!r} failed: ")
-    report = result.validation
 
     print(f"scenario   : {spec.name}"
           + (f" — {spec.description}" if spec.description else ""))
+    printer(result)
+    health = run_health()
+    if not health.clean:
+        print(f"health     : {len(health.retries)} retr"
+              f"{'y' if len(health.retries) == 1 else 'ies'}, "
+              f"{len(health.degradations)} degradation(s) — see the "
+              "JSON report's 'health' section")
+    if args.report:
+        _write_report(args.report, result)
+    return 0
+
+
+def _print_link(result) -> None:
+    """The single-link report: measured vs model, provisioning."""
+    spec = result.spec
+    report = result.validation
     if result.ingest is not None:
         print(f"import     : {_ingest_line(result.ingest.summary())}")
     elif result.trace is not None:
@@ -868,67 +706,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                       f"(peak z = {event.peak_z:+.1f})")
         else:
             print("anomaly    : none detected")
-    if args.report:
-        Path(args.report).write_text(
-            json.dumps(result.report(), indent=2) + "\n"
-        )
-        print(f"report     : wrote {args.report}")
-    return 0
 
 
-def _cmd_list_scenarios(args: argparse.Namespace) -> int:
-    registry = default_registry()
-    width = max(len(name) for name in registry.names())
-    first = True
-    for family, entries in registry.families().items():
-        if not first:
-            print()
-        first = False
-        print(f"{family} scenarios:")
-        for name, description in entries:
-            print(f"  {name:<{width}}  {description}")
-    return 0
-
-
-def _cmd_network(args: argparse.Namespace) -> int:
-    try:
-        spec = _load_spec(args.spec)
-    except ReproError as exc:
-        return _fail(str(exc))
-    if spec.sweep is not None:
-        # sweep scenarios carry a 'network' base section too; route
-        # them to the sweep printer rather than simulating the base
-        return _cmd_sweep(args)
-    if spec.network is None:
-        return _fail(
-            f"scenario {spec.name!r} has no 'network' section; use "
-            "'run' for single-link scenarios (see list-scenarios)"
-        )
-    error = _check_execution_flags(args)
-    if error is not None:
-        return _fail(error)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    execution = _resolve_execution(args, spec.network.execution)
-    if execution != spec.network.execution:
-        overrides["network"] = spec.network.with_execution(execution)
-    if overrides:
-        spec = spec.with_overrides(**overrides)
-    spec = apply_quick_mode(spec)
-    reset_run_health()
-    try:
-        result = run_scenario(
-            spec,
-            checkpoint_dir=getattr(args, "checkpoint_dir", None),
-            resume=bool(getattr(args, "resume", False)),
-        )
-    except ReproError as exc:
-        return _fail_for(exc, f"scenario {spec.name!r} failed: ")
+def _print_network(result) -> None:
+    """Per-link utilisation, fitted model and provisioning verdicts."""
     report = result.network.report
-
-    print(f"scenario   : {spec.name}"
-          + (f" — {spec.description}" if spec.description else ""))
     print(f"topology   : {report.n_routers} routers, {report.n_links} "
           f"directed links ({report.routing} routing)")
     print(f"demands    : {report.n_demands} OD pairs over "
@@ -966,59 +748,11 @@ def _cmd_network(args: argparse.Namespace) -> int:
               f"under-provisioned: {names}")
     else:
         print("verdict    : all links meet the epsilon target")
-    health = run_health()
-    if not health.clean:
-        print(f"health     : {len(health.retries)} retr"
-              f"{'y' if len(health.retries) == 1 else 'ies'}, "
-              f"{len(health.degradations)} degradation(s) — see the "
-              "JSON report's 'health' section")
-    if args.report:
-        Path(args.report).write_text(
-            json.dumps(result.report(), indent=2) + "\n"
-        )
-        print(f"report     : wrote {args.report}")
-    return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        spec = _load_spec(args.spec)
-    except ReproError as exc:
-        return _fail(str(exc))
-    if spec.sweep is None:
-        return _fail(
-            f"scenario {spec.name!r} has no 'sweep' section; use "
-            "'network' or 'run' for plain scenarios (see list-scenarios)"
-        )
-    error = _check_execution_flags(args)
-    if error is not None:
-        return _fail(error)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    execution = _resolve_execution(args, spec.sweep.execution)
-    if execution != spec.sweep.execution:
-        overrides["sweep"] = spec.sweep.with_execution(execution)
-    if overrides:
-        spec = spec.with_overrides(**overrides)
-    if getattr(args, "resume", False) and not getattr(
-        args, "checkpoint_dir", None
-    ):
-        return _fail("--resume needs --checkpoint-dir to resume from")
-    spec = apply_quick_mode(spec)
-    reset_run_health()
-    try:
-        result = run_scenario(
-            spec,
-            checkpoint_dir=getattr(args, "checkpoint_dir", None),
-            resume=bool(getattr(args, "resume", False)),
-        )
-    except ReproError as exc:
-        return _fail_for(exc, f"scenario {spec.name!r} failed: ")
+def _print_sweep(result) -> None:
+    """The ranked sweep table and headroom per growth step."""
     report = result.sweep.report
-
-    print(f"scenario   : {spec.name}"
-          + (f" — {spec.description}" if spec.description else ""))
     factors = ", ".join(f"x{factor:g}" for factor in report.demand_factors)
     print(f"axes       : demand {factors}; failures {report.failures}; "
           f"routing {', '.join(report.routing)}")
@@ -1033,46 +767,37 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if resumed:
         print(f"resumed    : {len(resumed)} cell(s) restored from "
               "checkpoints")
-    health = run_health()
-    if not health.clean:
-        print(f"health     : {len(health.retries)} retr"
-              f"{'y' if len(health.retries) == 1 else 'ies'}, "
-              f"{len(health.degradations)} degradation(s) — see the "
-              "JSON report's 'health' section")
-    if args.report:
-        Path(args.report).write_text(
-            json.dumps(result.report(), indent=2) + "\n"
-        )
-        print(f"report     : wrote {args.report}")
-    return 0
 
 
-def _cmd_scenario(args: argparse.Namespace) -> int:
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    workloads = table_i_workloads(duration=args.duration)
-    syntheses = synthesize_scenario(
-        workloads, seed=args.seed, workers=args.workers
-    )
-    for i, (workload, synthesis) in enumerate(zip(workloads, syntheses)):
-        path = outdir / f"link{i}.rptr"
-        write_trace(synthesis.trace, path)
-        print(
-            f"link {i} ({workload.name}): {len(synthesis.trace)} packets, "
-            f"utilization {synthesis.trace.utilization:.1%} -> {path}"
-        )
+def _cmd_list_scenarios(args: argparse.Namespace) -> int:
+    registry = default_registry()
+    width = max(len(name) for name in registry.names())
+    first = True
+    for family, entries in registry.families().items():
+        if not first:
+            print()
+        first = False
+        print(f"{family} scenarios:")
+        for name, description in entries:
+            print(f"  {name:<{width}}  {description}")
     return 0
 
 
 def _add_measure_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("trace", help="input trace file (.rptr)")
+    """The input and accounting flags of ``measure`` and ``generate``."""
+    parser.add_argument(
+        "file",
+        help="input capture: a .rptr trace, or a NetFlow v5, IPFIX or "
+        "pcap archive",
+    )
     parser.add_argument(
         "--flow-kind", choices=["five_tuple", "prefix"], default="five_tuple"
     )
     parser.add_argument("--prefix-length", type=int, default=24)
     parser.add_argument(
         "--timeout", type=float, default=8.0,
-        help="flow idle timeout in seconds (paper: 60 s at full scale)",
+        help="flow idle timeout in seconds, re-applied uniformly to "
+        "imported records (paper: 60 s at full scale)",
     )
     parser.add_argument(
         "--delta", type=float, default=0.2,
@@ -1143,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip links already checkpointed in --checkpoint-dir and "
         "re-run only the remainder",
     )
-    net.set_defaults(func=_cmd_network)
+    net.set_defaults(func=_cmd_run)
 
     swp = sub.add_parser(
         "sweep", parents=[execution],
@@ -1176,7 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
         "re-run only the remainder; the resulting report is "
         "bitwise-equal to an uninterrupted run",
     )
-    swp.set_defaults(func=_cmd_sweep)
+    swp.set_defaults(func=_cmd_run)
 
     lst = sub.add_parser(
         "list-scenarios",
@@ -1204,89 +929,50 @@ def build_parser() -> argparse.ArgumentParser:
     syn.set_defaults(func=_cmd_synthesize)
 
     meas = sub.add_parser(
-        "measure", parents=[execution],
-        help="model a capture (section VI)",
+        "measure", aliases=["import"], parents=[execution],
+        help="model a capture or operator telemetry (section VI)",
     )
     _add_measure_arguments(meas)
     meas.add_argument(
-        "--epsilon", type=float, default=0.01,
-        help="target congestion probability for provisioning",
+        "--format", choices=INGEST_FORMATS, default="auto",
+        help="input format (default: sniff the file's magic bytes)",
     )
     meas.add_argument(
-        "--format", choices=INGEST_FORMATS, default="auto",
-        help="input format; non-native telemetry (netflow5, ipfix, pcap) "
-        "streams through the import adapter (default: sniff the file, "
-        "falling back to the native .rptr reader)",
-    )
-    meas.add_argument(
-        "--errors", choices=("strict", "skip"), default="strict",
-        help="malformed telemetry records: 'strict' (default) fails "
-        "loudly naming the byte offset, 'skip' drops and counts them",
-    )
-    meas.set_defaults(func=_cmd_measure)
-
-    imp = sub.add_parser(
-        "import", parents=[execution],
-        help="fit the model to operator telemetry "
-        "(NetFlow v5 / IPFIX / pcap)",
-    )
-    imp.add_argument(
-        "file", help="telemetry archive (NetFlow v5, IPFIX, pcap or .rptr)"
-    )
-    imp.add_argument(
-        "--format", choices=INGEST_FORMATS, default="auto",
-        help="wire format (default: sniff the file's magic bytes)",
-    )
-    imp.add_argument(
         "--order", choices=("auto", "start", "export"), default="auto",
         help="flow record ordering: 'start' streams records already "
         "sorted by start time, 'export' re-sorts the archive in memory "
         "(default: scan the archive and decide)",
     )
-    imp.add_argument(
+    meas.add_argument(
         "--rebase", choices=("auto", "always", "never"), default="auto",
         help="shift epoch timestamps so the capture starts at t=0 "
         "(default: rebase only when timestamps look like wall-clock)",
     )
-    imp.add_argument(
+    meas.add_argument(
         "--link-capacity", type=float, default=None,
         help="link capacity in bit/s for utilisation reporting "
-        "(flow archives carry none)",
+        "(default: the .rptr header's; flow archives carry none)",
     )
-    imp.add_argument(
+    meas.add_argument(
         "--duration", type=float, default=None,
         help="capture duration in seconds (default: the archive's span)",
     )
-    imp.add_argument(
-        "--flow-kind", choices=["five_tuple", "prefix"],
-        default="five_tuple",
-    )
-    imp.add_argument("--prefix-length", type=int, default=24)
-    imp.add_argument(
-        "--timeout", type=float, default=8.0,
-        help="flow idle timeout in seconds, re-applied uniformly to the "
-        "imported records (paper: 60 s at full scale)",
-    )
-    imp.add_argument(
-        "--delta", type=float, default=0.2,
-        help="rate averaging interval in seconds (paper: 200 ms)",
-    )
-    imp.add_argument(
+    meas.add_argument(
         "--epsilon", type=float, default=0.01,
         help="target congestion probability for provisioning",
     )
-    imp.add_argument(
+    meas.add_argument(
         "--errors", choices=("strict", "skip"), default="strict",
         help="malformed telemetry records: 'strict' (default) fails "
         "loudly naming the byte offset, 'skip' drops and counts them "
         "(reported as 'records_skipped')",
     )
-    imp.add_argument(
+    meas.add_argument(
         "--report", default=None,
         help="write the full pipeline report (spec + stage summaries + "
         "validation) to this JSON file",
     )
-    imp.set_defaults(func=_cmd_import)
+    meas.set_defaults(func=_cmd_measure)
 
     cal = sub.add_parser(
         "calibrate", parents=[execution],
@@ -1412,25 +1098,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine chunk window in seconds (bounds peak memory; "
         "0 = whole horizon at once)",
     )
-    gen.add_argument(
-        "--workers", type=int, default=1,
-        help="engine worker threads; packet generation itself is bound to "
-        "one RNG stream and runs sequentially, so this only validates the "
-        "engine config today (never changes the output)",
-    )
     gen.set_defaults(func=_cmd_generate)
-
-    scen = sub.add_parser(
-        "scenario", help="synthesize all Table I links in parallel"
-    )
-    scen.add_argument("output_dir", help="directory for linkN.rptr files")
-    scen.add_argument("--duration", type=float, default=120.0)
-    scen.add_argument("--seed", type=int, default=0)
-    scen.add_argument(
-        "--workers", type=int, default=1,
-        help="links synthesized concurrently (never changes the output)",
-    )
-    scen.set_defaults(func=_cmd_scenario)
 
     return parser
 
@@ -1451,8 +1119,8 @@ def main(argv=None) -> int:
             print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
     except ReproError as exc:
-        # commands classify their own errors; this is the backstop for
-        # anything that escaped
+        # commands that need no message prefix (measure, generate) let
+        # their errors land here; for the rest this is the backstop
         return _fail_for(exc)
 
 

@@ -46,6 +46,8 @@ __all__ = [
 SELECTION_CRITERIA = ("bic", "aic", "loglik", "ks")
 
 _ALPHA_BOUNDS = (0.05, 25.0)
+#: Log-spaced shape values scanned to bracket the Pareto optimum.
+_ALPHA_SCAN_POINTS = 64
 _EM_ITERATIONS = 60
 _TINY = 1e-300
 
@@ -172,7 +174,24 @@ def _fit_pareto(acc: CalibrationAccumulator) -> dict:
         negative_ll, bounds=_ALPHA_BOUNDS, method="bounded",
         options={"xatol": 1e-6},
     )
-    return {"alpha": float(result.x), "minimum": lo, "maximum": hi}
+    alpha = result.x
+    # the grouped likelihood is jagged, so Brent can settle in a local
+    # dip; a coarse log-spaced scan brackets the global optimum, and is
+    # refined only when it beats the first search
+    grid = np.geomspace(*_ALPHA_BOUNDS, _ALPHA_SCAN_POINTS)
+    scanned = np.array([negative_ll(a) for a in grid])
+    best = int(np.argmin(scanned))
+    if scanned[best] < result.fun:
+        alpha = grid[best]
+        refined = minimize_scalar(
+            negative_ll,
+            bounds=(grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]),
+            method="bounded",
+            options={"xatol": 1e-6},
+        )
+        if refined.fun < scanned[best]:
+            alpha = refined.x
+    return {"alpha": float(alpha), "minimum": lo, "maximum": hi}
 
 
 def _lognormal_pdf(x, log_x, mu, sigma):

@@ -251,7 +251,7 @@ class FlowPacketStream:
 
     Attributes ``duration`` and ``link_capacity`` feed
     ``measure_chunks``'s defaults; counters (``records_read``,
-    ``packets_emitted``) update as the stream drains.
+    ``packets_emitted``, ``bytes_emitted``) update as the stream drains.
     """
 
     def __init__(
@@ -286,6 +286,7 @@ class FlowPacketStream:
         self.link_capacity = link_capacity
         self.records_read = 0
         self.packets_emitted = 0
+        self.bytes_emitted = 0
 
     @property
     def records_skipped(self) -> int:
@@ -339,14 +340,18 @@ class FlowPacketStream:
                 batch = pending[ready]
                 batch = batch[np.argsort(batch["timestamp"], kind="stable")]
                 pending = pending[~ready]
-                self.packets_emitted += int(batch.size)
+                self._count(batch)
                 yield batch
         if pending.size:
             pending = pending[
                 np.argsort(pending["timestamp"], kind="stable")
             ]
-            self.packets_emitted += int(pending.size)
+            self._count(pending)
             yield pending
+
+    def _count(self, packets: np.ndarray) -> None:
+        self.packets_emitted += int(packets.size)
+        self.bytes_emitted += int(packets["size"].sum(dtype=np.int64))
 
 
 class PacketChunkStream:
@@ -380,6 +385,7 @@ class PacketChunkStream:
             self.duration = self.scan.t_max - self.base_offset
         self.link_capacity = link_capacity
         self.packets_emitted = 0
+        self.bytes_emitted = 0
 
     @property
     def records_read(self) -> int:
@@ -411,6 +417,7 @@ class PacketChunkStream:
                 block = block.copy()
                 block["timestamp"] -= self.base_offset
             self.packets_emitted += int(block.size)
+            self.bytes_emitted += int(block["size"].sum(dtype=np.int64))
             yield block
 
 

@@ -67,8 +67,8 @@ DEFAULT_STAGES: tuple[Stage, ...] = (
     Validate(),
 )
 
-#: The section VI measurement prefix (no generation) — what ``measure``
-#: and the experiment harness run.
+#: The section VI measurement prefix (no generation) — what the
+#: experiment harness runs on a synthesized or provided trace.
 MEASUREMENT_STAGES: tuple[Stage, ...] = (
     Synthesize(),
     AccountFlows(),
@@ -78,10 +78,11 @@ MEASUREMENT_STAGES: tuple[Stage, ...] = (
     Validate(),
 )
 
-#: The real-trace-fit chain for specs carrying an ``ingest`` section:
-#: imported telemetry streams through the same account → estimate → fit →
-#: validate loop the synthetic scenarios use (generation stays available
-#: for a model-driven twin of the imported trace).
+#: The real-trace-fit chain for specs carrying an ``ingest`` section —
+#: what the ``measure``/``import`` CLI runs: imported telemetry streams
+#: through the same account → estimate → fit → validate loop the
+#: synthetic scenarios use (generation stays available for a
+#: model-driven twin of the imported trace).
 INGEST_STAGES: tuple[Stage, ...] = (
     ImportFlows(),
     AccountFlows(),

@@ -536,14 +536,13 @@ def _alias_execution(cls):
     """Attach read-through ``chunk``/``workers``/``backend`` aliases.
 
     Call sites read the knobs directly off the section; the aliases
-    (plus ``uses_engine``) keep those reads short while the stored
-    representation is one ``execution`` field.
+    keep those reads short while the stored representation is one
+    ``execution`` field.
     """
     cls.chunk = property(lambda self: self.execution.chunk)
     cls.workers = property(lambda self: self.execution.workers)
     cls.backend = property(lambda self: self.execution.backend)
     cls.retry = property(lambda self: self.execution.retry)
-    cls.uses_engine = property(lambda self: self.execution.uses_engine)
 
     def with_execution(self, execution=None, **knobs):
         """A copy with only the execution strategy swapped out.
@@ -594,10 +593,10 @@ class MeasurementSpec:
     ``execution.chunk`` (packets) and ``execution.workers`` drive the
     streaming :class:`~repro.measurement.MeasurementEngine`: flow
     accounting and rate measurement run chunk by chunk with the key
-    space sharded over a worker pool.  The defaults keep the classic
-    in-memory path; either knob switches to the engine, whose output is
-    bit-for-bit identical for any setting — this section is pure
-    execution strategy, so it never changes a scenario's results.
+    space sharded over a worker pool.  The defaults measure the whole
+    trace as one chunk on one shard; the output is bit-for-bit
+    identical for any setting — this section is pure execution
+    strategy, so it never changes a scenario's results.
     """
 
     execution: ExecutionSpec | None = None

@@ -35,7 +35,6 @@ from ..core.model import PoissonShotNoiseModel, SuperposedModel
 from ..core.shots import PowerShot
 from ..exceptions import ParameterError, ReproError
 from ..execution import run_health
-from ..flows.exporter import export_flows
 from ..flows.records import FlowSet
 from ..generation.engine import GenerationEngine
 from ..measurement.engine import MeasurementEngine
@@ -158,10 +157,10 @@ class IngestResult:
     """Output of :class:`ImportFlows`.
 
     ``stream`` is the live import stream consumed by
-    :class:`AccountFlows`; its counters (records read, packets fed to
-    the measurement engine) are complete once the accounting stage has
-    drained it — :meth:`summary` reads them at call time, so a report
-    rendered after the run sees final values.
+    :class:`AccountFlows`; its counters (records read, packets and bytes
+    fed to the measurement engine) are complete once the accounting
+    stage has drained it — :meth:`summary` reads them at call time, so a
+    report rendered after the run sees final values.
     """
 
     path: str
@@ -173,8 +172,7 @@ class IngestResult:
     def summary(self) -> dict:
         stream = self.stream
         duration = float(self.meta.duration)
-        octets = int(stream.scan.octets)
-        # a native .rptr header names no byte total; scanned formats do
+        octets = int(stream.bytes_emitted)
         mean_rate = (
             8.0 * octets / duration if duration > 0 and octets > 0 else None
         )
@@ -243,18 +241,16 @@ class SynthesisResult:
 class AccountingResult:
     """Output of :class:`AccountFlows`.
 
-    ``series`` is set when the streaming measurement engine ran: the
-    single-packet-filtered rate series it accumulated in the same pass
-    (bit-for-bit what :class:`Estimate` would compute from the packet
-    map), so the estimation stage need not touch the packets again.
+    ``series`` is the single-packet-filtered rate series the measurement
+    engine accumulated in the same pass as the flows, so the estimation
+    stage need not touch the packets again.
     """
 
     flows: FlowSet
-    series: RateSeries | None = None
-    engine: str = "in_memory"
-    #: Pre-discard rate series, accumulated when the scenario streams
-    #: synthesis and the validation stage will need the raw link rate
-    #: (anomaly detection) — there is no trace to re-bin later.
+    series: RateSeries
+    #: Pre-discard rate series — the raw link rate the anomaly detector
+    #: watches — accumulated when the validation section detects
+    #: anomalies.
     raw_series: RateSeries | None = None
 
     def summary(self) -> dict:
@@ -263,7 +259,6 @@ class AccountingResult:
             "n_flows": int(len(self.flows)),
             "timeout_s": float(self.flows.timeout),
             "discarded_packets": int(self.flows.discarded_packets),
-            "engine": self.engine,
         }
 
 
@@ -629,7 +624,7 @@ class Synthesize:
                     "call run_scenario(spec, trace=...)"
                 )
             context.workload = spec.workload.build()
-            if spec.synthesis.uses_engine and spec.anomaly is None:
+            if spec.synthesis.execution.uses_engine and spec.anomaly is None:
                 stream = context.workload.synthesize_chunks(
                     seed=spec.seed,
                     chunk=spec.synthesis.chunk or 1_000_000,
@@ -743,75 +738,47 @@ class ImportFlows:
 
 
 class AccountFlows:
-    """NetFlow-style flow accounting over the trace (section III).
+    """NetFlow-style flow accounting over the packets (section III).
 
-    With the spec's ``measurement`` section at its defaults this is the
-    classic in-memory exporter.  When ``measurement.chunk`` or
-    ``measurement.workers`` is set, the streaming
-    :class:`~repro.measurement.MeasurementEngine` runs instead — chunked
-    accounting plus the filtered rate series in one pass, bit-for-bit
-    equal to the in-memory path — and the series is handed to
-    :class:`Estimate` through the :class:`AccountingResult`.
+    The one place packets become flows and a rate series: a synthesis
+    or import stream (``context.stream``) and a materialised trace
+    (``context.trace``) both run through the
+    :class:`~repro.measurement.MeasurementEngine`, which accumulates the
+    single-packet-filtered rate series — and, when the validation stage
+    detects anomalies, the raw link-rate series — in the same pass.
+    The ``measurement`` section's chunk/workers/backend only change
+    memory and wall-clock, never the result.
     """
 
     name = "account_flows"
 
     def run(self, context: PipelineContext) -> AccountingResult:
         spec = context.spec
-        flow_kwargs = dict(
+        engine = MeasurementEngine(
+            chunk=spec.measurement.chunk,
+            workers=int(spec.measurement.workers),
+            backend=spec.measurement.backend,
+        )
+        if context.stream is not None:
+            measure, packets = engine.measure_chunks, context.stream
+        else:
+            measure = engine.measure_trace
+            packets = context.require("trace", self.name)
+        measured = measure(
+            packets,
+            duration=context.require_meta(self.name).duration,
+            delta=spec.estimation.delta,
             key=spec.flows.kind,
             timeout=spec.flows.timeout,
             min_packets=int(spec.flows.min_packets),
             prefix_length=int(spec.flows.prefix_length),
+            keep_raw_series=bool(spec.validation.detect_anomalies),
         )
-        if context.stream is not None:
-            # streamed synthesis: the packets exist only as this stream,
-            # consumed here in one synthesize → measure pass.  The raw
-            # (pre-discard) series is accumulated alongside when the
-            # validation stage will need the raw link rate, since there
-            # is no trace to re-bin later.
-            meta = context.require_meta(self.name)
-            engine = MeasurementEngine(
-                chunk=spec.measurement.chunk,
-                workers=int(spec.measurement.workers),
-                backend=spec.measurement.backend,
-            )
-            measured = engine.measure_chunks(
-                context.stream,
-                duration=meta.duration,
-                delta=spec.estimation.delta,
-                link_capacity=meta.link_capacity,
-                keep_raw_series=bool(spec.validation.detect_anomalies),
-                **flow_kwargs,
-            )
-            context.accounting = AccountingResult(
-                flows=measured.flows,
-                series=measured.series,
-                engine=(
-                    "ingest" if context.ingest is not None
-                    else "streamed_synthesis"
-                ),
-                raw_series=measured.raw_series,
-            )
-            return context.accounting
-        trace = context.require("trace", self.name)
-        if spec.measurement.uses_engine:
-            engine = MeasurementEngine(
-                chunk=spec.measurement.chunk,
-                workers=int(spec.measurement.workers),
-                backend=spec.measurement.backend,
-            )
-            measured = engine.measure_trace(
-                trace, delta=spec.estimation.delta, **flow_kwargs
-            )
-            context.accounting = AccountingResult(
-                flows=measured.flows,
-                series=measured.series,
-                engine="streaming",
-            )
-        else:
-            flows = export_flows(trace, keep_packet_map=True, **flow_kwargs)
-            context.accounting = AccountingResult(flows=flows)
+        context.accounting = AccountingResult(
+            flows=measured.flows,
+            series=measured.series,
+            raw_series=measured.raw_series,
+        )
         return context.accounting
 
 
@@ -824,30 +791,14 @@ class Estimate:
         spec = context.spec
         meta = context.require_meta(self.name)
         accounting = context.require("accounting", self.name)
-        flows = accounting.flows
-        if accounting.series is not None:
-            series = accounting.series
-        else:
-            trace = context.require("trace", self.name)
-            if flows.packet_flow_ids is None:
-                raise ParameterError(
-                    "the FlowSet carries no packet map, so the measured "
-                    "rate series cannot exclude discarded single-packet "
-                    "flows; rebuild it with export_flows(..., "
-                    "keep_packet_map=True), or run the AccountFlows stage "
-                    "(or the measurement engine) which does so for you"
-                )
-            series = RateSeries.from_packets(
-                trace,
-                spec.estimation.delta,
-                packet_mask=flows.packet_flow_ids >= 0,
-            )
-        statistics = flows.statistics(meta.duration)
+        statistics = accounting.flows.statistics(meta.duration)
         online = None
         if spec.estimation.estimator == "ewma":
-            online = _ewma_replay(flows, spec.estimation.ewma_eps)
+            online = _ewma_replay(accounting.flows, spec.estimation.ewma_eps)
         context.estimation = EstimationResult(
-            series=series, statistics=statistics, online_statistics=online
+            series=accounting.series,
+            statistics=statistics,
+            online_statistics=online,
         )
         return context.estimation
 
@@ -1116,29 +1067,12 @@ class Validate:
             # comes from flow statistics alone (Theorem 3), so an anomaly
             # that inflates the measured variance cannot widen the fitted
             # band and mask itself.
-            if context.trace is not None:
-                raw = RateSeries.from_packets(
-                    context.trace, spec.estimation.delta
-                )
-            elif accounting.raw_series is not None:
-                # streamed synthesis: the raw series was accumulated in
-                # the same measurement pass (bitwise what from_packets
-                # on the materialised trace would bin)
-                raw = accounting.raw_series
-            else:
-                raise ParameterError(
-                    "anomaly detection needs the raw link rate, but the "
-                    "trace was streamed and no raw series was "
-                    "accumulated; run AccountFlows with the validation "
-                    "section's detect_anomalies set, or materialise the "
-                    "trace (drop synthesis.chunk/workers)"
-                )
             detector = AnomalyDetector(
                 fit.model.gaussian(),
                 threshold_sigma=spec.validation.threshold_sigma,
                 min_run=int(spec.validation.min_run),
             )
-            anomalies = tuple(detector.detect(raw))
+            anomalies = tuple(detector.detect(accounting.raw_series))
             anomaly_delta = float(spec.estimation.delta)
 
         context.validation = ValidationReport(

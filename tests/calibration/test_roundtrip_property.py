@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.calibration import calibrate_sizes, fit_all_families, fit_family, select_best
@@ -48,6 +48,8 @@ def test_lognormal_roundtrip(median, sigma, seed):
     alpha=st.floats(min_value=0.8, max_value=2.5),
     seed=st.integers(0, 2**31),
 )
+# a jagged grouped likelihood once trapped the shape search at alpha=5.96
+@example(alpha=1.5, seed=2906)
 @settings(**_SETTINGS)
 def test_pareto_roundtrip(alpha, seed):
     params = {"alpha": alpha, "minimum": 300.0, "maximum": 1e7}

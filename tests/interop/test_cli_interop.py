@@ -1,4 +1,4 @@
-"""CLI: ``repro import`` / ``repro export`` / telemetry-aware ``measure``."""
+"""CLI: ``repro measure`` (alias ``import``) and ``repro export``."""
 
 from __future__ import annotations
 
@@ -106,15 +106,34 @@ class TestMeasureTelemetry:
         assert "flows" in capsys.readouterr().out
 
     def test_measure_rptr_unchanged(self, trace_file, capsys):
-        """The native path still owns .rptr (and its error messages)."""
+        """A native .rptr capture takes the same ingest path."""
         assert main(["measure", str(trace_file)]) == 0
         assert "parameters" in capsys.readouterr().out
 
-    def test_measure_missing_file_keeps_legacy_error(self, tmp_path):
-        # --format auto must not change the historical failure mode for
-        # bad paths: the native reader still raises, exactly as before
-        with pytest.raises(FileNotFoundError):
-            main(["measure", str(tmp_path / "gone.rptr")])
+    def test_measure_missing_file_fails_cleanly(self, tmp_path, capsys):
+        """measure and import are one command: a bad path is a usage
+        error naming the file, never a traceback."""
+        path = tmp_path / "gone.rptr"
+        assert main(["measure", str(path)]) == 2
+        assert f"error: {path}: no such file" in capsys.readouterr().err
+
+    def test_measure_rptr_reports_utilization(
+        self, trace_file, tmp_path, capsys
+    ):
+        """The .rptr header names the capacity; the byte total comes
+        from the packets the import stream emitted."""
+        outputs = []
+        for command in ("measure", "import"):
+            report = tmp_path / f"{command}.json"
+            assert main(
+                [command, str(trace_file), "--report", str(report)]
+            ) == 0
+            # everything but the "report : wrote <path>" line
+            outputs.append(capsys.readouterr().out.splitlines()[:-1])
+            summary = json.loads(report.read_text())["stages"]["import_flows"]
+            assert summary["utilization"] == pytest.approx(0.033, abs=5e-4)
+        assert outputs[0][0].endswith(", util 3.3%")
+        assert outputs[0] == outputs[1]
 
 
 class TestRunIngestScenario:

@@ -67,7 +67,6 @@ class TestCtorSugar:
         spec = cls(execution=ExecutionSpec(chunk=7_000, workers=2), **kwargs)
         assert spec.chunk == 7_000
         assert spec.workers == 2
-        assert spec.uses_engine
 
     @pytest.mark.parametrize("section,cls,kwargs", SECTIONS)
     def test_conflicting_spellings_rejected(self, section, cls, kwargs):

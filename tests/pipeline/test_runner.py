@@ -93,8 +93,6 @@ class TestStreamingMeasurement:
         )
         base = run_scenario(base_spec, stages=MEASUREMENT_STAGES)
         streamed = run_scenario(streamed_spec, stages=MEASUREMENT_STAGES)
-        assert streamed.accounting.engine == "streaming"
-        assert base.accounting.engine == "in_memory"
         np.testing.assert_array_equal(
             base.accounting.flows.sizes, streamed.accounting.flows.sizes
         )
@@ -103,27 +101,9 @@ class TestStreamingMeasurement:
         )
         assert base.validation.to_dict() == streamed.validation.to_dict()
 
-    def test_estimate_without_packet_map_raises_clear_error(self):
-        """A FlowSet built without keep_packet_map=True used to crash
-        Estimate with a bare TypeError ('>=' on None)."""
-        from repro.pipeline.stages import (
-            AccountingResult,
-            Estimate,
-            PipelineContext,
-        )
-
-        trace = medium_utilization_link(duration=DURATION).synthesize(
-            seed=0
-        ).trace
-        flows = export_flows(trace, timeout=8.0)  # no packet map
-        context = PipelineContext(spec=_short("medium"), trace=trace)
-        context.accounting = AccountingResult(flows=flows)
-        with pytest.raises(ParameterError, match="keep_packet_map"):
-            Estimate().run(context)
-
     def test_estimate_uses_streamed_series_without_packet_map(self):
-        """The streaming engine provides the series directly, so the
-        missing packet map is not an error on that path."""
+        """The engine hands Estimate the series it accumulated, so the
+        FlowSet needs no packet map."""
         spec = _short(
             "medium", measurement=MeasurementSpec(ExecutionSpec(chunk=4096))
         )
@@ -197,6 +177,22 @@ class TestStageResults:
         assert floods
         starts = [e.start_time(report.anomaly_delta_s) for e in floods]
         assert any(35.0 <= s <= 45.0 for s in starts)
+
+    def test_flood_raw_series_is_the_trace_binning(self):
+        """Injection materialises the trace; the raw link rate the
+        detector watches is still the one measurement pass's series,
+        bitwise what binning every packet of the trace gives."""
+        spec = default_registry().get("flash-flood")
+        result = run_scenario(spec, stages=MEASUREMENT_STAGES)
+        raw = RateSeries.from_packets(result.trace, spec.estimation.delta)
+        assert np.array_equal(result.accounting.raw_series.values, raw.values)
+        assert [
+            (e.kind, e.start_index, e.end_index, e.peak_z)
+            for e in result.validation.anomalies
+        ] == [
+            ("flood", 200, 300, 10.504420090608674),
+            ("flood", 450, 454, 3.8824373629178),
+        ]
 
     def test_report_is_json_safe(self):
         import json

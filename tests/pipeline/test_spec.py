@@ -85,10 +85,6 @@ class TestRoundTrip:
         assert back == spec
 
     def test_measurement_section(self):
-        default = MeasurementSpec()
-        assert not default.uses_engine
-        assert MeasurementSpec(ExecutionSpec(chunk=1000)).uses_engine
-        assert MeasurementSpec(ExecutionSpec(workers=2)).uses_engine
         data = default_registry().get("medium").to_dict()
         for knob, bad in (("chunk", 0), ("workers", 0), ("workers", 1.5)):
             # 1.5 workers would be silently truthy if truncated

@@ -168,6 +168,21 @@ class TestRun:
         assert main(["run", "medium"]) == 0
         assert "scenario   : medium" in capsys.readouterr().out
 
+    def test_health_line_after_a_recovered_run(self, capsys, monkeypatch):
+        """run shares the network/sweep epilogue, health line included."""
+        from repro.execution import HealthEvent, RunHealth
+
+        monkeypatch.setenv("REPRO_BENCH_QUICK", "1")
+        retry = HealthEvent("worker-lost", "injected by the test")
+        monkeypatch.setattr(
+            "repro.__main__.run_health",
+            lambda: RunHealth(retries=(retry,), degradations=()),
+        )
+        assert main(["run", "low"]) == 0
+        assert "health     : 1 retry, 0 degradation(s)" in (
+            capsys.readouterr().out
+        )
+
     def test_spec_path_that_is_a_directory_is_friendly(self, tmp_path,
                                                        capsys):
         (tmp_path / "spec.json").mkdir()
@@ -275,6 +290,26 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    def test_measure_and_import_are_one_command(self):
+        parser = build_parser()
+        measure = parser.parse_args(["measure", "x.rptr"])
+        imported = parser.parse_args(["import", "x.rptr"])
+        assert measure.func is imported.func
+        assert vars(measure) | {"command": None} == vars(imported) | {
+            "command": None
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenario", "links"],
+            ["generate", "in.rptr", "out.rptr", "--workers", "4"],
+        ],
+    )
+    def test_removed_surfaces_are_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
 
 class TestStreamedSynthesize:
@@ -486,6 +521,12 @@ class TestCheckpointResumeCli:
         self, sweep_spec_file, capsys
     ):
         assert main(["sweep", str(sweep_spec_file), "--resume"]) == 2
+        assert "--checkpoint-dir" in capsys.readouterr().err
+
+    def test_network_shares_the_resume_check(self, capsys):
+        """run/network/sweep share one prelude: network --resume with
+        nothing to resume from is a usage error too."""
+        assert main(["network", "outage-reroute", "--resume"]) == 2
         assert "--checkpoint-dir" in capsys.readouterr().err
 
     def test_checkpoint_then_resume_reproduces_the_report(
