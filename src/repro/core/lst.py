@@ -49,8 +49,8 @@ _DEFAULT_MAX_FLOWS = 20_000
 
 #: Cap on the omegas x flows x nodes broadcast block (complex128
 #: elements) of the vectorized characteristic function.  Sized to keep
-#: the phase tensor cache-resident (the kernel is exp/bandwidth-bound);
-#: see the matching note on ``covariance._LAG_BLOCK_ELEMENTS``.
+#: the phase tensor cache-resident (the kernel is exp/bandwidth-bound):
+#: a bigger block is slower, a smaller one re-pays Python dispatch.
 _OMEGA_BLOCK_ELEMENTS = 131_072
 
 

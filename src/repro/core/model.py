@@ -324,15 +324,12 @@ class SuperposedModel:
         return float(sum(m.cumulant(order) for m in self.components))
 
     def autocovariance(self, lags, **kwargs) -> np.ndarray:
-        lags = np.atleast_1d(np.asarray(lags, dtype=float))
-        total = np.zeros(lags.shape)
-        for m in self.components:
-            total = total + m.autocovariance(lags, **kwargs)
-        return total
+        return sum(m.autocovariance(lags, **kwargs) for m in self.components)
 
     def autocorrelation(self, lags, **kwargs) -> np.ndarray:
-        gamma0 = float(self.autocovariance([0.0], **kwargs)[0])
-        return self.autocovariance(lags, **kwargs) / gamma0
+        lags = np.atleast_1d(np.asarray(lags, dtype=float))
+        gamma = self.autocovariance(np.concatenate([[0.0], lags.ravel()]), **kwargs)
+        return (gamma[1:] / gamma[0]).reshape(lags.shape)
 
     def averaged_variance(self, delta: float, **kwargs) -> float:
         return float(

@@ -5,16 +5,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core import (
     EmpiricalEnsemble,
+    GenericShot,
     PoissonShotNoiseModel,
+    PowerShot,
     RectangularShot,
+    SuperposedModel,
     TriangularShot,
     autocorrelation,
     autocovariance,
     correlation_horizon,
     spectral_density,
 )
+from repro.core.covariance import _THETA
 from repro.exceptions import ParameterError
 
 
@@ -128,30 +135,83 @@ class TestCorrelationHorizon:
             correlation_horizon(50.0, small_ensemble, RectangularShot(), 1.5)
 
 
-class TestVectorizedEquivalence:
-    """The chunked lags x flows broadcast equals the per-lag loop."""
-
-    def test_matches_reference_loop(self, small_ensemble):
-        from repro.core.covariance import reference_autocovariance
-
-        lags = np.linspace(-3.0, 5.0, 137)
-        for shot in (RectangularShot(), TriangularShot()):
-            vec = autocovariance(25.0, small_ensemble, shot, lags)
-            loop = reference_autocovariance(25.0, small_ensemble, shot, lags)
-            np.testing.assert_allclose(vec, loop, rtol=1e-12)
-
-    def test_matches_across_block_boundaries(self, small_ensemble):
-        """Lag counts straddling the internal block size stay exact."""
-        from repro.core import covariance as cov_mod
-        from repro.core.covariance import reference_autocovariance
-
-        block_lags = max(1, cov_mod._LAG_BLOCK_ELEMENTS // 2000)
-        lags = np.linspace(0.0, 4.0, block_lags + 3)
-        vec = autocovariance(10.0, small_ensemble, TriangularShot(), lags)
-        loop = reference_autocovariance(
-            10.0, small_ensemble, TriangularShot(), lags
+def _per_flow(lam, ensemble, shot, lags):
+    """Exact Theorem 2 oracle: the shot's own per-flow kernel, averaged."""
+    return np.array([
+        lam * np.mean(
+            shot.autocovariance_integral(abs(t), ensemble.sizes, ensemble.durations)
         )
-        np.testing.assert_allclose(vec, loop, rtol=1e-12)
+        for t in lags
+    ])
+
+
+def _assert_accurate(gamma, exact):
+    """|error| <= 1e-7 Gamma(0) everywhere; <= 1e-6 relative where
+    Gamma(tau) >= 1e-3 Gamma(0)."""
+    gamma0 = exact[np.argmax(exact)]
+    error = np.abs(gamma - exact)
+    assert np.all(error <= 1e-7 * gamma0)
+    big = exact >= 1e-3 * gamma0
+    assert np.all(error[big] <= 1e-6 * exact[big])
+
+
+SHOTS = [PowerShot(b) for b in (0.0, 1.0, 2.0, 0.3, 2.46, 7.3)] + [
+    GenericShot(lambda v: np.log1p(4.0 * v) + 0.2, name="log-ramp")
+]
+
+
+class TestTabulatedAccuracy:
+    """The tabulated profile summed over sorted flows vs the per-flow kernel.
+
+    Power shots come out within ~1e-10 Gamma(0); the bounds leave room for
+    shots whose profile (like ``GenericShot``'s) is itself tabulated.
+    """
+
+    @pytest.mark.parametrize("shot", SHOTS, ids=lambda s: s.name)
+    def test_matches_per_flow_kernel(self, small_ensemble, shot):
+        d = small_ensemble.durations
+        edges = _THETA[::2]
+        lags = np.concatenate([
+            [-2.5, -0.01, 0.0, 1e-6],
+            d[:3],                      # exactly a flow's duration
+            edges[[1, 2, edges.size // 2, -2]] * d[0],  # on segment edges
+            np.linspace(0.05, 4.5, 40),
+            [d.max(), 1.5 * d.max()],   # at and beyond the longest flow
+        ])
+        gamma = autocovariance(25.0, small_ensemble, shot, lags)
+        _assert_accurate(gamma, _per_flow(25.0, small_ensemble, shot, lags))
+        assert np.all(gamma[-2:] == 0.0)
+
+    @pytest.mark.parametrize("power", [0.05, 0.3, 7.3])
+    def test_single_flow_near_profile_ends(self, power):
+        """No averaging: a lone flow sees the interpolant's worst case,
+        where ``a`` is least smooth (theta -> 0 for large b, -> 1 for small)."""
+        ens = EmpiricalEnsemble([1e4], [2.0])
+        edge = np.geomspace(1e-9, 1e-2, 60)
+        lags = 2.0 * np.concatenate([[0.0], edge, 1.0 - edge])
+        shot = PowerShot(power)
+        gamma = autocovariance(25.0, ens, shot, lags)
+        _assert_accurate(gamma, _per_flow(25.0, ens, shot, lags))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 400),
+        sigma=st.floats(0.05, 3.0),
+        power=st.floats(0.0, 8.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_lognormal_ensembles(self, seed, n, sigma, power):
+        gen = np.random.default_rng(seed)
+        ens = EmpiricalEnsemble(
+            gen.lognormal(8.0, 1.5, n), gen.lognormal(0.0, sigma, n)
+        )
+        span = 1.2 * ens.durations.max()
+        lags = np.concatenate(
+            [[0.0], gen.uniform(-span, span, 12), ens.durations[:2]]
+        )
+        shot = PowerShot(power)
+        gamma = autocovariance(3.0, ens, shot, lags)
+        _assert_accurate(gamma, _per_flow(3.0, ens, shot, lags))
 
     def test_scalar_and_2d_shapes(self, small_ensemble):
         scalar = autocovariance(10.0, small_ensemble, TriangularShot(), 0.5)
@@ -161,3 +221,40 @@ class TestVectorizedEquivalence:
             np.linspace(0, 2, 12).reshape(3, 4),
         )
         assert grid.shape == (3, 4)
+
+
+class _Spy(PowerShot):
+    """Power shot that records the size of every profile table it builds."""
+
+    def __init__(self, power):
+        super().__init__(power)
+        self.calls = []
+
+    def profile_autocovariance(self, theta):
+        self.calls.append(np.size(theta))
+        return super().profile_autocovariance(theta)
+
+
+class TestCostShape:
+    """One table per call, whose size depends on neither flows nor lags."""
+
+    def test_one_table_per_call(self, small_ensemble):
+        shot = _Spy(2.46)
+        autocovariance(5.0, small_ensemble, shot, [0.1])
+        big = EmpiricalEnsemble(
+            np.tile(small_ensemble.sizes, 3), np.tile(small_ensemble.durations, 3)
+        )
+        autocovariance(5.0, big, shot, np.linspace(-3.0, 3.0, 97))
+        assert len(shot.calls) == 2
+        assert shot.calls[0] == shot.calls[1]
+
+    def test_autocorrelation_evaluates_each_component_once(self, small_ensemble):
+        shots = [_Spy(1.5), _Spy(0.4)]
+        multi = SuperposedModel(
+            [PoissonShotNoiseModel(7.0, small_ensemble, s) for s in shots]
+        )
+        rho = multi.autocorrelation(np.linspace(0.0, 2.0, 9))
+        assert rho[0] == pytest.approx(1.0)
+        assert [len(s.calls) for s in shots] == [1, 1]
+        PoissonShotNoiseModel(7.0, small_ensemble, shots[0]).autocorrelation([0.3])
+        assert len(shots[0].calls) == 2
