@@ -9,7 +9,7 @@ Three planning exercises an ISP runs with only NetFlow-style statistics:
 * what-if studies — a new application with larger transfers, or congested
   access networks stretching flow durations;
 * whole-backbone planning: measure flows at the edges, route demands over
-  a networkx topology, and predict the mean/variance on every internal
+  a router topology, and predict the mean/variance on every internal
   link without monitoring it.
 
 Run:  python examples/capacity_planning.py
@@ -17,9 +17,9 @@ Run:  python examples/capacity_planning.py
 
 from __future__ import annotations
 
+import math
+
 from repro.applications import (
-    BackboneNetwork,
-    Demand,
     bandwidth_savings,
     provision_capacity,
     smoothing_curve,
@@ -28,6 +28,7 @@ from repro.applications import (
 from repro.experiments import SCALED_TIMEOUT
 from repro.flows import export_five_tuple_flows
 from repro.netsim import medium_utilization_link, table_i_workload
+from repro.network import AnalyticDemand, Topology, superpose_link_moments
 
 
 def measure_edge_statistics(seed: int):
@@ -73,30 +74,32 @@ def main() -> None:
               f"{cov:7.1%} {report.capacity_bps / 1e6:12.2f}")
 
     print("\n== backbone-wide planning from edge measurements ==")
-    net = BackboneNetwork()
-    for pop in ("NYC", "CHI", "DAL", "SJC"):
-        net.add_router(pop)
+    topology = Topology()
     capacity = table_i_workload(0).link_capacity_bps  # a scaled OC-12
-    net.add_link("NYC", "CHI", capacity_bps=capacity)
-    net.add_link("CHI", "DAL", capacity_bps=capacity)
-    net.add_link("DAL", "SJC", capacity_bps=capacity)
-    net.add_link("NYC", "SJC", capacity_bps=capacity, weight=5.0)
+    topology.add_link("NYC", "CHI", capacity_bps=capacity)
+    topology.add_link("CHI", "DAL", capacity_bps=capacity)
+    topology.add_link("DAL", "SJC", capacity_bps=capacity)
+    topology.add_link("NYC", "SJC", capacity_bps=capacity, weight=5.0)
 
-    for i, (src, dst) in enumerate(
-        [("NYC", "SJC"), ("NYC", "DAL"), ("CHI", "SJC"), ("CHI", "DAL")]
-    ):
-        net.add_demand(Demand(src, dst, measure_edge_statistics(seed=10 + i)))
+    demands = [
+        AnalyticDemand(src, dst, measure_edge_statistics(seed=10 + i))
+        for i, (src, dst) in enumerate(
+            [("NYC", "SJC"), ("NYC", "DAL"), ("CHI", "SJC"), ("CHI", "DAL")]
+        )
+    ]
 
     print(f"  {'link':>12s} {'demands':>8s} {'util':>7s} {'CoV':>7s} "
           f"{'needed Mbps':>12s} {'ok?':>4s}")
-    for report in net.link_report(epsilon=0.01):
-        if report.n_demands == 0:
+    for (a, b), link in superpose_link_moments(topology, demands).items():
+        if link.n_demands == 0:
             continue
-        a, b = report.link
-        status = "OK" if not report.overloaded else "OVER"
-        print(f"  {a + '->' + b:>12s} {report.n_demands:8d} "
-              f"{report.utilization:7.1%} {report.cov:7.1%} "
-              f"{report.required_capacity_bps / 1e6:12.2f} {status:>4s}")
+        required = link.required_capacity_bps(0.01)
+        utilization = 8.0 * link.mean_rate / link.capacity_bps
+        cov = math.sqrt(link.variance) / link.mean_rate
+        status = "OVER" if required > link.capacity_bps else "OK"
+        print(f"  {a + '->' + b:>12s} {link.n_demands:8d} "
+              f"{utilization:7.1%} {cov:7.1%} "
+              f"{required / 1e6:12.2f} {status:>4s}")
 
 
 if __name__ == "__main__":

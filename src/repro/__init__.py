@@ -43,7 +43,10 @@ measurement
     Streaming, sharded measurement engine: out-of-core flow accounting
     and rate measurement, chunk/worker invariant.
 applications
-    Section VII-A dimensioning, anomaly detection, edge+routing monitoring.
+    Section VII-A dimensioning and anomaly detection.
+network
+    Backbone topologies: per-link simulation and the edge-statistics +
+    routing moment sums of sections VI-A/VII-A.
 baselines
     Related-work comparison models ([3] M/G/infinity, ON/OFF, Poisson pkt).
 """

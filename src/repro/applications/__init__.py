@@ -1,8 +1,10 @@
-"""Section VII applications: dimensioning, anomaly detection, backbone
-monitoring from edge measurements + routing."""
+"""Section VII applications: dimensioning and anomaly detection.
+
+Backbone-wide dimensioning from edge measurements plus routing lives in
+:func:`repro.network.superpose_link_moments`.
+"""
 
 from .anomaly import AnomalyDetector, AnomalyEvent, inject_flood, inject_outage
-from .backbone import BackboneNetwork, Demand, LinkLoadReport
 from .dimensioning import (
     ProvisioningReport,
     SmoothingPoint,
@@ -23,7 +25,4 @@ __all__ = [
     "AnomalyEvent",
     "inject_flood",
     "inject_outage",
-    "BackboneNetwork",
-    "Demand",
-    "LinkLoadReport",
 ]

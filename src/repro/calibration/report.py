@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._util import as_rng
 from ..exceptions import ParameterError
 from ..netsim.tcp import TcpParameters
+from ..netsim.workloads import wire_bytes_per_flow
 from .fitters import FamilyFit
 from .families import build_distribution, scale_params
 
@@ -36,26 +36,6 @@ __all__ = [
     "DiurnalProfile",
     "wire_bytes_per_flow",
 ]
-
-#: Monte Carlo draw count and seed — MUST match
-#: :meth:`repro.netsim.workloads.LinkWorkload.mean_wire_bytes_per_flow`
-#: so the emitted spec's arrival rate reproduces λ exactly.
-_WIRE_MC_DRAWS = 50_000
-_WIRE_MC_SEED = 12345
-
-
-def wire_bytes_per_flow(
-    size_dist, tcp_params: TcpParameters = TcpParameters()
-) -> float:
-    """``E[S + header * ceil(S/mss)]`` — the workload's own seeded MC."""
-    rng = as_rng(_WIRE_MC_SEED)
-    sizes = np.asarray(
-        size_dist.rvs(size=_WIRE_MC_DRAWS, random_state=rng),
-        dtype=np.float64,
-    )
-    sizes = np.maximum(sizes, 40.0)
-    packets = np.maximum(np.ceil(sizes / tcp_params.mss), 1.0)
-    return float(np.mean(sizes + tcp_params.header_bytes * packets))
 
 
 def deflate_for_wire(

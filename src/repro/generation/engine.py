@@ -12,10 +12,7 @@ shot's cumulative byte curve is evaluated once per row, and
 order, so each bin receives its floating-point additions in exactly the
 order the reference loop performed them — the vectorized output is
 **bit-for-bit identical** to :func:`repro.generation.reference_rate_series`
-for the same seed.  For the rectangular shot a closed-form fast path
-(difference-array of flow rates plus two partial-bin corrections per
-flow) skips the row expansion entirely; it is exact up to float roundoff
-rather than bitwise, so it is only used when ``exact=False``.
+for the same seed, for every shot family.
 
 **Chunking.**  Time is cut into fixed windows of ``chunk`` seconds
 (aligned to whole bins for rate paths).  Each chunk's accumulation sees
@@ -23,9 +20,8 @@ only the rows overlapping it, so peak memory is bounded by the chunk
 size instead of the horizon.  Flows spanning chunk boundaries are exact:
 a flow's contribution to any bin is the increment of its cumulative
 curve over that bin, wherever the flow started.  In streamed mode
-(:meth:`GenerationEngine.rate_series_streamed` and
-:meth:`GenerationEngine.write_packet_trace`) arrival sampling is chunked
-too: flows are drawn per fixed *arrival cell* from
+(:meth:`GenerationEngine.rate_series_streamed`) arrival sampling is
+chunked too: flows are drawn per fixed *arrival cell* from
 ``numpy.random.SeedSequence`` children, kept in a buffer only while they
 can still contribute, and dropped once the horizon has passed them — so
 arbitrarily long horizons run in memory proportional to the stationary
@@ -35,14 +31,12 @@ flow population, not the duration.
 a :func:`repro.execution.make_pool` pool (``workers`` x ``backend``).
 Sampling is either a single compat RNG stream (exact mode) or per-cell
 ``SeedSequence`` children keyed only by cell index, hence results are
-deterministic for a given seed regardless of worker count, and — for
-the exact scatter path — bitwise invariant to the chunk size as well.
+bitwise invariant to ``workers`` and ``chunk`` for a given seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -55,7 +49,6 @@ from ..kernels import powershot_scatter
 from ..netsim.addresses import AddressSpace
 from ..netsim.packetize import packetize_shots
 from ..stats.timeseries import RateSeries
-from ..trace.io import TraceWriter
 from ..trace.packet import PacketTrace, packets_from_columns
 
 __all__ = [
@@ -95,16 +88,12 @@ class EngineConfig:
         Streamed-mode sampling cell width in seconds.  Flows are drawn per
         cell from a dedicated ``SeedSequence`` child, which is what makes
         streamed output invariant to ``chunk`` and ``workers``.
-    rect_fast_path:
-        Allow the closed-form rectangular accumulation when bitwise
-        reference equality is not requested.
     """
 
     chunk: float | None = None
     workers: int = 1
     backend: str = "thread"
     arrival_cell: float = DEFAULT_ARRIVAL_CELL
-    rect_fast_path: bool = True
     retry: object | None = None  # RetryPolicy; process-backend watchdog
 
     def __post_init__(self) -> None:
@@ -118,10 +107,6 @@ class EngineConfig:
         object.__setattr__(self, "workers", workers)
         check_backend("backend", self.backend)
         check_positive("arrival_cell", self.arrival_cell)
-
-
-def _is_rectangular(shot: Shot) -> bool:
-    return isinstance(shot, PowerShot) and shot.power == 0.0
 
 
 def _warmup_from_probe(ensemble: FlowEnsemble, rng) -> float:
@@ -212,63 +197,6 @@ def _scatter_chunk(shot, starts, sizes, durations, lo, hi, delta, b0, b1):
     return np.bincount(gbin - b0, weights=c_right - c_left, minlength=b1 - b0)
 
 
-def _rect_chunk(starts, sizes, durations, delta, b0, b1, n_bins):
-    """Closed-form rectangular accumulation over [b0, b1).
-
-    A constant-rate flow contributes ``rate * delta`` to every fully
-    covered bin and a partial amount to its first/last bins, so the whole
-    scatter collapses to a difference-array cumulative sum plus at most
-    two ``np.add.at`` corrections per flow: O(flows + bins) instead of
-    O(flow-bin overlaps).  Exact up to float roundoff (all per-flow
-    quantities are computed from global, chunk-independent values).
-    """
-    nb = b1 - b0
-    volumes = np.zeros(nb)
-    end = starts + durations
-    sel = (starts < delta * b1) & (end > delta * b0)
-    if not np.any(sel):
-        return volumes
-    t = starts[sel]
-    e = end[sel]
-    rate = sizes[sel] / durations[sel]
-
-    jl = np.clip(np.floor(t / delta).astype(np.int64), 0, n_bins - 1)
-    jr = np.clip(np.ceil(e / delta).astype(np.int64) - 1, 0, n_bins - 1)
-    jr = np.maximum(jr, jl)
-    single = jl == jr
-
-    left_amount = ((jl + 1) * delta - np.maximum(t, 0.0)) * rate
-    right_amount = (np.minimum(e, n_bins * delta) - jr * delta) * rate
-    single_amount = (np.minimum(e, n_bins * delta) - np.maximum(t, 0.0)) * rate
-
-    def in_chunk(j):
-        return (j >= b0) & (j < b1)
-
-    m = single & in_chunk(jl)
-    np.add.at(volumes, jl[m] - b0, single_amount[m])
-    m = ~single & in_chunk(jl)
-    np.add.at(volumes, jl[m] - b0, left_amount[m])
-    m = ~single & in_chunk(jr)
-    np.add.at(volumes, jr[m] - b0, right_amount[m])
-
-    # interior bins jl+1 .. jr-1 at full rate, restricted to the chunk
-    lo_full = np.clip(jl[~single] + 1, b0, b1)
-    hi_full = np.clip(jr[~single], b0, b1)
-    grow = hi_full > lo_full
-    if np.any(grow):
-        acc = np.zeros(nb + 1)
-        np.add.at(acc, lo_full[grow] - b0, rate[~single][grow])
-        np.add.at(acc, hi_full[grow] - b0, -rate[~single][grow])
-        volumes += np.cumsum(acc[:-1]) * delta
-    return volumes
-
-
-def _rect_task(task):
-    """Closed-form rectangular accumulation of one chunk (picklable)."""
-    starts, sizes, durations, delta, b0, b1, n_bins = task
-    return _rect_chunk(starts, sizes, durations, delta, b0, b1, n_bins)
-
-
 def _scatter_task(task):
     """Exact scatter of one chunk's candidate flows (picklable)."""
     shot, starts, sizes, durations, lo, hi, delta, b0, b1 = task
@@ -277,12 +205,10 @@ def _scatter_task(task):
 
 def _stream_accum_task(task):
     """Streamed-mode accumulation of one chunk's gathered flows."""
-    shot, use_rect, delta, n_bins, b0, b1, flows = task
+    shot, delta, n_bins, b0, b1, flows = task
     if flows is None:
         return np.zeros(b1 - b0)
     f_starts, f_sizes, f_durations = flows
-    if use_rect:
-        return _rect_chunk(f_starts, f_sizes, f_durations, delta, b0, b1, n_bins)
     active, lo, hi = _bin_bounds(f_starts, f_durations, delta, n_bins)
     return _scatter_chunk(
         shot,
@@ -297,35 +223,10 @@ def _stream_accum_task(task):
     )
 
 
-# -- splitmix64-based per-packet jitter (streamed packet generation) -------
-
-_SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_SM64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_SM64_MIX2 = np.uint64(0x94D049BB133111EB)
-
-
-def _splitmix_uniform(keys: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Deterministic uniforms in [0, 1) from (flow key, packet index).
-
-    A counter-based generator: the jitter of packet ``j`` of a flow
-    depends only on the flow's sampled 64-bit key and ``j``, never on
-    which chunk evaluated it — so streamed packetization is reproducible
-    across chunk sizes even though flows are re-packetized per chunk.
-    """
-    with np.errstate(over="ignore"):
-        x = keys + (index.astype(np.uint64) + np.uint64(1)) * _SM64_GAMMA
-        x ^= x >> np.uint64(30)
-        x *= _SM64_MIX1
-        x ^= x >> np.uint64(27)
-        x *= _SM64_MIX2
-        x ^= x >> np.uint64(31)
-    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
 class _StreamBuffer:
     """Blocks of parallel per-flow arrays, kept while flows stay active.
 
-    Block layout is ``(starts, sizes, durations, *extras)``.  Pruning and
+    Block layout is ``(starts, sizes, durations)``.  Pruning and
     gathering preserve (cell, within-cell) order, which is what makes the
     per-bin accumulation order — and therefore the output — independent
     of the chunking.
@@ -374,7 +275,6 @@ class GenerationEngine:
         workers: int | None = None,
         backend: str | None = None,
         arrival_cell: float | None = None,
-        rect_fast_path: bool | None = None,
     ) -> None:
         if config is None:
             config = EngineConfig()
@@ -383,7 +283,6 @@ class GenerationEngine:
             "workers": workers,
             "backend": backend,
             "arrival_cell": arrival_cell,
-            "rect_fast_path": rect_fast_path,
         }
         overrides = {k: v for k, v in overrides.items() if v is not None}
         if overrides:
@@ -408,15 +307,6 @@ class GenerationEngine:
             (b0, min(b0 + per, n_bins)) for b0 in range(0, n_bins, per)
         ]
 
-    def _chunk_time_ranges(self, duration: float):
-        chunk = self.config.chunk
-        if chunk is None or chunk >= duration:
-            return [(0.0, duration)]
-        edges = np.arange(0.0, duration, chunk)
-        return [
-            (float(t0), float(min(t0 + chunk, duration))) for t0 in edges
-        ]
-
     # -- fluid rate path: compat (bit-for-bit) sampling ------------------
 
     def rate_series(
@@ -429,17 +319,14 @@ class GenerationEngine:
         *,
         warmup: float | None = None,
         rng=None,
-        exact: bool = True,
     ) -> RateSeries:
         """Delta-averaged total rate of the shot-noise model.
 
         Samples all flows from one RNG stream exactly like the reference
         implementation, then accumulates them with the chunked vectorized
-        scatter.  With ``exact=True`` (default) the result is bit-for-bit
-        identical to :func:`repro.generation.reference_rate_series` for
-        the same seed, for any ``chunk`` and ``workers``.  With
-        ``exact=False`` the rectangular fast path may be used instead
-        (identical up to float roundoff).
+        scatter.  The result is bit-for-bit identical to
+        :func:`repro.generation.reference_rate_series` for the same seed,
+        for any shot, ``chunk`` and ``workers``.
         """
         arrival_rate = check_positive("arrival_rate", arrival_rate)
         duration = check_positive("duration", duration)
@@ -463,50 +350,42 @@ class GenerationEngine:
 
         n_bins = int(np.floor(duration / delta))
         volumes = self._accumulate(
-            shot, starts, sizes, flow_durations, delta, n_bins, exact=exact
+            shot, starts, sizes, flow_durations, delta, n_bins
         )
         return RateSeries(volumes / delta, delta)
 
     def _accumulate(
-        self, shot, starts, sizes, durations, delta, n_bins, *, exact=True
+        self, shot, starts, sizes, durations, delta, n_bins
     ) -> np.ndarray:
         """Chunked, parallel bin accumulation for one flow population."""
         ranges = self._chunk_bin_ranges(n_bins, delta)
-        if not exact and self.config.rect_fast_path and _is_rectangular(shot):
-            run = _rect_task
-            tasks = [
-                (starts, sizes, durations, delta, b0, b1, n_bins)
-                for b0, b1 in ranges
-            ]
-        else:
-            active, lo, hi = _bin_bounds(starts, durations, delta, n_bins)
-            a_starts = starts[active]
-            a_sizes = sizes[active]
-            a_durations = durations[active]
-            # Bucket flows to the chunks they overlap once, so each chunk
-            # task touches only its own flows (instead of rescanning all
-            # n_flows per chunk).  The stable sort keeps every bucket in
-            # flow order, preserving bitwise accumulation order.
-            buckets = _chunk_buckets(lo, hi, ranges)
-            run = _scatter_task
-            tasks = [
-                (
-                    shot,
-                    a_starts[cand],
-                    a_sizes[cand],
-                    a_durations[cand],
-                    lo[cand],
-                    hi[cand],
-                    delta,
-                    b0,
-                    b1,
-                )
-                for (b0, b1), cand in zip(ranges, buckets)
-            ]
+        active, lo, hi = _bin_bounds(starts, durations, delta, n_bins)
+        a_starts = starts[active]
+        a_sizes = sizes[active]
+        a_durations = durations[active]
+        # Bucket flows to the chunks they overlap once, so each chunk
+        # task touches only its own flows (instead of rescanning all
+        # n_flows per chunk).  The stable sort keeps every bucket in
+        # flow order, preserving bitwise accumulation order.
+        buckets = _chunk_buckets(lo, hi, ranges)
+        tasks = [
+            (
+                shot,
+                a_starts[cand],
+                a_sizes[cand],
+                a_durations[cand],
+                lo[cand],
+                hi[cand],
+                delta,
+                b0,
+                b1,
+            )
+            for (b0, b1), cand in zip(ranges, buckets)
+        ]
 
         c = self.config
         with make_pool(c.backend, c.workers, retry=c.retry) as pool:
-            parts = pool.map_ordered(run, tasks)
+            parts = pool.map_ordered(_scatter_task, tasks)
         volumes = np.zeros(n_bins)
         for (b0, b1), part in zip(ranges, parts):
             volumes[b0:b1] = part
@@ -524,7 +403,6 @@ class GenerationEngine:
         *,
         warmup: float | None = None,
         seed=0,
-        exact: bool = False,
     ) -> RateSeries:
         """Bounded-memory rate path for arbitrarily long horizons.
 
@@ -532,9 +410,8 @@ class GenerationEngine:
         and buffered only while they can still reach an unprocessed bin,
         so peak memory is O(stationary flow population + chunk), not
         O(horizon).  Output depends only on ``(seed, arrival_cell)`` and
-        the model inputs — never on ``chunk`` or ``workers`` (bitwise for
-        the scatter path; up to float roundoff for the rectangular fast
-        path, see :func:`_rect_chunk`).
+        the model inputs — never, not even in the last bit, on ``chunk``
+        or ``workers``.
         """
         arrival_rate = check_positive("arrival_rate", arrival_rate)
         duration = check_positive("duration", duration)
@@ -552,9 +429,6 @@ class GenerationEngine:
         )
         n_bins = int(np.floor(duration / delta))
         ranges = self._chunk_bin_ranges(n_bins, delta)
-        use_rect = (
-            not exact and self.config.rect_fast_path and _is_rectangular(shot)
-        )
 
         buffer = _StreamBuffer()
         volumes = np.zeros(n_bins)
@@ -571,7 +445,6 @@ class GenerationEngine:
                     tasks.append(
                         (
                             shot,
-                            use_rect,
                             delta,
                             n_bins,
                             b0,
@@ -580,7 +453,7 @@ class GenerationEngine:
                         )
                     )
                 parts = pool.map_ordered(_stream_accum_task, tasks)
-                for (_, _, _, _, b0, b1, _), part in zip(tasks, parts):
+                for (_, _, _, b0, b1, _), part in zip(tasks, parts):
                     volumes[b0:b1] = part
         if sampler.total_flows == 0:
             raise ParameterError(
@@ -681,92 +554,14 @@ class GenerationEngine:
             name=name,
         )
 
-    # -- packet path: streamed writer ------------------------------------
-
-    def write_packet_trace(
-        self,
-        path,
-        arrival_rate: float,
-        ensemble: FlowEnsemble,
-        shot: Shot,
-        duration: float,
-        *,
-        link_capacity: float = 622e6,
-        address_space: AddressSpace | None = None,
-        mss: int = 1460,
-        header_bytes: int = 40,
-        jitter: float = 0.25,
-        warmup: float | None = None,
-        seed=0,
-    ) -> int:
-        """Stream a generated capture to disk in bounded memory.
-
-        Combines streamed arrival cells with the chunked packetizer and
-        the back-patching :class:`~repro.trace.TraceWriter`: only the
-        packets of one chunk (plus the active-flow buffer) are ever in
-        memory, and chunks are written in time order so the capture is
-        globally sorted.  Packet jitter uses a counter-based splitmix64
-        stream keyed per flow, so the file content depends only on
-        ``seed`` and ``arrival_cell``, not on ``chunk``.  Returns the
-        number of packets written.
-        """
-        arrival_rate = check_positive("arrival_rate", arrival_rate)
-        duration = check_positive("duration", duration)
-        if address_space is None:
-            address_space = AddressSpace()
-
-        sampler = _CellSampler(
-            arrival_rate,
-            ensemble,
-            duration,
-            warmup,
-            seed,
-            self.config.arrival_cell,
-            address_space=address_space,
-        )
-        buffer = _StreamBuffer()
-        written = 0
-        try:
-            with TraceWriter(
-                path, link_capacity=link_capacity, duration=duration
-            ) as writer:
-                for t_start, t_end in self._chunk_time_ranges(duration):
-                    for block in sampler.cells_before(t_end):
-                        buffer.push(block)
-                    buffer.prune(t_start)
-                    flows = buffer.gather(t_start, t_end)
-                    if flows is None:
-                        continue
-                    chunk_packets = _packetize_window(
-                        flows,
-                        shot,
-                        t_start,
-                        t_end,
-                        mss=mss,
-                        header_bytes=header_bytes,
-                        jitter=jitter,
-                    )
-                    writer.write(chunk_packets)
-                    written += chunk_packets.size
-                if sampler.total_flows == 0:
-                    raise ParameterError(
-                        "no flows generated; increase rate or duration"
-                    )
-        except ParameterError:
-            # do not leave a stale empty capture behind (the other
-            # generators raise before producing any output)
-            Path(path).unlink(missing_ok=True)
-            raise
-        return written
-
 
 class _CellSampler:
     """Streamed Poisson arrivals, one SeedSequence child per fixed cell.
 
     Cell ``k`` covers ``[-warmup + k * cell, ...)`` and owns every draw
-    for the flows arriving in it (counts, start offsets, sizes/durations
-    and — in packet mode — endpoints and jitter keys), so any consumer
-    that replays the cells obtains the same flows in the same order.
+    for the flows arriving in it (counts, start offsets, sizes and
+    durations), so any consumer that replays the cells obtains the same
+    flows in the same order.
     """
 
     def __init__(
@@ -777,8 +572,6 @@ class _CellSampler:
         warmup: float | None,
         seed,
         cell: float,
-        *,
-        address_space: AddressSpace | None = None,
     ) -> None:
         root = (
             seed
@@ -794,7 +587,6 @@ class _CellSampler:
         self.arrival_rate = arrival_rate
         self.ensemble = ensemble
         self.cell = float(cell)
-        self.address_space = address_space
         horizon = duration + self.warmup
         self.n_cells = max(1, int(np.ceil(horizon / self.cell)))
         self._seeds = root.spawn(self.n_cells)
@@ -815,15 +607,7 @@ class _CellSampler:
             return None
         starts = t_lo + rng.random(n) * width
         sizes, durations = self.ensemble.sample(n, rng)
-        if self.address_space is None:
-            return starts, sizes, durations
-        src, dst, sport, dport, proto = self.address_space.sample_endpoints(
-            n, rng
-        )
-        keys = rng.integers(
-            np.iinfo(np.uint64).max, size=n, dtype=np.uint64, endpoint=True
-        )
-        return starts, sizes, durations, src, dst, sport, dport, proto, keys
+        return starts, sizes, durations
 
     def cells_before(self, t_end: float):
         """Yield blocks for every unsampled cell starting before t_end."""
@@ -832,52 +616,6 @@ class _CellSampler:
             self._next += 1
             if block is not None:
                 yield block
-
-
-def _packetize_window(
-    flows,
-    shot: Shot,
-    t_start: float,
-    t_end: float,
-    *,
-    mss: int,
-    header_bytes: int,
-    jitter: float,
-):
-    """Packets of the given flows with timestamps in [t_start, t_end).
-
-    Flows spanning the window are packetized in full (their schedule is a
-    pure function of (S, D, key)) and filtered to the window, so chunked
-    invocations partition the packet stream exactly.
-    """
-    starts, sizes, durations, src, dst, sport, dport, proto, keys = flows
-    schedule = packetize_shots(
-        sizes, durations, shot, mss=mss, header_bytes=header_bytes, jitter=0.0
-    )
-    offsets = schedule.offset
-    if jitter > 0.0:
-        counts = np.bincount(schedule.flow_index, minlength=sizes.size)
-        row_start = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        within = np.arange(len(schedule)) - row_start[schedule.flow_index]
-        gap = durations[schedule.flow_index] / counts[schedule.flow_index]
-        u = _splitmix_uniform(keys[schedule.flow_index], within)
-        offsets = offsets + (u - 0.5) * jitter * gap
-        offsets = np.clip(offsets, 0.0, durations[schedule.flow_index])
-
-    timestamps = starts[schedule.flow_index] + offsets
-    keep = (timestamps >= t_start) & (timestamps < t_end)
-    timestamps = timestamps[keep]
-    flow = schedule.flow_index[keep]
-    packets = packets_from_columns(
-        timestamps,
-        src[flow],
-        dst[flow],
-        sport[flow],
-        dport[flow],
-        proto[flow],
-        schedule.wire_size[keep],
-    )
-    return packets[np.argsort(packets["timestamp"], kind="stable")]
 
 
 _DEFAULT_ENGINE = GenerationEngine()

@@ -50,9 +50,8 @@ def generate_packet_trace(
 
     ``chunk`` packetizes that many seconds of arrivals at a time (bounding
     the intermediate per-packet arrays); the output is identical for any
-    chunking.  For horizons whose packets do not fit in memory at all, use
-    :meth:`GenerationEngine.write_packet_trace` to stream the capture to
-    disk instead.
+    chunking.  Captures too long to hold in memory stream from
+    :class:`~repro.synthesis.StreamingSynthesis` instead.
     """
     if engine is None:
         engine = default_engine() if chunk is None else GenerationEngine(chunk=chunk)

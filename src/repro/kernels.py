@@ -39,7 +39,7 @@ EWMA_BLOCK = 4096
 # -- TCP round -> packet expansion -------------------------------------
 
 
-def _expand_rounds_numpy(
+def expand_rounds(
     round_flow,
     round_start,
     round_count,
@@ -47,9 +47,16 @@ def _expand_rounds_numpy(
     round_sent_before,
     total_packets,
     last_payload,
-    mss,
-    header_bytes,
+    mss: float,
+    header_bytes: float,
 ):
+    """Expand per-round send records into the flat per-packet schedule.
+
+    Returns ``(pkt_flow, pkt_offset, wire_size)`` — flow index (int64),
+    offset from the flow start (float64) and wire size (uint16) per
+    packet, packets laid out round by round.
+    """
+    mss, header_bytes = float(mss), float(header_bytes)
     total = int(round_count.sum())
     n_rounds = round_count.size
     pkt_round = np.repeat(np.arange(n_rounds), round_count)
@@ -71,42 +78,20 @@ def _expand_rounds_numpy(
     return pkt_flow, pkt_offset, wire.astype(np.uint16)
 
 
-def expand_rounds(
-    round_flow,
-    round_start,
-    round_count,
-    round_length,
-    round_sent_before,
-    total_packets,
-    last_payload,
-    mss: float,
-    header_bytes: float,
-):
-    """Expand per-round send records into the flat per-packet schedule.
-
-    Returns ``(pkt_flow, pkt_offset, wire_size)`` — flow index (int64),
-    offset from the flow start (float64) and wire size (uint16) per
-    packet, packets laid out round by round.
-    """
-    return _expand_rounds_numpy(
-        round_flow,
-        round_start,
-        round_count,
-        round_length,
-        round_sent_before,
-        total_packets,
-        last_payload,
-        float(mss),
-        float(header_bytes),
-    )
-
-
 # -- power-shot rate-series scatter ------------------------------------
 
 
-def _powershot_scatter_numpy(
-    starts, sizes, durations, a, b, power, delta, b0, b1
+def powershot_scatter(
+    starts, sizes, durations, a, b, power: float, delta: float, b0: int, b1: int
 ):
+    """Exact power-shot byte scatter over the bin range ``[b0, b1)``.
+
+    ``a``/``b`` give each flow's half-open touched-bin range already
+    clamped to the chunk.  Rows are accumulated in flow order, so every
+    bin sums its floating-point contributions in exactly the order the
+    reference per-flow loop performed them.
+    """
+    power, delta, b0, b1 = float(power), float(delta), int(b0), int(b1)
     volumes = np.zeros(b1 - b0)
     sel = b > a
     if not np.any(sel):
@@ -132,34 +117,18 @@ def _powershot_scatter_numpy(
     return np.bincount(gbin - b0, weights=c_right - c_left, minlength=b1 - b0)
 
 
-def powershot_scatter(
-    starts, sizes, durations, a, b, power: float, delta: float, b0: int, b1: int
-):
-    """Exact power-shot byte scatter over the bin range ``[b0, b1)``.
-
-    ``a``/``b`` give each flow's half-open touched-bin range already
-    clamped to the chunk.  Rows are accumulated in flow order, so every
-    bin sums its floating-point contributions in exactly the order the
-    reference per-flow loop performed them.
-    """
-    args = (
-        np.ascontiguousarray(starts, dtype=np.float64),
-        np.ascontiguousarray(sizes, dtype=np.float64),
-        np.ascontiguousarray(durations, dtype=np.float64),
-        np.ascontiguousarray(a, dtype=np.int64),
-        np.ascontiguousarray(b, dtype=np.int64),
-        float(power),
-        float(delta),
-        int(b0),
-        int(b1),
-    )
-    return _powershot_scatter_numpy(*args)
-
-
 # -- EWMA replay --------------------------------------------------------
 
 
-def _ewma_numpy(x, eps):
+def ewma(values: np.ndarray, eps: float) -> float:
+    """Final value of ``y ← (1-eps)·y + eps·x`` over ``values``.
+
+    Evaluated in blocked closed form (one dot product per
+    ``EWMA_BLOCK`` observations), equal to the loop to ~1e-12 relative
+    at any length.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    eps = float(eps)
     q = 1.0 - eps
     y = float(x[0])
     if x.size == 1:
@@ -174,14 +143,3 @@ def _ewma_numpy(x, eps):
         else:
             y = (q**m) * y + float(np.dot(weights[-m:], block))
     return y
-
-
-def ewma(values: np.ndarray, eps: float) -> float:
-    """Final value of ``y ← (1-eps)·y + eps·x`` over ``values``.
-
-    Evaluated in blocked closed form (one dot product per
-    ``EWMA_BLOCK`` observations), equal to the loop to ~1e-12 relative
-    at any length.
-    """
-    x = np.ascontiguousarray(values, dtype=np.float64)
-    return float(_ewma_numpy(x, float(eps)))

@@ -28,8 +28,6 @@ from .workloads import (
     high_utilization_link,
     low_utilization_link,
     medium_utilization_link,
-    multi_link_rate_series,
-    synthesize_scenario,
     table_i_workload,
     table_i_workloads,
 )
@@ -66,6 +64,4 @@ __all__ = [
     "low_utilization_link",
     "medium_utilization_link",
     "high_utilization_link",
-    "synthesize_scenario",
-    "multi_link_rate_series",
 ]

@@ -29,7 +29,6 @@ import numpy as np
 
 from .._util import as_rng, check_positive
 from ..exceptions import ParameterError
-from ..execution import make_pool
 from .addresses import AddressSpace
 from .arrivals import ArrivalProcess, PoissonArrivals
 from .link import LinkSynthesis
@@ -48,8 +47,7 @@ __all__ = [
     "low_utilization_link",
     "medium_utilization_link",
     "high_utilization_link",
-    "synthesize_scenario",
-    "multi_link_rate_series",
+    "wire_bytes_per_flow",
 ]
 
 #: An OC-12 link in bits/second (the paper's monitored links).
@@ -95,6 +93,25 @@ def default_size_distribution() -> Mixture:
     )
 
 
+def wire_bytes_per_flow(
+    size_dist, tcp_params: TcpParameters = TcpParameters()
+) -> float:
+    """``E[S + header * ceil(S/mss)]`` by a seeded Monte Carlo.
+
+    A fixed 50k-draw stream (seed 12345), so every caller that derives
+    an arrival rate from a size law — a workload preset, or a
+    calibration report turning a measured ``E[S]`` back into a target
+    rate — gets the same number for the same law.
+    """
+    rng = as_rng(12345)
+    sizes = np.asarray(
+        size_dist.rvs(size=50_000, random_state=rng), dtype=np.float64
+    )
+    sizes = np.maximum(sizes, 40.0)
+    packets = np.maximum(np.ceil(sizes / tcp_params.mss), 1.0)
+    return float(np.mean(sizes + tcp_params.header_bytes * packets))
+
+
 @dataclass
 class LinkWorkload:
     """A reproducible synthetic backbone-link workload.
@@ -128,13 +145,7 @@ class LinkWorkload:
     @property
     def mean_wire_bytes_per_flow(self) -> float:
         """``E[S + header * ceil(S/mss)]`` by seeded Monte Carlo."""
-        rng = as_rng(12345)
-        sizes = np.asarray(
-            self.size_dist.rvs(size=50_000, random_state=rng), dtype=np.float64
-        )
-        sizes = np.maximum(sizes, 40.0)
-        packets = np.maximum(np.ceil(sizes / self.tcp_params.mss), 1.0)
-        return float(np.mean(sizes + self.tcp_params.header_bytes * packets))
+        return wire_bytes_per_flow(self.size_dist, self.tcp_params)
 
     @property
     def arrival_rate(self) -> float:
@@ -148,19 +159,6 @@ class LinkWorkload:
 
     def with_duration(self, duration: float) -> "LinkWorkload":
         return replace(self, duration=duration)
-
-    def model_ensemble(self):
-        """Flow (size, duration) law for model-driven generation.
-
-        Pairs the workload's size distribution with its access-rate law
-        (``D = S / r``), the analytically convenient
-        :class:`~repro.core.SizeRateEnsemble` of section V — this is the
-        ensemble the generation engine feeds from when the workload is
-        generated by the shot-noise model rather than the TCP simulator.
-        """
-        from ..core.ensemble import SizeRateEnsemble
-
-        return SizeRateEnsemble(self.size_dist, self.cbr_rate_dist)
 
     def _synthesis_kwargs(self) -> dict:
         return dict(
@@ -283,77 +281,3 @@ def high_utilization_link(
 ) -> LinkWorkload:
     """A 262 Mbps-class link: smooth traffic (bottom-left cluster)."""
     return table_i_workload(2, scale=scale, duration=duration)
-
-
-# -- multi-link scenarios (engine-parallel) ------------------------------
-
-
-def synthesize_scenario(
-    workloads,
-    *,
-    seed: int = 0,
-    workers: int = 1,
-) -> list[LinkSynthesis]:
-    """Synthesize many independent links in parallel.
-
-    Each link draws from its own ``SeedSequence`` child keyed by position,
-    so the result list is deterministic for a given ``seed`` regardless of
-    ``workers`` — the engine's multi-seed fan-out applied to the TCP-level
-    synthesiser.  This is how whole Table I campaigns (seven links, many
-    seeds) are produced in one call.
-    """
-    workloads = list(workloads)
-    if not workloads:
-        raise ParameterError("workloads must not be empty")
-    children = np.random.SeedSequence(seed).spawn(len(workloads))
-
-    def run(task):
-        workload, child = task
-        return workload.synthesize(seed=as_rng(child))
-
-    with make_pool("thread", workers) as pool:
-        return pool.map_ordered(run, list(zip(workloads, children)))
-
-
-def multi_link_rate_series(
-    workloads,
-    shot,
-    *,
-    delta: float = 0.2,
-    seed: int = 0,
-    chunk: float | None = None,
-    workers: int = 1,
-):
-    """Model-driven rate paths for many links, generated by the engine.
-
-    For each workload, feeds its implied arrival rate and
-    :meth:`LinkWorkload.model_ensemble` flow law through
-    :meth:`~repro.generation.engine.GenerationEngine.rate_series` with a
-    per-link ``SeedSequence`` child.  Returns one
-    :class:`~repro.stats.timeseries.RateSeries` of byte rates per link,
-    in workload order, deterministic for a given ``seed`` regardless of
-    ``workers`` or ``chunk``.
-    """
-    from ..generation.engine import GenerationEngine
-
-    workloads = list(workloads)
-    if not workloads:
-        raise ParameterError("workloads must not be empty")
-    # parallelism lives at the link level; the per-link engine stays
-    # single-worker so pools do not nest (workers^2 threads otherwise)
-    per_link = GenerationEngine(chunk=chunk)
-    children = np.random.SeedSequence(seed).spawn(len(workloads))
-
-    def run(task):
-        workload, child = task
-        return per_link.rate_series(
-            workload.arrival_rate,
-            workload.model_ensemble(),
-            shot,
-            workload.duration,
-            delta,
-            rng=as_rng(child),
-        )
-
-    with make_pool("thread", workers) as pool:
-        return pool.map_ordered(run, list(zip(workloads, children)))

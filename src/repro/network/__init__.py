@@ -19,8 +19,8 @@ backbone at once:
   producing a per-link model, utilisation, provisioning verdict and
   (optionally) anomaly events — serialized as a :class:`NetworkReport`;
 * :func:`superpose_link_moments` — the analytic moment-sum path
-  (sections VI-A/VII-A), which
-  :class:`repro.applications.backbone.BackboneNetwork` now delegates to.
+  (sections VI-A/VII-A): :class:`AnalyticDemand` edge statistics plus
+  routing give every link's mean, variance and required capacity.
 
 Quickstart::
 

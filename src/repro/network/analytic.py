@@ -8,14 +8,15 @@ population is again Poisson with the arrival rate thinned by the split
 fraction (so ECMP fractions scale ``lambda``, keeping the per-flow
 laws).
 
-This module is the one home of that moment-sum logic; the historic
-:class:`repro.applications.backbone.BackboneNetwork` front door delegates
-here (see MIGRATION.md).
+This module is the one home of that moment-sum logic: declare a
+:class:`~repro.network.Topology` and :class:`AnalyticDemand` entries,
+and :func:`superpose_link_moments` returns every link's
+:class:`LinkMoments` — mean, variance and the Gaussian capacity target
+(:meth:`LinkMoments.required_capacity_bps`).
 
 Demands are duck-typed: anything with ``source``, ``sink``,
 ``statistics`` (a :class:`~repro.core.parameters.FlowStatistics`) and
-``shape_factor`` works — in particular
-:class:`repro.applications.backbone.Demand`.
+``shape_factor`` works.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._util import as_rng
+from .._util import as_rng, check_positive
 from ..core.gaussian import normal_quantile
 from ..core.parameters import FlowStatistics
-from ..exceptions import ParameterError
+from ..exceptions import ParameterError, TopologyError
 from .routing import RoutingStrategy, ShortestPathRouting
 from .topology import Topology
 
@@ -71,7 +72,12 @@ class AnalyticDemand:
     source: str
     sink: str
     statistics: FlowStatistics
-    shape_factor: float = 1.8
+    shape_factor: float = 1.8  # parabolic default, as in Figures 10-11
+
+    def __post_init__(self) -> None:
+        check_positive("shape_factor", self.shape_factor)
+        if self.source == self.sink:
+            raise TopologyError("demand source and sink must differ")
 
     def scaled(self, factor: float) -> "AnalyticDemand":
         """This demand under ``factor`` x growth: ``lambda`` scales, the
@@ -87,7 +93,7 @@ def workload_flow_statistics(workload, *, samples: int = 50_000) -> FlowStatisti
     Derives (``lambda``, ``E[S]``, ``E[S^2/D]``) from a
     :class:`~repro.netsim.LinkWorkload` *without synthesizing packets*:
     a seeded Monte Carlo over the size law (the same 12345 convention as
-    :attr:`~repro.netsim.LinkWorkload.mean_wire_bytes_per_flow`), the
+    :func:`~repro.netsim.workloads.wire_bytes_per_flow`), the
     deterministic TCP window schedule for transfer durations
     (``n_rounds x rtt`` — the update rule of the synthesiser, jitter
     averaging out), and the CBR rate law for the UDP fraction.  This is

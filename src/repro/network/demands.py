@@ -1,6 +1,6 @@
 """Origin-destination demand matrices of flow populations.
 
-Where :class:`repro.applications.backbone.Demand` carries *measured*
+Where :class:`repro.network.analytic.AnalyticDemand` carries *measured*
 three-parameter statistics (the analytic moment-sum path), a
 :class:`NetworkDemand` carries a full :class:`~repro.netsim.LinkWorkload`
 flow population: the network engine synthesizes it packet by packet,

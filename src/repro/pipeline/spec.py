@@ -883,8 +883,8 @@ class GenerationSpec:
     """Model-driven generation of section VII-C traffic via the engine.
 
     ``mode``: ``"exact"`` reproduces the reference sampler bit-for-bit,
-    ``"fast"`` allows the rectangular closed-form path, ``"streamed"``
-    uses the bounded-memory cell sampler (chunk/worker invariant).
+    ``"streamed"`` uses the bounded-memory cell sampler; both are
+    bitwise invariant to chunk and workers.
     ``duration``/``delta``/``seed`` default to the workload duration, the
     estimation delta and the scenario seed respectively.
     """
@@ -911,7 +911,7 @@ class GenerationSpec:
             check_positive("generation.chunk", self.chunk)
         _validate_execution("generation", None, self.workers, self.backend)
         _check_choice(
-            "generation.mode", self.mode, ("exact", "fast", "streamed")
+            "generation.mode", self.mode, ("exact", "streamed")
         )
         if self.seed is not None and int(self.seed) < 0:
             raise ParameterError(

@@ -991,7 +991,6 @@ class Generate:
                 duration,
                 delta,
                 rng=as_rng(int(seed)),
-                exact=gen.mode == "exact",
             )
         context.generation = GenerationResult(
             series=series,

@@ -5,11 +5,12 @@ The engine's contract has three legs, each pinned here:
 1. *Equivalence*: the vectorized/chunked path reproduces the reference
    per-flow loop's ``RateSeries`` bit-for-bit for the same seed, for
    every shot family.
-2. *Determinism*: output never depends on ``workers`` or (for the exact
-   scatter path, bitwise) on ``chunk``, in both compat and streamed
-   sampling modes.
-3. *Exactness of the shortcuts*: the rectangular closed-form fast path
-   and the streamed packet writer agree with their general counterparts.
+2. *Determinism*: output never depends on ``workers`` or ``chunk``, in
+   both compat and streamed sampling modes.
+3. *Bitwise invariance for every shot*: no shot family takes a shortcut
+   that trades bits for speed — the rectangular shot stays bitwise equal
+   to the reference in compat mode and bitwise chunk/worker-invariant in
+   streamed mode.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from repro.generation import (
     generate_rate_series,
     reference_rate_series,
 )
-from repro.generation.engine import _splitmix_uniform
-from repro.trace import read_trace
 
 SHOT_FAMILIES = [
     RectangularShot(),
@@ -121,14 +120,19 @@ class TestDeterminism:
         )
         np.testing.assert_array_equal(base.values, out.values)
 
+    @pytest.mark.parametrize(
+        "shot", [TriangularShot(), RectangularShot()], ids=lambda s: s.name
+    )
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("chunk", [2.3, 15.0, None])
-    def test_streamed_invariant_to_geometry(self, small_ensemble, chunk, workers):
+    def test_streamed_invariant_to_geometry(
+        self, small_ensemble, chunk, workers, shot
+    ):
         base = GenerationEngine(chunk=6.0, workers=1).rate_series_streamed(
-            40.0, small_ensemble, TriangularShot(), 60.0, 0.2, seed=8
+            40.0, small_ensemble, shot, 60.0, 0.2, seed=8
         )
         out = GenerationEngine(chunk=chunk, workers=workers).rate_series_streamed(
-            40.0, small_ensemble, TriangularShot(), 60.0, 0.2, seed=8
+            40.0, small_ensemble, shot, 60.0, 0.2, seed=8
         )
         np.testing.assert_array_equal(base.values, out.values)
 
@@ -155,36 +159,11 @@ class TestDeterminism:
 
 
 class TestRectangularFastPath:
-    def test_matches_scatter_to_roundoff(self, small_ensemble):
-        engine = GenerationEngine(chunk=5.0)
-        fast = engine.rate_series_streamed(
-            40.0, small_ensemble, RectangularShot(), 90.0, 0.2, seed=13,
-            exact=False,
-        )
-        slow = engine.rate_series_streamed(
-            40.0, small_ensemble, RectangularShot(), 90.0, 0.2, seed=13,
-            exact=True,
-        )
-        np.testing.assert_allclose(fast.values, slow.values, rtol=1e-9)
-
-    @pytest.mark.parametrize("workers", [1, 4])
-    @pytest.mark.parametrize("chunk", [3.0, 20.0, None])
-    def test_fast_path_geometry_roundoff_only(
-        self, small_ensemble, chunk, workers
-    ):
-        base = GenerationEngine(chunk=5.0, workers=1).rate_series_streamed(
-            40.0, small_ensemble, RectangularShot(), 60.0, 0.2, seed=13,
-            exact=False,
-        )
-        out = GenerationEngine(chunk=chunk, workers=workers).rate_series_streamed(
-            40.0, small_ensemble, RectangularShot(), 60.0, 0.2, seed=13,
-            exact=False,
-        )
-        np.testing.assert_allclose(base.values, out.values, rtol=1e-9)
+    """The rectangular shot has no closed-form shortcut: it runs the same
+    exact scatter as every other shot."""
 
     def test_compat_default_stays_bitwise_for_rectangles(self, small_ensemble):
-        """exact=True (the generate_rate_series default) must not trade
-        reference equality for the fast path."""
+        """Constant-rate flows stay bit-for-bit equal to the reference."""
         ref = reference_rate_series(
             40.0, small_ensemble, RectangularShot(), duration=60.0, delta=0.2,
             rng=17,
@@ -210,44 +189,6 @@ class TestPacketPaths:
             np.testing.assert_array_equal(base.packets, out.packets)
         assert base.is_sorted()
 
-    def test_streamed_writer_chunk_invariant_and_sorted(
-        self, small_ensemble, tmp_path
-    ):
-        paths = []
-        for chunk in (7.0, 22.0):
-            path = tmp_path / f"gen_{chunk}.rptr"
-            n = GenerationEngine(chunk=chunk).write_packet_trace(
-                path, 40.0, small_ensemble, TriangularShot(), 45.0,
-                link_capacity=1e8, seed=9,
-            )
-            assert n > 0
-            paths.append(path)
-        a, b = (read_trace(p) for p in paths)
-        np.testing.assert_array_equal(a.packets, b.packets)
-        assert a.is_sorted()
-        assert a.duration == pytest.approx(45.0)
-
-    def test_streamed_writer_no_flows_leaves_no_file(
-        self, small_ensemble, tmp_path
-    ):
-        path = tmp_path / "empty.rptr"
-        with pytest.raises(ParameterError):
-            GenerationEngine().write_packet_trace(
-                path, 1e-9, small_ensemble, TriangularShot(), 0.1,
-                link_capacity=1e8, seed=0, warmup=0.0,
-            )
-        assert not path.exists()
-
-    def test_streamed_writer_rate_matches_model(self, small_ensemble, tmp_path):
-        path = tmp_path / "gen.rptr"
-        GenerationEngine(chunk=20.0).write_packet_trace(
-            path, 40.0, small_ensemble, TriangularShot(), 120.0,
-            link_capacity=1e8, seed=3, header_bytes=0, jitter=0.0,
-        )
-        trace = read_trace(path)
-        expected = 40.0 * small_ensemble.mean_size
-        assert trace.mean_rate_bps / 8.0 == pytest.approx(expected, rel=0.1)
-
 
 class TestEngineConfig:
     def test_validation(self):
@@ -269,15 +210,3 @@ class TestEngineConfig:
         assert engine.config.chunk == 3.0
         assert engine.config.workers == 2
         assert engine.config.arrival_cell == EngineConfig().arrival_cell
-
-
-class TestSplitmixJitter:
-    def test_uniform_range_and_determinism(self):
-        keys = np.arange(1000, dtype=np.uint64) * np.uint64(2654435761)
-        idx = np.arange(1000, dtype=np.int64) % 7
-        u = _splitmix_uniform(keys, idx)
-        assert np.all((u >= 0.0) & (u < 1.0))
-        np.testing.assert_array_equal(u, _splitmix_uniform(keys, idx))
-        # roughly uniform: mean near 0.5, no mass collapse
-        assert abs(u.mean() - 0.5) < 0.05
-        assert len(np.unique(u)) == len(u)

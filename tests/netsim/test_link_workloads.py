@@ -14,9 +14,7 @@ from repro.netsim import (
     LinkWorkload,
     PoissonArrivals,
     TcpParameters,
-    multi_link_rate_series,
     synthesize_link_trace,
-    synthesize_scenario,
     table_i_workload,
     table_i_workloads,
 )
@@ -116,68 +114,3 @@ class TestWorkloadPresets:
         trace = workload.synthesize(seed=0).trace
         tcp = trace.packets["protocol"] == PROTO_TCP
         assert trace.packets["size"][tcp].max() <= 500 + 40
-
-
-class TestMultiLinkScenarios:
-    """Engine-parallel fan-out across independent links."""
-
-    def test_synthesize_scenario_worker_invariant(self):
-        workloads = [w.with_duration(10.0) for w in table_i_workloads()[:2]]
-        serial = synthesize_scenario(workloads, seed=3, workers=1)
-        threaded = synthesize_scenario(workloads, seed=3, workers=4)
-        assert len(serial) == 2
-        for a, b in zip(serial, threaded):
-            np.testing.assert_array_equal(a.trace.packets, b.trace.packets)
-
-    def test_synthesize_scenario_seeds_links_by_position(self):
-        # link i draws from SeedSequence(seed) child i, whatever the
-        # worker count, and results come back in workload order
-        workloads = [w.with_duration(5.0) for w in table_i_workloads()[:3]]
-        children = np.random.SeedSequence(5).spawn(len(workloads))
-        expected = [
-            w.synthesize(seed=np.random.default_rng(c)).trace.packets
-            for w, c in zip(workloads, children)
-        ]
-        for workers in (1, 4):
-            got = synthesize_scenario(workloads, seed=5, workers=workers)
-            for packets, link in zip(expected, got):
-                np.testing.assert_array_equal(link.trace.packets, packets)
-
-    def test_synthesize_scenario_links_are_independent(self):
-        workloads = [w.with_duration(10.0) for w in table_i_workloads()[:2]]
-        a, b = synthesize_scenario(workloads, seed=3)
-        assert not np.array_equal(
-            a.trace.packets["timestamp"], b.trace.packets["timestamp"]
-        )
-
-    def test_multi_link_rate_series_deterministic(self):
-        workloads = [w.with_duration(20.0) for w in table_i_workloads()[:3]]
-        from repro.core import TriangularShot
-
-        serial = multi_link_rate_series(
-            workloads, TriangularShot(), delta=0.5, seed=2, workers=1
-        )
-        threaded = multi_link_rate_series(
-            workloads, TriangularShot(), delta=0.5, seed=2, workers=4,
-            chunk=5.0,
-        )
-        assert len(serial) == 3
-        for a, b in zip(serial, threaded):
-            np.testing.assert_array_equal(a.values, b.values)
-
-    def test_multi_link_rate_series_hits_targets(self):
-        workloads = [w.with_duration(60.0) for w in table_i_workloads()[:2]]
-        from repro.core import RectangularShot
-
-        series = multi_link_rate_series(
-            workloads, RectangularShot(), delta=0.5, seed=0
-        )
-        for workload, link_series in zip(workloads, series):
-            # model ensemble carries payload bytes (no per-packet headers),
-            # so the fluid mean undershoots the wire-rate target slightly
-            target = workload.target_mean_rate_bps / 8.0
-            assert link_series.mean == pytest.approx(target, rel=0.2)
-
-    def test_empty_scenario_rejected(self):
-        with pytest.raises(ParameterError):
-            synthesize_scenario([])

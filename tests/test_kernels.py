@@ -10,13 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.shots import PowerShot
-from repro.kernels import (
-    _expand_rounds_numpy,
-    _powershot_scatter_numpy,
-    ewma,
-    expand_rounds,
-    powershot_scatter,
-)
+from repro.kernels import ewma, expand_rounds, powershot_scatter
 from repro.stats.estimators import EwmaEstimator
 
 
@@ -82,7 +76,7 @@ def _expand_rounds_oracle(args, mss=1460.0, header=40.0):
 
 def test_expand_rounds_matches_oracle():
     args = _round_fixture()
-    flow, offset, wire = _expand_rounds_numpy(*args, 1460.0, 40.0)
+    flow, offset, wire = expand_rounds(*args, 1460.0, 40.0)
     o_flow, o_offset, o_wire = _expand_rounds_oracle(args)
     assert np.array_equal(flow, o_flow)
     assert offset.tobytes() == o_offset.tobytes()  # bitwise
@@ -96,16 +90,8 @@ def test_expand_rounds_last_packet_payload():
         np.array([0.1, 0.1]), np.array([0, 2]), np.array([3]),
         np.array([100.0]),
     )
-    _, _, wire = _expand_rounds_numpy(*args, 1460.0, 40.0)
+    _, _, wire = expand_rounds(*args, 1460.0, 40.0)
     assert wire.tolist() == [1500, 1500, 140]
-
-
-def test_expand_rounds_dispatcher_matches_numpy():
-    args = _round_fixture(seed=9)
-    a = _expand_rounds_numpy(*args, 1460.0, 40.0)
-    b = expand_rounds(*args, 1460.0, 40.0)
-    for x, y in zip(a, b):
-        assert x.tobytes() == y.tobytes()
 
 
 # -- power-shot scatter -------------------------------------------------
@@ -143,7 +129,7 @@ def _scatter_oracle(starts, sizes, durations, a, b, power, delta, b0, b1):
 
 def test_powershot_scatter_matches_shot_cumulative():
     starts, sizes, durations, a, b, delta = _scatter_fixture()
-    got = _powershot_scatter_numpy(
+    got = powershot_scatter(
         starts, sizes, durations, a, b, 0.8, delta, 3, 40
     )
     oracle = _scatter_oracle(
