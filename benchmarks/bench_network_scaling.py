@@ -1,20 +1,23 @@
-"""Network scaling — link-sharded backbone simulation vs sequential runs.
+"""Network scaling — pooled backbone simulation vs sequential runs.
 
 The network-side sibling of ``bench_engine_scaling.py`` (generation),
 ``bench_measurement_scaling.py`` (measurement) and
 ``bench_synthesis_scaling.py`` (synthesis): one ECMP-routed demand matrix
 over the Abilene backbone is simulated twice by the
-:class:`repro.network.NetworkEngine` — once sequentially (one link at a
-time) and once with links fanned out over the worker pool — and two
-claims are checked:
+:class:`repro.network.NetworkEngine` — once sequentially (``workers=1``)
+and once with the engine's tasks fanned out over the worker pool — and
+two claims are checked:
 
-* **Speedup**: link tasks are independent given the per-demand
-  ``SeedSequence`` children, so with >= 4 CPUs the sharded run must beat
-  the sequential one by ``MIN_SPEEDUP`` (the acceptance bar is 3x on a
-  >= 10-link topology with the shared-memory process backend; quick mode
-  only smoke-checks no regression).  ``REPRO_BENCH_WORKERS`` and
-  ``REPRO_BENCH_BACKEND`` pin the raced configuration; the emitted JSON
-  records both plus a ``stages_s`` routing-vs-links wall-time breakdown.
+* **Speedup**: the engine synthesises each demand once and advances all
+  demands one window at a time; within a window the demand × cell
+  synthesis tasks are independent given the per-demand ``SeedSequence``
+  children, and so are the per-link measurement steps and the per-link
+  fits.  With >= 4 CPUs the pooled run must beat the sequential one by
+  ``MIN_SPEEDUP`` (the acceptance bar is 3x on a >= 10-link topology
+  with the shared-memory process backend; quick mode only smoke-checks
+  no regression).  ``REPRO_BENCH_WORKERS`` and ``REPRO_BENCH_BACKEND``
+  pin the raced configuration; the emitted JSON records both plus a
+  ``stages_s`` routing-vs-links wall-time breakdown.
 * **Equivalence**: the per-link packet counts, byte totals and rate
   series are bitwise identical between the two runs — ``workers`` (and
   ``chunk``) are pure execution strategy.
@@ -83,12 +86,12 @@ BACKEND = os.environ.get("REPRO_BENCH_BACKEND") or (
 #: skipped outright (the datapoint still records both timings).
 GATED = _CPUS >= 2 and WORKERS > 1
 
-#: Required parallel-over-sequential speedup.  Per-link tasks are fully
-#: independent and, on the process backend, dodge the GIL entirely, so
-#: with >= 4 CPUs the acceptance bar of 3x applies to the full run;
-#: quick mode's per-link tasks are milliseconds, so its gate (like the
-#: other scaling benches) is a no-pathology smoke check, not a perf
-#: claim.
+#: Required parallel-over-sequential speedup.  The tasks of one window
+#: (demand × cell synthesis, per-link measurement steps) are independent
+#: and, on the process backend, dodge the GIL entirely, so with >= 4
+#: CPUs the acceptance bar of 3x applies to the full run; quick mode's
+#: tasks are milliseconds, so its gate (like the other scaling benches)
+#: is a no-pathology smoke check, not a perf claim.
 if _CPUS >= 4 and not QUICK:
     MIN_SPEEDUP = 3.0
 else:
@@ -127,8 +130,8 @@ def test_network_scaling(benchmark):
             )
         )
         # keep only the engine's own stages: under the thread backend the
-        # nested per-link synthesis/measurement timers also land in this
-        # process's registry, summed across concurrent workers
+        # synthesis/measurement timers of its pool tasks also land in
+        # this process's registry, summed across concurrent workers
         stages = {
             name: secs for name, secs in stage_timings().items()
             if name.startswith("network.")
@@ -154,7 +157,7 @@ def test_network_scaling(benchmark):
     print(f"  {'configuration':>34s} {'time (s)':>10s} {'links/s':>10s}")
     for label, t in (
         ("sequential (workers=1)", t_sequential),
-        (f"link-sharded (workers={WORKERS}, {BACKEND})", t_sharded),
+        (f"cell+link pool (workers={WORKERS}, {BACKEND})", t_sharded),
     ):
         print(f"  {label:>34s} {t:10.2f} {len(carrying) / t:10.2f}")
     for name in sorted(stages, key=stages.get, reverse=True):

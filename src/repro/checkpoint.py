@@ -21,11 +21,15 @@ resumed report *bitwise-equal* to an uninterrupted one.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import pickle
+import types
 from pathlib import Path
+
+import numpy as np
 
 from .exceptions import CheckpointError
 
@@ -35,13 +39,44 @@ MANIFEST_NAME = "manifest.json"
 _VERSION = 1
 
 
+def _identity(value):
+    """A JSON-able stand-in for an object ``json`` cannot encode.
+
+    Dataclasses and plain objects become their type name plus their
+    fields (which ``json`` encodes in turn), arrays a digest of their
+    bytes and functions their qualified name — never a ``repr`` holding
+    a memory address, so equal objects built by two runs fingerprint
+    equally.
+    """
+    if isinstance(value, np.ndarray):
+        return {
+            "dtype": str(value.dtype),
+            "shape": list(value.shape),
+            "sha256": hashlib.sha256(
+                np.ascontiguousarray(value).tobytes()
+            ).hexdigest(),
+        }
+    if isinstance(value, (types.FunctionType, types.MethodType)):
+        return f"{value.__module__}.{value.__qualname__}"
+    if dataclasses.is_dataclass(value):
+        fields = {
+            f.name: getattr(value, f.name) for f in dataclasses.fields(value)
+        }
+    else:
+        fields = getattr(value, "__dict__", None)
+        if fields is None:
+            return str(value)
+    return {"__type__": type(value).__qualname__, **fields}
+
+
 def run_fingerprint(payload) -> str:
     """A stable hex digest of a JSON-able run-identity payload.
 
     ``execution`` sections are stripped recursively before hashing (see
     the module docstring), and dict ordering is normalised, so two
     specs that can only differ in wall-clock strategy fingerprint
-    identically.
+    identically.  Objects ``json`` cannot encode (workloads, events)
+    enter by type and field values (see :func:`_identity`).
     """
 
     def strip(value):
@@ -55,7 +90,7 @@ def run_fingerprint(payload) -> str:
             return [strip(v) for v in value]
         return value
 
-    blob = json.dumps(strip(payload), sort_keys=True, default=str)
+    blob = json.dumps(strip(payload), sort_keys=True, default=_identity)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

@@ -25,8 +25,8 @@ request anywhere:
 * ``workers <= 1`` or a single item run inline, so a one-core host
   never pays fork overhead;
 * inside a daemonic pool worker (which may not spawn children —
-  e.g. per-link tasks of the network engine running a measurement
-  engine) ``process`` silently downgrades to ``thread``.
+  e.g. sweep cells running a network engine) ``process`` silently
+  downgrades to ``thread``.
 
 Fault tolerance: pass a :class:`RetryPolicy` to :func:`make_pool` (or
 set ``execution.retry`` in a spec) and the process backend arms a

@@ -60,7 +60,7 @@ from ..flows.records import FlowSet
 from ..stats.timeseries import RateSeries
 from ..trace.packet import PACKET_DTYPE, PacketTrace
 
-__all__ = ["StreamingMeasurement"]
+__all__ = ["StreamingMeasurement", "process_shard"]
 
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 _EMPTY_U64 = np.zeros(0, dtype=np.uint64)
@@ -228,7 +228,7 @@ def _rebuild_carry(params, state: _ShardState, keep_mask, new_rows, new_pend):
     )[order]
 
 
-def _process_shard(task):  # noqa: E741
+def process_shard(task):  # noqa: E741
     """One shard-chunk step: ``task -> (updated state, result)``.
 
     A pure function of the task tuple (the state is mutated and
@@ -500,6 +500,19 @@ class StreamingMeasurement:
 
     def update(self, packets) -> None:
         """Fold one time-ordered packet chunk into the measurement."""
+        tasks = self.shard_tasks(packets)
+        if tasks:
+            self.apply_shards(self._run_shards(tasks))
+
+    def shard_tasks(self, packets) -> list[tuple]:
+        """Bin one time-ordered chunk; return its per-shard tasks.
+
+        The first half of :meth:`update`, for a driver that runs the
+        shard steps of several measurements on one pool (the network
+        engine): map the tasks with :func:`process_shard`, then pass the
+        results, in shard order, to :meth:`apply_shards` before the next
+        chunk.  An empty chunk yields no tasks.
+        """
         if self._finalized:
             raise FlowExportError("measurement already finalized")
         if isinstance(packets, PacketTrace):
@@ -510,7 +523,7 @@ class StreamingMeasurement:
                 f"expected PACKET_DTYPE packets, got dtype {packets.dtype}"
             )
         if packets.size == 0:
-            return
+            return []
         ts = packets["timestamp"].astype(np.float64, copy=False)
         t_min = float(ts.min())
         t_max = float(ts.max())
@@ -569,14 +582,18 @@ class StreamingMeasurement:
                     t_max,
                     time_sorted,
                 ))
-        for s, (state, result) in enumerate(self._run_shards(tasks)):
+        return tasks
+
+    def apply_shards(self, results) -> None:
+        """Adopt the :func:`process_shard` results of one chunk's tasks."""
+        for s, (state, result) in enumerate(results):
             self._states[s] = state
             self._apply(result)
 
     def _run_shards(self, tasks):
         """Process shard tasks, concurrently when more than one shard."""
         with stage_timer("measurement.shards"):
-            return self._pool.map_ordered(_process_shard, tasks)
+            return self._pool.map_ordered(process_shard, tasks)
 
     def close(self) -> None:
         """Release the shard worker pool (idempotent; finalize calls it).
@@ -602,6 +619,9 @@ class StreamingMeasurement:
             self._apply(result)
         with stage_timer("measurement.assemble"):
             flows = self._assemble_flows()
+        # the closed-flow parts now live in ``flows``; a finalized
+        # measurement keeps no second copy
+        self._flows = []
         series = None
         if self.delta is not None:
             series = RateSeries(self._volumes / self.delta, self.delta)

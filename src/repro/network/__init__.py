@@ -13,10 +13,9 @@ backbone at once:
   :class:`StaticRouting` (weighted splits);
 * events — :class:`LinkOutage` (mid-trace failure with reroute),
   :class:`FlashCrowd` (demand intensity scaling);
-* :class:`NetworkEngine` — shards links over the generation-engine
-  worker pool and streams each link's superposed packet population
-  through the synthesis + measurement engines in bounded memory,
-  producing a per-link model, utilisation, provisioning verdict and
+* :class:`NetworkEngine` — synthesises each demand once, window by
+  window, and streams each link's superposed packet population into
+  the measurement engine in bounded memory, producing a per-link model, utilisation, provisioning verdict and
   (optionally) anomaly events — serialized as a :class:`NetworkReport`;
 * :func:`superpose_link_moments` — the analytic moment-sum path
   (sections VI-A/VII-A): :class:`AnalyticDemand` edge statistics plus

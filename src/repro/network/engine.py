@@ -12,26 +12,30 @@ detect) applies link by link.
 
 Execution model:
 
-* **Per-link tasks.** Each simulated link re-synthesizes the demands
-  crossing it from their own ``SeedSequence`` (demand ``i`` of a network
-  seeded ``s`` draws from ``SeedSequence([s, i])``), filters each packet
-  chunk by the flow-hash/route-segment rule, and k-way merges the
-  filtered streams into one time-ordered stream feeding a streaming
-  :class:`~repro.measurement.MeasurementEngine`.  Peak memory per link
-  is bounded by one chunk per crossing demand plus the open-flow tables
-  — never a trace.
-* **Sharding.** Links are independent given the demand seeds, so the
-  engine fans them out over a :func:`repro.execution.make_pool` worker
-  pool (``workers`` × ``backend``); per-link synthesis/measurement stay
-  single-worker so pools never nest (and :func:`make_pool` downgrades a
-  nested ``process`` request to threads anyway).
-* **Determinism.** Per-link outputs depend only on ``(seed, demands,
-  topology, routing, events)`` — never on ``chunk`` or ``workers``.
-  The merged packet order is canonical: sorted by timestamp with ties
-  broken by demand index (then within-demand synthesis order), so the
-  per-link trace, FlowSet and RateSeries are bitwise invariant to the
-  execution knobs, and a one-demand one-link network reproduces
-  :func:`~repro.netsim.link.synthesize_link_trace` +
+* **Time-major loop.**  Each demand is synthesised once per run: demand
+  ``i`` of a network seeded ``s`` opens one
+  :class:`~repro.synthesis.StreamingSynthesis` stream from
+  ``SeedSequence([s, i])``, and all demands advance one window of arrival
+  cells at a time.  A demand's window block goes, through the
+  flow-hash/route-segment rule, to every link on its route, so every
+  hop sees the same flows.  Each link merges its demands' blocks and
+  feeds them to its own
+  :class:`~repro.measurement.StreamingMeasurement`; after the last
+  window every link is finalised, fitted and provisioned.  Peak memory
+  is one window per demand plus each link's open-flow carry table —
+  never a trace.
+* **Fan-out.**  One :func:`repro.execution.make_pool` pool
+  (``workers`` × ``backend``) carries every task: the demand × cell
+  synthesis tasks of a window, one measurement step per link, and the
+  per-link fits.  A window spans ``workers`` cells.  Tasks are leaf
+  functions, so pools never nest.
+* **Determinism.**  Per-link outputs depend only on ``(seed, demands,
+  topology, routing, events)`` — never on ``chunk``, ``workers`` or
+  ``backend``.  The merged packet order is canonical: sorted by
+  timestamp with ties broken by demand index (then within-demand
+  synthesis order), so the per-link trace, FlowSet and RateSeries are
+  bitwise invariant to the execution knobs, and a one-demand one-link
+  network reproduces :func:`~repro.netsim.link.synthesize_link_trace` +
   :class:`~repro.measurement.StreamingMeasurement` bit for bit.
 """
 
@@ -44,13 +48,15 @@ import numpy as np
 from .._util import check_positive, check_probability
 from ..applications.anomaly import AnomalyDetector, AnomalyEvent
 from ..applications.dimensioning import provision_capacity
-from ..checkpoint import CheckpointStore, map_in_batches, run_fingerprint
+from ..checkpoint import CheckpointStore, run_fingerprint
 from ..core.model import PoissonShotNoiseModel
 from ..core.shots import variance_shape_factor
 from ..exceptions import ParameterError
 from ..execution import check_backend, make_pool, stage_timer
 from ..flows.records import FlowSet
-from ..measurement.engine import MeasurementEngine
+from ..measurement.streaming import StreamingMeasurement, process_shard
+from ..synthesis.engine import synthesize_cell_task
+from ..trace.packet import PACKET_DTYPE
 from ..stats.timeseries import RateSeries
 from .demands import DemandMatrix
 from .events import FlashCrowd, LinkOutage, apply_flash_crowds, routing_timeline
@@ -65,8 +71,11 @@ __all__ = [
     "NetworkReport",
 ]
 
-#: Default packets per streamed block (matches the synthesis engine).
+#: Default cap on the packets of one per-link measurement step.
 DEFAULT_NETWORK_CHUNK = 1_000_000
+
+#: One packet record as opaque bytes, for whole-record copies.
+_RECORD = np.dtype((np.void, PACKET_DTYPE.itemsize))
 
 
 # -- per-link packet plumbing ----------------------------------------------
@@ -105,143 +114,62 @@ def _covers_unit_interval(intervals) -> bool:
     return reach >= 1.0
 
 
-def _filter_chunks(stream, segment_intervals, salt):
-    """Yield the packets of one demand stream that traverse one link."""
-    # constant route fast path: no event ever moves this demand, so the
-    # keep-rule is time-independent
+def _keep_rule(segments, link):
+    """How one demand's packets are kept on one link.
+
+    ``None`` keeps every packet: no event ever moves the demand's share
+    of this link, and its hash intervals cover all of ``[0, 1)``
+    (single-path routes, or ECMP paths that all share the link), so no
+    per-packet hashing is needed.  Otherwise the per-segment intervals
+    :func:`_filter_block` applies.
+    """
+    intervals = _segment_intervals(segments, link)
+    if len(intervals) == 1 and _covers_unit_interval(intervals[0][2]):
+        return None
+    return intervals
+
+
+def _filter_block(block, uniforms, segment_intervals):
+    """The packets of one demand block that traverse one link.
+
+    ``uniforms`` are the block's :func:`flow_uniforms`, computed once per
+    block and shared by every link the demand can cross.
+    """
     constant = len(segment_intervals) == 1
-    if constant and _covers_unit_interval(segment_intervals[0][2]):
-        # every flow crosses this link (single-path routes, or ECMP
-        # paths that all share it): no per-packet hashing needed
-        yield from stream
-        return
-    for block in stream:
-        if not block.size:
+    keep = np.zeros(block.size, dtype=bool)
+    ts = block["timestamp"]
+    for t0, t1, intervals in segment_intervals:
+        if not intervals:
             continue
-        u = flow_uniforms(block, salt)
-        keep = np.zeros(block.size, dtype=bool)
-        ts = block["timestamp"]
-        for t0, t1, intervals in segment_intervals:
-            if not intervals:
-                continue
-            in_window = (
-                None if constant else (ts >= t0) & (ts < t1)
-            )
-            for lo, hi in intervals:
-                picked = (u >= lo) & (u < hi)
-                if in_window is not None:
-                    picked &= in_window
-                keep |= picked
-        if keep.all():
-            yield block
-        elif keep.any():
-            yield block[keep]
+        in_window = None if constant else (ts >= t0) & (ts < t1)
+        for lo, hi in intervals:
+            picked = (uniforms >= lo) & (uniforms < hi)
+            if in_window is not None:
+                picked &= in_window
+            keep |= picked
+    # np.compress copies whole records; boolean indexing of the packed
+    # packet dtype copies field by field, several times slower
+    return block if keep.all() else np.compress(keep, block)
 
 
-def _merge_packet_streams(streams):
-    """K-way merge of per-demand time-ordered chunk iterators.
+def _merge_window(parts):
+    """Merge one window's per-demand blocks on a link.
 
-    Canonical global order: timestamp, ties broken by stream (demand)
-    index, then within-stream order — invariant to every stream's chunk
-    boundaries.  Memory is bounded by one block per stream plus the
-    boundary carry.
+    ``parts`` come in demand-index order, and each is time-ordered.
+    Every demand emits exactly the packets before one shared window
+    floor (all demands share the duration, hence the cell grid), so a
+    window merges with no carry into the next.  A stable timestamp sort
+    gives the canonical order: timestamp, then demand index, then
+    position within the demand.
     """
-    iterators = [iter(s) for s in streams]
-    k = len(iterators)
-    current: list[np.ndarray | None] = [None] * k
-    exhausted = [False] * k
-
-    def refill(i) -> None:
-        while current[i] is None and not exhausted[i]:
-            block = next(iterators[i], None)
-            if block is None:
-                exhausted[i] = True
-            elif block.size:
-                current[i] = block
-
-    for i in range(k):
-        refill(i)
-    while True:
-        active = [i for i in range(k) if current[i] is not None]
-        if not active:
-            return
-        pending = [i for i in active if not exhausted[i]]
-        t_safe = (
-            min(float(current[i]["timestamp"][-1]) for i in pending)
-            if pending
-            else np.inf
-        )
-        parts = []
-        for i in active:
-            block = current[i]
-            cut = (
-                block.size
-                if t_safe == np.inf
-                else int(
-                    np.searchsorted(block["timestamp"], t_safe, side="left")
-                )
-            )
-            if cut:
-                parts.append(block[:cut])
-            current[i] = block[cut:] if cut < block.size else None
-        # pull the bounding streams forward so t_safe strictly advances
-        for i in pending:
-            if (
-                current[i] is None
-                or float(current[i]["timestamp"][-1]) <= t_safe
-            ):
-                tail = current[i]
-                current[i] = None
-                refill(i)
-                if tail is not None and tail.size:
-                    current[i] = (
-                        tail
-                        if current[i] is None
-                        else np.concatenate([tail, current[i]])
-                    )
-        if not parts:
-            continue
-        if len(parts) == 1:
-            yield parts[0]
-            continue
-        merged = np.concatenate(parts)
-        order = np.argsort(merged["timestamp"], kind="stable")
-        yield merged[order]
-
-
-class _LinkStream:
-    """The merged, filtered packet stream of one link (single use).
-
-    Mirrors the duck-type the measurement engine reads metadata from
-    (``duration``/``link_capacity``), and optionally accumulates the
-    materialised per-link trace for tests and exports.
-    """
-
-    def __init__(
-        self, merged, *, duration, link_capacity, keep_packets=False
-    ) -> None:
-        self._merged = merged
-        self.duration = float(duration)
-        self.link_capacity = float(link_capacity)
-        self.keep_packets = keep_packets
-        self._blocks: list[np.ndarray] = []
-
-    def __iter__(self):
-        for block in self._merged:
-            if self.keep_packets:
-                self._blocks.append(block)
-            yield block
-
-    def packets(self) -> np.ndarray:
-        from ..trace.packet import PACKET_DTYPE
-
-        if not self._blocks:
-            return np.zeros(0, dtype=PACKET_DTYPE)
-        return (
-            self._blocks[0]
-            if len(self._blocks) == 1
-            else np.concatenate(self._blocks)
-        )
+    if len(parts) == 1:
+        return parts[0]
+    # whole-record copies (a void view, np.take): numpy copies the packed
+    # packet dtype field by field otherwise, several times slower
+    merged = np.concatenate([part.view(_RECORD) for part in parts]).view(
+        PACKET_DTYPE
+    )
+    return np.take(merged, np.argsort(merged["timestamp"], kind="stable"))
 
 
 # -- results ---------------------------------------------------------------
@@ -454,22 +382,25 @@ class NetworkEngine:
     Parameters
     ----------
     chunk:
-        Packets per streamed block inside each per-link pass (default
-        :data:`DEFAULT_NETWORK_CHUNK`).  Execution strategy only: per-link
-        results are bitwise invariant to it.
+        Most packets per measurement step on one link (default
+        :data:`DEFAULT_NETWORK_CHUNK`); a larger window is measured in
+        several steps.  Execution strategy only: per-link results are
+        bitwise invariant to it.
     workers:
-        Links simulated concurrently on an execution-backend pool.
-        Execution strategy only — never changes any result.
+        Lanes of the one execution-backend pool, and the number of
+        arrival cells per window.  The pool runs the demand × cell
+        synthesis tasks, one measurement step per link, and the
+        per-link fits.  Execution strategy only — never changes any
+        result.
     backend:
-        Pool flavour carrying the per-link tasks: ``"serial"``,
-        ``"thread"`` (default) or ``"process"`` (shared-memory workers;
-        per-link synthesis/measurement inside each task stay
-        single-worker so pools never nest).
+        Pool flavour: ``"serial"``, ``"thread"`` (default) or
+        ``"process"`` (shared-memory workers).  Pool tasks never open
+        pools of their own, so pools never nest.
     retry:
         Optional :class:`~repro.execution.RetryPolicy` arming the
-        process backend's watchdog: a per-link task whose worker
-        crashes or hangs is deterministically re-executed.  Execution
-        strategy only — never changes any result.
+        process backend's watchdog: a task whose worker crashes or
+        hangs is deterministically re-executed.  Execution strategy
+        only — never changes any result.
     """
 
     def __init__(
@@ -533,9 +464,15 @@ class NetworkEngine:
 
         ``checkpoint_dir`` persists each completed link's simulation
         durably (atomic write + manifest, see :mod:`repro.checkpoint`);
-        ``resume=True`` then loads finished links and simulates only
-        the remainder — bitwise-equal to an uninterrupted run, because
-        every link task is seeded independently.
+        ``resume=True`` then loads finished links and measures only the
+        remainder — bitwise-equal to an uninterrupted run, because every
+        demand is seeded independently.  Links are checkpointed once
+        every link is measured and fitted, so a run interrupted before
+        that resumes from the start.  The fingerprint covers the
+        demands (endpoints, workloads, seeds), the events, each link's
+        capacity and weight, the routing strategy's name and the
+        measurement knobs, so a checkpoint of a run that differs in any
+        of them fails loudly.
         """
         if resume and checkpoint_dir is None:
             raise ParameterError(
@@ -547,6 +484,7 @@ class NetworkEngine:
             )
         if not isinstance(demands, DemandMatrix):
             demands = DemandMatrix(demands)
+        declared = demands
         if not len(demands):
             raise ParameterError("the demand matrix must not be empty")
         demands.validate_endpoints(topology)
@@ -617,8 +555,19 @@ class NetworkEngine:
                     "seed": int(seed),
                     "duration": float(duration),
                     "routing": routing.name,
-                    "links": [list(link) for link in topology.links],
-                    "n_demands": len(demands),
+                    "links": [
+                        [
+                            *link,
+                            topology.capacity_bps(*link),
+                            topology.weight(*link),
+                        ]
+                        for link in topology.links
+                    ],
+                    "demands": [
+                        [d.source, d.sink, d.seed, d.workload]
+                        for d in declared
+                    ],
+                    "events": list(events),
                     "measure": measure_kwargs,
                     "detect": detect_kwargs,
                     "keep_packets": bool(keep_packets),
@@ -626,17 +575,12 @@ class NetworkEngine:
                 resume=resume,
             )
 
-        chunk = self.chunk or DEFAULT_NETWORK_CHUNK
-        tasks = []
-        task_keys = []
-        restored = 0
+        pending = []  # (checkpoint key, link) of the links to measure
         for position, link in enumerate(topology.links):
-            indices = crossing[link]
-            capacity = topology.capacity_bps(*link)
-            if not indices:
+            if not crossing[link]:
                 simulation.links[link] = LinkSimulation(
                     link=link,
-                    capacity_bps=capacity,
+                    capacity_bps=topology.capacity_bps(*link),
                     n_demands=0,
                     delta=delta,
                     duration=duration,
@@ -645,33 +589,47 @@ class NetworkEngine:
             key = f"link-{position:04d}"
             if store is not None and resume and store.has(key):
                 simulation.links[link] = store.load(key)
-                restored += 1
                 continue
-            # every link task rebuilds each crossing demand's SeedSequence
-            # from scratch: spawn() mutates the sequence, so sharing one
-            # instance across concurrent tasks would decohere the streams
-            # — fresh, equal-valued children per (demand, link) keep one
-            # demand's flows identical on every link of its path
-            tasks.append((
-                link,
-                capacity,
-                [demands[i] for i in indices],
-                [demands[i].seed_sequence(int(seed), i) for i in indices],
-                [_segment_intervals(timeline[i], link) for i in indices],
-                salt,
-                duration,
-                chunk,
-                measure_kwargs,
-                detect_kwargs,
-                keep_packets,
-            ))
-            task_keys.append(key)
+            pending.append((key, link))
+        links = [link for _, link in pending]
         with stage_timer("network.links"), make_pool(
             self.backend, self.workers, retry=self.retry
         ) as pool:
-            done = map_in_batches(pool, _simulate_link_task, tasks, store)
-            for key, (task, result) in zip(task_keys, done):
-                simulation.links[task[0]] = result
+            streamers, kept = _measure_links(
+                pool,
+                links,
+                demands,
+                timeline,
+                crossing,
+                seed=int(seed),
+                salt=salt,
+                window=self.workers,
+                chunk=self.chunk or DEFAULT_NETWORK_CHUNK,
+                duration=duration,
+                measure_kwargs=measure_kwargs,
+                keep_raw_series=bool(detect_anomalies),
+                keep_packets=keep_packets,
+            )
+            tasks = [
+                (
+                    link,
+                    topology.capacity_bps(*link),
+                    len(crossing[link]),
+                    streamer,
+                    duration,
+                    detect_kwargs,
+                )
+                for link, streamer in zip(links, streamers)
+            ]
+            done = _map_lanes(pool, _finish_link_task, tasks)
+            for (key, link), blocks, result in zip(pending, kept, done):
+                if keep_packets:
+                    result.packets = (
+                        np.concatenate(blocks)
+                        if blocks
+                        else np.zeros(0, dtype=PACKET_DTYPE)
+                    )
+                simulation.links[link] = result
                 if store is not None:
                     store.save(key, result)
         # restore topology order (empty links were inserted eagerly)
@@ -681,72 +639,176 @@ class NetworkEngine:
         return simulation
 
 
+# -- the time-major loop ---------------------------------------------------
+
+
+def _run_batch(batch):
+    """Run one lane's batch of tasks (worker entry)."""
+    fn, tasks = batch
+    return [fn(task) for task in tasks]
+
+
+def _map_lanes(pool, fn, tasks):
+    """``pool.map_ordered(fn, tasks)`` with one pool item per lane.
+
+    The engine's tasks take milliseconds each, so cutting them into at
+    most ``pool.workers`` contiguous batches pays the pool's per-item
+    cost (pickling, pipe round trip, shared-memory staging) once per
+    lane instead of once per task.
+    """
+    size = max(1, -(-len(tasks) // pool.workers))
+    batches = [(fn, tasks[i:i + size]) for i in range(0, len(tasks), size)]
+    return [
+        result
+        for results in pool.map_ordered(_run_batch, batches)
+        for result in results
+    ]
+
+
+def _measure_links(
+    pool,
+    links,
+    demands,
+    timeline,
+    crossing,
+    *,
+    seed,
+    salt,
+    window,
+    chunk,
+    duration,
+    measure_kwargs,
+    keep_raw_series,
+    keep_packets,
+):
+    """Synthesise every demand once and stream it into each link it crosses.
+
+    Returns one :class:`~repro.measurement.StreamingMeasurement` per
+    link, fed but not finalised, and per link the merged packet blocks
+    (kept only with ``keep_packets``).
+    """
+    streamers = [
+        StreamingMeasurement(
+            duration=duration, keep_raw_series=keep_raw_series,
+            **measure_kwargs,
+        )
+        for _ in links
+    ]
+    kept = [[] for _ in links]
+    # per demand: the (link slot, keep rule) of every measured link it
+    # can cross; demands crossing none are never synthesised
+    routes = []
+    for index, segments in enumerate(timeline):
+        hops = [
+            (slot, _keep_rule(segments, link))
+            for slot, link in enumerate(links)
+            if index in crossing[link]
+        ]
+        if hops:
+            routes.append((index, hops))
+    streams = [
+        demands[index].workload.synthesize_chunks(
+            seed=demands[index].seed_sequence(seed, index)
+        )
+        for index, _ in routes
+    ]
+    # every demand shares the duration, hence one cell grid
+    n_cells = streams[0].plan.n_cells if streams else 0
+    for g0 in range(0, n_cells, window):
+        g1 = min(g0 + window, n_cells)
+        merged = _route_window(
+            pool, streams, routes, g0, g1, salt, len(links)
+        )
+        if keep_packets:
+            for slot, block in merged.items():
+                kept[slot].append(block)
+        _measure_window(pool, streamers, merged, chunk)
+    return streamers, kept
+
+
+def _route_window(pool, streams, routes, g0, g1, salt, n_links):
+    """Synthesise cells ``g0 .. g1 - 1`` of every demand; route them.
+
+    Returns each link's merged window block by link slot (links the
+    window leaves empty are absent).
+    """
+    with stage_timer("synthesis.cells"):
+        blocks = _map_lanes(
+            pool,
+            synthesize_cell_task,
+            [t for stream in streams for t in stream.window_tasks(g0, g1)],
+        )
+    width = g1 - g0
+    parts = [[] for _ in range(n_links)]
+    for j, (stream, (_, hops)) in enumerate(zip(streams, routes)):
+        packets = stream.emit_window(blocks[j * width:(j + 1) * width], g1)
+        if packets is None:
+            continue
+        uniforms = None
+        for slot, rule in hops:
+            part = packets
+            if rule is not None:
+                if uniforms is None:
+                    uniforms = flow_uniforms(packets, salt)
+                part = _filter_block(packets, uniforms, rule)
+            if part.size:
+                parts[slot].append(part)
+    return {
+        slot: _merge_window(group) for slot, group in enumerate(parts) if group
+    }
+
+
+def _measure_window(pool, streamers, merged, chunk):
+    """Fold each link's merged window block into its measurement.
+
+    One pool round per ``chunk``-packet slice: each round runs one
+    measurement step for every link with packets left.
+    """
+    longest = max((block.size for block in merged.values()), default=0)
+    for start in range(0, longest, chunk):
+        owners, tasks = [], []
+        for slot, block in merged.items():
+            if start < block.size:
+                owners.append(slot)
+                tasks.extend(
+                    streamers[slot].shard_tasks(block[start:start + chunk])
+                )
+        with stage_timer("measurement.shards"):
+            results = _map_lanes(pool, process_shard, tasks)
+        for slot, result in zip(owners, results):
+            streamers[slot].apply_shards([result])
+
+
 # -- one link --------------------------------------------------------------
 
 
-def _simulate_link_task(task) -> LinkSimulation:
-    """Simulate one link from a picklable task tuple (worker entry)."""
-    return _simulate_one_link(*task)
+def _finish_link_task(task) -> LinkSimulation:
+    """Finalise one link from a picklable task tuple (worker entry)."""
+    return _finish_link(*task)
 
 
-def _simulate_one_link(
-    link,
-    capacity_bps,
-    link_demands,
-    link_seeds,
-    link_segments,
-    salt,
-    duration,
-    chunk,
-    measure_kwargs,
-    detect_kwargs,
-    keep_packets,
+def _finish_link(
+    link, capacity_bps, n_demands, streamer, duration, detect_kwargs
 ) -> LinkSimulation:
-    streams = [
-        _filter_chunks(
-            demand.workload.synthesize_chunks(
-                seed=child, chunk=chunk, workers=1
-            ),
-            segments,
-            salt,
-        )
-        for demand, child, segments in zip(
-            link_demands, link_seeds, link_segments
-        )
-    ]
-    link_stream = _LinkStream(
-        _merge_packet_streams(streams),
-        duration=duration,
-        link_capacity=capacity_bps,
-        keep_packets=keep_packets,
-    )
-    engine = MeasurementEngine(chunk=chunk, workers=1)
-    measured = engine.measure_chunks(
-        link_stream,
-        keep_raw_series=bool(detect_kwargs["detect_anomalies"]),
-        **measure_kwargs,
-    )
+    flows, series = streamer.finalize()
     result = LinkSimulation(
         link=link,
         capacity_bps=capacity_bps,
-        n_demands=len(link_demands),
-        packet_count=int(measured.packet_count),
-        total_bytes=float(measured.total_bytes),
-        flows=measured.flows,
-        series=measured.series,
-        raw_series=measured.raw_series,
-        delta=float(measure_kwargs["delta"]),
+        n_demands=n_demands,
+        packet_count=int(streamer.packet_count),
+        total_bytes=float(streamer.total_bytes),
+        flows=flows,
+        series=series,
+        raw_series=streamer.raw_series,
+        delta=float(streamer.delta),
         duration=duration,
     )
-    if keep_packets:
-        result.packets = link_stream.packets()
-    flows = measured.flows
-    if len(flows) and measured.series is not None:
+    if len(flows) and series is not None:
         result.statistics = flows.statistics(duration)
         model = PoissonShotNoiseModel.from_flows(
             flows.sizes, flows.durations, duration
         )
-        fit = model.fit_power(measured.series.variance)
+        fit = model.fit_power(series.variance)
         result.model = model
         result.fitted = model.with_shot(fit.shot)
         result.fitted_power = float(fit.power)

@@ -168,6 +168,25 @@ def routing_timeline(
     return timeline
 
 
+@dataclass(frozen=True)
+class _CrowdRate:
+    """A flash-crowded intensity: ``rate`` scaled inside each window.
+
+    A module-level callable rather than a closure, so a crowded demand's
+    cell tasks pickle onto the process backend.
+    """
+
+    rate: float
+    windows: tuple[tuple[float, float, float], ...]
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=np.float64)
+        rate = np.full(t.shape, self.rate)
+        for start, end, factor in self.windows:
+            rate = np.where((t >= start) & (t < end), rate * factor, rate)
+        return rate
+
+
 def apply_flash_crowds(demands: DemandMatrix, crowds) -> DemandMatrix:
     """A demand matrix with flash-crowd arrival scaling applied.
 
@@ -225,14 +244,7 @@ def apply_flash_crowds(demands: DemandMatrix, crowds) -> DemandMatrix:
             )
             for burst in bursts
         )
-
-        def rate_fn(t, *, _r=base_rate, _w=windows):
-            t = np.asarray(t, dtype=np.float64)
-            rate = np.full(t.shape, _r)
-            for start, end, factor in _w:
-                rate = np.where((t >= start) & (t < end), rate * factor, rate)
-            return rate
-
+        rate_fn = _CrowdRate(base_rate, windows)
         bound = base_rate * float(
             np.prod([max(1.0, factor) for _, _, factor in windows])
         )

@@ -1219,9 +1219,9 @@ class NetworkSpec:
     Per-link flow accounting, estimation delta and validation knobs come
     from the enclosing scenario's ``flows``/``estimation``/``validation``
     sections, so single-link and network scenarios share one vocabulary.
-    ``execution`` is strategy only (workers = links simulated
-    concurrently, chunk = packets per streamed block inside each
-    per-link pass); results are bitwise invariant to it.
+    ``execution`` is strategy only (workers = lanes of the engine's
+    pool and arrival cells per window, chunk = most packets per
+    per-link measurement step); results are bitwise invariant to it.
     """
 
     topology: TopologySpec = field(

@@ -69,6 +69,7 @@ __all__ = [
     "SynthesisConfig",
     "SynthesisEngine",
     "StreamingSynthesis",
+    "synthesize_cell_task",
 ]
 
 
@@ -122,7 +123,7 @@ class SynthesisConfig:
             )
 
 
-def _synthesize_cell_task(task):
+def synthesize_cell_task(task):
     """Picklable cell-synthesis adapter for the pool's single-arg map."""
     return synthesize_cell(*task)
 
@@ -208,6 +209,8 @@ class StreamingSynthesis:
         self.total_bytes = 0.0
         self.total_flows = 0
         self._truth: list[tuple] = []
+        self._pending: list[_PendingBlock] = []
+        self._presampled = None
         self._iterator = None
 
     # -- metadata ---------------------------------------------------------
@@ -248,7 +251,7 @@ class StreamingSynthesis:
 
     def _run_cells(self, tasks):
         with stage_timer("synthesis.cells"):
-            return self._pool.map_ordered(_synthesize_cell_task, tasks)
+            return self._pool.map_ordered(synthesize_cell_task, tasks)
 
     def close(self) -> None:
         """Release the worker pool (idempotent; exhaustion calls it)."""
@@ -296,67 +299,92 @@ class StreamingSynthesis:
         )
         return np.sort(times)
 
-    def _emissions(self):
-        """Yield ``(timestamps, hi, lo)`` column emissions in time order."""
+    def window_tasks(self, g0: int, g1: int) -> list[tuple]:
+        """Picklable :func:`synthesize_cell_task` inputs for cells
+        ``g0 .. g1 - 1``.
+
+        The stream's own iteration runs them on its pool; a driver that
+        advances several streams in lockstep (the network engine) maps
+        them on a shared pool and hands the blocks to
+        :meth:`emit_window` in cell order.
+        """
         plan = self.plan
-        presampled = None
-        if not plan.arrivals.cellable:
-            presampled = self._presampled_times()
-        pending: list[_PendingBlock] = []
+        if self._presampled is None and not plan.arrivals.cellable:
+            self._presampled = self._presampled_times()
+        tasks = []
+        for k in range(g0, g1):
+            times = None
+            if self._presampled is not None:
+                t0, t1 = plan.cell_bounds(k)
+                lo = np.searchsorted(self._presampled, t0, side="left")
+                hi = np.searchsorted(self._presampled, t1, side="left")
+                times = self._presampled[lo:hi]
+            tasks.append((plan, k, self._cell_seeds[k], times))
+        return tasks
+
+    def emit_window(self, blocks, g1: int):
+        """Fold a window's cell blocks; emit what precedes cell ``g1``.
+
+        Returns every pending packet before :meth:`CellPlan.cell_floor`
+        of ``g1`` as one ``PACKET_DTYPE`` block in canonical order
+        (``None`` when there is none); later packets stay pending for
+        the next window.  The last window (``g1 == n_cells``) emits
+        everything and raises :class:`~repro.exceptions.ParameterError`
+        if the whole workload produced zero flows.
+        """
+        plan = self.plan
+        for block in blocks:
+            if block is None:
+                continue
+            self.total_flows += block.n_flows
+            if self.keep_ground_truth:
+                self._truth.append(
+                    (block.flow_starts, block.flow_sizes,
+                     block.flow_protocols)
+                )
+            if block.n_packets:
+                self._pending.append(_PendingBlock(block))
+        if g1 >= plan.n_cells and self.total_flows == 0:
+            raise ParameterError(
+                "arrival process produced zero flows; increase rate "
+                "or duration"
+            )
+        safe = plan.cell_floor(g1)
+        with stage_timer("synthesis.merge"):
+            parts = []
+            for blk in self._pending:
+                part = blk.take_before(safe)
+                if part is not None:
+                    parts.append(part)
+            self._pending = [
+                blk for blk in self._pending if not blk.exhausted
+            ]
+            if not parts:
+                return None
+            if len(parts) == 1:
+                ts, hi, lo = parts[0]
+            else:
+                ts = np.concatenate([p[0] for p in parts])
+                hi = np.concatenate([p[1] for p in parts])
+                lo = np.concatenate([p[2] for p in parts])
+                # stable sort over sorted runs: timsort merges them and
+                # breaks timestamp ties by cell order — the canonical
+                # global order for any emission boundaries
+                order = np.argsort(ts, kind="stable")
+                ts, hi, lo = ts[order], hi[order], lo[order]
+        return packets_from_columns(ts, *unpack_payload(hi, lo))
+
+    def _emissions(self):
+        """Yield the window emissions as time-ordered packet blocks."""
+        n_cells = self.plan.n_cells
         group = self.config.workers
         try:
-            for g0 in range(0, plan.n_cells, group):
-                g1 = min(g0 + group, plan.n_cells)
-                tasks = []
-                for k in range(g0, g1):
-                    times = None
-                    if presampled is not None:
-                        t0, t1 = plan.cell_bounds(k)
-                        lo = np.searchsorted(presampled, t0, side="left")
-                        hi = np.searchsorted(presampled, t1, side="left")
-                        times = presampled[lo:hi]
-                    tasks.append((plan, k, self._cell_seeds[k], times))
-                for block in self._run_cells(tasks):
-                    if block is None:
-                        continue
-                    self.total_flows += block.n_flows
-                    if self.keep_ground_truth:
-                        self._truth.append(
-                            (block.flow_starts, block.flow_sizes,
-                             block.flow_protocols)
-                        )
-                    if block.n_packets:
-                        pending.append(_PendingBlock(block))
-                safe = plan.cell_floor(g1)
-                with stage_timer("synthesis.merge"):
-                    parts = []
-                    for blk in pending:
-                        part = blk.take_before(safe)
-                        if part is not None:
-                            parts.append(part)
-                    pending = [blk for blk in pending if not blk.exhausted]
-                    if not parts:
-                        continue
-                    if len(parts) == 1:
-                        merged = parts[0]
-                    else:
-                        ts = np.concatenate([p[0] for p in parts])
-                        hi = np.concatenate([p[1] for p in parts])
-                        lo = np.concatenate([p[2] for p in parts])
-                        # stable sort over sorted runs: timsort merges
-                        # them and breaks timestamp ties by cell order —
-                        # the canonical global order for any emission
-                        # boundaries
-                        order = np.argsort(ts, kind="stable")
-                        merged = ts[order], hi[order], lo[order]
-                # the yield sits outside the timed block so consumer
-                # time is not booked against the merge stage
-                yield merged
-            if self.total_flows == 0:
-                raise ParameterError(
-                    "arrival process produced zero flows; increase rate "
-                    "or duration"
-                )
+            for g0 in range(0, n_cells, group):
+                g1 = min(g0 + group, n_cells)
+                blocks = self._run_cells(self.window_tasks(g0, g1))
+                packets = self.emit_window(blocks, g1)
+                if packets is not None:
+                    yield packets
         finally:
             self.close()
 
@@ -365,8 +393,7 @@ class StreamingSynthesis:
         chunk = self.config.chunk
         held: list[np.ndarray] = []
         held_count = 0
-        for ts, hi, lo in self._emissions():
-            packets = packets_from_columns(ts, *unpack_payload(hi, lo))
+        for packets in self._emissions():
             if chunk is None:
                 self.packet_count += packets.size
                 self.total_bytes += float(packets["size"].sum(dtype=np.int64))

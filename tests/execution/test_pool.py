@@ -88,9 +88,9 @@ class TestMakePool:
             assert isinstance(pool, SharedMemoryPool)
 
     def test_process_downgrades_inside_daemonic_worker(self):
-        # the network engine's per-link tasks build measurement engines
-        # inside pool workers: a nested process request must not try to
-        # fork from a daemonic process
+        # sweep cells build network engines inside pool workers: a
+        # nested process request must not try to fork from a daemonic
+        # process
         with make_pool("process", 2) as pool:
             kinds = pool.map_ordered(_nested_process_backend, [0, 1])
         assert kinds == ["ThreadPool", "ThreadPool"]

@@ -16,17 +16,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.synthesis.engine as synthesis_engine
 from repro.exceptions import ParameterError
 from repro.measurement import MeasurementEngine
-from repro.netsim import table_i_workload
+from repro.netsim import LinkWorkload, table_i_workload
 from repro.network import (
     DemandMatrix,
     NetworkDemand,
     NetworkEngine,
     Topology,
+    abilene,
     line,
     parallel_paths,
 )
+from repro.pipeline import default_registry, run_scenario
 
 DURATION = 10.0
 
@@ -278,3 +281,50 @@ class TestValidation:
             NetworkEngine(chunk=0)
         with pytest.raises(ParameterError):
             NetworkEngine(workers=0)
+
+
+class TestOncePerDemand:
+    """Each demand is synthesised once per run, however many hops."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"cells": 0, "arrival_rate": 0}
+        cell = synthesis_engine.synthesize_cell
+        rate = LinkWorkload.arrival_rate.fget
+
+        def counting_cell(*args):
+            counts["cells"] += 1
+            return cell(*args)
+
+        def counting_rate(workload):
+            counts["arrival_rate"] += 1
+            return rate(workload)
+
+        monkeypatch.setattr(synthesis_engine, "synthesize_cell", counting_cell)
+        monkeypatch.setattr(LinkWorkload, "arrival_rate", property(counting_rate))
+        return counts
+
+    def test_cells_and_arrival_rates_once_per_demand(self, counts):
+        matrix = DemandMatrix([
+            NetworkDemand("seattle", "newyork", workload(4)),
+            NetworkDemand("losangeles", "atlanta", workload(3)),
+            NetworkDemand("denver", "newyork", workload(6)),
+        ])
+        expected = sum(
+            d.workload.synthesize_chunks(seed=0).plan.n_cells for d in matrix
+        )
+        counts.update(cells=0, arrival_rate=0)
+        sim = NetworkEngine().simulate(abilene(), matrix, seed=1)
+        # the demands light up more links than there are demands
+        assert len(sim.simulated_links) > len(matrix)
+        assert counts == {"cells": expected, "arrival_rate": len(matrix)}
+
+    def test_sweep_abilene_cell_count(self, counts):
+        result = run_scenario(
+            default_registry().get("abilene-single-failure-2x")
+        )
+        report = result.sweep.result.report
+        # 14 simulated cells x 6 demands x 6 arrival cells (60 s + 30 s
+        # warm-up in 15 s cells); once per hop would be 2,268
+        assert report.n_simulated == 14
+        assert counts["cells"] == 14 * 6 * 6 == 504

@@ -244,6 +244,20 @@ class TestFlashCrowd:
         assert first > 2.0 * calm
         assert second > 2.0 * calm
 
+    def test_crowded_demand_runs_on_the_process_backend(self):
+        """The crowded intensity pickles, so its cell tasks can run in
+        worker processes — with the serial run's packets."""
+        events = [FlashCrowd(0, start=2.0, duration=3.0, factor=5.0)]
+        runs = [
+            NetworkEngine(workers=workers, backend=backend).simulate(
+                line(2), two_path_matrix_for_line(), events=events, seed=3,
+                keep_packets=True,
+            )
+            for workers, backend in ((1, "serial"), (2, "process"))
+        ]
+        serial, process = (run[("r0", "r1")].packets for run in runs)
+        assert np.array_equal(serial, process)
+
     def test_out_of_range_demand_rejected(self):
         events = [FlashCrowd(5, start=1.0, duration=1.0)]
         with pytest.raises(ParameterError, match="targets demand 5"):
