@@ -16,6 +16,9 @@ claims are checked:
 * **Throughput**: decode + expand + measure sustains a paper-scale
   rate (the OC-12 traces are ~5k flow records/s of telemetry; the
   floor here is two orders above that).
+* **Decode parity**: a decode-only pass over the NetFlow v5 archive
+  takes at most 3x as long as one over the IPFIX archive of the same
+  records (both readers decode whole blocks of records at once).
 
 The run emits the interop perf datapoint as ``BENCH_interop.json`` (CI
 uploads it as an artifact); set ``REPRO_BENCH_INTEROP_JSON`` to
@@ -39,6 +42,8 @@ from conftest import print_header, run_once
 
 from repro.interop import (
     FLOW_RECORD_DTYPE,
+    IpfixReader,
+    NetFlow5Reader,
     open_import_stream,
     write_ipfix,
     write_netflow5,
@@ -61,6 +66,12 @@ CHUNK_RECORDS = max(1024, N_RECORDS // 64)
 
 #: Decode + expand + measure floor, flow records per second.
 MIN_RECORDS_PER_S = 20_000.0
+
+#: NetFlow v5 decode may take at most this multiple of IPFIX's.
+MAX_DECODE_RATIO = 3.0
+
+#: Decode-only passes per format; the fastest is reported.
+DECODE_REPEATS = 3
 
 
 def _build_records() -> np.ndarray:
@@ -102,6 +113,18 @@ def _import_and_fit(path, chunk):
     return stream, result
 
 
+def _decode_s(reader_cls, path) -> float:
+    """Fastest decode-only pass over an archive, in seconds."""
+    best = float("inf")
+    for _ in range(DECODE_REPEATS):
+        decoded, elapsed = _timed(
+            lambda: sum(b.size for b in reader_cls(path).record_chunks())
+        )
+        assert decoded == N_RECORDS
+        best = min(best, elapsed)
+    return best
+
+
 def _timed(fn):
     t0 = time.perf_counter()
     result = fn()
@@ -119,12 +142,15 @@ def _peak_memory(fn) -> float:
 def test_interop_scaling(benchmark, tmp_path):
     records = _build_records()
     archive = tmp_path / "bench.nf5"
+    archive_ipfix = tmp_path / "bench.ipfix"
 
     def build():
         _, t_export = _timed(lambda: write_netflow5(records, archive))
         _, t_export_ipfix = _timed(
-            lambda: write_ipfix(records, tmp_path / "bench.ipfix")
+            lambda: write_ipfix(records, archive_ipfix)
         )
+        t_decode = _decode_s(NetFlow5Reader, archive)
+        t_decode_ipfix = _decode_s(IpfixReader, archive_ipfix)
         (stream, result), t_import = _timed(
             lambda: _import_and_fit(archive, CHUNK_RECORDS)
         )
@@ -136,12 +162,12 @@ def test_interop_scaling(benchmark, tmp_path):
         )
         return (
             stream, result,
-            (t_export, t_export_ipfix, t_import),
+            (t_export, t_export_ipfix, t_decode, t_decode_ipfix, t_import),
             (peak_chunked, peak_whole),
         )
 
     stream, result, times, peaks = run_once(benchmark, build)
-    t_export, t_export_ipfix, t_import = times
+    t_export, t_export_ipfix, t_decode, t_decode_ipfix, t_import = times
     peak_chunked, peak_whole = peaks
 
     archive_bytes = archive.stat().st_size
@@ -161,6 +187,11 @@ def test_interop_scaling(benchmark, tmp_path):
           f"({N_RECORDS / t_export:12.0f} records/s)")
     print(f"  export ipfix    : {t_export_ipfix:8.2f} s "
           f"({N_RECORDS / t_export_ipfix:12.0f} records/s)")
+    print(f"  decode netflow5 : {t_decode:8.3f} s "
+          f"({N_RECORDS / t_decode:12.0f} records/s)")
+    print(f"  decode ipfix    : {t_decode_ipfix:8.3f} s "
+          f"({N_RECORDS / t_decode_ipfix:12.0f} records/s, "
+          f"netflow5/ipfix {t_decode / t_decode_ipfix:.2f}x)")
     print(f"  import + fit    : {t_import:8.2f} s "
           f"({records_per_s:12.0f} records/s)")
     print(f"  archive/chunk ratio: {archive_bytes / chunk_wire_bytes:.0f}x "
@@ -189,6 +220,8 @@ def test_interop_scaling(benchmark, tmp_path):
         "archive_over_chunk": float(archive_bytes / chunk_wire_bytes),
         "export_netflow5_s": float(t_export),
         "export_ipfix_s": float(t_export_ipfix),
+        "decode_netflow5_s": float(t_decode),
+        "decode_ipfix_s": float(t_decode_ipfix),
         "import_fit_s": float(t_import),
         "records_per_s": float(records_per_s),
         "peak_chunked_mb": float(peak_chunked / 1e6),
@@ -218,3 +251,6 @@ def test_interop_scaling(benchmark, tmp_path):
 
     # throughput floor
     assert records_per_s >= MIN_RECORDS_PER_S
+
+    # decode parity: NetFlow v5 is not the slow format any more
+    assert t_decode <= MAX_DECODE_RATIO * t_decode_ipfix

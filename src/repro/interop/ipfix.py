@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ..exceptions import ParameterError, TraceFormatError
-from .records import FLOW_RECORD_DTYPE
+from .records import FLOW_RECORD_DTYPE, check_exportable
 
 __all__ = [
     "IPFIX_VERSION",
@@ -129,18 +129,9 @@ class IpfixWriter:
         if self._file is None:
             raise TraceFormatError("IpfixWriter is not open")
         records = np.asarray(records)
-        if records.dtype != FLOW_RECORD_DTYPE:
-            raise TraceFormatError(
-                f"chunk dtype {records.dtype} != FLOW_RECORD_DTYPE"
-            )
+        check_exportable(records, "IPFIX")
         if records.size == 0:
             return
-        if float(records["start"].min()) < 0.0:
-            raise TraceFormatError(
-                "IPFIX flowStartMilliseconds is unsigned; cannot encode a "
-                f"flow starting at {float(records['start'].min()):g}s — "
-                "rebase the records to a 0-based capture clock first"
-            )
         wire = np.zeros(records.size, dtype=_EXPORT_RECORD_DTYPE)
         for field in ("src_addr", "dst_addr", "src_port", "dst_port",
                       "protocol", "packets", "octets"):

@@ -11,6 +11,14 @@ archives (epoch-anchored) come back as float64 seconds.
 
 Timestamps quantize to 1 ms on the wire — the one documented lossy step
 of the NetFlow round trip (see ``tests/interop/test_roundtrip.py``).
+
+Both directions work a block at a time, not a datagram at a time.  The
+reader pulls the archive in ~1 MiB blocks, walks the block's headers
+(each count gives the next header's offset), joins the record payloads
+of the whole datagrams into one buffer and converts all their fields in
+one pass; a datagram cut off by the end of a block is carried into the
+next.  The writer lays full datagrams out as one structured array,
+header and 30 records each, and writes it in ~1 MiB slices.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from ..exceptions import ParameterError, TraceFormatError
-from .records import FLOW_RECORD_DTYPE
+from .records import FLOW_RECORD_DTYPE, check_exportable
 
 __all__ = [
     "NETFLOW5_VERSION",
@@ -75,6 +83,37 @@ MAX_RECORDS_PER_DATAGRAM = 30
 #: caps at 30, but some cflowd archives concatenate oversized datagrams.
 _MAX_READ_COUNT = 8192
 
+#: The 24-byte datagram header of :data:`NETFLOW5_HEADER`, as a dtype.
+_HEADER_DTYPE = np.dtype(
+    [
+        ("version", ">u2"),
+        ("count", ">u2"),
+        ("sys_uptime", ">u4"),
+        ("unix_secs", ">u4"),
+        ("unix_nsecs", ">u4"),
+        ("flow_sequence", ">u4"),
+        ("engine_type", "u1"),
+        ("engine_id", "u1"),
+        ("sampling_interval", ">u2"),
+    ]
+)
+assert _HEADER_DTYPE.itemsize == NETFLOW5_HEADER.size
+
+#: (v5 record field, :data:`FLOW_RECORD_DTYPE` field) copied verbatim.
+_WIRE_FIELDS = (
+    ("srcaddr", "src_addr"),
+    ("dstaddr", "dst_addr"),
+    ("dPkts", "packets"),
+    ("dOctets", "octets"),
+    ("srcport", "src_port"),
+    ("dstport", "dst_port"),
+    ("prot", "protocol"),
+)
+
+#: Bytes per read of the archive, and about per write.  The reader
+#: decodes every whole datagram of a read block at once.
+_BLOCK_BYTES = 1 << 20
+
 _MS = 1000.0
 _U32_MAX = 0xFFFFFFFF
 
@@ -116,54 +155,58 @@ class NetFlow5Writer:
         if self._file is None:
             raise TraceFormatError("NetFlow5Writer is not open")
         records = np.asarray(records)
-        if records.dtype != FLOW_RECORD_DTYPE:
-            raise TraceFormatError(
-                f"chunk dtype {records.dtype} != FLOW_RECORD_DTYPE"
-            )
+        check_exportable(records, "NetFlow v5")
         if records.size == 0:
             return
-        starts = records["start"]
-        ends = records["end"]
-        if float(starts.min()) < 0.0:
-            raise TraceFormatError(
-                "NetFlow v5 timestamps are unsigned milliseconds; cannot "
-                f"encode a flow starting at {float(starts.min()):g}s — "
-                "rebase the records to a 0-based capture clock first"
-            )
-        first = np.rint(starts * _MS)
-        last = np.rint(ends * _MS)
+        for field in ("packets", "octets"):
+            if int(records[field].max()) > _U32_MAX:
+                raise TraceFormatError(
+                    f"NetFlow v5 counters are 32-bit; cannot encode {field} "
+                    f"= {int(records[field].max())}"
+                )
+        first = np.rint(records["start"] * _MS)
+        last = np.rint(records["end"] * _MS)
         if float(last.max()) > _U32_MAX:
             raise TraceFormatError(
                 "NetFlow v5 timestamps are 32-bit milliseconds (max "
                 f"{_U32_MAX / _MS:.0f}s); cannot encode a flow ending at "
-                f"{float(ends.max()):g}s"
+                f"{float(records['end'].max()):g}s"
             )
-        wire = np.zeros(records.size, dtype=_RECORD_DTYPE)
-        wire["srcaddr"] = records["src_addr"]
-        wire["dstaddr"] = records["dst_addr"]
-        wire["dPkts"] = records["packets"]
-        wire["dOctets"] = records["octets"]
-        wire["first"] = first.astype(np.uint64)
-        wire["last"] = last.astype(np.uint64)
-        wire["srcport"] = records["src_port"]
-        wire["dstport"] = records["dst_port"]
-        wire["prot"] = records["protocol"]
-        for lo in range(0, records.size, MAX_RECORDS_PER_DATAGRAM):
-            block = wire[lo: lo + MAX_RECORDS_PER_DATAGRAM]
-            header = NETFLOW5_HEADER.pack(
-                NETFLOW5_VERSION,
-                block.size,
-                0,  # sys_uptime: the capture clock starts at 0
-                0,  # unix_secs
-                0,  # unix_nsecs
-                self.record_count & _U32_MAX,  # flow_sequence
-                0,  # engine_type
-                0,  # engine_id
-                0,  # sampling_interval
-            )
-            self._file.write(header)
-            self._file.write(block.tobytes())
-            self.record_count += int(block.size)
+        full = records.size - records.size % MAX_RECORDS_PER_DATAGRAM
+        for lo, hi in ((0, full), (full, records.size)):
+            if hi > lo:
+                self._write_datagrams(
+                    records[lo:hi], first[lo:hi], last[lo:hi]
+                )
+
+    def _write_datagrams(self, records, first, last) -> None:
+        """Write records as datagrams of ``min(30, len(records))`` each.
+
+        The caller passes a whole number of datagrams.  They are built as
+        one structured array (header, then the records) and written from
+        it in slices of about one I/O block.
+        """
+        per = min(records.size, MAX_RECORDS_PER_DATAGRAM)
+        n = records.size // per
+        out = np.zeros(
+            n, dtype=[("header", _HEADER_DTYPE), ("records", _RECORD_DTYPE, (per,))]
+        )
+        header = out["header"]
+        header["version"] = NETFLOW5_VERSION
+        header["count"] = per
+        # sys_uptime, unix_secs and unix_nsecs stay 0: the capture clock
+        header["flow_sequence"] = (
+            self.record_count + per * np.arange(n, dtype=np.uint64)
+        ) & _U32_MAX
+        wire = out["records"]
+        for wire_name, name in _WIRE_FIELDS:
+            wire[wire_name] = records[name].reshape(n, per)
+        wire["first"] = first.astype(np.uint64).reshape(n, per)
+        wire["last"] = last.astype(np.uint64).reshape(n, per)
+        step = max(1, _BLOCK_BYTES // out.itemsize)
+        for lo in range(0, n, step):
+            self._file.write(out[lo: lo + step])
+        self.record_count += int(records.size)
 
 
 def write_netflow5(records: np.ndarray, path) -> int:
@@ -177,8 +220,10 @@ class NetFlow5Reader:
     """Bounded-memory chunk iterator over a NetFlow v5 archive.
 
     ``record_chunks()`` yields :data:`FLOW_RECORD_DTYPE` blocks of about
-    ``chunk`` records (datagrams are never split, so blocks may run a
-    datagram long); only one block plus one datagram is ever in memory.
+    ``chunk`` records: a block is cut at the first datagram boundary
+    where it holds at least ``chunk`` records, so datagrams are never
+    split and blocks may run a datagram long.  Only one read block of
+    the archive plus one yielded chunk is ever in memory.
 
     ``errors="strict"`` (the default) raises :class:`TraceFormatError`
     on corrupt or truncated archives, naming the byte offset and the
@@ -187,7 +232,8 @@ class NetFlow5Reader:
     bad-version datagram with a plausible count is skipped whole, a
     ``Last < First`` record is dropped individually, and truncation —
     where the datagram boundary itself is unknown — stops the pass
-    after counting what the header promised.
+    after counting what the header promised.  Either way every good
+    record before the damage is yielded first.
     """
 
     format = "netflow5"
@@ -208,112 +254,158 @@ class NetFlow5Reader:
         #: pass (0 under ``errors="strict"``)
         self.skipped = 0
 
-    def _skip(self, count: int, why: str) -> None:
-        self.skipped += int(count)
+    def _blocks(self):
+        """Yield ``(records, counts)`` for each read block of the archive.
 
-    def _datagrams(self):
-        """Yield ``(offset, header fields, record block)`` per datagram."""
+        ``records`` are the decoded records of the block's whole
+        datagrams, ``counts`` how many of them each datagram kept.  A
+        datagram cut off by the end of a block waits, with its header,
+        for the next one.  Damage ends the walk: the good datagrams
+        before it are yielded, then the error is raised (strict) or
+        counted and the pass stops (skip).
+        """
         skip = self.errors == "skip"
+        header_size = NETFLOW5_HEADER.size
         with open(self.path, "rb") as fh:
-            offset = 0
+            buf = b""
+            origin = 0  # file offset of buf[0]
             while True:
-                raw = fh.read(NETFLOW5_HEADER.size)
-                if not raw:
-                    return
-                if len(raw) < NETFLOW5_HEADER.size:
-                    if skip:
-                        # a torn header: no record boundary to recover
-                        self._skip(1, "truncated header")
-                        return
-                    raise TraceFormatError(
-                        f"{self.path}: truncated NetFlow v5 header at byte "
-                        f"offset {offset}: got {len(raw)} bytes, expected "
-                        f"{NETFLOW5_HEADER.size}"
+                more = fh.read(_BLOCK_BYTES)
+                at_eof = not more
+                buf += more
+                view = memoryview(buf)
+                payloads, offsets, bases, counts = [], [], [], []
+                failure = None  # (message, records the damage costs)
+                pos = 0
+                while True:
+                    left = len(buf) - pos
+                    if left < header_size:
+                        if at_eof and left:
+                            # a torn header: no record boundary to recover
+                            failure = (
+                                f"{self.path}: truncated NetFlow v5 header "
+                                f"at byte offset {origin + pos}: got {left} "
+                                f"bytes, expected {header_size}",
+                                1,
+                            )
+                        break
+                    version, count, sys_uptime, unix_secs, unix_nsecs = (
+                        NETFLOW5_HEADER.unpack_from(buf, pos)[:5]
                     )
-                (
-                    version, count, sys_uptime, unix_secs, unix_nsecs,
-                    _sequence, _etype, _eid, _sampling,
-                ) = NETFLOW5_HEADER.unpack(raw)
-                if not 1 <= count <= _MAX_READ_COUNT:
-                    if skip:
+                    offset = origin + pos
+                    if not 1 <= count <= _MAX_READ_COUNT:
                         # the count sizes the datagram; without it the
                         # stream cannot be re-synchronised
-                        self._skip(1, "implausible count")
-                        return
-                    raise TraceFormatError(
-                        f"{self.path}: implausible record count {count} in "
-                        f"the datagram header at byte offset {offset} "
-                        f"(expected 1-{_MAX_READ_COUNT})"
-                    )
-                payload_size = count * NETFLOW5_RECORD_SIZE
-                if version != NETFLOW5_VERSION:
-                    if skip:
+                        failure = (
+                            f"{self.path}: implausible record count {count} "
+                            f"in the datagram header at byte offset {offset} "
+                            f"(expected 1-{_MAX_READ_COUNT})",
+                            1,
+                        )
+                        break
+                    size = header_size + count * NETFLOW5_RECORD_SIZE
+                    if version != NETFLOW5_VERSION:
+                        if not skip:
+                            failure = (
+                                f"{self.path}: bad NetFlow version {version} "
+                                f"at byte offset {offset}, expected "
+                                f"{NETFLOW5_VERSION}",
+                                count,
+                            )
+                            break
+                        if size > left and not at_eof:
+                            break
                         # count is plausible: hop over this datagram
-                        fh.seek(payload_size, 1)
-                        self._skip(count, "bad version")
-                        offset += NETFLOW5_HEADER.size + payload_size
+                        self.skipped += count
+                        pos = min(pos + size, len(buf))
                         continue
-                    raise TraceFormatError(
-                        f"{self.path}: bad NetFlow version {version} at byte "
-                        f"offset {offset}, expected {NETFLOW5_VERSION}"
+                    if size > left:
+                        if at_eof:
+                            failure = (
+                                f"{self.path}: truncated NetFlow v5 datagram "
+                                f"at byte offset {offset + header_size}: got "
+                                f"{left - header_size} bytes, expected "
+                                f"{size - header_size} ({count} records of "
+                                f"{NETFLOW5_RECORD_SIZE} bytes)",
+                                count,
+                            )
+                        break
+                    payloads.append(view[pos + header_size: pos + size])
+                    offsets.append(offset)
+                    # router anchor: wall time of SysUptime's origin
+                    bases.append(
+                        float(unix_secs)
+                        + float(unix_nsecs) * 1e-9
+                        - float(sys_uptime) / _MS
                     )
-                payload = fh.read(payload_size)
-                if len(payload) < payload_size:
-                    if skip:
-                        self._skip(count, "truncated datagram")
-                        return
-                    raise TraceFormatError(
-                        f"{self.path}: truncated NetFlow v5 datagram at "
-                        f"byte offset {offset + NETFLOW5_HEADER.size}: got "
-                        f"{len(payload)} bytes, expected {payload_size} "
-                        f"({count} records of {NETFLOW5_RECORD_SIZE} bytes)"
-                    )
-                wire = np.frombuffer(payload, dtype=_RECORD_DTYPE)
-                # router anchor: wall time of SysUptime's origin
-                base = (
-                    float(unix_secs)
-                    + float(unix_nsecs) * 1e-9
-                    - float(sys_uptime) / _MS
-                )
-                yield offset, base, wire
-                offset += NETFLOW5_HEADER.size + payload_size
+                    counts.append(count)
+                    pos += size
+                if payloads:
+                    yield from self._decode(payloads, offsets, bases, counts)
+                if failure is not None:
+                    if not skip:
+                        raise TraceFormatError(failure[0])
+                    self.skipped += failure[1]
+                    return
+                if at_eof:
+                    return
+                buf = buf[pos:]
+                origin += pos
+
+    def _decode(self, payloads, offsets, bases, counts):
+        """Decode one read block's good datagrams as ``(records, counts)``."""
+        wire = np.frombuffer(b"".join(payloads), dtype=_RECORD_DTYPE)
+        counts = np.array(counts, dtype=np.int64)
+        anchors = np.repeat(np.array(bases, dtype=np.float64), counts)
+        block = np.empty(wire.size, dtype=FLOW_RECORD_DTYPE)
+        block["start"] = anchors + wire["first"].astype(np.float64) / _MS
+        block["end"] = anchors + wire["last"].astype(np.float64) / _MS
+        for wire_name, name in _WIRE_FIELDS:
+            block[name] = wire[wire_name]
+        bad = block["end"] < block["start"]
+        if not bool(np.any(bad)):
+            yield block, counts
+            return
+        ends = np.cumsum(counts)
+        if self.errors == "skip":
+            dropped = np.concatenate(([0], np.cumsum(bad)))
+            dropped = dropped[ends] - dropped[ends - counts]
+            self.skipped += int(dropped.sum())
+            yield block[~bad], counts - dropped
+            return
+        index = int(np.argmax(bad))
+        datagram = int(np.searchsorted(ends, index, side="right"))
+        lo = int(ends[datagram] - counts[datagram])
+        if datagram:
+            yield block[:lo], counts[:datagram]
+        raise TraceFormatError(
+            f"{self.path}: record {index - lo} of the datagram at "
+            f"byte offset {offsets[datagram]} ends before it starts "
+            "(Last < First)"
+        )
 
     def record_chunks(self):
         """Yield decoded :data:`FLOW_RECORD_DTYPE` blocks (~``chunk``)."""
         self.skipped = 0
-        skip = self.errors == "skip"
         pending: list[np.ndarray] = []
         pending_size = 0
-        for offset, base, wire in self._datagrams():
-            block = np.empty(wire.size, dtype=FLOW_RECORD_DTYPE)
-            block["start"] = base + wire["first"].astype(np.float64) / _MS
-            block["end"] = base + wire["last"].astype(np.float64) / _MS
-            block["src_addr"] = wire["srcaddr"]
-            block["dst_addr"] = wire["dstaddr"]
-            block["src_port"] = wire["srcport"]
-            block["dst_port"] = wire["dstport"]
-            block["protocol"] = wire["prot"]
-            block["packets"] = wire["dPkts"]
-            block["octets"] = wire["dOctets"]
-            bad = block["end"] < block["start"]
-            if bool(np.any(bad)):
-                if skip:
-                    self._skip(int(bad.sum()), "Last < First")
-                    block = block[~bad]
-                    if block.size == 0:
-                        continue
-                else:
-                    index = int(np.argmax(bad))
-                    raise TraceFormatError(
-                        f"{self.path}: record {index} of the datagram at "
-                        f"byte offset {offset} ends before it starts "
-                        "(Last < First)"
-                    )
-            pending.append(block)
-            pending_size += block.size
-            if pending_size >= self.chunk:
+        for records, counts in self._blocks():
+            # cut at each datagram boundary where pending reaches chunk
+            ends = np.cumsum(counts)
+            lo = 0
+            need = self.chunk - pending_size
+            while True:
+                datagram = int(np.searchsorted(ends, lo + need))
+                if datagram == ends.size:
+                    break
+                cut = int(ends[datagram])
+                pending.append(records[lo:cut])
                 yield np.concatenate(pending)
                 pending, pending_size = [], 0
+                lo, need = cut, self.chunk
+            if lo < records.size:
+                pending.append(records[lo:])
+                pending_size += records.size - lo
         if pending:
             yield np.concatenate(pending)
 

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import ParameterError
+from ..exceptions import ParameterError, TraceFormatError
 from ..flows.records import FlowSet
 
 __all__ = [
     "FLOW_RECORD_DTYPE",
+    "check_exportable",
     "flow_records_from_flowset",
     "iter_record_chunks",
 ]
@@ -63,6 +64,51 @@ def flow_records_from_flowset(flows: FlowSet) -> np.ndarray:
     records["octets"] = np.asarray(flows.sizes, dtype=np.int64)
     order = np.argsort(records["start"], kind="stable")
     return records[order]
+
+
+def check_exportable(records: np.ndarray, format_name: str) -> None:
+    """Raise :class:`TraceFormatError` unless every record encodes as is.
+
+    The archive writers call this before writing a byte: a record whose
+    timestamps are not finite, that starts before 0 or ends before it
+    starts, or that has a negative counter would come back corrupt or be
+    rejected by the format's own reader.  Format-specific upper bounds
+    are the writer's job.
+    """
+    if records.dtype != FLOW_RECORD_DTYPE:
+        raise TraceFormatError(
+            f"chunk dtype {records.dtype} != FLOW_RECORD_DTYPE"
+        )
+    if records.size == 0:
+        return
+    for field in ("start", "end"):
+        finite = np.isfinite(records[field])
+        if not bool(finite.all()):
+            index = int(np.argmin(finite))
+            raise TraceFormatError(
+                f"{format_name} timestamps must be finite; record {index} "
+                f"has {field} = {float(records[field][index])}"
+            )
+    if float(records["start"].min()) < 0.0:
+        raise TraceFormatError(
+            f"{format_name} timestamps are unsigned; cannot encode a flow "
+            f"starting at {float(records['start'].min()):g}s — rebase the "
+            "records to a 0-based capture clock first"
+        )
+    backwards = records["end"] < records["start"]
+    if bool(backwards.any()):
+        index = int(np.argmax(backwards))
+        raise TraceFormatError(
+            f"{format_name} cannot encode record {index}: it ends at "
+            f"{float(records['end'][index]):g}s, before its start at "
+            f"{float(records['start'][index]):g}s"
+        )
+    for field in ("packets", "octets"):
+        if int(records[field].min()) < 0:
+            raise TraceFormatError(
+                f"{format_name} counters are unsigned; cannot encode "
+                f"{field} = {int(records[field].min())}"
+            )
 
 
 def iter_record_chunks(records: np.ndarray, chunk: int | None):

@@ -33,7 +33,8 @@ from repro.interop import (
     write_ipfix,
     write_netflow5,
 )
-from repro.interop.netflow5 import NETFLOW5_HEADER
+from repro.interop import netflow5
+from repro.interop.netflow5 import NETFLOW5_HEADER, NETFLOW5_RECORD_SIZE
 from repro.trace import PACKET_DTYPE
 
 from .conftest import make_records
@@ -134,6 +135,90 @@ class TestNetFlow5Skip:
         list(reader)
         list(reader)  # re-iteration must not double-count
         assert reader.skipped == 1
+
+
+def _swap_first_last(data, record_offset):
+    """Make the record at ``record_offset`` end before it starts."""
+    first = bytes(data[record_offset + 24: record_offset + 28])
+    data[record_offset + 24: record_offset + 28] = (
+        data[record_offset + 28: record_offset + 32]
+    )
+    data[record_offset + 28: record_offset + 32] = first
+
+
+def _damaged_nf5(case, tmp_path):
+    """``(archive bytes, byte offset of its bad datagram)``.
+
+    The bad datagram follows a 35-record good run (two datagrams), so
+    good records precede the damage in every case.
+    """
+    first = _nf5_bytes(35)(tmp_path)
+    second = bytearray(_nf5_bytes(31, seed=1)(tmp_path))
+    bad = len(first)
+    if case == "bad version":
+        second[1] = 9
+    elif case == "implausible count":
+        struct.pack_into(">H", second, 2, 0)
+    elif case == "Last < First":
+        _swap_first_last(second, NETFLOW5_HEADER.size + 3 * NETFLOW5_RECORD_SIZE)
+    elif case == "torn header":
+        return first + bytes(second[:10]), bad
+    elif case == "truncated tail":
+        # keep the second datagram's header, cut its payload short
+        return first + bytes(second[: NETFLOW5_HEADER.size + 100]), bad
+    return first + bytes(second), bad
+
+
+class TestNetFlow5SkipAcrossBlocks:
+    """A bad datagram split across read blocks is handled as a whole."""
+
+    CASES = (
+        "bad version", "torn header", "implausible count",
+        "truncated tail", "Last < First",
+    )
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("cut", [5, 20, 60, 500])
+    def test_same_records_and_skips_when_straddling(
+        self, tmp_path, monkeypatch, case, cut
+    ):
+        data, bad = _damaged_nf5(case, tmp_path)
+        path = tmp_path / "damaged.nf5"
+        path.write_bytes(data)
+        reader = NetFlow5Reader(path, errors="skip", chunk=7)
+        expected = np.concatenate(list(reader))
+        skipped = reader.skipped
+        with pytest.raises(TraceFormatError) as whole_error:
+            read_nf5(path)
+        # the first read block ends ``cut`` bytes into the bad datagram
+        monkeypatch.setattr(netflow5, "_BLOCK_BYTES", bad + cut)
+        reader = NetFlow5Reader(path, errors="skip", chunk=7)
+        back = np.concatenate(list(reader))
+        assert back.tobytes() == expected.tobytes()
+        assert reader.skipped == skipped > 0
+        with pytest.raises(TraceFormatError) as split_error:
+            read_nf5(path)
+        assert str(split_error.value) == str(whole_error.value)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_good_records_before_the_damage_survive(self, tmp_path, case):
+        data, _ = _damaged_nf5(case, tmp_path)
+        path = tmp_path / "damaged.nf5"
+        path.write_bytes(data)
+        reader = NetFlow5Reader(path, errors="skip")
+        back = np.concatenate(list(reader))
+        good = read_nf5(tmp_path / "part-35.nf5")
+        assert back[:35].tobytes() == good.tobytes()
+        expected_size, expected_skipped = {
+            "bad version": (36, 30),
+            "torn header": (35, 1),
+            "implausible count": (35, 1),
+            "truncated tail": (35, 30),
+            "Last < First": (65, 1),
+        }[case]
+        assert (back.size, reader.skipped) == (
+            expected_size, expected_skipped
+        )
 
 
 class TestIpfixSkip:

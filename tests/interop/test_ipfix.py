@@ -119,6 +119,32 @@ class TestRoundTrip:
         with pytest.raises(TraceFormatError, match="rebase"):
             write_ipfix(make_records(2, start=-0.5), tmp_path / "n.ipfix")
 
+    def test_writer_rejects_end_before_start(self, tmp_path):
+        records = make_records(3)
+        records["end"][1] = records["start"][1] - 0.5
+        path = tmp_path / "back.ipfix"
+        with pytest.raises(TraceFormatError, match="record 1: it ends"):
+            write_ipfix(records, path)
+        assert path.stat().st_size == 0
+
+    @pytest.mark.parametrize("field", ["start", "end"])
+    def test_writer_rejects_non_finite_timestamps(self, tmp_path, field):
+        records = make_records(3)
+        records[field][2] = np.nan
+        path = tmp_path / "nan.ipfix"
+        with pytest.raises(TraceFormatError, match="must be finite"):
+            write_ipfix(records, path)
+        assert path.stat().st_size == 0
+
+    @pytest.mark.parametrize("field", ["packets", "octets"])
+    def test_writer_rejects_negative_counters(self, tmp_path, field):
+        records = make_records(3)
+        records[field][0] = -1
+        path = tmp_path / "neg.ipfix"
+        with pytest.raises(TraceFormatError, match=f"{field} = -1"):
+            write_ipfix(records, path)
+        assert path.stat().st_size == 0
+
 
 class TestForeignTemplates:
     def test_field_order_and_unknown_ies_tolerated(self, tmp_path):

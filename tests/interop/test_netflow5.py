@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import TraceFormatError
+from repro.interop import netflow5
 from repro.interop import (
     FLOW_RECORD_DTYPE,
     NetFlow5Reader,
@@ -28,6 +29,24 @@ def read_all(path, **kwargs):
     return np.concatenate(blocks) if blocks else np.empty(
         0, dtype=FLOW_RECORD_DTYPE
     )
+
+
+def datagram_offsets(data):
+    """``(byte offset, record count)`` of each datagram of an archive."""
+    datagrams, pos = [], 0
+    while pos < len(data):
+        count = NETFLOW5_HEADER.unpack_from(data, pos)[1]
+        datagrams.append((pos, count))
+        pos += NETFLOW5_HEADER.size + count * NETFLOW5_RECORD_SIZE
+    return datagrams
+
+
+def write_mixed_archive(path):
+    """Partial and full datagrams from several ``write`` calls."""
+    with NetFlow5Writer(path) as writer:
+        for seed, n in enumerate((1, 29, 30, 31, 77, 5, 200)):
+            writer.write(make_records(n, seed=seed, span=1.0 + seed))
+    return path.read_bytes()
 
 
 class TestWriter:
@@ -80,6 +99,47 @@ class TestWriter:
         records = make_records(3, start=1.7e9)  # epoch seconds
         with pytest.raises(TraceFormatError, match="32-bit milliseconds"):
             write_netflow5(records, tmp_path / "epoch.nf5")
+
+    def test_rejects_end_before_start(self, tmp_path):
+        # the strict reader would reject the archive with "Last < First"
+        records = make_records(3)
+        records["end"][1] = records["start"][1] - 0.5
+        path = tmp_path / "back.nf5"
+        with pytest.raises(TraceFormatError, match="record 1: it ends"):
+            write_netflow5(records, path)
+        assert path.stat().st_size == 0
+
+    @pytest.mark.parametrize("field", ["start", "end"])
+    def test_rejects_non_finite_timestamps(self, tmp_path, field):
+        # NaN would otherwise cast to 0 ms with only a RuntimeWarning
+        records = make_records(3)
+        records[field][2] = np.nan
+        path = tmp_path / "nan.nf5"
+        with pytest.raises(TraceFormatError, match="must be finite"):
+            write_netflow5(records, path)
+        assert path.stat().st_size == 0
+
+    @pytest.mark.parametrize(
+        "field, value", [("octets", 2**32 + 5), ("packets", -1)]
+    )
+    def test_rejects_counters_outside_u32(self, tmp_path, field, value):
+        # the 32-bit wire fields would otherwise wrap silently
+        records = make_records(3)
+        records[field][1] = value
+        path = tmp_path / "wrap.nf5"
+        with pytest.raises(TraceFormatError, match=f"{field} = {value}"):
+            write_netflow5(records, path)
+        assert path.stat().st_size == 0
+
+    def test_largest_u32_counters_round_trip(self, tmp_path):
+        records = make_records(3)
+        records["packets"] = 2**32 - 1
+        records["octets"] = 0
+        path = tmp_path / "max.nf5"
+        write_netflow5(records, path)
+        back = read_all(path)
+        np.testing.assert_array_equal(back["packets"], records["packets"])
+        np.testing.assert_array_equal(back["octets"], records["octets"])
 
     def test_rejects_wrong_dtype(self, tmp_path):
         with NetFlow5Writer(tmp_path / "d.nf5") as writer:
@@ -195,3 +255,82 @@ class TestCorruption:
         write_netflow5(make_records(2), path)
         with pytest.raises(TraceFormatError, match="chunk"):
             NetFlow5Reader(path, chunk=0)
+
+
+class TestBulkDecoder:
+    """Read blocks far smaller than a datagram decode the same records."""
+
+    @pytest.mark.parametrize("block", [7, 24, 100, 300, 1464, 1465])
+    def test_small_blocks_decode_bitwise_as_whole_file(
+        self, tmp_path, monkeypatch, block
+    ):
+        path = tmp_path / "mixed.nf5"
+        write_mixed_archive(path)
+        whole = read_all(path, chunk=10**6)
+        monkeypatch.setattr(netflow5, "_BLOCK_BYTES", block)
+        assert read_all(path).tobytes() == whole.tobytes()
+
+    def test_anchors_apply_per_datagram(self, tmp_path, monkeypatch):
+        path = tmp_path / "anchored.nf5"
+        data = bytearray(write_mixed_archive(path))
+        rng = np.random.default_rng(4)
+        expected = []
+        for offset, count in datagram_offsets(data):
+            uptime, secs, nsecs = (int(v) for v in rng.integers(0, 2**31, 3))
+            struct.pack_into(">III", data, offset + 4, uptime, secs, nsecs)
+            wire = np.frombuffer(
+                bytes(data), dtype=netflow5._RECORD_DTYPE, count=count,
+                offset=offset + NETFLOW5_HEADER.size,
+            )
+            base = float(secs) + float(nsecs) * 1e-9 - float(uptime) / 1000.0
+            expected.append(base + wire["first"].astype(np.float64) / 1000.0)
+        path.write_bytes(bytes(data))
+        monkeypatch.setattr(netflow5, "_BLOCK_BYTES", 300)
+        np.testing.assert_array_equal(
+            read_all(path)["start"], np.concatenate(expected)
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 7, 30, 31, 65536])
+    def test_blocks_cut_at_the_first_datagram_reaching_chunk(
+        self, tmp_path, monkeypatch, chunk
+    ):
+        path = tmp_path / "mixed.nf5"
+        data = write_mixed_archive(path)
+        expected, pending = [], 0
+        for _, count in datagram_offsets(data):
+            pending += count
+            if pending >= chunk:
+                expected.append(pending)
+                pending = 0
+        if pending:
+            expected.append(pending)
+        whole = read_all(path)
+        monkeypatch.setattr(netflow5, "_BLOCK_BYTES", 300)
+        blocks = list(NetFlow5Reader(path, chunk=chunk))
+        assert [b.size for b in blocks] == expected
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("block", [300, 1 << 20])
+    def test_oversized_datagram_decodes(self, tmp_path, monkeypatch, block):
+        """A cflowd-style datagram of 100 records (> 30, <= 8192)."""
+        records = make_records(100)
+        path = tmp_path / "split.nf5"
+        write_netflow5(records, path)
+        data = path.read_bytes()
+        payload = b"".join(
+            data[offset + NETFLOW5_HEADER.size:
+                 offset + NETFLOW5_HEADER.size + count * NETFLOW5_RECORD_SIZE]
+            for offset, count in datagram_offsets(data)
+        )
+        header = bytearray(data[: NETFLOW5_HEADER.size])
+        struct.pack_into(">H", header, 2, 100)
+        big = tmp_path / "oversized.nf5"
+        big.write_bytes(bytes(header) + payload + data)
+        monkeypatch.setattr(netflow5, "_BLOCK_BYTES", block)
+        back = list(NetFlow5Reader(big, chunk=50))
+        # the 100-record datagram is never split, whatever the chunk
+        assert [b.size for b in back] == [100, 60, 40]
+        single = read_all(path)
+        assert np.concatenate(back).tobytes() == (
+            np.concatenate([single, single]).tobytes()
+        )
