@@ -20,18 +20,15 @@ from conftest import print_header, run_once
 from repro.baselines import ConstantRateFlowModel, PoissonPacketModel
 from repro.core import PoissonShotNoiseModel
 from repro.experiments import DELTA, SCALED_TIMEOUT
-from repro.flows import export_five_tuple_flows
-from repro.stats import RateSeries
+from repro.measurement import MeasurementEngine
 
 
 def test_ablation_baseline_comparison(benchmark, reference_trace):
     def build():
-        flows = export_five_tuple_flows(
-            reference_trace, timeout=SCALED_TIMEOUT, keep_packet_map=True
+        result = MeasurementEngine().measure_trace(
+            reference_trace, delta=DELTA, timeout=SCALED_TIMEOUT
         )
-        measured = RateSeries.from_packets(
-            reference_trace, DELTA, packet_mask=flows.packet_flow_ids >= 0
-        )
+        flows, measured = result.flows, result.series
         ours = PoissonShotNoiseModel.from_flows(
             flows.sizes, flows.durations, reference_trace.duration
         )

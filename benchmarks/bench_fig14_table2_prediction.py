@@ -21,10 +21,9 @@ from conftest import print_header, run_once
 
 from repro.core import PoissonShotNoiseModel, TriangularShot
 from repro.experiments import SCALED_TIMEOUT, build_table2
-from repro.flows import export_five_tuple_flows
+from repro.measurement import MeasurementEngine
 from repro.netsim import medium_utilization_link
 from repro.prediction import EmpiricalPredictor, ModelBasedPredictor
-from repro.stats import RateSeries
 
 
 def test_table2_prediction_errors(benchmark):
@@ -74,13 +73,10 @@ def test_fig14_prediction_time_series(benchmark, reference_trace):
     theta = 1.0
 
     def build():
-        flows = export_five_tuple_flows(
-            reference_trace, timeout=SCALED_TIMEOUT, keep_packet_map=True
+        result = MeasurementEngine().measure_trace(
+            reference_trace, delta=theta, timeout=SCALED_TIMEOUT
         )
-        series = RateSeries.from_packets(
-            reference_trace, theta,
-            packet_mask=flows.packet_flow_ids >= 0,
-        )
+        flows, series = result.flows, result.series
         model = PoissonShotNoiseModel.from_flows(
             flows.sizes, flows.durations, reference_trace.duration,
             TriangularShot(),

@@ -136,11 +136,9 @@ def _peak_memory(fn) -> float:
 
 def _reference_pipeline(trace, max_lag):
     """The pre-engine measurement hot path, end to end."""
-    flows = reference_export_flows(
-        trace, timeout=TIMEOUT, keep_packet_map=True
-    )
+    flows, packet_map = reference_export_flows(trace, timeout=TIMEOUT)
     series = RateSeries.from_packets(
-        trace, DELTA, packet_mask=flows.packet_flow_ids >= 0
+        trace.packets[packet_map >= 0], DELTA, duration=trace.duration
     )
     acov = autocovariance_series(
         flows.interarrival_times, max_lag, method="direct"
@@ -165,7 +163,9 @@ def test_measurement_scaling(benchmark, tmp_path):
     trace = _build_trace()
     capture = tmp_path / "bench.rptr"
     write_trace(trace, capture)
-    probe_flows = MeasurementEngine().account_flows(trace, timeout=TIMEOUT)
+    probe_flows = MeasurementEngine().measure_trace(
+        trace, timeout=TIMEOUT
+    ).flows
     max_lag = min(MAX_LAG_CAP, max(64, (len(probe_flows) - 1) // 2))
 
     def build():

@@ -16,21 +16,17 @@ from conftest import print_header, run_once
 
 from repro.core import PoissonShotNoiseModel, PowerShot, averaged_variance_curve
 from repro.experiments import SCALED_TIMEOUT
-from repro.flows import export_five_tuple_flows
-from repro.stats import RateSeries
+from repro.measurement import MeasurementEngine
 
 
 def test_sec5f_variance_vs_averaging_interval(benchmark, reference_trace):
     deltas = np.array([0.1, 0.2, 0.5, 1.0, 2.0, 5.0])
 
     def build():
-        flows = export_five_tuple_flows(
-            reference_trace, timeout=SCALED_TIMEOUT, keep_packet_map=True
+        result = MeasurementEngine().measure_trace(
+            reference_trace, delta=deltas[0], timeout=SCALED_TIMEOUT
         )
-        mask = flows.packet_flow_ids >= 0
-        base = RateSeries.from_packets(
-            reference_trace, deltas[0], packet_mask=mask
-        )
+        flows, base = result.flows, result.series
         measured = [base.variance] + [
             base.resample(int(round(d / deltas[0]))).variance
             for d in deltas[1:]

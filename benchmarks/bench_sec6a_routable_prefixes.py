@@ -16,13 +16,9 @@ from conftest import print_header, run_once
 
 from repro.core import PoissonShotNoiseModel
 from repro.experiments import DELTA, SCALED_TIMEOUT
-from repro.flows import (
-    RoutingTable,
-    export_flows,
-    export_routable_flows,
-)
+from repro.flows import RoutingTable, routed_packets
+from repro.measurement import MeasurementEngine
 from repro.netsim import AddressSpace
-from repro.stats import RateSeries
 
 
 def test_sec6a_aggregation_levels(benchmark, reference_trace):
@@ -30,27 +26,23 @@ def test_sec6a_aggregation_levels(benchmark, reference_trace):
     table = RoutingTable.synthetic(space, coarse_fraction=0.5, rng=7)
 
     def build():
-        rows = []
+        # (name, packets, flow key): FIB flows are /32 prefixes of the
+        # routed packets, whose destination is rewritten to the FIB entry
         configs = [
-            ("5-tuple", dict(key="five_tuple")),
-            ("/24 prefix", dict(key="prefix", prefix_length=24)),
-            ("/16 prefix", dict(key="prefix", prefix_length=16)),
+            ("5-tuple", reference_trace, dict(key="five_tuple")),
+            ("/24 prefix", reference_trace, dict(key="prefix", prefix_length=24)),
+            ("/16 prefix", reference_trace, dict(key="prefix", prefix_length=16)),
+            ("routable (FIB)", routed_packets(reference_trace, table),
+             dict(key="prefix", prefix_length=32)),
         ]
-        for name, kwargs in configs:
-            flows = export_flows(
-                reference_trace, timeout=SCALED_TIMEOUT,
-                keep_packet_map=True, **kwargs,
+        rows = []
+        for name, packets, key in configs:
+            # the flows and their single-packet-filtered rate, one pass
+            result = MeasurementEngine().measure_trace(
+                packets, delta=DELTA, duration=reference_trace.duration,
+                timeout=SCALED_TIMEOUT, **key,
             )
-            rows.append((name, flows))
-        rows.append(
-            (
-                "routable (FIB)",
-                export_routable_flows(
-                    reference_trace, table, timeout=SCALED_TIMEOUT,
-                    keep_packet_map=True,
-                ),
-            )
-        )
+            rows.append((name, result.flows, result.series))
         return rows
 
     rows = run_once(benchmark, build)
@@ -59,11 +51,7 @@ def test_sec6a_aggregation_levels(benchmark, reference_trace):
     print(f"  {'definition':>16s} {'flows':>7s} {'vs 5-tuple':>11s} "
           f"{'mean dur (s)':>13s} {'fitted b':>9s} {'model CoV err':>14s}")
     n_5tuple = len(rows[0][1])
-    for name, flows in rows:
-        mask = flows.packet_flow_ids >= 0
-        series = RateSeries.from_packets(
-            reference_trace, DELTA, packet_mask=mask
-        )
+    for name, flows, series in rows:
         model = PoissonShotNoiseModel.from_flows(
             flows.sizes, flows.durations, reference_trace.duration
         )
@@ -78,7 +66,7 @@ def test_sec6a_aggregation_levels(benchmark, reference_trace):
             f"{flows.durations.mean():13.2f} {fit.power:9.2f} {err:+14.1%}"
         )
 
-    counts = [len(flows) for _, flows in rows]
+    counts = [len(flows) for _, flows, _ in rows]
     # aggregation is monotone: 5-tuple > /24 > /16; FIB between /24 and /16
     assert counts[0] > counts[1] > counts[2]
     assert counts[2] <= counts[3] <= counts[1]

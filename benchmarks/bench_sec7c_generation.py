@@ -17,9 +17,8 @@ from conftest import QUICK, print_header, run_once
 
 from repro.core import PoissonShotNoiseModel, RectangularShot
 from repro.experiments import DELTA, SCALED_TIMEOUT
-from repro.flows import export_five_tuple_flows
 from repro.generation import generate_rate_series
-from repro.stats import RateSeries
+from repro.measurement import MeasurementEngine
 
 #: Generated-path length; shorter in CI smoke mode (REPRO_BENCH_QUICK=1).
 GENERATION_DURATION = 120.0 if QUICK else 240.0
@@ -27,12 +26,10 @@ GENERATION_DURATION = 120.0 if QUICK else 240.0
 
 def test_sec7c_generation_matches_measured_statistics(benchmark, reference_trace):
     def build():
-        flows = export_five_tuple_flows(
-            reference_trace, timeout=SCALED_TIMEOUT, keep_packet_map=True
+        result = MeasurementEngine().measure_trace(
+            reference_trace, delta=DELTA, timeout=SCALED_TIMEOUT
         )
-        measured = RateSeries.from_packets(
-            reference_trace, DELTA, packet_mask=flows.packet_flow_ids >= 0
-        )
+        flows, measured = result.flows, result.series
         model = PoissonShotNoiseModel.from_flows(
             flows.sizes, flows.durations, reference_trace.duration
         )

@@ -19,10 +19,10 @@ from repro.flows import (
     RoutingTable,
     active_flow_counts,
     export_flows,
-    export_routable_flows,
+    routed_packets,
 )
+from repro.measurement import MeasurementEngine
 from repro.netsim import AddressSpace, medium_utilization_link
-from repro.stats import RateSeries
 
 
 def main() -> None:
@@ -31,27 +31,25 @@ def main() -> None:
     print(f"capture: {trace}\n")
 
     table = RoutingTable.synthetic(AddressSpace(), coarse_fraction=0.5, rng=1)
+    # (name, packets, flow key): FIB flows are /32 prefixes of the
+    # routed packets, whose destination is rewritten to the FIB entry
     definitions = [
-        ("5-tuple", lambda: export_flows(
-            trace, key="five_tuple", timeout=SCALED_TIMEOUT,
-            keep_packet_map=True)),
-        ("/24 prefix", lambda: export_flows(
-            trace, key="prefix", prefix_length=24, timeout=SCALED_TIMEOUT,
-            keep_packet_map=True)),
-        ("/16 prefix", lambda: export_flows(
-            trace, key="prefix", prefix_length=16, timeout=SCALED_TIMEOUT,
-            keep_packet_map=True)),
-        (f"FIB ({len(table)} routes)", lambda: export_routable_flows(
-            trace, table, timeout=SCALED_TIMEOUT, keep_packet_map=True)),
+        ("5-tuple", trace, dict(key="five_tuple")),
+        ("/24 prefix", trace, dict(key="prefix", prefix_length=24)),
+        ("/16 prefix", trace, dict(key="prefix", prefix_length=16)),
+        (f"FIB ({len(table)} routes)", routed_packets(trace, table),
+         dict(key="prefix", prefix_length=32)),
     ]
 
     print(f"{'definition':>18s} {'flows':>6s} {'avg act.':>9s} "
           f"{'mean dur':>9s} {'meas CoV':>9s} {'model CoV':>10s} {'b':>5s}")
-    for name, export in definitions:
-        flows = export()
-        series = RateSeries.from_packets(
-            trace, DELTA, packet_mask=flows.packet_flow_ids >= 0
+    for name, packets, key in definitions:
+        # flows and the single-packet-filtered rate series in one pass
+        result = MeasurementEngine().measure_trace(
+            packets, delta=DELTA, duration=trace.duration,
+            timeout=SCALED_TIMEOUT, **key,
         )
+        flows, series = result.flows, result.series
         model = PoissonShotNoiseModel.from_flows(
             flows.sizes, flows.durations, trace.duration
         )

@@ -21,22 +21,23 @@ import numpy as np
 
 from repro.core import PoissonShotNoiseModel, TriangularShot, correlation_horizon
 from repro.experiments import SCALED_TIMEOUT
-from repro.flows import export_five_tuple_flows
+from repro.measurement import MeasurementEngine
 from repro.netsim import medium_utilization_link
 from repro.prediction import (
     EmpiricalPredictor,
     ModelBasedPredictor,
     prediction_error,
 )
-from repro.stats import RateSeries
 
 
 def main() -> None:
     workload = medium_utilization_link(duration=120.0)
     trace = workload.synthesize(seed=21).trace
-    flows = export_five_tuple_flows(
-        trace, timeout=SCALED_TIMEOUT, keep_packet_map=True
+    # flows and the single-packet-filtered 200 ms series in one pass
+    measured = MeasurementEngine().measure_trace(
+        trace, delta=0.2, timeout=SCALED_TIMEOUT
     )
+    flows, base = measured.flows, measured.series
     model = PoissonShotNoiseModel.from_flows(
         flows.sizes, flows.durations, trace.duration, TriangularShot()
     )
@@ -48,10 +49,6 @@ def main() -> None:
     print(f"mean flow duration: {flows.durations.mean():.2f} s")
     print("prediction is only useful over horizons of this order "
           "(section VII-B)\n")
-
-    base = RateSeries.from_packets(
-        trace, 0.2, packet_mask=flows.packet_flow_ids >= 0
-    )
 
     print(f"{'theta (s)':>10s} {'samples':>8s} "
           f"{'M emp':>6s} {'err emp':>9s} {'M model':>8s} {'err model':>10s}")

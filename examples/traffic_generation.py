@@ -23,8 +23,8 @@ from repro.generation import (
     generate_packet_trace,
     generate_rate_series,
 )
+from repro.measurement import MeasurementEngine
 from repro.netsim import medium_utilization_link
-from repro.stats import RateSeries
 from repro.trace import read_trace, write_trace
 
 
@@ -32,12 +32,11 @@ def main() -> None:
     # -- calibrate on a measured capture ---------------------------------
     workload = medium_utilization_link(duration=120.0)
     real = workload.synthesize(seed=5).trace
-    flows = export_five_tuple_flows(
-        real, timeout=SCALED_TIMEOUT, keep_packet_map=True
+    # one pass: the flows and the single-packet-filtered rate series
+    result = MeasurementEngine().measure_trace(
+        real, delta=DELTA, timeout=SCALED_TIMEOUT
     )
-    measured = RateSeries.from_packets(
-        real, DELTA, packet_mask=flows.packet_flow_ids >= 0
-    )
+    flows, measured = result.flows, result.series
     model = PoissonShotNoiseModel.from_flows(
         flows.sizes, flows.durations, real.duration
     )

@@ -56,6 +56,7 @@ import numpy as np
 
 from .exceptions import (
     CheckpointError,
+    FlowExportError,
     ParameterError,
     ReproError,
     TraceFormatError,
@@ -101,10 +102,13 @@ def _runtime_fail(message: str) -> int:
     return EXIT_RUNTIME
 
 
-#: Errors the operator can fix by changing arguments or inputs — exit 2.
+#: Errors the operator can fix by changing arguments or inputs (a
+#: capture flow accounting cannot use is bad input) — exit 2.
 #: Everything else a ReproError signals mid-run (a lost worker pool, a
 #: failed fit, a routing dead end) is an engine failure — exit 3.
-_USAGE_ERRORS = (ParameterError, TraceFormatError, CheckpointError)
+_USAGE_ERRORS = (
+    ParameterError, TraceFormatError, CheckpointError, FlowExportError,
+)
 
 
 def _fail_for(exc: ReproError, prefix: str = "") -> int:

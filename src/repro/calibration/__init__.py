@@ -15,6 +15,7 @@ Layering: accumulators (mergeable sufficient statistics) → families
 → validate (the closed loop).
 """
 
+from ..netsim.workloads import wire_sizes
 from .accumulators import (
     DEFAULT_BINS,
     DEFAULT_TAIL_K,
@@ -48,7 +49,7 @@ from .fitters import (
     tail_qq,
 )
 from .report import CalibrationReport, DiurnalProfile, wire_bytes_per_flow
-from .validate import ClosedLoopReport, validate_fitted_spec, wire_sizes
+from .validate import ClosedLoopReport, validate_fitted_spec
 
 __all__ = [
     "CALIBRATION_FAMILIES",

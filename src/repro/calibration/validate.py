@@ -27,14 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..exceptions import ParameterError
-from ..netsim.tcp import TcpParameters
+from ..netsim.workloads import wire_sizes
 from ..stats.timeseries import RateSeries
 from .report import CalibrationReport
 
 __all__ = [
     "ClosedLoopReport",
     "validate_fitted_spec",
-    "wire_sizes",
 ]
 
 #: Default relative tolerances (λ, E[S], mean rate, tail quantiles) and
@@ -50,13 +49,6 @@ DEFAULT_DELTA = 1.0
 #: λ needs ~sqrt(n)/n << 2%; 50k flows put Poisson noise at ~0.45% and
 #: the heavy-tailed E[S] noise near 1%, leaving real mismatches visible.
 _MIN_VALIDATION_FLOWS = 50_000
-
-
-def wire_sizes(payload_sizes, tcp_params: TcpParameters = TcpParameters()):
-    """Per-flow wire bytes: payload plus per-packet header overhead."""
-    sizes = np.maximum(np.asarray(payload_sizes, dtype=np.float64), 40.0)
-    packets = np.maximum(np.ceil(sizes / tcp_params.mss), 1.0)
-    return sizes + tcp_params.header_bytes * packets
 
 
 def _relative_error(synthetic: float, source: float) -> float:

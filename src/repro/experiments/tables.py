@@ -8,13 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
 from ..core.model import PoissonShotNoiseModel
 from ..core.shots import TriangularShot
-from ..flows.exporter import export_flows
+from ..measurement.engine import MeasurementEngine
 from ..netsim.workloads import LinkWorkload, table_i_workloads
 from ..prediction.evaluation import Table2Row, compare_predictors
-from ..stats.timeseries import RateSeries
 from .harness import DELTA, SCALED_TIMEOUT
 
 __all__ = ["Table1Row", "build_table1", "build_table2"]
@@ -79,11 +77,10 @@ def build_table2(
     """
     synthesis = workload.synthesize(seed=seed)
     trace = synthesis.trace
-    flows = export_flows(
-        trace, key="five_tuple", timeout=timeout, keep_packet_map=True
+    measured = MeasurementEngine().measure_trace(
+        trace, delta=base_delta, key="five_tuple", timeout=timeout
     )
-    mask = flows.packet_flow_ids >= 0
-    base = RateSeries.from_packets(trace, base_delta, packet_mask=mask)
+    flows, base = measured.flows, measured.series
     model = PoissonShotNoiseModel.from_flows(
         flows.sizes, flows.durations, trace.duration, shot or TriangularShot()
     )

@@ -12,7 +12,7 @@ from .exporter import (
     export_flows,
     export_prefix_flows,
 )
-from .routing import RoutingTable, export_routable_flows
+from .routing import RoutingTable, export_routable_flows, routed_packets
 from .intervals import (
     SplitExcess,
     boundary_split_excess,
@@ -58,6 +58,7 @@ __all__ = [
     "SplitExcess",
     "RoutingTable",
     "export_routable_flows",
+    "routed_packets",
     "CountSeries",
     "active_flow_counts",
 ]

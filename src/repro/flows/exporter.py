@@ -9,26 +9,19 @@ Rules reproduced from the paper's methodology:
 * single-packet flows are discarded (their duration would be zero) and
   their packets are also excluded from rate measurement.
 
-The implementation is fully vectorised: flow keys are packed into two
-uint64 words (order-isomorphic to the structured lexicographic order, see
-:func:`repro.flows.keys.pack_packet_keys`), packets are ordered with a
-single lexsort on (key words, time), split at inter-packet gaps exceeding
-the timeout, and aggregated with ``bincount`` — no per-packet Python loop
-and no structured-dtype ``np.unique`` pass.
+There is one implementation of these rules: the streaming
+:class:`~repro.measurement.MeasurementEngine`.  :func:`export_flows` is
+its in-memory, flows-only front door; callers that also need the
+single-packet-filtered rate series call
+:meth:`~repro.measurement.MeasurementEngine.measure_trace` with a
+``delta`` and get both from one pass.  The engine is pinned bit for bit
+to the frozen oracle
+:func:`~repro.measurement.reference.reference_export_flows`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..exceptions import FlowExportError, ParameterError
-from ..trace.packet import PACKET_DTYPE, PacketTrace
-from .keys import (
-    five_tuple_key_dtype,
-    pack_packet_keys,
-    packed_key_order,
-    unpack_packet_keys,
-)
 from .records import FlowSet
 
 __all__ = [
@@ -42,24 +35,6 @@ __all__ = [
 DEFAULT_TIMEOUT = 60.0
 
 
-def _as_packet_array(packets) -> np.ndarray:
-    if isinstance(packets, PacketTrace):
-        packets = packets.packets
-    packets = np.asarray(packets)
-    if packets.dtype != PACKET_DTYPE:
-        raise FlowExportError(
-            f"expected PACKET_DTYPE packets, got dtype {packets.dtype}"
-        )
-    return packets
-
-
-def _packed_keys(packets: np.ndarray, key: str, prefix_length: int):
-    try:
-        return pack_packet_keys(packets, key, prefix_length)
-    except ParameterError as exc:
-        raise FlowExportError(str(exc)) from None
-
-
 def export_flows(
     packets,
     *,
@@ -67,7 +42,6 @@ def export_flows(
     timeout: float = DEFAULT_TIMEOUT,
     min_packets: int = 2,
     prefix_length: int = 24,
-    keep_packet_map: bool = False,
 ) -> FlowSet:
     """Run flow accounting over a packet array or :class:`PacketTrace`.
 
@@ -84,85 +58,25 @@ def export_flows(
         timestamp are discarded too (zero duration).
     prefix_length:
         Prefix width for ``key="prefix"`` (the paper uses /24).
-    keep_packet_map:
-        When True, the returned set carries ``packet_flow_ids`` mapping
-        each input packet to its flow (-1 when the packet was discarded),
-        which rate measurement uses to apply the same packet filter.
+
+    Every input error — wrong dtype, bad key, ``timeout``,
+    ``min_packets`` or ``prefix_length``, a non-finite timestamp — is a
+    :class:`~repro.exceptions.FlowExportError`.
     """
-    packets = _as_packet_array(packets)
-    if timeout <= 0:
-        raise FlowExportError(f"timeout must be > 0, got {timeout}")
-    if min_packets < 1:
-        raise FlowExportError(f"min_packets must be >= 1, got {min_packets}")
+    # the measurement engine builds on this module, so import it late
+    from ..measurement.engine import MeasurementEngine
 
-    if packets.size == 0:
-        keys = (
-            np.zeros(0, dtype=five_tuple_key_dtype(PACKET_DTYPE))
-            if key == "five_tuple"
-            else np.zeros(0, dtype=np.uint32)
-        )
-        if key not in ("five_tuple", "prefix"):
-            raise FlowExportError(
-                f"unknown flow key {key!r}; use 'five_tuple' or 'prefix'"
-            )
-        return FlowSet(
-            np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64),
-            key_kind=key, keys=keys, prefix_length=prefix_length, timeout=timeout,
-        )
-
-    hi, lo = _packed_keys(packets, key, prefix_length)
-    timestamps = packets["timestamp"]
-
-    # One radix-digit lexsort orders by (key hi, key lo, time) — the same
-    # order the legacy structured np.unique + (group, time) lexsort
-    # produced, since the pack is order-isomorphic and every sort pass is
-    # stable.  Split key runs at gaps > timeout.
-    order = packed_key_order(hi, lo, within=timestamps)
-    h = hi[order]
-    l = lo[order]
-    ts = timestamps[order]
-    same_group = (h[1:] == h[:-1]) & (l[1:] == l[:-1])
-    gap_ok = (ts[1:] - ts[:-1]) <= timeout
-    new_flow = np.concatenate([[True], ~(same_group & gap_ok)])
-    flow_ids = np.cumsum(new_flow) - 1
-    n_flows = int(flow_ids[-1]) + 1
-
-    first_idx = np.flatnonzero(new_flow)
-    last_idx = np.concatenate([first_idx[1:] - 1, [order.size - 1]])
-
-    starts = ts[first_idx]
-    ends = ts[last_idx]
-    sizes = np.bincount(
-        flow_ids, weights=packets["size"][order].astype(np.float64),
-        minlength=n_flows,
-    )
-    counts = np.bincount(flow_ids, minlength=n_flows)
-
-    keep = (counts >= min_packets) & (ends > starts)
-    discarded_packets = int(counts[~keep].sum())
-
-    packet_flow_ids = None
-    if keep_packet_map:
-        renumber = np.full(n_flows, -1, dtype=np.int64)
-        renumber[keep] = np.arange(int(keep.sum()))
-        packet_flow_ids = np.empty(packets.size, dtype=np.int64)
-        packet_flow_ids[order] = renumber[flow_ids]
-
-    kept_first = first_idx[keep]
-    return FlowSet(
-        starts[keep],
-        ends[keep],
-        sizes[keep],
-        counts[keep],
-        key_kind=key,
-        keys=unpack_packet_keys(
-            h[kept_first], l[kept_first], key, packets.dtype, prefix_length
-        ),
-        prefix_length=prefix_length,
-        timeout=timeout,
-        discarded_packets=discarded_packets,
-        packet_flow_ids=packet_flow_ids,
-    )
+    try:
+        return MeasurementEngine().measure_trace(
+            packets,
+            duration=0.0,  # flows do not depend on it; no series is binned
+            key=key,
+            timeout=timeout,
+            min_packets=min_packets,
+            prefix_length=prefix_length,
+        ).flows
+    except ParameterError as exc:
+        raise FlowExportError(str(exc)) from None
 
 
 def export_five_tuple_flows(packets, **kwargs) -> FlowSet:

@@ -64,9 +64,6 @@ class FlowSet:
     discarded_packets:
         Number of packets dropped because they formed single-packet flows;
         the paper excludes them from the measured rate as well.
-    packet_flow_ids:
-        Optional per-input-packet flow index (-1 for discarded packets);
-        lets rate measurement reproduce the exporter's packet filter.
     """
 
     def __init__(
@@ -81,7 +78,6 @@ class FlowSet:
         prefix_length: int = 24,
         timeout: float = 60.0,
         discarded_packets: int = 0,
-        packet_flow_ids: np.ndarray | None = None,
     ) -> None:
         self.starts = np.asarray(starts, dtype=np.float64)
         self.ends = np.asarray(ends, dtype=np.float64)
@@ -99,7 +95,6 @@ class FlowSet:
         self.prefix_length = int(prefix_length)
         self.timeout = float(timeout)
         self.discarded_packets = int(discarded_packets)
-        self.packet_flow_ids = packet_flow_ids
 
     def __len__(self) -> int:
         return int(self.starts.size)
@@ -201,5 +196,4 @@ class FlowSet:
             prefix_length=self.prefix_length,
             timeout=self.timeout,
             discarded_packets=self.discarded_packets,
-            packet_flow_ids=None,
         )

@@ -20,7 +20,7 @@ from .._util import as_rng
 from ..exceptions import ParameterError
 from .keys import PrefixKey, prefix_of
 
-__all__ = ["RoutingTable", "export_routable_flows"]
+__all__ = ["RoutingTable", "export_routable_flows", "routed_packets"]
 
 
 class RoutingTable:
@@ -120,24 +120,17 @@ class RoutingTable:
         return self.entries[index]
 
 
-def export_routable_flows(
-    packets,
-    table: RoutingTable,
-    *,
-    timeout: float = 60.0,
-    min_packets: int = 2,
-    keep_packet_map: bool = False,
-):
-    """Flow accounting keyed by forwarding-table entry (section VI-A).
+def routed_packets(packets, table: RoutingTable) -> np.ndarray:
+    """The packets ``table`` forwards, keyed by their forwarding entry.
 
-    Packets whose destination matches no entry are dropped from the
-    accounting (a router would not forward them).  Returns a
-    :class:`~repro.flows.records.FlowSet` with ``key_kind="prefix"`` whose
-    keys are the *entry indices* into ``table`` (use
-    :meth:`RoutingTable.entry_of` to materialise the prefix).
+    Packets whose destination matches no entry are dropped (a router
+    would not forward them); the rest are copied with ``dst_addr``
+    rewritten to the matching entry's index, so /32 prefix accounting
+    groups them by entry.  Measure the result with ``key="prefix",
+    prefix_length=32`` to get the FIB-keyed flows and rate series in one
+    pass (``MeasurementEngine().measure_trace``).
     """
     from ..trace.packet import PACKET_DTYPE, PacketTrace
-    from .exporter import export_flows
 
     if isinstance(packets, PacketTrace):
         packets = packets.packets
@@ -147,21 +140,32 @@ def export_routable_flows(
 
     entry_index = table.lookup(packets["dst_addr"])
     routed = entry_index >= 0
-    # rewrite dst_addr to the entry index so the fast prefix exporter can
-    # group on it directly (prefix_length=32 keeps the index intact)
     rewritten = packets[routed].copy()
     rewritten["dst_addr"] = entry_index[routed].astype(np.uint32)
-    flows = export_flows(
-        rewritten,
+    return rewritten
+
+
+def export_routable_flows(
+    packets,
+    table: RoutingTable,
+    *,
+    timeout: float = 60.0,
+    min_packets: int = 2,
+):
+    """Flow accounting keyed by forwarding-table entry (section VI-A).
+
+    Accounts :func:`routed_packets`, so packets whose destination matches
+    no entry are dropped from the accounting.  Returns a
+    :class:`~repro.flows.records.FlowSet` with ``key_kind="prefix"`` whose
+    keys are the *entry indices* into ``table`` (use
+    :meth:`RoutingTable.entry_of` to materialise the prefix).
+    """
+    from .exporter import export_flows
+
+    return export_flows(
+        routed_packets(packets, table),
         key="prefix",
         prefix_length=32,
         timeout=timeout,
         min_packets=min_packets,
-        keep_packet_map=keep_packet_map,
     )
-    if keep_packet_map and flows.packet_flow_ids is not None:
-        # re-expand the packet map to the original packet array
-        full_map = np.full(packets.shape[0], -1, dtype=np.int64)
-        full_map[np.flatnonzero(routed)] = flows.packet_flow_ids
-        flows.packet_flow_ids = full_map
-    return flows

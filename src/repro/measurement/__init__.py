@@ -5,8 +5,10 @@ engine streams synthetic traffic *out* in bounded memory, the
 :class:`MeasurementEngine` streams captures *in* — chunked flow
 accounting with an open-flow carry table, key-space sharding over a
 worker pool, and single-pass filtered rate measurement — while staying
-bit-for-bit equal to the in-memory ``export_flows`` +
-``RateSeries.from_packets`` path for any ``chunk`` and ``workers``.
+bit-for-bit equal to the frozen in-memory oracle
+(``reference_export_flows`` + ``RateSeries.from_packets`` over the kept
+packets) for any ``chunk`` and ``workers``.  It is the only flow
+accountant: ``repro.flows.export_flows`` calls it.
 
 Quickstart::
 

@@ -16,9 +16,14 @@ single-packet-filtered rate series in bounded memory:
   into ``workers`` independent carry tables processed concurrently on a
   persistent worker thread pool.  All accumulation is exact
   integer arithmetic in float64, so results are invariant to both
-  ``chunk`` and ``workers`` — the same FlowSet and RateSeries, bitwise,
-  as :func:`~repro.flows.exporter.export_flows` +
-  ``RateSeries.from_packets(trace, delta, packet_mask=...)``.
+  ``chunk`` and ``workers``.
+
+This is the library's one flow accountant:
+:func:`~repro.flows.exporter.export_flows` is a flows-only call into
+:meth:`MeasurementEngine.measure_trace`.  Its output is pinned, bit for
+bit, to the frozen in-memory oracle
+:func:`~repro.measurement.reference.reference_export_flows` (flows) and
+``RateSeries.from_packets(packets[packet_map >= 0], delta)`` (series).
 
 ``measure_file`` is the out-of-core entry point: multi-GB captures are
 measured straight off disk through
@@ -39,7 +44,7 @@ from ..flows.records import FlowSet
 from ..stats.timeseries import RateSeries
 from ..trace.io import TraceReader
 from ..trace.packet import PACKET_DTYPE, PacketTrace
-from .streaming import StreamingMeasurement
+from .streaming import StreamingMeasurement, reject_non_finite
 
 __all__ = [
     "DEFAULT_FILE_CHUNK",
@@ -291,6 +296,8 @@ class MeasurementEngine:
             )
         timestamps = packets["timestamp"]
         if not bool(np.all(timestamps[1:] >= timestamps[:-1])):
+            # name a NaN by its input position, before sorting moves it
+            reject_non_finite(timestamps)
             packets = packets[np.argsort(timestamps, kind="stable")]
         return self.measure_chunks(
             iter_packet_chunks(packets, self.config.chunk),
@@ -324,19 +331,3 @@ class MeasurementEngine:
             link_capacity=reader.link_capacity,
             **flow_kwargs,
         )
-
-    def account_flows(self, packets, *, duration=None, **flow_kwargs) -> FlowSet:
-        """Chunked/sharded flow accounting only (no rate series).
-
-        Drop-in for :func:`~repro.flows.exporter.export_flows` on sorted
-        traces, minus ``keep_packet_map`` (the streaming path never holds
-        per-packet state; use :meth:`measure_trace` to get the filtered
-        rate series instead of applying a packet mask yourself).
-        """
-        if duration is None:
-            duration = (
-                packets.duration if isinstance(packets, PacketTrace) else 0.0
-            )
-        return self.measure_trace(
-            packets, delta=None, duration=duration, **flow_kwargs
-        ).flows

@@ -8,7 +8,9 @@ trace and asserts the outputs agree; tests use them to pin equivalence.
 
 * :func:`reference_export_flows` — flow accounting via the original
   structured-dtype ``np.unique`` grouping (a 23-byte struct compare per
-  element) instead of the packed two-word lexsort.
+  element) and one whole-trace sort/split/bincount pass.  It is the
+  in-memory oracle the streaming engine is pinned to, and it alone
+  keeps the per-packet flow map.
 * :func:`reference_ewma_replay` — the per-flow Python loop through
   :class:`~repro.stats.estimators.OnlineFlowStatistics` that
   ``repro.pipeline`` used for ``estimator="ewma"`` before the closed-form
@@ -23,12 +25,24 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import FlowExportError
-from ..flows.exporter import DEFAULT_TIMEOUT, _as_packet_array
+from ..flows.exporter import DEFAULT_TIMEOUT
 from ..flows.keys import FIVE_TUPLE_FIELDS, prefix_of
 from ..flows.records import FlowSet
 from ..stats.estimators import OnlineFlowStatistics
+from ..trace.packet import PACKET_DTYPE, PacketTrace
 
 __all__ = ["reference_export_flows", "reference_ewma_replay"]
+
+
+def _as_packet_array(packets) -> np.ndarray:
+    if isinstance(packets, PacketTrace):
+        packets = packets.packets
+    packets = np.asarray(packets)
+    if packets.dtype != PACKET_DTYPE:
+        raise FlowExportError(
+            f"expected PACKET_DTYPE packets, got dtype {packets.dtype}"
+        )
+    return packets
 
 
 def _group_indices(packets: np.ndarray, key: str, prefix_length: int):
@@ -56,9 +70,14 @@ def reference_export_flows(
     timeout: float = DEFAULT_TIMEOUT,
     min_packets: int = 2,
     prefix_length: int = 24,
-    keep_packet_map: bool = False,
-) -> FlowSet:
-    """The pre-engine :func:`~repro.flows.exporter.export_flows` body."""
+) -> tuple[FlowSet, np.ndarray]:
+    """The pre-engine :func:`~repro.flows.exporter.export_flows` body.
+
+    Returns the flow set and its packet map: each input packet's index
+    into the flow set, -1 where the packet was discarded.  The
+    single-packet-filtered rate series is therefore
+    ``RateSeries.from_packets(packets[packet_map >= 0], ...)``.
+    """
     packets = _as_packet_array(packets)
     if timeout <= 0:
         raise FlowExportError(f"timeout must be > 0, got {timeout}")
@@ -71,10 +90,11 @@ def reference_export_flows(
             if key == "five_tuple"
             else np.zeros(0, dtype=np.uint32)
         )
-        return FlowSet(
+        flows = FlowSet(
             np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64),
             key_kind=key, keys=keys, prefix_length=prefix_length, timeout=timeout,
         )
+        return flows, np.zeros(0, dtype=np.int64)
 
     unique_keys, inverse = _group_indices(packets, key, prefix_length)
     timestamps = packets["timestamp"]
@@ -104,14 +124,12 @@ def reference_export_flows(
     keep = (counts >= min_packets) & (ends > starts)
     discarded_packets = int(counts[~keep].sum())
 
-    packet_flow_ids = None
-    if keep_packet_map:
-        renumber = np.full(n_flows, -1, dtype=np.int64)
-        renumber[keep] = np.arange(int(keep.sum()))
-        packet_flow_ids = np.empty(packets.size, dtype=np.int64)
-        packet_flow_ids[order] = renumber[flow_ids]
+    renumber = np.full(n_flows, -1, dtype=np.int64)
+    renumber[keep] = np.arange(int(keep.sum()))
+    packet_flow_ids = np.empty(packets.size, dtype=np.int64)
+    packet_flow_ids[order] = renumber[flow_ids]
 
-    return FlowSet(
+    flows = FlowSet(
         starts[keep],
         ends[keep],
         sizes[keep],
@@ -121,8 +139,8 @@ def reference_export_flows(
         prefix_length=prefix_length,
         timeout=timeout,
         discarded_packets=discarded_packets,
-        packet_flow_ids=packet_flow_ids,
     )
+    return flows, packet_flow_ids
 
 
 def reference_ewma_replay(flows: FlowSet, eps: float):

@@ -1,13 +1,15 @@
 """Chunked flow accounting with an open-flow carry table.
 
-:class:`StreamingMeasurement` is the out-of-core core of the measurement
-engine: it consumes a time-ordered packet trace chunk by chunk and
-produces exactly the artifacts of the in-memory section III/V pipeline —
-the :class:`~repro.flows.records.FlowSet` of
-:func:`~repro.flows.exporter.export_flows` and the single-packet-filtered
-:class:`~repro.stats.timeseries.RateSeries` of
-``RateSeries.from_packets(trace, delta, packet_mask=...)`` — **bit for
-bit**, for any chunking and any shard count.
+:class:`StreamingMeasurement` is the library's flow accountant (every
+front door, :func:`~repro.flows.exporter.export_flows` included, runs
+it): it consumes a time-ordered packet trace chunk by chunk and produces
+exactly the artifacts of the frozen in-memory section III/V oracle — the
+:class:`~repro.flows.records.FlowSet` of
+:func:`~repro.measurement.reference.reference_export_flows` and the
+single-packet-filtered :class:`~repro.stats.timeseries.RateSeries`
+``RateSeries.from_packets(packets[packet_map >= 0], delta)`` — **bit
+for bit**, for any chunking and any shard count.  Packets with a NaN or
+infinite timestamp are rejected before any binning.
 
 Three properties make exact streaming possible:
 
@@ -60,7 +62,7 @@ from ..flows.records import FlowSet
 from ..stats.timeseries import RateSeries
 from ..trace.packet import PACKET_DTYPE, PacketTrace
 
-__all__ = ["StreamingMeasurement", "process_shard"]
+__all__ = ["StreamingMeasurement", "process_shard", "reject_non_finite"]
 
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 _EMPTY_U64 = np.zeros(0, dtype=np.uint64)
@@ -68,6 +70,23 @@ _EMPTY_F64 = np.zeros(0, dtype=np.float64)
 
 #: Sentinel for "no accumulator bin" (out-of-range packet or empty slot).
 _NO_BIN = np.int64(-1)
+
+
+def reject_non_finite(timestamps, offset: int = 0) -> None:
+    """Raise :class:`FlowExportError` naming the first non-finite time.
+
+    ``offset`` is the stream position of ``timestamps[0]``.  A NaN or
+    infinite timestamp has no flow, gap or bin, so it is an input error
+    rather than a packet to account.
+    """
+    bad = np.flatnonzero(~np.isfinite(timestamps))
+    if bad.size:
+        i = int(bad[0])
+        raise FlowExportError(
+            f"packet {offset + i} has a non-finite timestamp "
+            f"({float(timestamps[i])!r}); flow accounting needs finite "
+            "packet times"
+        )
 
 
 def _match_sorted(a_hi, a_lo, b_hi, b_lo):
@@ -527,6 +546,8 @@ class StreamingMeasurement:
         ts = packets["timestamp"].astype(np.float64, copy=False)
         t_min = float(ts.min())
         t_max = float(ts.max())
+        if not (np.isfinite(t_min) and np.isfinite(t_max)):
+            reject_non_finite(ts, self.packet_count)
         if t_min < self._prev_max:
             raise FlowExportError(
                 "chunks must be time-ordered: got a packet at "

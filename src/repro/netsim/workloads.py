@@ -48,6 +48,7 @@ __all__ = [
     "medium_utilization_link",
     "high_utilization_link",
     "wire_bytes_per_flow",
+    "wire_sizes",
 ]
 
 #: An OC-12 link in bits/second (the paper's monitored links).
@@ -93,23 +94,25 @@ def default_size_distribution() -> Mixture:
     )
 
 
+def wire_sizes(payload_sizes, tcp_params: TcpParameters = TcpParameters()):
+    """Per-flow wire bytes: payload plus per-packet header overhead."""
+    sizes = np.maximum(np.asarray(payload_sizes, dtype=np.float64), 40.0)
+    packets = np.maximum(np.ceil(sizes / tcp_params.mss), 1.0)
+    return sizes + tcp_params.header_bytes * packets
+
+
 def wire_bytes_per_flow(
     size_dist, tcp_params: TcpParameters = TcpParameters()
 ) -> float:
     """``E[S + header * ceil(S/mss)]`` by a seeded Monte Carlo.
 
-    A fixed 50k-draw stream (seed 12345), so every caller that derives
-    an arrival rate from a size law — a workload preset, or a
-    calibration report turning a measured ``E[S]`` back into a target
-    rate — gets the same number for the same law.
+    A fixed 50k-draw stream (seed 12345) through :func:`wire_sizes`, so
+    every caller that derives an arrival rate from a size law — a
+    workload preset, or a calibration report turning a measured ``E[S]``
+    back into a target rate — gets the same number for the same law.
     """
-    rng = as_rng(12345)
-    sizes = np.asarray(
-        size_dist.rvs(size=50_000, random_state=rng), dtype=np.float64
-    )
-    sizes = np.maximum(sizes, 40.0)
-    packets = np.maximum(np.ceil(sizes / tcp_params.mss), 1.0)
-    return float(np.mean(sizes + tcp_params.header_bytes * packets))
+    sizes = size_dist.rvs(size=50_000, random_state=as_rng(12345))
+    return float(np.mean(wire_sizes(sizes, tcp_params)))
 
 
 @dataclass

@@ -794,24 +794,15 @@ class Estimate:
         statistics = accounting.flows.statistics(meta.duration)
         online = None
         if spec.estimation.estimator == "ewma":
-            online = _ewma_replay(accounting.flows, spec.estimation.ewma_eps)
+            online = replay_flow_statistics(
+                accounting.flows, spec.estimation.ewma_eps
+            )
         context.estimation = EstimationResult(
             series=accounting.series,
             statistics=statistics,
             online_statistics=online,
         )
         return context.estimation
-
-
-def _ewma_replay(flows: FlowSet, eps: float):
-    """Replay the flow set through the router-style EWMA estimators.
-
-    Closed-form vectorized replay (see
-    :func:`repro.stats.estimators.replay_flow_statistics`); the per-flow
-    loop it replaces is kept as
-    :func:`repro.measurement.reference.reference_ewma_replay`.
-    """
-    return replay_flow_statistics(flows, eps)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ class RateSeries:
         delta: float,
         *,
         duration: float | None = None,
-        packet_mask=None,
     ) -> "RateSeries":
         """Bin a packet trace into Delta-averaged rate samples.
 
@@ -58,10 +57,11 @@ class RateSeries:
             Observation length; defaults to the trace duration.  Only
             *complete* bins are kept (a trailing partial window would bias
             the last sample).
-        packet_mask:
-            Optional boolean mask of packets to include.  The paper
-            excludes packets of discarded single-packet flows from the
-            measured rate; pass ``flowset.packet_flow_ids >= 0``.
+
+        The paper excludes packets of discarded single-packet flows from
+        the measured rate; ``MeasurementEngine().measure_trace(trace,
+        delta=...)`` measures that filtered series in the same pass as
+        the flows.
         """
         if isinstance(packets, PacketTrace):
             if duration is None:
@@ -73,12 +73,6 @@ class RateSeries:
         delta = check_positive("delta", delta)
         timestamps = packets["timestamp"]
         sizes = packets["size"].astype(np.float64)
-        if packet_mask is not None:
-            packet_mask = np.asarray(packet_mask, dtype=bool)
-            if packet_mask.shape != timestamps.shape:
-                raise ParameterError("packet_mask must match the packet count")
-            timestamps = timestamps[packet_mask]
-            sizes = sizes[packet_mask]
         if duration is None:
             duration = float(timestamps.max()) if timestamps.size else delta
         n_bins = int(np.floor(duration / delta))

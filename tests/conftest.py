@@ -59,7 +59,7 @@ def trace(synthesis):
 
 @pytest.fixture(scope="session")
 def five_tuple_flows(trace):
-    return export_five_tuple_flows(trace, timeout=8.0, keep_packet_map=True)
+    return export_five_tuple_flows(trace, timeout=8.0)
 
 
 @pytest.fixture(scope="session")

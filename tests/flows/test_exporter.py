@@ -7,6 +7,7 @@ import pytest
 
 from repro.exceptions import FlowExportError
 from repro.flows import export_flows, export_five_tuple_flows, export_prefix_flows
+from repro.measurement import reference_export_flows
 from repro.trace import packets_from_columns
 
 
@@ -114,9 +115,10 @@ class TestDiscardRules:
         assert kept + 100 * flows.discarded_packets == pytest.approx(200 * 100)
 
     def test_packet_map_matches_discards(self):
+        # only the in-memory oracle keeps a per-packet flow map
         pkts = packets_of([row(0.0), row(0.5), row(0.9, TUPLE_B)])
-        flows = export_five_tuple_flows(pkts, keep_packet_map=True)
-        ids = flows.packet_flow_ids
+        flows, ids = reference_export_flows(pkts)
+        assert len(flows) == 1
         assert ids.shape == (3,)
         assert (ids >= 0).sum() == 2  # the two TUPLE_A packets
         assert ids[2] == -1  # single-packet TUPLE_B discarded
@@ -146,8 +148,18 @@ class TestEdgeCases:
             export_flows(pkts, key="port")
 
     def test_wrong_dtype_rejected(self):
-        with pytest.raises(FlowExportError):
+        with pytest.raises(FlowExportError, match="PACKET_DTYPE"):
             export_flows(np.zeros(4))
+        pkts = packets_of([row(0.0), row(1.0)])
+        for bad in (-1, 33):
+            with pytest.raises(FlowExportError, match="prefix length"):
+                export_prefix_flows(pkts, prefix_length=bad)
+
+    def test_non_finite_timestamp_rejected(self):
+        pkts = packets_of([row(0.0), row(1.0), row(2.0, TUPLE_B)])
+        pkts["timestamp"][1] = np.nan
+        with pytest.raises(FlowExportError, match="packet 1 .*non-finite"):
+            export_five_tuple_flows(pkts)
 
     def test_accepts_packet_trace(self, trace):
         flows = export_five_tuple_flows(trace, timeout=8.0)

@@ -7,6 +7,11 @@ invariants are checked on randomly generated packet streams:
 * every flow's packets fit inside [start, end] with gaps <= timeout;
 * flow grouping is permutation-invariant (timestamp order is recovered);
 * prefix aggregation never yields more flows than 5-tuple grouping.
+
+The first two read the per-packet flow map, which only the in-memory
+oracle ``reference_export_flows`` keeps; the engine behind
+``export_flows`` is pinned to that oracle bit for bit in
+``tests/measurement/test_engine_properties.py``.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flows import export_five_tuple_flows, export_prefix_flows
+from repro.measurement import reference_export_flows
 from repro.trace import packets_from_columns
 
 
@@ -45,21 +51,19 @@ def packet_streams(draw):
 @settings(max_examples=120, deadline=None)
 def test_byte_conservation(packets, timeout):
     total = float(packets["size"].astype(np.int64).sum())
-    flows = export_five_tuple_flows(packets, timeout=timeout, keep_packet_map=True)
+    flows, packet_map = reference_export_flows(packets, timeout=timeout)
     kept = flows.sizes.sum()
-    discarded = float(
-        packets["size"][flows.packet_flow_ids < 0].astype(np.int64).sum()
-    )
+    discarded = float(packets["size"][packet_map < 0].astype(np.int64).sum())
     assert kept + discarded == total
 
 
 @given(packets=packet_streams(), timeout=st.floats(min_value=0.5, max_value=120.0))
 @settings(max_examples=120, deadline=None)
 def test_flow_time_bounds_and_gaps(packets, timeout):
-    flows = export_five_tuple_flows(packets, timeout=timeout, keep_packet_map=True)
+    flows, packet_map = reference_export_flows(packets, timeout=timeout)
     ts = packets["timestamp"]
     for flow_id in range(len(flows)):
-        member_times = np.sort(ts[flows.packet_flow_ids == flow_id])
+        member_times = np.sort(ts[packet_map == flow_id])
         assert member_times.size == flows.packet_counts[flow_id]
         assert member_times[0] == flows.starts[flow_id]
         assert member_times[-1] == flows.ends[flow_id]

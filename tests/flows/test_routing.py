@@ -6,9 +6,17 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ParameterError
-from repro.flows import PrefixKey, RoutingTable, export_routable_flows, parse_ipv4
+from repro.flows import (
+    PrefixKey,
+    RoutingTable,
+    export_routable_flows,
+    parse_ipv4,
+    routed_packets,
+)
 from repro.flows.exporter import export_prefix_flows
+from repro.measurement import MeasurementEngine, reference_export_flows
 from repro.netsim import AddressSpace
+from repro.stats import RateSeries
 from repro.trace import packets_from_columns
 
 
@@ -194,9 +202,38 @@ class TestRoutableExport:
         assert len(flows) == 1
         assert flows.total_bytes == 1000.0
 
-    def test_packet_map_spans_original_packets(self, trace):
-        table = RoutingTable.synthetic(AddressSpace(), rng=3)
-        flows = export_routable_flows(
-            trace, table, timeout=8.0, keep_packet_map=True
+    def test_routed_packets_rewrite_destination_to_entry(self):
+        pkts = packets_from_columns(
+            [0.0, 0.5, 1.0],
+            [1, 2, 1],
+            [parse_ipv4("10.1.2.3"), parse_ipv4("99.9.9.9"),
+             parse_ipv4("10.2.7.7")],
+            [1, 2, 1],
+            [80] * 3,
+            [6] * 3,
+            [500] * 3,
         )
-        assert flows.packet_flow_ids.shape[0] == len(trace)
+        routed = routed_packets(pkts, simple_table())
+        np.testing.assert_array_equal(routed["timestamp"], [0.0, 1.0])
+        np.testing.assert_array_equal(routed["dst_addr"], [1, 2])
+        # the input is left alone
+        assert pkts["dst_addr"][0] == parse_ipv4("10.1.2.3")
+
+    def test_routed_measurement_matches_export(self, trace):
+        """One pass over the routed packets gives the FIB-keyed flows
+        and their filtered rate series (what a packet map used to do)."""
+        table = RoutingTable.synthetic(AddressSpace(), rng=3)
+        routed = routed_packets(trace, table)
+        fib_key = dict(key="prefix", prefix_length=32, timeout=8.0)
+        measured = MeasurementEngine().measure_trace(
+            routed, delta=0.2, duration=trace.duration, **fib_key
+        )
+        flows = export_routable_flows(trace, table, timeout=8.0)
+        np.testing.assert_array_equal(measured.flows.starts, flows.starts)
+        np.testing.assert_array_equal(measured.flows.sizes, flows.sizes)
+        np.testing.assert_array_equal(measured.flows.keys, flows.keys)
+        _, packet_map = reference_export_flows(routed, **fib_key)
+        expected = RateSeries.from_packets(
+            routed[packet_map >= 0], 0.2, duration=trace.duration
+        )
+        np.testing.assert_array_equal(measured.series.values, expected.values)

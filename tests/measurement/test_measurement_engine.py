@@ -1,13 +1,16 @@
 """Tests for the streaming, sharded measurement engine.
 
 The headline contract: the chunked/sharded path is **bit-for-bit** equal
-to ``export_flows`` + ``RateSeries.from_packets`` for any ``chunk`` and
-``workers`` — including every chunk-boundary case the carry table has to
-get right (flows spanning chunks, idle gaps of exactly the timeout at a
-boundary, single-packet flows split across chunks).
+to the frozen in-memory oracle — ``reference_export_flows`` plus
+``RateSeries.from_packets`` over the packets it keeps — for any ``chunk``
+and ``workers``, including every chunk-boundary case the carry table has
+to get right (flows spanning chunks, idle gaps of exactly the timeout at
+a boundary, single-packet flows split across chunks).
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from repro.measurement import (
 )
 from repro.netsim import medium_utilization_link
 from repro.stats.timeseries import RateSeries
-from repro.trace import TraceWriter, packets_from_columns
+from repro.trace import PacketTrace, TraceWriter, packets_from_columns
 
 TUPLE_A = (0x0A000001, 0x0B000001, 1000, 80, 6)
 TUPLE_B = (0x0A000002, 0x0B000002, 2000, 80, 6)
@@ -48,6 +51,23 @@ def assert_flowsets_equal(a, b):
     assert a.discarded_packets == b.discarded_packets
 
 
+def oracle(packets, **kwargs):
+    """The oracle's flow set (its packet map dropped)."""
+    return reference_export_flows(packets, **kwargs)[0]
+
+
+def oracle_series(packets, delta, *, duration=None, **kwargs):
+    """The oracle's flows and single-packet-filtered rate series."""
+    if isinstance(packets, PacketTrace):
+        duration = packets.duration if duration is None else duration
+        packets = packets.packets
+    flows, packet_map = reference_export_flows(packets, **kwargs)
+    series = RateSeries.from_packets(
+        packets[packet_map >= 0], delta, duration=duration
+    )
+    return flows, series
+
+
 def streamed(packets, chunk_sizes, *, delta=None, duration=None, **kwargs):
     """Run StreamingMeasurement over explicit chunk splits."""
     sm = StreamingMeasurement(delta=delta, duration=duration, **kwargs)
@@ -68,7 +88,7 @@ class TestChunkBoundaries:
             (2.0, TUPLE_A, 300), (3.0, TUPLE_A, 400),
         ])
         flows, _ = streamed(pkts, [2, 2], timeout=60.0)
-        assert_flowsets_equal(flows, export_flows(pkts, timeout=60.0))
+        assert_flowsets_equal(flows, oracle(pkts, timeout=60.0))
         assert len(flows) == 1
         assert flows.sizes[0] == 1000.0
         assert flows.packet_counts[0] == 4
@@ -82,7 +102,7 @@ class TestChunkBoundaries:
         assert flows.starts[0] == 0.0
         assert flows.ends[0] == 5.0
         assert flows.packet_counts[0] == 6
-        assert_flowsets_equal(flows, export_flows(pkts, timeout=60.0))
+        assert_flowsets_equal(flows, oracle(pkts, timeout=60.0))
 
     def test_idle_gap_of_exactly_timeout_at_boundary_continues(self):
         # the exporter's rule is gap > timeout splits; == timeout does not
@@ -90,7 +110,7 @@ class TestChunkBoundaries:
         flows, _ = streamed(pkts, [1, 1], timeout=60.0)
         assert len(flows) == 1
         assert flows.packet_counts[0] == 2
-        assert_flowsets_equal(flows, export_flows(pkts, timeout=60.0))
+        assert_flowsets_equal(flows, oracle(pkts, timeout=60.0))
 
     def test_idle_gap_just_over_timeout_at_boundary_splits(self):
         pkts = packets_of([
@@ -99,7 +119,7 @@ class TestChunkBoundaries:
         ])
         flows, _ = streamed(pkts, [2, 2], timeout=60.0)
         assert len(flows) == 2
-        assert_flowsets_equal(flows, export_flows(pkts, timeout=60.0))
+        assert_flowsets_equal(flows, oracle(pkts, timeout=60.0))
 
     def test_single_packet_flow_split_across_chunks_merges(self):
         # one packet per chunk, same key, within the timeout: the carry
@@ -108,7 +128,7 @@ class TestChunkBoundaries:
         flows, _ = streamed(pkts, [1, 1], timeout=60.0)
         assert len(flows) == 1
         assert flows.discarded_packets == 0
-        assert_flowsets_equal(flows, export_flows(pkts, timeout=60.0))
+        assert_flowsets_equal(flows, oracle(pkts, timeout=60.0))
 
     def test_single_packet_flows_split_across_chunks_discarded(self):
         # same key in consecutive chunks but beyond the timeout: two
@@ -117,7 +137,7 @@ class TestChunkBoundaries:
         flows, _ = streamed(pkts, [1, 1], timeout=60.0)
         assert len(flows) == 0
         assert flows.discarded_packets == 2
-        assert_flowsets_equal(flows, export_flows(pkts, timeout=60.0))
+        assert_flowsets_equal(flows, oracle(pkts, timeout=60.0))
 
     def test_zero_duration_flow_across_chunks_discarded(self):
         pkts = packets_of([(1.0, TUPLE_A, 100), (1.0, TUPLE_A, 200)])
@@ -134,7 +154,7 @@ class TestChunkBoundaries:
         ])
         for split in ([6], [3, 3], [1] * 6, [2, 4]):
             flows, _ = streamed(pkts, split, timeout=60.0)
-            assert_flowsets_equal(flows, export_flows(pkts, timeout=60.0))
+            assert_flowsets_equal(flows, oracle(pkts, timeout=60.0))
 
     def test_discarded_packets_excluded_from_series_across_chunks(self):
         # TUPLE_B is a single-packet flow: its 5000 bytes must not show
@@ -144,10 +164,7 @@ class TestChunkBoundaries:
             (1.1, TUPLE_B, 5000),
             (2.1, TUPLE_C, 100), (2.2, TUPLE_C, 100),
         ])
-        base = export_flows(pkts, timeout=60.0, keep_packet_map=True)
-        expected = RateSeries.from_packets(
-            pkts, 1.0, duration=4.0, packet_mask=base.packet_flow_ids >= 0
-        )
+        base, expected = oracle_series(pkts, 1.0, duration=4.0, timeout=60.0)
         for split in ([5], [1] * 5, [3, 2], [2, 2, 1]):
             flows, series = streamed(
                 pkts, split, delta=1.0, duration=4.0, timeout=60.0
@@ -163,11 +180,8 @@ class TestChunkBoundaries:
             (0.2, TUPLE_A, 100), (1.2, TUPLE_A, 200),
             (0.4, TUPLE_B, 10), (1.4, TUPLE_B, 20), (2.4, TUPLE_B, 30),
         ])
-        base = export_flows(
-            pkts, timeout=60.0, min_packets=3, keep_packet_map=True
-        )
-        expected = RateSeries.from_packets(
-            pkts, 0.5, duration=3.0, packet_mask=base.packet_flow_ids >= 0
+        base, expected = oracle_series(
+            pkts, 0.5, duration=3.0, timeout=60.0, min_packets=3
         )
         for split in ([5], [1] * 5, [2, 3], [4, 1]):
             flows, series = streamed(
@@ -192,7 +206,7 @@ class TestChunkBoundaries:
 
 
 class TestEquivalenceOnPresets:
-    """Chunked/sharded measurement == in-memory path on Table I traffic."""
+    """Chunked/sharded measurement == in-memory oracle on Table I traffic."""
 
     @pytest.fixture(scope="class")
     def trace(self):
@@ -203,12 +217,7 @@ class TestEquivalenceOnPresets:
         (None, 1), (None, 4), (1000, 1), (997, 3), (50, 2),
     ])
     def test_bitwise_equal_to_in_memory(self, trace, key, chunk, workers):
-        base = export_flows(
-            trace, key=key, timeout=8.0, keep_packet_map=True
-        )
-        expected = RateSeries.from_packets(
-            trace, 0.2, packet_mask=base.packet_flow_ids >= 0
-        )
+        base, expected = oracle_series(trace, 0.2, key=key, timeout=8.0)
         engine = MeasurementEngine(chunk=chunk, workers=workers)
         result = engine.measure_trace(trace, delta=0.2, key=key, timeout=8.0)
         assert_flowsets_equal(result.flows, base)
@@ -219,13 +228,11 @@ class TestEquivalenceOnPresets:
 
     def test_unsorted_trace_sorted_before_chunking(self, trace):
         """measure_trace on an invalid (unsorted) capture still equals
-        export_flows on it, for any chunk — the engine sorts first."""
+        the oracle on it, for any chunk — the engine sorts first."""
         rng = np.random.default_rng(0)
         shuffled = trace.packets[rng.permutation(len(trace))]
-        base = export_flows(shuffled, timeout=8.0, keep_packet_map=True)
-        expected = RateSeries.from_packets(
-            shuffled, 0.2, duration=trace.duration,
-            packet_mask=base.packet_flow_ids >= 0,
+        base, expected = oracle_series(
+            shuffled, 0.2, duration=trace.duration, timeout=8.0
         )
         for chunk in (None, 1000):
             result = MeasurementEngine(chunk=chunk).measure_trace(
@@ -237,15 +244,11 @@ class TestEquivalenceOnPresets:
             )
 
     def test_matches_reference_exporter(self, trace):
-        """New exporter and the legacy np.unique oracle agree exactly."""
+        """The export_flows front door and the np.unique oracle agree."""
         for key in ("five_tuple", "prefix"):
-            new = export_flows(trace, key=key, timeout=8.0, keep_packet_map=True)
-            old = reference_export_flows(
-                trace, key=key, timeout=8.0, keep_packet_map=True
-            )
-            assert_flowsets_equal(new, old)
-            np.testing.assert_array_equal(
-                new.packet_flow_ids, old.packet_flow_ids
+            assert_flowsets_equal(
+                export_flows(trace, key=key, timeout=8.0),
+                oracle(trace, key=key, timeout=8.0),
             )
 
     def test_measure_file_out_of_core(self, trace, tmp_path):
@@ -381,3 +384,36 @@ class TestEdgeCaseFiles:
         assert len(result.flows) == 1
         assert result.flows.sizes[0] == 300
         assert result.flows.durations[0] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("chunk", [None, 1, 2])
+    def test_non_finite_timestamp_file_rejected(self, tmp_path, chunk):
+        """A NaN timestamp is named before any binning — no cast warning,
+        no internal pending-bin error, whatever the chunking."""
+        pkts = packets_of([
+            (1.0, TUPLE_A, 100), (1.5, TUPLE_A, 200), (2.0, TUPLE_B, 300),
+        ])
+        pkts["timestamp"][1] = np.nan
+        path = tmp_path / "nan.rptr"
+        with TraceWriter(
+            path, link_capacity=1e6, duration=10.0, allow_unsorted=True
+        ) as w:
+            w.write(pkts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                FlowExportError, match=r"packet 1 has a non-finite timestamp"
+            ):
+                MeasurementEngine(chunk=chunk).measure_file(path, delta=0.5)
+
+    @pytest.mark.parametrize("bad,at", [(np.nan, 0), (np.inf, 2), (-np.inf, 0)])
+    def test_non_finite_timestamp_in_memory_rejected(self, bad, at):
+        pkts = packets_of([
+            (1.0, TUPLE_A, 100), (1.5, TUPLE_A, 200), (2.0, TUPLE_B, 300),
+        ])
+        pkts["timestamp"][at] = bad
+        for chunk in (None, 1):
+            with pytest.raises(FlowExportError, match=f"packet {at} "):
+                MeasurementEngine(chunk=chunk).measure_trace(
+                    pkts, delta=0.5, duration=4.0
+                )
+

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import calibration
+from repro._util import as_rng
 from repro.exceptions import ParameterError
 from repro.flows import PROTO_TCP, PROTO_UDP, export_five_tuple_flows
 from repro.netsim import (
@@ -19,6 +21,7 @@ from repro.netsim import (
     table_i_workloads,
 )
 from repro.netsim.sizes import BoundedPareto
+from repro.netsim.workloads import wire_sizes
 
 
 class TestSynthesis:
@@ -82,6 +85,28 @@ class TestWorkloadPresets:
     def test_scaled_capacity(self):
         workload = table_i_workload(0, scale=1 / 64)
         assert workload.link_capacity_bps == pytest.approx(OC12_BPS / 64)
+
+    #: Each Table I row's arrival rate, pinned bitwise: it derives from
+    #: the wire-size formula, so any drift in that formula shows here.
+    ARRIVAL_RATES = (
+        "0x1.e7298d62134b2p+6", "0x1.68dc68ba6d1b4p+6",
+        "0x1.06a068a9cf67cp+7", "0x1.a0feb1e87e141p+3",
+        "0x1.10a68804526f9p+6", "0x1.76e4fb05f1597p+6",
+        "0x1.20b053c857490p+5",
+    )
+
+    @pytest.mark.parametrize("row", range(len(TABLE_I_ROWS)))
+    def test_arrival_rate_bitwise_pinned(self, row):
+        rate = table_i_workload(row).arrival_rate
+        assert rate == float.fromhex(self.ARRIVAL_RATES[row])
+
+    def test_wire_mean_is_the_mean_of_wire_sizes(self):
+        workload = table_i_workload(0)
+        sizes = workload.size_dist.rvs(size=50_000, random_state=as_rng(12345))
+        assert workload.mean_wire_bytes_per_flow == float(
+            np.mean(wire_sizes(sizes, workload.tcp_params))
+        )
+        assert calibration.wire_sizes is wire_sizes  # one formula
 
     def test_arrival_rate_consistent_with_target(self):
         workload = table_i_workload(1)

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import PoissonShotNoiseModel, SuperposedModel
 from repro.exceptions import ParameterError
-from repro.flows import export_flows
+from repro.measurement import reference_export_flows
 from repro.netsim import medium_utilization_link, table_i_workload
 from repro.pipeline import (
     EstimationSpec,
@@ -56,15 +56,15 @@ class TestEquivalence:
         assert np.array_equal(result.trace.packets, direct.packets)
 
     def test_measurement_matches_hand_wired_loop(self):
-        """Stage outputs equal the historical export/measure/fit glue."""
+        """Stage outputs equal the in-memory oracle + measure/fit glue."""
         result = run_scenario(_short("medium"), stages=MEASUREMENT_STAGES)
         trace = result.trace
 
-        flows = export_flows(
-            trace, key="five_tuple", timeout=8.0, keep_packet_map=True
+        flows, packet_map = reference_export_flows(
+            trace, key="five_tuple", timeout=8.0
         )
         series = RateSeries.from_packets(
-            trace, 0.2, packet_mask=flows.packet_flow_ids >= 0
+            trace.packets[packet_map >= 0], 0.2, duration=trace.duration
         )
         model = PoissonShotNoiseModel.from_flows(
             flows.sizes, flows.durations, trace.duration
@@ -108,7 +108,6 @@ class TestStreamingMeasurement:
             "medium", measurement=MeasurementSpec(ExecutionSpec(chunk=4096))
         )
         result = run_scenario(spec, stages=MEASUREMENT_STAGES)
-        assert result.accounting.flows.packet_flow_ids is None
         assert result.estimation.series is result.accounting.series
 
 

@@ -38,7 +38,7 @@ class TestBinning:
     def test_packet_mask_excludes(self):
         pkts = simple_packets([0.05, 0.15], [100, 900])
         series = RateSeries.from_packets(
-            pkts, 0.2, duration=0.2, packet_mask=np.array([True, False])
+            pkts[np.array([True, False])], 0.2, duration=0.2
         )
         np.testing.assert_allclose(series.values, [500.0])
 
@@ -50,10 +50,11 @@ class TestBinning:
             trace.total_bytes, rel=0.01
         )
 
-    def test_mask_shape_validated(self):
+    def test_packet_mask_keyword_is_gone(self):
+        # filter the packets themselves: from_packets(packets[mask], ...)
         pkts = simple_packets([0.05], [100])
-        with pytest.raises(ParameterError):
-            RateSeries.from_packets(pkts, 0.2, packet_mask=np.ones(3, bool))
+        with pytest.raises(TypeError):
+            RateSeries.from_packets(pkts, 0.2, packet_mask=np.ones(1, bool))
 
     def test_duration_too_short(self):
         pkts = simple_packets([0.05], [100])

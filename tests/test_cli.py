@@ -16,7 +16,7 @@ from repro.pipeline import (
     TopologySpec,
     WorkloadSpec,
 )
-from repro.trace import read_trace
+from repro.trace import TraceWriter, read_trace
 
 
 @pytest.fixture()
@@ -90,6 +90,22 @@ class TestMeasure:
     def test_negative_chunk_rejected(self, trace_file, capsys):
         assert main(["measure", str(trace_file), "--chunk", "-5"]) == 2
         assert "--chunk must be >= 0" in capsys.readouterr().err
+
+    def test_non_finite_timestamp_is_a_usage_error(
+        self, trace_file, tmp_path, capsys
+    ):
+        trace = read_trace(trace_file)
+        packets = trace.packets.copy()
+        packets["timestamp"][3] = float("nan")
+        path = tmp_path / "nan.rptr"
+        with TraceWriter(
+            path, link_capacity=trace.link_capacity,
+            duration=trace.duration, allow_unsorted=True,
+        ) as writer:
+            writer.write(packets)
+        assert main(["measure", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: packet 3 has a non-finite timestamp" in err
 
 
 class TestGenerate:

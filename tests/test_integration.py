@@ -13,6 +13,7 @@ from repro.core import PoissonShotNoiseModel, PowerShot, fit_power_from_variance
 from repro.experiments import SCALED_TIMEOUT
 from repro.flows import export_five_tuple_flows, export_prefix_flows
 from repro.generation import generate_rate_series
+from repro.measurement import MeasurementEngine
 from repro.prediction import ModelBasedPredictor, prediction_error
 from repro.stats import RateSeries, exponentiality
 from repro.trace import read_trace, write_trace
@@ -64,10 +65,9 @@ class TestFullPipeline:
         synthetic traffic from it, re-measure, compare CoV."""
         stats = five_tuple_flows.statistics(trace.duration)
         fit = fit_power_from_variance(
-            RateSeries.from_packets(
-                trace, 0.2,
-                packet_mask=five_tuple_flows.packet_flow_ids >= 0,
-            ).variance,
+            MeasurementEngine().measure_trace(
+                trace, delta=0.2, timeout=8.0
+            ).series.variance,
             stats,
         )
         model = PoissonShotNoiseModel.from_flows(
