@@ -61,7 +61,6 @@ from .exceptions import (
     ReproError,
     TraceFormatError,
 )
-from .execution import reset_run_health, run_health
 from .generation import GenerationEngine, generate_packet_trace
 from .measurement import MeasurementEngine
 from .pipeline import (
@@ -589,9 +588,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     The spec picks the report printer — single-link, network or sweep —
     so ``run`` (and ``network``) redirect network and sweep specs; the
-    prelude (flags, seed, ``--execution`` precedence, quick mode, a
-    clean health registry) and the epilogue (health line, ``--report``)
-    are shared.
+    prelude (flags, seed, ``--execution`` precedence, quick mode) and
+    the epilogue (the run's health line, ``--report``) are shared.
     """
     try:
         spec = _load_spec(args.spec)
@@ -645,7 +643,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             spec, **{section: current.with_execution(execution)}
         )
     spec = apply_quick_mode(spec)
-    reset_run_health()
     try:
         result = run_scenario(
             spec, checkpoint_dir=checkpoint_dir, resume=resume
@@ -656,7 +653,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"scenario   : {spec.name}"
           + (f" — {spec.description}" if spec.description else ""))
     printer(result)
-    health = run_health()
+    health = result.health
     if not health.clean:
         print(f"health     : {len(health.retries)} retr"
               f"{'y' if len(health.retries) == 1 else 'ies'}, "

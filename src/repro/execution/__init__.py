@@ -2,18 +2,10 @@
 
 See :mod:`repro.execution.pool` for the abstraction every engine routes
 through, :mod:`repro.execution.shm` for the zero-pickle array transport
-behind the ``process`` backend, and :mod:`repro.execution.health` for
-the retry/degradation accounting of the resilience layer.
+behind the ``process`` backend, and :mod:`repro.execution.telemetry`
+for the run-scoped stage timings and retry/degradation accounting.
 """
 
-from .health import (
-    HealthEvent,
-    RunHealth,
-    record_degradation,
-    record_retry,
-    reset_run_health,
-    run_health,
-)
 from .pool import (
     BACKENDS,
     RetryPolicy,
@@ -25,7 +17,18 @@ from .pool import (
     process_backend_available,
 )
 from .shm import SHM_PREFIX, ShmRef, ShmTransport
-from .timing import reset_stage_timings, stage_timer, stage_timings
+from .telemetry import (
+    HealthEvent,
+    RunHealth,
+    record_degradation,
+    record_retry,
+    reset_run_health,
+    reset_stage_timings,
+    run_health,
+    run_trace,
+    stage_timer,
+    stage_timings,
+)
 
 __all__ = [
     "BACKENDS",
@@ -46,6 +49,7 @@ __all__ = [
     "reset_run_health",
     "reset_stage_timings",
     "run_health",
+    "run_trace",
     "stage_timer",
     "stage_timings",
 ]

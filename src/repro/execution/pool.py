@@ -34,14 +34,15 @@ watchdog — each result is awaited under a per-task deadline, and a
 missed deadline (worker crashed, fork wedged, task hung) respawns the
 pool and deterministically re-executes every not-yet-delivered task.
 Because all tasks are ``SeedSequence``-seeded the re-run is
-bitwise-identical; the recovery is recorded in
-:mod:`~repro.execution.health` rather than hidden.  Deterministic task
-exceptions are *not* retried — they would fail identically — and
+bitwise-identical; the recovery is recorded in the run's
+:mod:`~repro.execution.telemetry` rather than hidden.  Deterministic
+task exceptions are *not* retried — they would fail identically — and
 propagate immediately.
 """
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import multiprocessing
 import os
@@ -54,12 +55,17 @@ from multiprocessing import shared_memory
 
 from ..exceptions import ParameterError, WorkerFailure
 from ..faults import active_plan, fire_task_fault
-from .health import record_degradation, record_retry, take_worker_events
 from .shm import (
     DEFAULT_SLOT_BYTES,
     DEFAULT_THRESHOLD,
     ShmTransport,
     new_segment_name,
+)
+from .telemetry import (
+    fresh_root,
+    record_degradation,
+    record_retry,
+    take_worker_events,
 )
 
 __all__ = [
@@ -158,7 +164,10 @@ class ThreadPool:
             return [fn(item) for item in items]
         if self._executor is None:
             self._executor = ThreadPoolExecutor(max_workers=self.workers)
-        return list(self._executor.map(fn, items))
+        # each task records into the caller's run, not the process root
+        runs = [contextvars.copy_context().run for _ in items]
+        tasks = self._executor.map(lambda run, x: run(fn, x), runs, items)
+        return list(tasks)
 
     def close(self) -> None:
         if self._executor is not None:
@@ -227,17 +236,20 @@ def _install_signal_handlers() -> None:
 
 
 def _worker_init(free_slots, slot_names, threshold, slot_bytes):
-    """Attach the ring and drop the parent's pool-cleanup state.
+    """Attach the ring; drop the parent's pool-cleanup and telemetry.
 
     A forked worker inherits the parent's chained SIGTERM/SIGINT
     handler and its live-pool set; left in place, a terminated worker
     would close its copy of the parent's pool (killing its siblings and
-    unlinking the parent's segments) instead of simply exiting.
+    unlinking the parent's segments) instead of simply exiting.  It
+    also inherits the parent's run traces, whose events would ride back
+    with its first result and be counted twice.
     """
     global _WORKER_TRANSPORT
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.default_int_handler)
     _LIVE_POOLS.clear()
+    fresh_root()
     slots = [shared_memory.SharedMemory(name=n) for n in slot_names]
     _WORKER_TRANSPORT = ShmTransport(free_slots, slots, threshold, slot_bytes)
 
@@ -473,7 +485,7 @@ def make_pool(
     routine downgrade inside a daemonic pool worker (nested engines)
     stays silent — it is by design — while a platform with no ``fork``
     start method records a structured ``backend-downgrade`` degradation
-    in :mod:`~repro.execution.health`.
+    in :mod:`~repro.execution.telemetry`.
 
     ``retry`` arms the process backend's watchdog; the serial and
     thread backends accept and ignore it (they cannot lose work to a

@@ -35,7 +35,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from ..faults import consume_shm_fault
-from .health import record_degradation
+from .telemetry import record_degradation
 
 __all__ = ["SHM_PREFIX", "ShmRef", "ShmTransport", "new_segment_name"]
 

@@ -29,7 +29,7 @@ e.g.::
 Every fault fires **only on a task's first attempt** (``attempt == 0``),
 so a retried task deterministically succeeds — which is exactly the
 recovery contract the chaos battery pins: identical output, one named
-retry in :class:`~repro.execution.health.RunHealth`.
+retry in :class:`~repro.execution.RunHealth`.
 """
 
 from __future__ import annotations

@@ -11,10 +11,10 @@ measurement only) or to splice in project-specific stages.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from ..exceptions import ParameterError
-from ..execution import make_pool
+from ..execution import RunHealth, make_pool, run_health, run_trace
 from ..trace.packet import PacketTrace
 from .spec import ScenarioSpec
 from .stages import (
@@ -114,7 +114,9 @@ class ScenarioResult:
 
     Single-link runs populate the stage fields; network runs populate
     ``network`` (the per-link simulation bundle + report) and leave the
-    single-link stages ``None``.
+    single-link stages ``None``.  ``health`` is this run's own
+    retry/degradation snapshot; it stays out of equality, so a
+    recovered run compares equal to a clean one.
     """
 
     spec: ScenarioSpec
@@ -128,6 +130,7 @@ class ScenarioResult:
     generation: GenerationResult | None = None
     network: NetworkStageResult | None = None
     sweep: SweepStageResult | None = None
+    health: RunHealth | None = field(default=None, compare=False)
 
     @property
     def trace(self) -> PacketTrace | None:
@@ -160,6 +163,8 @@ class ScenarioResult:
             out["stages"]["generate"] = self.generation.summary()
         if self.validation is not None:
             out["validation"] = self.validation.to_dict()
+        if self.health is not None:
+            out["health"] = self.health.to_dict()
         return out
 
 
@@ -192,6 +197,7 @@ class ScenarioRunner:
             return INGEST_STAGES
         return self.stages
 
+    @run_trace()
     def run(
         self,
         spec: ScenarioSpec,
@@ -200,7 +206,8 @@ class ScenarioRunner:
         checkpoint_dir=None,
         resume: bool = False,
     ) -> ScenarioResult:
-        """Run one scenario; ``trace`` measures an existing capture.
+        """Run one scenario in its own run trace; ``trace`` measures an
+        existing capture.
 
         ``checkpoint_dir``/``resume`` thread through to the engine
         stages (sweep cells, network links) — see
@@ -231,6 +238,7 @@ class ScenarioRunner:
             network=context.network,
             sweep=context.sweep,
             validation=context.validation,
+            health=run_health(),
         )
 
     def run_many(

@@ -456,10 +456,11 @@ class ValidationReport:
 class NetworkStageResult:
     """Output of :class:`SimulateNetwork`: per-link results + the report.
 
-    ``health`` snapshots the retry/degradation log at stage completion
-    (see :mod:`repro.execution.health`); it rides into the report JSON
-    but stays out of the :class:`~repro.network.NetworkReport` itself,
-    so recovered runs compare bitwise-equal to clean ones.
+    ``health`` snapshots the run's retry/degradation log at stage
+    completion (see :mod:`repro.execution.telemetry`); it rides into
+    the report JSON but stays out of the
+    :class:`~repro.network.NetworkReport` itself, so recovered runs
+    compare bitwise-equal to clean ones.
     """
 
     simulation: "object"  # repro.network.NetworkSimulation

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from ..checkpoint import CheckpointStore, map_in_batches, run_fingerprint
 from ..exceptions import ParameterError
-from ..execution import RunHealth, make_pool, run_health
+from ..execution import RunHealth, make_pool, run_health, run_trace
 from .cells import SweepCell, expand_cells
 from .prefilter import (
     VERDICT_BREACH,
@@ -43,8 +43,8 @@ __all__ = ["SweepResult", "run_sweep"]
 class SweepResult:
     """Everything one sweep produced: cells, verdicts, engine runs.
 
-    ``health`` is the run's retry/degradation snapshot (see
-    :mod:`repro.execution.health`); ``resumed`` lists cell indices whose
+    ``health`` is this sweep's own retry/degradation snapshot (see
+    :mod:`repro.execution.telemetry`); ``resumed`` lists cell indices whose
     outcomes were loaded from a checkpoint directory instead of being
     re-simulated — those cells have no entry in ``simulations``.
     """
@@ -137,8 +137,10 @@ def _analytic_outcome(cell, assessment):
     )
 
 
+@run_trace()
 def run_sweep(spec, *, checkpoint_dir=None, resume=False) -> SweepResult:
-    """Run one capacity-planning sweep end to end (the canonical API).
+    """Run one capacity-planning sweep end to end (the canonical API),
+    in its own run trace.
 
     ``checkpoint_dir`` persists each simulated cell's outcome durably
     (atomic write + manifest) as soon as it completes; ``resume=True``

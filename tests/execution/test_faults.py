@@ -19,6 +19,7 @@ Every test also asserts nothing leaks into ``/dev/shm``.
 
 from __future__ import annotations
 
+import dataclasses
 import glob
 import json
 
@@ -35,10 +36,18 @@ from repro.execution import (
     RetryPolicy,
     SharedMemoryPool,
     make_pool,
+    record_degradation,
     reset_run_health,
     run_health,
 )
 from repro.faults import FaultPlan
+from repro.pipeline import (
+    DemandSpec,
+    NetworkSpec,
+    ScenarioSpec,
+    TopologySpec,
+    run_scenario,
+)
 
 
 def _leaked_segments():
@@ -222,3 +231,45 @@ class TestRunHealthReporting:
         assert not run_health().clean
         reset_run_health()
         assert run_health().clean
+
+
+class TestRunScopedHealth:
+    def test_forked_workers_do_not_resend_the_parents_events(self):
+        record_degradation("parent-event", "recorded before the fork")
+        _clean_run()
+        assert [e.kind for e in run_health().degradations] == [
+            "parent-event"
+        ]
+
+    def test_clean_run_after_a_recovered_one_reports_clean(self):
+        spec = ScenarioSpec(
+            name="crash-then-clean",
+            seed=3,
+            network=NetworkSpec(
+                topology=TopologySpec(preset="parallel-paths", size=2),
+                demands=(DemandSpec("src", "dst", preset="low"),),
+                routing="ecmp",
+                duration=4.0,
+            ),
+        )
+        spec = dataclasses.replace(
+            spec,
+            network=spec.network.with_execution(
+                workers=2,
+                backend="process",
+                retry=RetryPolicy(max_retries=2, timeout_s=3.0),
+            ),
+        )
+        faults.install(FaultPlan(kind="worker-crash", task=1))
+        recovered = run_scenario(spec)
+        faults.clear()
+        clean = run_scenario(spec)
+        # the plan fires in each of the engine's fan-outs (cells, links)
+        kinds = {e.kind for e in recovered.health.retries}
+        assert kinds == {"worker-lost"}
+        assert recovered.network.health == recovered.health
+        assert clean.health.clean
+        a, b = clean.report()["network"], recovered.report()["network"]
+        assert a.pop("health")["n_retries"] == 0
+        assert b.pop("health")["n_retries"] >= 1
+        assert json.dumps(a) == json.dumps(b)  # NaN-safe equality

@@ -184,20 +184,28 @@ class TestRun:
         assert main(["run", "medium"]) == 0
         assert "scenario   : medium" in capsys.readouterr().out
 
-    def test_health_line_after_a_recovered_run(self, capsys, monkeypatch):
-        """run shares the network/sweep epilogue, health line included."""
-        from repro.execution import HealthEvent, RunHealth
+    def test_health_line_after_a_recovered_run(self, capsys, monkeypatch,
+                                                 tmp_path):
+        """run shares the network/sweep epilogue, health line included:
+        a retry recorded during the run reaches the line and the report."""
+        from repro.execution import record_retry
+        from repro.pipeline.stages import Estimate
 
         monkeypatch.setenv("REPRO_BENCH_QUICK", "1")
-        retry = HealthEvent("worker-lost", "injected by the test")
-        monkeypatch.setattr(
-            "repro.__main__.run_health",
-            lambda: RunHealth(retries=(retry,), degradations=()),
-        )
-        assert main(["run", "low"]) == 0
+        estimate = Estimate.run
+
+        def bumpy_estimate(self, context):
+            record_retry("worker-lost", "injected by the test")
+            return estimate(self, context)
+
+        monkeypatch.setattr(Estimate, "run", bumpy_estimate)
+        report = tmp_path / "report.json"
+        assert main(["run", "low", "--report", str(report)]) == 0
         assert "health     : 1 retry, 0 degradation(s)" in (
             capsys.readouterr().out
         )
+        health = json.loads(report.read_text())["health"]
+        assert [e["kind"] for e in health["retries"]] == ["worker-lost"]
 
     def test_spec_path_that_is_a_directory_is_friendly(self, tmp_path,
                                                        capsys):
