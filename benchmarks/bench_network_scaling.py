@@ -11,7 +11,7 @@ two claims are checked:
 * **Speedup**: the engine synthesises each demand once and advances all
   demands one window at a time; within a window the demand × cell
   synthesis tasks are independent given the per-demand ``SeedSequence``
-  children, and so are the per-link measurement steps and the per-link
+  children, and so are the per-class measurement steps and the per-link
   fits.  With >= 4 CPUs the pooled run must beat the sequential one by
   ``MIN_SPEEDUP`` (the acceptance bar is 3x on a >= 10-link topology
   with the shared-memory process backend; quick mode only smoke-checks
@@ -87,7 +87,7 @@ BACKEND = os.environ.get("REPRO_BENCH_BACKEND") or (
 GATED = _CPUS >= 2 and WORKERS > 1
 
 #: Required parallel-over-sequential speedup.  The tasks of one window
-#: (demand × cell synthesis, per-link measurement steps) are independent
+#: (demand × cell synthesis, per-class measurement steps) are independent
 #: and, on the process backend, dodge the GIL entirely, so with >= 4
 #: CPUs the acceptance bar of 3x applies to the full run; quick mode's
 #: tasks are milliseconds, so its gate (like the other scaling benches)

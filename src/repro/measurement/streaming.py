@@ -53,7 +53,6 @@ from ..exceptions import FlowExportError
 from ..execution import check_backend, make_pool, stage_timer
 from ..flows.exporter import DEFAULT_TIMEOUT
 from ..flows.keys import (
-    five_tuple_key_dtype,
     pack_packet_keys,
     packed_key_order,
     unpack_packet_keys,
@@ -625,8 +624,14 @@ class StreamingMeasurement:
         """
         self._pool.close()
 
-    def finalize(self) -> tuple[FlowSet, RateSeries | None]:
-        """Close all open flows and assemble the final artifacts."""
+    def seal(self) -> None:
+        """Close all open flows; keep the closed parts for :meth:`assemble`.
+
+        The first half of :meth:`finalize`, for a driver that assembles
+        the artifacts of several measurements at once (the network
+        engine: one measurement per class of packets, a link combining
+        its classes).  A sealed measurement accepts no more chunks.
+        """
         if self._finalized:
             raise FlowExportError("measurement already finalized")
         self._finalized = True
@@ -638,19 +643,68 @@ class StreamingMeasurement:
                 np.arange(state.hi.size, dtype=np.int64), result,
             )
             self._apply(result)
-        with stage_timer("measurement.assemble"):
-            flows = self._assemble_flows()
+        # every carried flow is closed; a sealed measurement travels to
+        # each task that assembles it, so it carries no stale tables
+        self._states = []
+
+    def finalize(self) -> tuple[FlowSet, RateSeries | None]:
+        """Close all open flows and assemble the final artifacts."""
+        self.seal()
+        flows, series, self.raw_series = self.assemble([self])
         # the closed-flow parts now live in ``flows``; a finalized
         # measurement keeps no second copy
         self._flows = []
-        series = None
-        if self.delta is not None:
-            series = RateSeries(self._volumes / self.delta, self.delta)
-            if self._raw_volumes is not None:
-                self.raw_series = RateSeries(
-                    self._raw_volumes / self.delta, self.delta
-                )
         return flows, series
+
+    @staticmethod
+    def assemble(parts) -> tuple[FlowSet, RateSeries | None, RateSeries | None]:
+        """``(flows, series, raw_series)`` of sealed measurements combined.
+
+        ``parts`` share their parameters and see disjoint flow keys (the
+        network engine's classes on one link), so the combined FlowSet
+        is the union of theirs, restored to the exporter's order with
+        one flow-level lexsort, and the bin volumes and discard counts
+        add up — integer float64 sums, exact in any order.  The parts
+        are left as they are.
+        """
+        first = parts[0]
+        # an empty part keeps the column dtypes when no flow closed
+        closed = [cols for part in parts for cols in part._flows] or [
+            (_EMPTY_F64, _EMPTY_F64, _EMPTY_F64, _EMPTY_I64, _EMPTY_U64,
+             _EMPTY_U64)
+        ]
+        with stage_timer("measurement.assemble"):
+            starts, ends, sizes, counts, hi, lo = (
+                np.concatenate(cols) for cols in zip(*closed)
+            )
+            # the exporter's canonical order: key ascending, then start time
+            order = packed_key_order(hi, lo, within=starts)
+            flows = FlowSet(
+                starts[order],
+                ends[order],
+                sizes[order],
+                counts[order].astype(np.int64),
+                key_kind=first.key,
+                keys=unpack_packet_keys(
+                    hi[order], lo[order], first.key, PACKET_DTYPE,
+                    first.prefix_length,
+                ),
+                prefix_length=first.prefix_length,
+                timeout=first.timeout,
+                discarded_packets=sum(part._discarded for part in parts),
+            )
+        series = raw_series = None
+        if first.delta is not None:
+            series = RateSeries(
+                sum(part._volumes for part in parts) / first.delta,
+                first.delta,
+            )
+            if first._raw_volumes is not None:
+                raw_series = RateSeries(
+                    sum(part._raw_volumes for part in parts) / first.delta,
+                    first.delta,
+                )
+        return flows, series, raw_series
 
     # -- internals --------------------------------------------------------
 
@@ -662,37 +716,3 @@ class StreamingMeasurement:
                 self._volumes -= np.bincount(
                     bins_, weights=bytes_, minlength=self.n_bins
                 )
-
-    def _assemble_flows(self) -> FlowSet:
-        if not self._flows:
-            keys = (
-                np.zeros(0, dtype=five_tuple_key_dtype(PACKET_DTYPE))
-                if self.key == "five_tuple"
-                else np.zeros(0, dtype=np.uint32)
-            )
-            return FlowSet(
-                np.zeros(0), np.zeros(0), np.zeros(0),
-                np.zeros(0, dtype=np.int64),
-                key_kind=self.key, keys=keys,
-                prefix_length=self.prefix_length, timeout=self.timeout,
-                discarded_packets=self._discarded,
-            )
-        starts, ends, sizes, counts, hi, lo = (
-            np.concatenate(cols) for cols in zip(*self._flows)
-        )
-        # the exporter's canonical order: key ascending, then start time
-        order = packed_key_order(hi, lo, within=starts)
-        return FlowSet(
-            starts[order],
-            ends[order],
-            sizes[order],
-            counts[order].astype(np.int64),
-            key_kind=self.key,
-            keys=unpack_packet_keys(
-                hi[order], lo[order], self.key, PACKET_DTYPE,
-                self.prefix_length,
-            ),
-            prefix_length=self.prefix_length,
-            timeout=self.timeout,
-            discarded_packets=self._discarded,
-        )

@@ -28,29 +28,82 @@ from ..netsim.addresses import AddressSpace
 from ..netsim.workloads import LinkWorkload
 from .topology import Topology
 
-__all__ = ["NetworkDemand", "DemandMatrix", "demand_address_space"]
+__all__ = [
+    "NetworkDemand",
+    "DemandMatrix",
+    "demand_address_space",
+    "destination_keys_overlap",
+]
 
-#: Address stride per demand: 4096 /24 destination prefixes span 2^20
-#: addresses, so tiling ``dst_base`` by 2^20 keeps demand populations
-#: disjoint (distinct OD pairs do not share destination networks).
+#: Address stride per demand: the default 4096 /24 destination prefixes
+#: span exactly 2^20 addresses, so tiling ``dst_base`` by 2^20 keeps
+#: default-sized demand populations disjoint.
 _DST_STRIDE = 1 << 20
+
+_ADDRESSES = 1 << 32
 
 
 def demand_address_space(index: int, template: AddressSpace | None = None):
-    """A per-demand destination-address block (disjoint across demands).
+    """A per-demand destination-address block, tiled by position.
 
     Demand ``index`` keeps the template's population shape but draws its
-    destinations from a tiled base, so five-tuples never collide across
-    demands on a shared link and the ECMP hash spreads demands
-    independently.  Index 0 is the template itself — which is what keeps
-    a one-demand network bit-for-bit equal to the standalone single-link
-    engines.  The engine applies this to every demand
+    destinations from a base ``index * 2**20`` above the template's, so
+    the ECMP hash spreads demands independently and, for populations of
+    at most 4096 /24 prefixes, five-tuples of different demands never
+    share a destination address.  The blocks are *not* disjoint in
+    general: a larger ``n_dst_prefixes`` overlaps the next demand's
+    block, and a prefix flow key shorter than /12 can put two blocks
+    under one key — :func:`destination_keys_overlap` says when.  Index
+    0 is the template itself — which is what keeps a one-demand network
+    bit-for-bit equal to the standalone single-link engines.  The
+    engine applies this to every demand
     (:meth:`DemandMatrix.with_tiled_addresses`); build workloads with a
     custom ``AddressSpace`` to shift the whole tiling, not to escape it.
     """
     template = template if template is not None else AddressSpace()
-    base = (template.dst_base + int(index) * _DST_STRIDE) % (1 << 32)
+    base = (template.dst_base + int(index) * _DST_STRIDE) % _ADDRESSES
     return dataclasses.replace(template, dst_base=base)
+
+
+def _destination_key_ranges(space: AddressSpace, shift: int):
+    """Inclusive ranges of the destination keys ``space`` can produce.
+
+    Destinations lie in ``[base, base + n_dst_prefixes * 256)`` modulo
+    2**32, ``base`` being ``dst_base`` rounded down to its /24; a
+    wrapping block is two ranges.  ``shift`` drops the address bits the
+    flow key ignores.
+    """
+    base = (int(space.dst_base) % _ADDRESSES) & ~0xFF
+    end = base + int(space.n_dst_prefixes) * 256
+    if end - base >= _ADDRESSES:
+        pieces = [(0, _ADDRESSES - 1)]
+    elif end <= _ADDRESSES:
+        pieces = [(base, end - 1)]
+    else:
+        pieces = [(base, _ADDRESSES - 1), (0, end - _ADDRESSES - 1)]
+    return [(lo >> shift, hi >> shift) for lo, hi in pieces]
+
+
+def destination_keys_overlap(
+    spaces, *, key: str = "five_tuple", prefix_length: int = 24
+) -> bool:
+    """Whether flows of two of ``spaces`` can share a flow key.
+
+    Conservative: compares each population's whole destination range,
+    coarsened to the key's granularity (the full address for
+    ``"five_tuple"`` keys, the /``prefix_length`` prefix for
+    ``"prefix"`` keys).  ``False`` guarantees that every flow key on a
+    link carrying these populations belongs to exactly one of them.
+    """
+    shift = 0 if key == "five_tuple" else 32 - int(prefix_length)
+    ranges = [_destination_key_ranges(space, shift) for space in spaces]
+    return any(
+        lo_a <= hi_b and lo_b <= hi_a
+        for i, a in enumerate(ranges)
+        for b in ranges[i + 1:]
+        for lo_a, hi_a in a
+        for lo_b, hi_b in b
+    )
 
 
 @dataclass(frozen=True)
@@ -141,10 +194,11 @@ class DemandMatrix:
     def with_tiled_addresses(self) -> "DemandMatrix":
         """A copy with each demand's destination block tiled by position.
 
-        The engine applies this before simulating, so demand populations
-        never collide on a shared link no matter how the matrix was
-        built (spec file or direct API).  Demand 0 keeps its declared
-        address space untouched (tile offset zero).
+        The engine applies this before simulating, however the matrix
+        was built (spec file or direct API), so default-sized demand
+        populations draw from disjoint destination blocks
+        (:func:`demand_address_space` has the exceptions).  Demand 0
+        keeps its declared address space untouched (tile offset zero).
         """
         return DemandMatrix(
             dataclasses.replace(

@@ -18,24 +18,35 @@ Execution model:
   ``SeedSequence([s, i])``, and all demands advance one window of arrival
   cells at a time.  A demand's window block goes, through the
   flow-hash/route-segment rule, to every link on its route, so every
-  hop sees the same flows.  Each link merges its demands' blocks and
-  feeds them to its own
-  :class:`~repro.measurement.StreamingMeasurement`; after the last
-  window every link is finalised, fitted and provisioned.  Peak memory
-  is one window per demand plus each link's open-flow carry table —
-  never a trace.
+  hop sees the same flows.
+* **One measurement per class, not per hop.**  A *class* is one demand
+  under one keep rule (:func:`_keep_rule`); the links that keep the
+  same packets of a demand share its class, and each class feeds one
+  :class:`~repro.measurement.StreamingMeasurement` with no merging.
+  Flow accounting is key-local and demands draw from disjoint
+  destination blocks, so after the last window a link's FlowSet is the
+  union of its classes' flows (one flow-level lexsort restores the
+  exporter's order) and its series, packet, byte and discard counts are
+  sums of integer float64 values, exact in any order.  Where the
+  blocks of a link's demands can share a flow key
+  (:func:`~repro.network.demands.destination_keys_overlap`), the link's
+  demands form one class instead, merged per window as one stream.
+  Each link is then fitted and provisioned.  Peak memory is one window
+  per demand plus each class's open-flow carry table — never a trace.
 * **Fan-out.**  One :func:`repro.execution.make_pool` pool
   (``workers`` × ``backend``) carries every task: the demand × cell
-  synthesis tasks of a window, one measurement step per link, and the
+  synthesis tasks of a window, one measurement step per class, and the
   per-link fits.  A window spans ``workers`` cells.  Tasks are leaf
   functions, so pools never nest.
 * **Determinism.**  Per-link outputs depend only on ``(seed, demands,
   topology, routing, events)`` — never on ``chunk``, ``workers`` or
-  ``backend``.  The merged packet order is canonical: sorted by
+  ``backend``.  A link's merged packet order is canonical: sorted by
   timestamp with ties broken by demand index (then within-demand
-  synthesis order), so the per-link trace, FlowSet and RateSeries are
-  bitwise invariant to the execution knobs, and a one-demand one-link
-  network reproduces :func:`~repro.netsim.link.synthesize_link_trace` +
+  synthesis order).  Its FlowSet and RateSeries equal one
+  :class:`~repro.measurement.StreamingMeasurement` over that merged
+  trace bit for bit, so they are bitwise invariant to the execution
+  knobs, and a one-demand one-link network reproduces
+  :func:`~repro.netsim.link.synthesize_link_trace` +
   :class:`~repro.measurement.StreamingMeasurement` bit for bit.
 """
 
@@ -58,7 +69,7 @@ from ..measurement.streaming import StreamingMeasurement, process_shard
 from ..synthesis.engine import synthesize_cell_task
 from ..trace.packet import PACKET_DTYPE
 from ..stats.timeseries import RateSeries
-from .demands import DemandMatrix
+from .demands import DemandMatrix, destination_keys_overlap
 from .events import FlashCrowd, LinkOutage, apply_flash_crowds, routing_timeline
 from .routing import ecmp_salt, flow_uniforms, resolve_routing
 from .topology import Topology
@@ -71,7 +82,7 @@ __all__ = [
     "NetworkReport",
 ]
 
-#: Default cap on the packets of one per-link measurement step.
+#: Default cap on the packets of one per-class measurement step.
 DEFAULT_NETWORK_CHUNK = 1_000_000
 
 #: One packet record as opaque bytes, for whole-record copies.
@@ -126,7 +137,7 @@ def _keep_rule(segments, link):
     intervals = _segment_intervals(segments, link)
     if len(intervals) == 1 and _covers_unit_interval(intervals[0][2]):
         return None
-    return intervals
+    return tuple(intervals)
 
 
 def _filter_block(block, uniforms, segment_intervals):
@@ -153,7 +164,7 @@ def _filter_block(block, uniforms, segment_intervals):
 
 
 def _merge_window(parts):
-    """Merge one window's per-demand blocks on a link.
+    """Merge one window's per-demand blocks into one stream.
 
     ``parts`` come in demand-index order, and each is time-ordered.
     Every demand emits exactly the packets before one shared window
@@ -382,14 +393,14 @@ class NetworkEngine:
     Parameters
     ----------
     chunk:
-        Most packets per measurement step on one link (default
+        Most packets per measurement step on one class (default
         :data:`DEFAULT_NETWORK_CHUNK`); a larger window is measured in
         several steps.  Execution strategy only: per-link results are
         bitwise invariant to it.
     workers:
         Lanes of the one execution-backend pool, and the number of
         arrival cells per window.  The pool runs the demand × cell
-        synthesis tasks, one measurement step per link, and the
+        synthesis tasks, one measurement step per class, and the
         per-link fits.  Execution strategy only — never changes any
         result.
     backend:
@@ -595,7 +606,7 @@ class NetworkEngine:
         with stage_timer("network.links"), make_pool(
             self.backend, self.workers, retry=self.retry
         ) as pool:
-            streamers, kept = _measure_links(
+            classes, kept = _measure_links(
                 pool,
                 links,
                 demands,
@@ -615,11 +626,11 @@ class NetworkEngine:
                     link,
                     topology.capacity_bps(*link),
                     len(crossing[link]),
-                    streamer,
+                    parts,
                     duration,
                     detect_kwargs,
                 )
-                for link, streamer in zip(links, streamers)
+                for link, parts in zip(links, classes)
             ]
             done = _map_lanes(pool, _finish_link_task, tasks)
             for (key, link), blocks, result in zip(pending, kept, done):
@@ -681,31 +692,46 @@ def _measure_links(
     keep_raw_series,
     keep_packets,
 ):
-    """Synthesise every demand once and stream it into each link it crosses.
+    """Synthesise every demand once and stream it into each class it feeds.
 
-    Returns one :class:`~repro.measurement.StreamingMeasurement` per
-    link, fed but not finalised, and per link the merged packet blocks
-    (kept only with ``keep_packets``).
+    A class is a tuple of ``(demand index, keep rule)`` pairs: one pair,
+    shared by every link that keeps the same packets of the demand, or
+    all of a link's pairs when their flow keys can collide.  Returns per
+    link its sealed class measurements, and per link the merged packet
+    blocks (kept only with ``keep_packets``).
     """
+    classes: dict[tuple, int] = {}  # class -> slot
+    link_classes = []  # per link: its class slots, in demand order
+    for link in links:
+        pairs = [
+            (index, _keep_rule(timeline[index], link))
+            for index in crossing[link]
+        ]
+        merged = destination_keys_overlap(
+            [demands[index].workload.address_space for index, _ in pairs],
+            key=measure_kwargs["key"],
+            prefix_length=measure_kwargs["prefix_length"],
+        )
+        groups = [tuple(pairs)] if merged else [(pair,) for pair in pairs]
+        link_classes.append(
+            [classes.setdefault(group, len(classes)) for group in groups]
+        )
     streamers = [
         StreamingMeasurement(
             duration=duration, keep_raw_series=keep_raw_series,
             **measure_kwargs,
         )
-        for _ in links
+        for _ in classes
     ]
     kept = [[] for _ in links]
-    # per demand: the (link slot, keep rule) of every measured link it
-    # can cross; demands crossing none are never synthesised
-    routes = []
-    for index, segments in enumerate(timeline):
-        hops = [
-            (slot, _keep_rule(segments, link))
-            for slot, link in enumerate(links)
-            if index in crossing[link]
-        ]
-        if hops:
-            routes.append((index, hops))
+    # per demand: the distinct keep rules its classes need; demands
+    # feeding no class are never synthesised
+    rules: dict[int, list] = {}
+    for group in classes:
+        for index, rule in group:
+            if rule not in rules.setdefault(index, []):
+                rules[index].append(rule)
+    routes = sorted(rules.items())
     streams = [
         demands[index].workload.synthesize_chunks(
             seed=demands[index].seed_sequence(seed, index)
@@ -716,21 +742,24 @@ def _measure_links(
     n_cells = streams[0].plan.n_cells if streams else 0
     for g0 in range(0, n_cells, window):
         g1 = min(g0 + window, n_cells)
-        merged = _route_window(
-            pool, streams, routes, g0, g1, salt, len(links)
-        )
+        blocks = _route_window(pool, streams, routes, g0, g1, salt, classes)
         if keep_packets:
-            for slot, block in merged.items():
-                kept[slot].append(block)
-        _measure_window(pool, streamers, merged, chunk)
-    return streamers, kept
+            for slot, owned in enumerate(link_classes):
+                parts = [blocks[c] for c in owned if c in blocks]
+                if parts:
+                    kept[slot].append(_merge_window(parts))
+        _measure_window(pool, streamers, blocks, chunk)
+    for streamer in streamers:
+        streamer.seal()
+    return [[streamers[c] for c in owned] for owned in link_classes], kept
 
 
-def _route_window(pool, streams, routes, g0, g1, salt, n_links):
+def _route_window(pool, streams, routes, g0, g1, salt, classes):
     """Synthesise cells ``g0 .. g1 - 1`` of every demand; route them.
 
-    Returns each link's merged window block by link slot (links the
-    window leaves empty are absent).
+    Filters each demand block once per keep rule and returns each
+    class's window block by class slot (classes the window leaves empty
+    are absent).
     """
     with stage_timer("synthesis.cells"):
         blocks = _map_lanes(
@@ -739,35 +768,38 @@ def _route_window(pool, streams, routes, g0, g1, salt, n_links):
             [t for stream in streams for t in stream.window_tasks(g0, g1)],
         )
     width = g1 - g0
-    parts = [[] for _ in range(n_links)]
-    for j, (stream, (_, hops)) in enumerate(zip(streams, routes)):
+    filtered = {}  # (demand index, rule) -> the demand's packets under it
+    for j, (stream, (index, rules)) in enumerate(zip(streams, routes)):
         packets = stream.emit_window(blocks[j * width:(j + 1) * width], g1)
         if packets is None:
             continue
         uniforms = None
-        for slot, rule in hops:
+        for rule in rules:
             part = packets
             if rule is not None:
                 if uniforms is None:
                     uniforms = flow_uniforms(packets, salt)
                 part = _filter_block(packets, uniforms, rule)
             if part.size:
-                parts[slot].append(part)
-    return {
-        slot: _merge_window(group) for slot, group in enumerate(parts) if group
-    }
+                filtered[index, rule] = part
+    out = {}
+    for group, slot in classes.items():
+        parts = [filtered[pair] for pair in group if pair in filtered]
+        if parts:
+            out[slot] = _merge_window(parts)
+    return out
 
 
-def _measure_window(pool, streamers, merged, chunk):
-    """Fold each link's merged window block into its measurement.
+def _measure_window(pool, streamers, blocks, chunk):
+    """Fold each class's window block into its measurement.
 
     One pool round per ``chunk``-packet slice: each round runs one
-    measurement step for every link with packets left.
+    measurement step for every class with packets left.
     """
-    longest = max((block.size for block in merged.values()), default=0)
+    longest = max((block.size for block in blocks.values()), default=0)
     for start in range(0, longest, chunk):
         owners, tasks = [], []
-        for slot, block in merged.items():
+        for slot, block in blocks.items():
             if start < block.size:
                 owners.append(slot)
                 tasks.extend(
@@ -788,19 +820,19 @@ def _finish_link_task(task) -> LinkSimulation:
 
 
 def _finish_link(
-    link, capacity_bps, n_demands, streamer, duration, detect_kwargs
+    link, capacity_bps, n_demands, classes, duration, detect_kwargs
 ) -> LinkSimulation:
-    flows, series = streamer.finalize()
+    flows, series, raw_series = StreamingMeasurement.assemble(classes)
     result = LinkSimulation(
         link=link,
         capacity_bps=capacity_bps,
         n_demands=n_demands,
-        packet_count=int(streamer.packet_count),
-        total_bytes=float(streamer.total_bytes),
+        packet_count=sum(int(part.packet_count) for part in classes),
+        total_bytes=float(sum(part.total_bytes for part in classes)),
         flows=flows,
         series=series,
-        raw_series=streamer.raw_series,
-        delta=float(streamer.delta),
+        raw_series=raw_series,
+        delta=float(classes[0].delta),
         duration=duration,
     )
     if len(flows) and series is not None:

@@ -1098,8 +1098,8 @@ class DemandSpec:
     The demand's flow population reuses the :class:`WorkloadSpec`
     machinery (preset/scale/rate); its duration comes from the
     enclosing :class:`NetworkSpec`.  (The engine tiles every demand's
-    destination block by position, so populations never collide on a
-    shared link.)
+    destination block by position, so default-sized populations draw
+    from disjoint destination blocks.)
     """
 
     source: str
@@ -1221,7 +1221,7 @@ class NetworkSpec:
     sections, so single-link and network scenarios share one vocabulary.
     ``execution`` is strategy only (workers = lanes of the engine's
     pool and arrival cells per window, chunk = most packets per
-    per-link measurement step); results are bitwise invariant to it.
+    per-class measurement step); results are bitwise invariant to it.
     """
 
     topology: TopologySpec = field(
