@@ -9,12 +9,13 @@ to it in bounded memory, selects the best model, and emits a frozen,
 runnable :class:`~repro.pipeline.ScenarioSpec` whose synthesised λ and
 E[S] reproduce the source trace.
 
-Layering: accumulators (mergeable sufficient statistics) → families
-(the registered size laws) → fitters (binned MLE/EM + model selection)
-→ calibrator (the drivers) → report (the typed result + spec emitter)
-→ validate (the closed loop).
+Layering: accumulators (mergeable sufficient statistics) → fitters
+(binned MLE/EM over the :data:`repro.netsim.sizes.SIZE_LAWS` families
++ model selection) → calibrator (the drivers) → report (the typed
+result + spec emitter) → validate (the closed loop).
 """
 
+from ..netsim.sizes import CALIBRATION_FAMILIES
 from ..netsim.workloads import wire_sizes
 from .accumulators import (
     DEFAULT_BINS,
@@ -28,16 +29,6 @@ from .calibrator import (
     calibrate_archive,
     calibrate_flows,
     calibrate_sizes,
-)
-from .families import (
-    CALIBRATION_FAMILIES,
-    Family,
-    build_distribution,
-    family_cdf,
-    family_ppf,
-    get_family,
-    register_family,
-    scale_params,
 )
 from .fitters import (
     SELECTION_CRITERIA,
@@ -62,21 +53,14 @@ __all__ = [
     "CalibrationReport",
     "ClosedLoopReport",
     "DiurnalProfile",
-    "Family",
     "FamilyFit",
-    "build_distribution",
     "calibrate_accumulator",
     "calibrate_archive",
     "calibrate_flows",
     "calibrate_sizes",
-    "family_cdf",
-    "family_ppf",
     "fit_all_families",
     "fit_family",
-    "get_family",
     "grouped_log_likelihood",
-    "register_family",
-    "scale_params",
     "select_best",
     "tail_qq",
     "validate_fitted_spec",

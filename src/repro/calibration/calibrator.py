@@ -29,13 +29,13 @@ import numpy as np
 
 from ..exceptions import ParameterError
 from ..execution import make_pool
+from ..netsim.sizes import CALIBRATION_FAMILIES
 from .accumulators import (
     DEFAULT_BINS,
     DEFAULT_TAIL_K,
     DEFAULT_TIME_BINS,
     CalibrationAccumulator,
 )
-from .families import CALIBRATION_FAMILIES
 from .fitters import fit_all_families, select_best
 from .report import CalibrationReport, DiurnalProfile
 

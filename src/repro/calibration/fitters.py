@@ -23,14 +23,14 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from ..exceptions import FittingError, ParameterError
-from .accumulators import CalibrationAccumulator
-from .families import (
+from ..netsim.sizes import (
     CALIBRATION_FAMILIES,
-    build_distribution,
-    family_cdf,
-    family_ppf,
-    get_family,
+    BoundedPareto,
+    LognormalParetoMixture,
+    size_law,
 )
+from ..stats.qq import linear_correlation
+from .accumulators import CalibrationAccumulator
 
 __all__ = [
     "SELECTION_CRITERIA",
@@ -66,10 +66,6 @@ class FamilyFit:
     tail_qq_rmse_log10: float
     tail_qq_correlation: float
 
-    def build(self):
-        """The ``repro.netsim.sizes`` distribution behind this fit."""
-        return build_distribution(self.family, self.params)
-
     def to_dict(self) -> dict:
         return {
             "family": self.family,
@@ -96,16 +92,19 @@ def grouped_log_likelihood(
 ) -> float:
     """Grouped (binned) log-likelihood of a fitted family."""
     acc.require_data()
-    cdf = family_cdf(family, params, acc.edges)
-    probs = np.clip(np.diff(cdf), _TINY, None)
+    return _law_log_likelihood(acc, size_law(family, params))
+
+
+def _law_log_likelihood(acc: CalibrationAccumulator, law) -> float:
+    probs = np.clip(np.diff(law.cdf(acc.edges)), _TINY, None)
     mask = acc.counts > 0
     return float(np.sum(acc.counts[mask] * np.log(probs[mask])))
 
 
-def _binned_ks(acc: CalibrationAccumulator, family: str, params: dict) -> float:
+def _binned_ks(acc: CalibrationAccumulator, law) -> float:
     """KS distance between binned ECDF and model CDF at the bin edges."""
     ecdf = acc.empirical_cdf_at_edges()
-    model = family_cdf(family, params, acc.edges[1:])
+    model = law.cdf(acc.edges[1:])
     return float(np.max(np.abs(ecdf - model)))
 
 
@@ -125,15 +124,11 @@ def tail_qq(
         return float("nan"), float("nan")
     ranks = np.arange(tail.size, dtype=np.float64)  # 0 = largest
     positions = 1.0 - (ranks + 0.5) / acc.n
-    model = family_ppf(family, params, positions)
+    model = size_law(family, params).ppf(positions)
     observed_log = np.log10(tail)
     model_log = np.log10(np.clip(model, _TINY, None))
     rmse = float(np.sqrt(np.mean((observed_log - model_log) ** 2)))
-    if np.std(observed_log) < 1e-12 or np.std(model_log) < 1e-12:
-        correlation = 0.0
-    else:
-        correlation = float(np.corrcoef(observed_log, model_log)[0, 1])
-    return rmse, correlation
+    return rmse, linear_correlation(observed_log, model_log)
 
 
 # -- per-family fitters ---------------------------------------------------
@@ -167,8 +162,8 @@ def _fit_pareto(acc: CalibrationAccumulator) -> dict:
     hi = max(acc.max_size, lo * (1.0 + 1e-9))
 
     def negative_ll(alpha: float) -> float:
-        params = {"alpha": float(alpha), "minimum": lo, "maximum": hi}
-        return -grouped_log_likelihood(acc, "pareto", params)
+        law = BoundedPareto(alpha=float(alpha), minimum=lo, maximum=hi)
+        return -_law_log_likelihood(acc, law)
 
     result = minimize_scalar(
         negative_ll, bounds=_ALPHA_BOUNDS, method="bounded",
@@ -301,7 +296,7 @@ def _fit_lognormal_pareto(
                 acc, threshold, np.random.Generator(np.random.PCG64(child))
             )
             try:
-                ll = grouped_log_likelihood(acc, "lognormal_pareto", params)
+                ll = _law_log_likelihood(acc, LognormalParetoMixture(**params))
             except ParameterError:
                 continue
             if ll > best_ll:
@@ -315,12 +310,17 @@ def _fit_lognormal_pareto(
     return best_params
 
 
+#: Each family's fitter and its count of FREE parameters for AIC/BIC
+#: (the mixture pins its maximum to the sample max: 5 of its 6).
 _FITTERS = {
-    "lognormal": lambda acc, restarts, seed: _fit_lognormal(acc),
-    "pareto": lambda acc, restarts, seed: _fit_pareto(acc),
-    "exponential": lambda acc, restarts, seed: _fit_exponential(acc),
-    "lognormal_pareto": lambda acc, restarts, seed: _fit_lognormal_pareto(
-        acc, restarts=restarts, seed=seed
+    "lognormal": (2, lambda acc, restarts, seed: _fit_lognormal(acc)),
+    "pareto": (3, lambda acc, restarts, seed: _fit_pareto(acc)),
+    "exponential": (1, lambda acc, restarts, seed: _fit_exponential(acc)),
+    "lognormal_pareto": (
+        5,
+        lambda acc, restarts, seed: _fit_lognormal_pareto(
+            acc, restarts=restarts, seed=seed
+        ),
     ),
 }
 
@@ -335,19 +335,18 @@ def fit_family(
     restarts: int = 4,
     seed: int = 0,
 ) -> FamilyFit:
-    """Fit one registered family and score its goodness of fit."""
+    """Fit one size-law family and score its goodness of fit."""
     acc.require_data()
-    spec = get_family(family)
     try:
-        fitter = _FITTERS[family]
-    except KeyError:
+        k, fitter = _FITTERS[family]
+    except (KeyError, TypeError):
         raise ParameterError(
-            f"family {family!r} is registered but has no fitter; "
-            f"fittable families: {tuple(sorted(_FITTERS))}"
+            f"unknown size-law family {family!r}; fittable families: "
+            f"{CALIBRATION_FAMILIES}"
         ) from None
     params = fitter(acc, restarts, seed)
-    ll = grouped_log_likelihood(acc, family, params)
-    k = spec.n_params
+    law = size_law(family, params)
+    ll = _law_log_likelihood(acc, law)
     rmse, correlation = tail_qq(acc, family, params)
     return FamilyFit(
         family=family,
@@ -356,7 +355,7 @@ def fit_family(
         log_likelihood=ll,
         aic=float(2.0 * k - 2.0 * ll),
         bic=float(k * np.log(acc.n) - 2.0 * ll),
-        ks_statistic=_binned_ks(acc, family, params),
+        ks_statistic=_binned_ks(acc, law),
         tail_qq_rmse_log10=rmse,
         tail_qq_correlation=correlation,
     )

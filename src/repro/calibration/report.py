@@ -11,8 +11,9 @@ into a frozen, runnable :class:`~repro.pipeline.ScenarioSpec`:
 
 * the fitted *wire-byte* law is deflated by a scalar so that, after the
   synthesiser re-adds per-packet header overhead, the mean wire bytes
-  per flow equals the trace's ``E[S]`` (all families are scale-closed,
-  so the shape is untouched), and
+  per flow equals the trace's ``E[S]`` (every law in
+  :data:`~repro.netsim.sizes.SIZE_LAWS` is scale-closed, so
+  ``law.scaled(c)`` leaves the shape untouched), and
 * the workload's target rate is set to ``8 λ E[wire]`` using the same
   seeded Monte Carlo the workload itself uses, so the synthesised
   arrival rate equals the trace's λ *exactly* by construction.
@@ -21,15 +22,15 @@ into a frozen, runnable :class:`~repro.pipeline.ScenarioSpec`:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ..exceptions import ParameterError
+from ..netsim.sizes import size_law
 from ..netsim.tcp import TcpParameters
 from ..netsim.workloads import wire_bytes_per_flow
 from .fitters import FamilyFit
-from .families import build_distribution, scale_params
 
 __all__ = [
     "CalibrationReport",
@@ -59,14 +60,12 @@ def deflate_for_wire(
         raise ParameterError(
             f"target wire mean must be > 0 bytes, got {target_wire_mean!r}"
         )
+    law = size_law(family, params)
     factor = 1.0
     for _ in range(iterations):
-        scaled = scale_params(family, params, factor)
-        wire = wire_bytes_per_flow(
-            build_distribution(family, scaled), tcp_params
-        )
+        wire = wire_bytes_per_flow(law.scaled(factor), tcp_params)
         factor *= target_wire_mean / wire
-    return scale_params(family, params, factor)
+    return asdict(law.scaled(factor))
 
 
 @dataclass(frozen=True)
@@ -141,10 +140,6 @@ class CalibrationReport:
             f"report names family {self.family!r} but carries no such "
             "candidate fit"
         )
-
-    def build_distribution(self):
-        """The fitted (wire-byte) size law."""
-        return build_distribution(self.family, self.params)
 
     # -- serialisation ----------------------------------------------------
 

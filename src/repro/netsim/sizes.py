@@ -7,13 +7,24 @@ times are lognormal.  All distributions expose the small protocol
 ``rvs(size=..., random_state=...)`` / ``mean()`` used by
 :class:`repro.core.SizeRateEnsemble`, so they plug into both the workload
 generator and the analytic model.
+
+The four laws calibration fits — ``LogNormal``, ``BoundedPareto``,
+``Exponential`` and ``LognormalParetoMixture`` — also carry ``cdf(x)``,
+``ppf(q)`` and ``scaled(factor)``, and :data:`SIZE_LAWS` names them: a
+family's parameter names are its dataclass fields, and
+:func:`size_law` builds one from exactly those parameters.  Every one
+of them is *scale-closed*: ``scaled(c)`` multiplies each length
+parameter by ``c``, which multiplies the random variable by exactly
+``c`` (the underlying uniform/normal draws are unchanged).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .._util import as_rng
 from ..exceptions import ParameterError
@@ -26,11 +37,42 @@ __all__ = [
     "Constant",
     "Mixture",
     "Empirical",
+    "SIZE_LAWS",
+    "CALIBRATION_FAMILIES",
+    "size_law",
 ]
 
 
 def _rng_of(random_state) -> np.random.Generator:
     return as_rng(random_state)
+
+
+def _require_finite(law) -> None:
+    """Reject NaN, ±inf and non-numbers in any parameter of ``law``."""
+    for f in fields(law):
+        value = getattr(law, f.name)
+        try:
+            finite = math.isfinite(value)
+        except TypeError:
+            finite = False
+        if not finite:
+            raise ParameterError(
+                f"{type(law).__name__}.{f.name} must be a finite number, "
+                f"got {value!r}"
+            )
+
+
+def _quantiles(q) -> np.ndarray:
+    q = np.asarray(q, dtype=np.float64)
+    if np.any(q <= 0.0) or np.any(q >= 1.0):
+        raise ParameterError("quantiles must lie strictly inside (0, 1)")
+    return q
+
+
+def _scale_factor(factor):
+    if factor <= 0.0:
+        raise ParameterError(f"scale factor must be > 0, got {factor!r}")
+    return factor
 
 
 @dataclass(frozen=True)
@@ -47,18 +89,20 @@ class BoundedPareto:
     maximum: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.alpha <= 0:
             raise ParameterError(f"alpha must be > 0, got {self.alpha}")
         if not 0 < self.minimum < self.maximum:
             raise ParameterError("need 0 < minimum < maximum")
 
-    def rvs(self, size=1, random_state=None) -> np.ndarray:
-        rng = _rng_of(random_state)
-        u = rng.random(size)
+    def _inverse_cdf(self, u) -> np.ndarray:
         a, lo, hi = self.alpha, self.minimum, self.maximum
         ratio = (lo / hi) ** a
-        # inverse CDF of the truncated Pareto
         return lo / (1.0 - u * (1.0 - ratio)) ** (1.0 / a)
+
+    def rvs(self, size=1, random_state=None) -> np.ndarray:
+        rng = _rng_of(random_state)
+        return self._inverse_cdf(rng.random(size))
 
     def mean(self) -> float:
         a, lo, hi = self.alpha, self.minimum, self.maximum
@@ -75,12 +119,25 @@ class BoundedPareto:
         return (a / (a - 2.0)) * lo**2 * (1.0 - (lo / hi) ** (a - 2.0)) / norm
 
     def ccdf(self, x) -> np.ndarray:
-        """``P(X > x)`` — used by the heavy-tail diagnostics."""
+        """``P(X > x)``."""
         x = np.asarray(x, dtype=np.float64)
         a, lo, hi = self.alpha, self.minimum, self.maximum
         norm = 1.0 - (lo / hi) ** a
         tail = ((lo / np.clip(x, lo, hi)) ** a - (lo / hi) ** a) / norm
         return np.where(x < lo, 1.0, np.where(x >= hi, 0.0, tail))
+
+    def cdf(self, x) -> np.ndarray:
+        """``P(X <= x)``."""
+        return 1.0 - self.ccdf(x)
+
+    def ppf(self, q) -> np.ndarray:
+        return self._inverse_cdf(_quantiles(q))
+
+    def scaled(self, factor) -> "BoundedPareto":
+        factor = _scale_factor(factor)
+        return replace(
+            self, minimum=self.minimum * factor, maximum=self.maximum * factor
+        )
 
 
 @dataclass(frozen=True)
@@ -95,6 +152,7 @@ class LogNormal:
     sigma: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.median <= 0:
             raise ParameterError("median must be > 0")
         if self.sigma < 0:
@@ -106,6 +164,20 @@ class LogNormal:
 
     def mean(self) -> float:
         return float(self.median * np.exp(self.sigma**2 / 2.0))
+
+    def cdf(self, x) -> np.ndarray:
+        """``P(X <= x)``."""
+        x = np.asarray(x, dtype=np.float64)
+        sigma = max(self.sigma, 1e-12)
+        with np.errstate(divide="ignore"):
+            z = (np.log(np.maximum(x, 1e-300)) - np.log(self.median)) / sigma
+        return np.where(x <= 0.0, 0.0, ndtr(z))
+
+    def ppf(self, q) -> np.ndarray:
+        return self.median * np.exp(self.sigma * ndtri(_quantiles(q)))
+
+    def scaled(self, factor) -> "LogNormal":
+        return replace(self, median=self.median * _scale_factor(factor))
 
 
 @dataclass(frozen=True)
@@ -121,10 +193,10 @@ class LognormalParetoMixture:
     keeps every moment finite, so the law plugs into the shot-noise
     model's Monte Carlo calibration like the other families.
 
-    This is the family ``repro.calibration`` fits to real traces
-    (:mod:`repro.calibration.families` registers it next to the pure
-    lognormal/Pareto/exponential laws); the ``campus-mixture-*``
-    registry scenarios carry the published campus fits as presets.
+    This is the family ``repro.calibration`` fits to real traces next
+    to the pure lognormal/Pareto/exponential laws (:data:`SIZE_LAWS`);
+    the ``campus-mixture-*`` registry scenarios carry the published
+    campus fits as presets.
     """
 
     body_weight: float
@@ -135,6 +207,7 @@ class LognormalParetoMixture:
     maximum: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not 0.0 < self.body_weight < 1.0:
             raise ParameterError(
                 f"body_weight must lie in (0, 1), got {self.body_weight}"
@@ -181,42 +254,104 @@ class LognormalParetoMixture:
         )
 
     def cdf(self, x) -> np.ndarray:
-        """``P(X <= x)`` — the calibration goodness-of-fit input."""
-        from scipy.special import ndtr
-
-        x = np.asarray(x, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            z = (np.log(np.maximum(x, 1e-300)) - np.log(self.median)) / max(
-                self.sigma, 1e-12
-            )
-        body_cdf = np.where(x <= 0.0, 0.0, ndtr(z))
-        tail_cdf = 1.0 - self.tail.ccdf(x)
+        """``P(X <= x)``."""
         return (
-            self.body_weight * body_cdf
-            + (1.0 - self.body_weight) * tail_cdf
+            self.body_weight * self.body.cdf(x)
+            + (1.0 - self.body_weight) * (1.0 - self.tail.ccdf(x))
         )
 
     def ccdf(self, x) -> np.ndarray:
-        """``P(X > x)`` — used by the heavy-tail diagnostics."""
+        """``P(X > x)``."""
         return 1.0 - self.cdf(x)
+
+    def ppf(self, q) -> np.ndarray:
+        """Quantiles by inverting the CDF on a fine log-spaced grid."""
+        q = _quantiles(q)
+        sigma = max(self.sigma, 1e-12)
+        lo = min(self.median * np.exp(-8.0 * sigma), self.minimum)
+        hi = max(self.median * np.exp(8.0 * sigma), self.maximum)
+        grid = np.logspace(np.log10(lo), np.log10(hi), 8192)
+        cdf = np.maximum.accumulate(self.cdf(grid))  # fp wobble: keep monotone
+        return np.interp(q, cdf, grid, left=grid[0], right=grid[-1])
+
+    def scaled(self, factor) -> "LognormalParetoMixture":
+        factor = _scale_factor(factor)
+        return replace(
+            self,
+            median=self.median * factor,
+            minimum=self.minimum * factor,
+            maximum=self.maximum * factor,
+        )
 
 
 @dataclass(frozen=True)
 class Exponential:
-    """Exponential with the given mean."""
+    """Exponential with the given mean (in bytes, as a flow-size law)."""
 
-    mean_value: float
+    mean_bytes: float
 
     def __post_init__(self) -> None:
-        if self.mean_value <= 0:
-            raise ParameterError("mean_value must be > 0")
+        _require_finite(self)
+        if self.mean_bytes <= 0:
+            raise ParameterError("mean_bytes must be > 0")
 
     def rvs(self, size=1, random_state=None) -> np.ndarray:
         rng = _rng_of(random_state)
-        return rng.exponential(self.mean_value, size)
+        return rng.exponential(self.mean_bytes, size)
 
     def mean(self) -> float:
-        return float(self.mean_value)
+        return float(self.mean_bytes)
+
+    def cdf(self, x) -> np.ndarray:
+        """``P(X <= x)``."""
+        x = np.asarray(x, dtype=np.float64)
+        return np.where(x <= 0.0, 0.0, -np.expm1(-x / self.mean_bytes))
+
+    def ppf(self, q) -> np.ndarray:
+        return -self.mean_bytes * np.log1p(-_quantiles(q))
+
+    def scaled(self, factor) -> "Exponential":
+        return replace(self, mean_bytes=self.mean_bytes * _scale_factor(factor))
+
+
+#: The flow-size laws calibration fits, by family name, in fitting order.
+#: A family's parameter names are its class's dataclass fields.
+SIZE_LAWS: dict[str, type] = {
+    "lognormal": LogNormal,
+    "pareto": BoundedPareto,
+    "exponential": Exponential,
+    "lognormal_pareto": LognormalParetoMixture,
+}
+
+#: The families calibration fits by default: all of them.
+CALIBRATION_FAMILIES = tuple(SIZE_LAWS)
+
+
+def size_law(name: str, params: dict):
+    """The ``name`` family's law, built from exactly its parameters.
+
+    Raises :class:`ParameterError` for an unknown name, a missing or an
+    extra parameter, and (from the law itself) an out-of-domain or
+    non-finite value.
+    """
+    try:
+        law = SIZE_LAWS[name]
+    except (KeyError, TypeError):
+        raise ParameterError(
+            f"size-law kind must be one of {list(SIZE_LAWS)}, got {name!r}"
+        ) from None
+    names = tuple(f.name for f in fields(law))
+    missing = [p for p in names if p not in params]
+    if missing:
+        raise ParameterError(
+            f"size law {name!r} needs parameters {names}, missing {missing}"
+        )
+    extra = sorted(set(params) - set(names))
+    if extra:
+        raise ParameterError(
+            f"size law {name!r} takes only {names}; remove {extra}"
+        )
+    return law(**params)
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,6 @@ from .spec import (
     RetryPolicy,
     ScenarioSpec,
     SELECTION_CRITERIA,
-    SIZE_DISTRIBUTION_KINDS,
     SizeDistributionSpec,
     SweepSpec,
     SynthesisSpec,
@@ -109,7 +108,6 @@ __all__ = [
     "CALIBRATION_FAMILIES",
     "SELECTION_CRITERIA",
     "SizeDistributionSpec",
-    "SIZE_DISTRIBUTION_KINDS",
     "SynthesisSpec",
     "MeasurementSpec",
     "EstimationSpec",

@@ -34,6 +34,7 @@ from ..netsim.arrivals import (
     PoissonArrivals,
     SessionArrivals,
 )
+from ..netsim.sizes import CALIBRATION_FAMILIES, size_law
 from ..netsim.workloads import (
     DEFAULT_SCALE,
     OC12_BPS,
@@ -58,7 +59,6 @@ __all__ = [
     "FitSpec",
     "CALIBRATION_FAMILIES",
     "SELECTION_CRITERIA",
-    "SIZE_DISTRIBUTION_KINDS",
     "SizeDistributionSpec",
     "CalibrationSpec",
     "GenerationSpec",
@@ -262,29 +262,11 @@ class ArrivalSpec:
         )
 
 
-#: Flow-size families a spec can name.  Mirrors
-#: ``repro.calibration.CALIBRATION_FAMILIES`` (pinned by a test); kept
-#: literal here so the spec layer stays pure data with no engine imports.
-SIZE_DISTRIBUTION_KINDS = (
-    "lognormal", "pareto", "exponential", "lognormal_pareto",
-)
-
-#: Parameters each size-law kind requires (and accepts — extras error).
-_SIZE_KIND_PARAMS: dict[str, tuple[str, ...]] = {
-    "lognormal": ("median", "sigma"),
-    "pareto": ("alpha", "minimum", "maximum"),
-    "exponential": ("mean_bytes",),
-    "lognormal_pareto": (
-        "body_weight", "median", "sigma", "alpha", "minimum", "maximum",
-    ),
-}
-
-
 @dataclass(frozen=True)
 class SizeDistributionSpec:
     """A serializable flow-size law for the workload to draw from.
 
-    ``kind`` names one of the calibration subsystem's registered
+    ``kind`` names one of the :data:`repro.netsim.sizes.SIZE_LAWS`
     families; exactly the parameters of that kind must be set (anything
     else is an error, so a stray ``alpha`` on a lognormal fails loudly).
     This is the section :meth:`CalibrationReport.to_scenario_spec`
@@ -301,48 +283,29 @@ class SizeDistributionSpec:
     body_weight: float | None = None
 
     def __post_init__(self) -> None:
-        _check_choice("sizes.kind", self.kind, SIZE_DISTRIBUTION_KINDS)
-        required = _SIZE_KIND_PARAMS[self.kind]
-        missing = [p for p in required if getattr(self, p) is None]
-        if missing:
-            raise ParameterError(
-                f"sizes: kind {self.kind!r} requires {sorted(required)}, "
-                f"missing {missing}"
-            )
-        all_params = {p for ps in _SIZE_KIND_PARAMS.values() for p in ps}
-        extras = sorted(
-            p
-            for p in all_params - set(required)
-            if getattr(self, p) is not None
-        )
-        if extras:
-            raise ParameterError(
-                f"sizes: kind {self.kind!r} takes only {sorted(required)}; "
-                f"remove {extras}"
-            )
-        self.build()  # delegate value validation to the distribution
+        # the law checks the kind, the parameter names and their values
+        size_law(self.kind, self._given())
+
+    def _given(self) -> dict:
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "kind" and getattr(self, f.name) is not None
+        }
 
     def params(self) -> dict:
         """The kind's parameters as the calibration layer's dict form."""
-        return {
-            p: float(getattr(self, p)) for p in _SIZE_KIND_PARAMS[self.kind]
-        }
+        return {k: float(v) for k, v in self._given().items()}
 
     @classmethod
     def from_family(cls, family: str, params: dict) -> "SizeDistributionSpec":
         """Build from a calibration ``(family, params)`` pair."""
-        _check_choice("sizes.kind", family, SIZE_DISTRIBUTION_KINDS)
-        allowed = set(_SIZE_KIND_PARAMS[family])
-        return cls(
-            kind=family,
-            **{k: float(v) for k, v in params.items() if k in allowed},
-        )
+        size_law(family, params)  # reject unknown names and stray keys
+        return cls(kind=family, **{k: float(v) for k, v in params.items()})
 
     def build(self):
         """Materialise the ``repro.netsim.sizes`` distribution."""
-        from ..calibration.families import build_distribution
-
-        return build_distribution(self.kind, self.params())
+        return size_law(self.kind, self.params())
 
 
 @dataclass(frozen=True)
@@ -766,13 +729,6 @@ def _validate_powers(section: str, powers) -> None:
 #: ``repro.calibration.SELECTION_CRITERIA`` (pinned by a test); literal
 #: here so the spec layer stays pure data with no engine imports.
 SELECTION_CRITERIA = ("bic", "aic", "loglik", "ks")
-
-#: Size-law families calibration fits by default.  Mirrors
-#: ``repro.calibration.CALIBRATION_FAMILIES`` (pinned by a test).
-CALIBRATION_FAMILIES = (
-    "lognormal", "pareto", "exponential", "lognormal_pareto",
-)
-
 
 @dataclass(frozen=True)
 class CalibrationSpec:

@@ -1,4 +1,4 @@
-"""Measurement statistics: rate series, correlograms, qq-plots, tails, EWMA."""
+"""Measurement statistics: rate series, correlograms, qq-plots, EWMA."""
 
 from .correlation import (
     autocorrelation,
@@ -7,13 +7,6 @@ from .correlation import (
     cross_correlation,
 )
 from .estimators import EwmaEstimator, OnlineFlowStatistics
-from .heavytail import (
-    ParetoTailFit,
-    empirical_ccdf,
-    fit_pareto_tail,
-    hill_estimator,
-    hill_plot,
-)
 from .qq import ExponentialityReport, QQData, exponentiality, qq_exponential
 from .timeseries import RateSeries
 
@@ -27,11 +20,6 @@ __all__ = [
     "qq_exponential",
     "ExponentialityReport",
     "exponentiality",
-    "ParetoTailFit",
-    "fit_pareto_tail",
-    "hill_estimator",
-    "hill_plot",
-    "empirical_ccdf",
     "EwmaEstimator",
     "OnlineFlowStatistics",
 ]

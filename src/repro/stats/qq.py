@@ -16,7 +16,18 @@ from scipy import stats
 from .._util import as_1d_float_array
 from ..exceptions import ParameterError
 
-__all__ = ["QQData", "qq_exponential", "exponentiality"]
+__all__ = ["QQData", "qq_exponential", "exponentiality", "linear_correlation"]
+
+
+def linear_correlation(x, y) -> float:
+    """Pearson r of two QQ axes; 0.0 when either side is constant.
+
+    A constant axis carries no linear relation to measure (Pearson r is
+    0/0 there), so it scores as no match rather than NaN.
+    """
+    if np.std(x) < 1e-12 or np.std(y) < 1e-12:
+        return 0.0
+    return float(np.corrcoef(x, y)[0, 1])
 
 
 @dataclass(frozen=True)
@@ -43,7 +54,7 @@ class QQData:
     @property
     def correlation(self) -> float:
         """Pearson r of the qq points; 1.0 means a perfect linear match."""
-        return float(np.corrcoef(self.empirical, self.theoretical)[0, 1])
+        return linear_correlation(self.empirical, self.theoretical)
 
     def max_relative_deviation(self) -> float:
         """Largest |empirical - theoretical| / theoretical over the plot."""

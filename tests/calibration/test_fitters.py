@@ -12,12 +12,12 @@ from repro.calibration import (
     grouped_log_likelihood,
     select_best,
 )
-from repro.calibration.families import build_distribution
+from repro.netsim.sizes import size_law
 from repro.exceptions import ParameterError
 
 
 def accumulate(family, params, n=40000, seed=5, duration=60.0):
-    dist = build_distribution(family, params)
+    dist = size_law(family, params)
     sizes = dist.rvs(n, np.random.default_rng(seed))
     return calibrate_sizes(np.maximum(sizes, 1.0), duration=duration)
 
@@ -105,7 +105,7 @@ class TestDeterminism:
     def test_fit_depends_only_on_accumulator(self):
         """Any chunk/workers/backend path yields the identical fit."""
         truth = {"median": 4000.0, "sigma": 1.0}
-        dist = build_distribution("lognormal", truth)
+        dist = size_law("lognormal", truth)
         sizes = np.maximum(
             dist.rvs(20000, np.random.default_rng(4)), 1.0
         )

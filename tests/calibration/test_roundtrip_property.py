@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.calibration import calibrate_sizes, fit_all_families, fit_family, select_best
-from repro.calibration.families import build_distribution
+from repro.netsim.sizes import size_law
 
 _SETTINGS = dict(
     max_examples=12,
@@ -30,7 +30,7 @@ _SETTINGS = dict(
 )
 @settings(**_SETTINGS)
 def test_lognormal_roundtrip(median, sigma, seed):
-    dist = build_distribution(
+    dist = size_law(
         "lognormal", {"median": median, "sigma": sigma}
     )
     sizes = np.maximum(dist.rvs(8000, np.random.default_rng(seed)), 1.0)
@@ -53,7 +53,7 @@ def test_lognormal_roundtrip(median, sigma, seed):
 @settings(**_SETTINGS)
 def test_pareto_roundtrip(alpha, seed):
     params = {"alpha": alpha, "minimum": 300.0, "maximum": 1e7}
-    dist = build_distribution("pareto", params)
+    dist = size_law("pareto", params)
     sizes = dist.rvs(8000, np.random.default_rng(seed))
     acc = calibrate_sizes(sizes, duration=60.0)
     fit = fit_family(acc, "pareto")
@@ -70,7 +70,7 @@ def test_pareto_roundtrip(alpha, seed):
 )
 @settings(**_SETTINGS)
 def test_exponential_roundtrip(mean, seed):
-    dist = build_distribution("exponential", {"mean_bytes": mean})
+    dist = size_law("exponential", {"mean_bytes": mean})
     sizes = np.maximum(dist.rvs(8000, np.random.default_rng(seed)), 1.0)
     acc = calibrate_sizes(sizes, duration=60.0)
     fit = fit_family(acc, "exponential")
