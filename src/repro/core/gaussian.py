@@ -16,11 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, ndtri
 
 from .._util import check_positive, check_probability
 
 __all__ = ["GaussianApproximation", "EdgeworthApproximation", "normal_quantile"]
+
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+def _standard_pdf(z):
+    """Standard normal density, with ``scipy.stats.norm``'s arithmetic."""
+    return np.exp(-z**2 / 2.0) / _SQRT_2PI
 
 
 def normal_quantile(epsilon: float) -> float:
@@ -29,7 +36,7 @@ def normal_quantile(epsilon: float) -> float:
     E.g. ``F(0.05) ~= 1.64``, ``F(0.01) ~= 2.33``.
     """
     epsilon = check_probability("epsilon", epsilon)
-    return float(stats.norm.ppf(1.0 - epsilon))
+    return float(ndtri(1.0 - epsilon))
 
 
 @dataclass(frozen=True)
@@ -53,20 +60,20 @@ class GaussianApproximation:
 
     def pdf(self, x) -> np.ndarray:
         """Approximate probability density of the total rate."""
-        return stats.norm.pdf(np.asarray(x, dtype=float), self.mean, self.std)
+        return _standard_pdf(self.standardize(x)) / self.std
 
     def cdf(self, x) -> np.ndarray:
         """``P(R <= x)`` under the approximation."""
-        return stats.norm.cdf(np.asarray(x, dtype=float), self.mean, self.std)
+        return ndtr(self.standardize(x))
 
     def tail_probability(self, level: float) -> float:
         """``P(R > level)`` — the congestion probability for capacity ``level``."""
-        return float(stats.norm.sf(level, self.mean, self.std))
+        return float(ndtr(-self.standardize(level)))
 
     def quantile(self, p: float) -> float:
         """Value exceeded with probability ``1 - p``."""
         p = check_probability("p", p)
-        return float(stats.norm.ppf(p, self.mean, self.std))
+        return float(ndtri(p) * self.std + self.mean)
 
     def required_capacity(self, epsilon: float) -> float:
         """Capacity ``E[R] + F(epsilon) sigma`` with congestion fraction <= epsilon.
@@ -82,7 +89,7 @@ class GaussianApproximation:
         within one standard deviation of its mean" statement (k ~= 1.04).
         """
         probability = check_probability("probability", probability)
-        k = float(stats.norm.ppf(0.5 + probability / 2.0))
+        k = float(ndtri(0.5 + probability / 2.0))
         return self.mean - k * self.std, self.mean + k * self.std
 
     def standardize(self, x) -> np.ndarray:
@@ -142,7 +149,7 @@ class EdgeworthApproximation:
         correction = (
             1.0 + g1 / 6.0 * he3 + g2 / 24.0 * he4 + g1**2 / 72.0 * he6
         )
-        base = stats.norm.pdf(z) / self.std
+        base = _standard_pdf(z) / self.std
         return np.maximum(base * correction, 0.0)
 
     def cdf(self, x) -> np.ndarray:
@@ -154,7 +161,7 @@ class EdgeworthApproximation:
         correction = (
             g1 / 6.0 * he2 + g2 / 24.0 * he3 + g1**2 / 72.0 * he5
         )
-        return np.clip(stats.norm.cdf(z) - stats.norm.pdf(z) * correction, 0.0, 1.0)
+        return np.clip(ndtr(z) - _standard_pdf(z) * correction, 0.0, 1.0)
 
     def tail_probability(self, level: float) -> float:
         """``P(R > level)`` with the skewness-aware tail."""
@@ -166,8 +173,7 @@ class EdgeworthApproximation:
         For right-skewed traffic this exceeds the Gaussian capacity — the
         plain section V-E rule slightly under-provisions small links.
         """
-        epsilon = check_probability("epsilon", epsilon)
-        z = float(stats.norm.ppf(1.0 - epsilon))
+        z = normal_quantile(epsilon)
         g1, g2 = self.skewness, self.excess_kurtosis
         z_cf = (
             z

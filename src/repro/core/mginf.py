@@ -18,7 +18,6 @@ The class below also exposes the two auxiliary results used in that proof:
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from .._util import as_1d_float_array, check_positive
 from ..exceptions import ParameterError
@@ -74,6 +73,8 @@ class MGInfinityModel:
     @property
     def count_distribution(self):
         """Frozen Poisson(rho) law of the stationary active-flow count."""
+        from scipy import stats
+
         return stats.poisson(self.load)
 
     def pmf(self, k) -> np.ndarray:

@@ -423,6 +423,7 @@ class ValidationReport:
             out["interarrivals"] = {
                 "ks_statistic": float(self.interarrivals.ks_statistic),
                 "ks_pvalue": float(self.interarrivals.ks_pvalue),
+                "ks_method": self.interarrivals.ks_method,
                 "cov": float(self.interarrivals.cov),
                 "qq_correlation": float(self.interarrivals.qq_correlation),
                 "plausibly_exponential": bool(

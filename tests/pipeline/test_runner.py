@@ -199,6 +199,10 @@ class TestStageResults:
         report = run_scenario(_short("medium")).report()
         parsed = json.loads(json.dumps(report))
         assert parsed["validation"]["within_band"] in (True, False)
+        assert parsed["validation"]["interarrivals"]["ks_method"] in (
+            "exact",
+            "asymptotic",
+        )
 
     def test_provided_trace_skips_synthesis(self):
         trace = medium_utilization_link(duration=DURATION).synthesize(
