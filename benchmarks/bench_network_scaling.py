@@ -9,10 +9,12 @@ and once with the engine's tasks fanned out over the worker pool — and
 two claims are checked:
 
 * **Speedup**: the engine synthesises each demand once and advances all
-  demands one window at a time; within a window the demand × cell
-  synthesis tasks are independent given the per-demand ``SeedSequence``
-  children, and so are the per-class measurement steps and the per-link
-  fits.  With >= 4 CPUs the pooled run must beat the sequential one by
+  demands one window of arrival cells at a time; within a window the
+  demand × cell synthesis tasks are independent given the per-demand
+  ``SeedSequence`` children.  Each class holds its routed window blocks
+  until they fill a ``chunk``-packet measurement step (or the horizon
+  ends), and the classes' steps of one round are independent too, as
+  are the per-link fits.  With >= 4 CPUs the pooled run must beat the sequential one by
   ``MIN_SPEEDUP`` (the acceptance bar is 3x on a >= 10-link topology
   with the shared-memory process backend; quick mode only smoke-checks
   no regression).  ``REPRO_BENCH_WORKERS`` and ``REPRO_BENCH_BACKEND``
@@ -86,7 +88,7 @@ BACKEND = os.environ.get("REPRO_BENCH_BACKEND") or (
 #: skipped outright (the datapoint still records both timings).
 GATED = _CPUS >= 2 and WORKERS > 1
 
-#: Required parallel-over-sequential speedup.  The tasks of one window
+#: Required parallel-over-sequential speedup.  The tasks of one round
 #: (demand × cell synthesis, per-class measurement steps) are independent
 #: and, on the process backend, dodge the GIL entirely, so with >= 4
 #: CPUs the acceptance bar of 3x applies to the full run; quick mode's

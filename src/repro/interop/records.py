@@ -55,15 +55,17 @@ def flow_records_from_flowset(flows: FlowSet) -> np.ndarray:
             f"key_kind={flows.key_kind!r} (prefix aggregation is a "
             "measurement-side view, not a wire format)"
         )
+    order = np.argsort(flows.starts, kind="stable")
+    # gather column by column: indexing the packed record dtype copies
+    # whole records field by field, several times slower
     records = np.empty(len(flows), dtype=FLOW_RECORD_DTYPE)
-    records["start"] = flows.starts
-    records["end"] = flows.ends
+    records["start"] = flows.starts[order]
+    records["end"] = flows.ends[order]
     for field in ("src_addr", "dst_addr", "src_port", "dst_port", "protocol"):
-        records[field] = flows.keys[field]
-    records["packets"] = flows.packet_counts
-    records["octets"] = np.asarray(flows.sizes, dtype=np.int64)
-    order = np.argsort(records["start"], kind="stable")
-    return records[order]
+        records[field] = flows.keys[field][order]
+    records["packets"] = flows.packet_counts[order]
+    records["octets"] = flows.sizes[order].astype(np.int64)
+    return records
 
 
 def check_exportable(records: np.ndarray, format_name: str) -> None:

@@ -40,7 +40,8 @@ The key space is sharded by a pure function of the packed key words, so
 independent shards can be processed by a worker pool; shard results merge
 exactly (integer arithmetic again) and the final flow ordering — by key,
 then start time, the exporter's order — is restored with one flow-level
-lexsort.
+stable sort by key when the measurement is sealed (a key's flows close
+in start order).
 """
 
 from __future__ import annotations
@@ -69,6 +70,11 @@ _EMPTY_F64 = np.zeros(0, dtype=np.float64)
 
 #: Sentinel for "no accumulator bin" (out-of-range packet or empty slot).
 _NO_BIN = np.int64(-1)
+
+#: The closed-flow columns ``(starts, ends, sizes, counts, hi, lo)`` of
+#: a measurement no flow closed in.
+_NO_FLOWS = (_EMPTY_F64, _EMPTY_F64, _EMPTY_F64, _EMPTY_I64, _EMPTY_U64,
+             _EMPTY_U64)
 
 
 def reject_non_finite(timestamps, offset: int = 0) -> None:
@@ -507,6 +513,8 @@ class StreamingMeasurement:
         # sees — a router watching the raw link rate (anomaly detection)
         self._raw_volumes = np.zeros(self.n_bins) if keep_raw_series else None
         self.raw_series: RateSeries | None = None
+        # closed-flow column parts; one part, in the exporter's order,
+        # once sealed
         self._flows: list[tuple] = []
         self._discarded = 0
         self._prev_max = -np.inf
@@ -630,7 +638,11 @@ class StreamingMeasurement:
         The first half of :meth:`finalize`, for a driver that assembles
         the artifacts of several measurements at once (the network
         engine: one measurement per class of packets, a link combining
-        its classes).  A sealed measurement accepts no more chunks.
+        its classes).  Sealing puts the closed flows into the exporter's
+        (key, start) order once, so every :meth:`assemble` that takes
+        this measurement — one per link the class feeds — starts from
+        sorted flows; the order survives pickling.  A sealed measurement
+        accepts no more chunks.
         """
         if self._finalized:
             raise FlowExportError("measurement already finalized")
@@ -646,6 +658,19 @@ class StreamingMeasurement:
         # every carried flow is closed; a sealed measurement travels to
         # each task that assembles it, so it carries no stale tables
         self._states = []
+        with stage_timer("measurement.assemble"):
+            columns = [
+                np.concatenate(cols)
+                for cols in zip(*(self._flows or [_NO_FLOWS]))
+            ]
+            # the exporter's canonical order: key ascending, then start
+            # time — sorted once here, however many links share the
+            # class.  The key alone suffices: a key's flows never
+            # overlap, and each is closed (appended) before the next of
+            # its key, so they arrive in start order and a stable sort
+            # keeps it.
+            order = packed_key_order(columns[4], columns[5])
+            self._flows = [tuple(col[order] for col in columns)]
 
     def finalize(self) -> tuple[FlowSet, RateSeries | None]:
         """Close all open flows and assemble the final artifacts."""
@@ -662,32 +687,37 @@ class StreamingMeasurement:
 
         ``parts`` share their parameters and see disjoint flow keys (the
         network engine's classes on one link), so the combined FlowSet
-        is the union of theirs, restored to the exporter's order with
-        one flow-level lexsort, and the bin volumes and discard counts
-        add up — integer float64 sums, exact in any order.  The parts
-        are left as they are.
+        is the union of theirs and the bin volumes and discard counts
+        add up — integer float64 sums, exact in any order.  Each part's
+        flows are already in the exporter's (key, start) order since
+        :meth:`seal`: one part needs no sort, and several need a stable
+        sort by key alone, which keeps each key's flows — all from one
+        part — in their start order.  The parts are left as they are.
         """
+        if not all(part._finalized and part._flows for part in parts):
+            raise FlowExportError(
+                "assemble needs sealed measurements, not open or "
+                "finalized ones"
+            )
         first = parts[0]
-        # an empty part keeps the column dtypes when no flow closed
-        closed = [cols for part in parts for cols in part._flows] or [
-            (_EMPTY_F64, _EMPTY_F64, _EMPTY_F64, _EMPTY_I64, _EMPTY_U64,
-             _EMPTY_U64)
-        ]
         with stage_timer("measurement.assemble"):
             starts, ends, sizes, counts, hi, lo = (
-                np.concatenate(cols) for cols in zip(*closed)
+                np.concatenate(cols)
+                for cols in zip(*(part._flows[0] for part in parts))
             )
-            # the exporter's canonical order: key ascending, then start time
-            order = packed_key_order(hi, lo, within=starts)
+            if len(parts) > 1:
+                order = packed_key_order(hi, lo)
+                starts, ends, sizes, counts, hi, lo = (
+                    col[order] for col in (starts, ends, sizes, counts, hi, lo)
+                )
             flows = FlowSet(
-                starts[order],
-                ends[order],
-                sizes[order],
-                counts[order].astype(np.int64),
+                starts,
+                ends,
+                sizes,
+                counts.astype(np.int64, copy=False),
                 key_kind=first.key,
                 keys=unpack_packet_keys(
-                    hi[order], lo[order], first.key, PACKET_DTYPE,
-                    first.prefix_length,
+                    hi, lo, first.key, PACKET_DTYPE, first.prefix_length,
                 ),
                 prefix_length=first.prefix_length,
                 timeout=first.timeout,

@@ -376,6 +376,10 @@ class Mixture:
 
     E.g. a mice/elephants size law:
     ``Mixture([(0.95, BoundedPareto(...small...)), (0.05, BoundedPareto(...big...))])``.
+
+    Immutable, with value equality and a hash like the frozen laws: two
+    mixtures are equal when their normalised weights and their
+    components are.  A mixture of an unhashable component is unhashable.
     """
 
     def __init__(self, components) -> None:
@@ -386,7 +390,24 @@ class Mixture:
         if np.any(weights < 0) or weights.sum() <= 0:
             raise ParameterError("mixture weights must be >= 0 and not all zero")
         self.weights = weights / weights.sum()
-        self.distributions = [d for _, d in components]
+        self.weights.flags.writeable = False
+        self.distributions = tuple(d for _, d in components)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Mixture):
+            return NotImplemented
+        return (
+            self.weights.tobytes() == other.weights.tobytes()
+            and self.distributions == other.distributions
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.weights.tobytes(), self.distributions))
+
+    def __setstate__(self, state) -> None:
+        # an unpickled array is writeable again
+        self.__dict__.update(state)
+        self.weights.flags.writeable = False
 
     def rvs(self, size=1, random_state=None) -> np.ndarray:
         rng = _rng_of(random_state)
@@ -407,7 +428,12 @@ class Mixture:
 
 
 class Empirical:
-    """Resampling distribution over observed values (bootstrap)."""
+    """Resampling distribution over observed values (bootstrap).
+
+    Unhashable: its values are an array, so it has no value hash.
+    """
+
+    __hash__ = None
 
     def __init__(self, values) -> None:
         values = np.asarray(values, dtype=np.float64)

@@ -23,6 +23,7 @@ utilisation lands on target without hand calibration.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -110,9 +111,25 @@ def wire_bytes_per_flow(
     every caller that derives an arrival rate from a size law — a
     workload preset, or a calibration report turning a measured ``E[S]``
     back into a target rate — gets the same number for the same law.
+    A law with a value hash (the frozen laws, :class:`Mixture` of them)
+    is estimated once per ``(law, tcp_params)`` and remembered; any
+    other law is estimated on every call.
     """
+    if type(size_dist).__hash__ in (None, object.__hash__):
+        return _wire_mean(size_dist, tcp_params)
+    try:
+        hash(size_dist)
+    except TypeError:  # e.g. a mixture of an unhashable component
+        return _wire_mean(size_dist, tcp_params)
+    return _remembered_wire_mean(size_dist, tcp_params)
+
+
+def _wire_mean(size_dist, tcp_params) -> float:
     sizes = size_dist.rvs(size=50_000, random_state=as_rng(12345))
     return float(np.mean(wire_sizes(sizes, tcp_params)))
+
+
+_remembered_wire_mean = functools.lru_cache(maxsize=64)(_wire_mean)
 
 
 @dataclass

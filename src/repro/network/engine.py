@@ -23,21 +23,26 @@ Execution model:
   under one keep rule (:func:`_keep_rule`); the links that keep the
   same packets of a demand share its class, and each class feeds one
   :class:`~repro.measurement.StreamingMeasurement` with no merging.
-  Flow accounting is key-local and demands draw from disjoint
-  destination blocks, so after the last window a link's FlowSet is the
-  union of its classes' flows (one flow-level lexsort restores the
-  exporter's order) and its series, packet, byte and discard counts are
-  sums of integer float64 values, exact in any order.  Where the
-  blocks of a link's demands can share a flow key
+  A class holds its routed window blocks until they fill one
+  measurement step of ``chunk`` packets, so its open-flow carry table
+  is stepped once per ``chunk`` packets, not once per window.  Flow
+  accounting is key-local and demands draw from disjoint destination
+  blocks, so after the last window a link's FlowSet is the union of its
+  classes' flows (each class's flows are put in the exporter's order
+  once, when it is sealed; a link of several classes sorts by key
+  alone) and its series, packet, byte and discard counts are sums of
+  integer float64 values, exact in any order.  Where the blocks of a
+  link's demands can share a flow key
   (:func:`~repro.network.demands.destination_keys_overlap`), the link's
   demands form one class instead, merged per window as one stream.
   Each link is then fitted and provisioned.  Peak memory is one window
-  per demand plus each class's open-flow carry table — never a trace.
+  per demand plus, per class, fewer than ``chunk`` held packets and its
+  open-flow carry table — never a trace.
 * **Fan-out.**  One :func:`repro.execution.make_pool` pool
   (``workers`` × ``backend``) carries every task: the demand × cell
-  synthesis tasks of a window, one measurement step per class, and the
-  per-link fits.  A window spans ``workers`` cells.  Tasks are leaf
-  functions, so pools never nest.
+  synthesis tasks of a window, one measurement step per class with a
+  full step held, and the per-link fits.  A window spans ``workers``
+  cells.  Tasks are leaf functions, so pools never nest.
 * **Determinism.**  Per-link outputs depend only on ``(seed, demands,
   topology, routing, events)`` — never on ``chunk``, ``workers`` or
   ``backend``.  A link's merged packet order is canonical: sorted by
@@ -82,7 +87,7 @@ __all__ = [
     "NetworkReport",
 ]
 
-#: Default cap on the packets of one per-class measurement step.
+#: Default packets of one per-class measurement step.
 DEFAULT_NETWORK_CHUNK = 1_000_000
 
 #: One packet record as opaque bytes, for whole-record copies.
@@ -175,12 +180,19 @@ def _merge_window(parts):
     """
     if len(parts) == 1:
         return parts[0]
+    merged = _concatenate(parts)
+    return np.take(merged, np.argsort(merged["timestamp"], kind="stable"))
+
+
+def _concatenate(blocks):
+    """The packet blocks end to end, as one array."""
+    if len(blocks) == 1:
+        return blocks[0]
     # whole-record copies (a void view, np.take): numpy copies the packed
     # packet dtype field by field otherwise, several times slower
-    merged = np.concatenate([part.view(_RECORD) for part in parts]).view(
+    return np.concatenate([block.view(_RECORD) for block in blocks]).view(
         PACKET_DTYPE
     )
-    return np.take(merged, np.argsort(merged["timestamp"], kind="stable"))
 
 
 # -- results ---------------------------------------------------------------
@@ -393,10 +405,14 @@ class NetworkEngine:
     Parameters
     ----------
     chunk:
-        Most packets per measurement step on one class (default
-        :data:`DEFAULT_NETWORK_CHUNK`); a larger window is measured in
-        several steps.  Execution strategy only: per-link results are
-        bitwise invariant to it.
+        Packets per measurement step on one class (default
+        :data:`DEFAULT_NETWORK_CHUNK`).  Each class holds its routed
+        window blocks until they reach ``chunk`` packets, measures them
+        in ``chunk``-packet steps and holds the remainder; the last
+        window measures what is left.  It bounds the packets a class
+        holds, and sets how often its open-flow table is stepped.
+        Execution strategy only: per-link results are bitwise invariant
+        to it.
     workers:
         Lanes of the one execution-backend pool, and the number of
         arrival cells per window.  The pool runs the demand × cell
@@ -696,9 +712,11 @@ def _measure_links(
 
     A class is a tuple of ``(demand index, keep rule)`` pairs: one pair,
     shared by every link that keeps the same packets of the demand, or
-    all of a link's pairs when their flow keys can collide.  Returns per
-    link its sealed class measurements, and per link the merged packet
-    blocks (kept only with ``keep_packets``).
+    all of a link's pairs when their flow keys can collide.  Each class
+    holds its window blocks and measures them in ``chunk``-packet steps
+    (:func:`_measure_window`).  Returns per link its sealed class
+    measurements, and per link the merged packet blocks (kept only with
+    ``keep_packets``).
     """
     classes: dict[tuple, int] = {}  # class -> slot
     link_classes = []  # per link: its class slots, in demand order
@@ -740,6 +758,7 @@ def _measure_links(
     ]
     # every demand shares the duration, hence one cell grid
     n_cells = streams[0].plan.n_cells if streams else 0
+    held = [[] for _ in classes]  # per class: routed blocks not yet measured
     for g0 in range(0, n_cells, window):
         g1 = min(g0 + window, n_cells)
         blocks = _route_window(pool, streams, routes, g0, g1, salt, classes)
@@ -748,7 +767,9 @@ def _measure_links(
                 parts = [blocks[c] for c in owned if c in blocks]
                 if parts:
                     kept[slot].append(_merge_window(parts))
-        _measure_window(pool, streamers, blocks, chunk)
+        for slot, block in blocks.items():
+            held[slot].append(block)
+        _measure_window(pool, streamers, held, chunk, last=g1 == n_cells)
     for streamer in streamers:
         streamer.seal()
     return [[streamers[c] for c in owned] for owned in link_classes], kept
@@ -790,20 +811,33 @@ def _route_window(pool, streams, routes, g0, g1, salt, classes):
     return out
 
 
-def _measure_window(pool, streamers, blocks, chunk):
-    """Fold each class's window block into its measurement.
+def _measure_window(pool, streamers, held, chunk, *, last):
+    """Measure each class's held blocks in ``chunk``-packet steps.
 
-    One pool round per ``chunk``-packet slice: each round runs one
-    measurement step for every class with packets left.
+    ``held`` lists, per class slot, the routed window blocks not yet
+    measured; windows are consecutive in time, so their concatenation is
+    time-ordered.  A class with ``chunk`` packets held measures every
+    whole step of them and holds the remainder for later windows; after
+    the ``last`` window each class measures all it holds.  One pool
+    round runs one step for every class with a step left.
     """
-    longest = max((block.size for block in blocks.values()), default=0)
+    ready = {}  # class slot -> the packets it measures now
+    for slot, blocks in enumerate(held):
+        size = sum(block.size for block in blocks)
+        if size and (last or size >= chunk):
+            packets = _concatenate(blocks)
+            cut = size if last else size - size % chunk
+            # a copy, so the remainder does not pin the measured packets
+            blocks[:] = [packets[cut:].copy()] if cut < size else []
+            ready[slot] = packets[:cut]
+    longest = max((packets.size for packets in ready.values()), default=0)
     for start in range(0, longest, chunk):
         owners, tasks = [], []
-        for slot, block in blocks.items():
-            if start < block.size:
+        for slot, packets in ready.items():
+            if start < packets.size:
                 owners.append(slot)
                 tasks.extend(
-                    streamers[slot].shard_tasks(block[start:start + chunk])
+                    streamers[slot].shard_tasks(packets[start:start + chunk])
                 )
         with stage_timer("measurement.shards"):
             results = _map_lanes(pool, process_shard, tasks)

@@ -1176,8 +1176,9 @@ class NetworkSpec:
     from the enclosing scenario's ``flows``/``estimation``/``validation``
     sections, so single-link and network scenarios share one vocabulary.
     ``execution`` is strategy only (workers = lanes of the engine's
-    pool and arrival cells per window, chunk = most packets per
-    per-class measurement step); results are bitwise invariant to it.
+    pool and arrival cells per window, chunk = packets per per-class
+    measurement step, held across windows until full); results are
+    bitwise invariant to it.
     """
 
     topology: TopologySpec = field(

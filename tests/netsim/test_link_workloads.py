@@ -20,8 +20,19 @@ from repro.netsim import (
     table_i_workload,
     table_i_workloads,
 )
-from repro.netsim.sizes import BoundedPareto
-from repro.netsim.workloads import wire_sizes
+from repro.netsim.sizes import (
+    BoundedPareto,
+    Constant,
+    Empirical,
+    LogNormal,
+    Mixture,
+)
+from repro.netsim.workloads import (
+    _remembered_wire_mean,
+    _wire_mean,
+    wire_bytes_per_flow,
+    wire_sizes,
+)
 
 
 class TestSynthesis:
@@ -107,6 +118,49 @@ class TestWorkloadPresets:
             np.mean(wire_sizes(sizes, workload.tcp_params))
         )
         assert calibration.wire_sizes is wire_sizes  # one formula
+
+    @pytest.fixture
+    def mixture_draws(self, monkeypatch):
+        """Count the calls of ``Mixture.rvs`` from here on."""
+        calls = []
+        rvs = Mixture.rvs
+
+        def counting(law, *args, **kwargs):
+            calls.append(law)
+            return rvs(law, *args, **kwargs)
+
+        monkeypatch.setattr(Mixture, "rvs", counting)
+        return calls
+
+    def test_equal_laws_share_one_wire_mean_estimate(self, mixture_draws):
+        calls = mixture_draws
+        _remembered_wire_mean.cache_clear()
+        components = [(0.3, Constant(700.0)), (0.7, LogNormal(4321.0, 0.4))]
+        first, second = Mixture(components), Mixture(components)
+        assert first is not second and first == second
+        a = wire_bytes_per_flow(first)
+        b = wire_bytes_per_flow(second)
+        assert len(calls) == 1
+        assert a == b == _wire_mean(second, TcpParameters())
+        assert len(calls) == 2  # the direct estimate above
+
+    def test_default_law_is_estimated_once(self, request):
+        expected = table_i_workload(0).arrival_rate  # warms the memo
+        calls = request.getfixturevalue("mixture_draws")
+        rates = [table_i_workload(row).arrival_rate for row in range(3)]
+        assert calls == []
+        assert rates[0] == expected
+
+    def test_unhashable_law_is_estimated_every_call(self):
+        law = Empirical([300.0, 2_000.0, 90_000.0])
+        assert wire_bytes_per_flow(law) == _wire_mean(law, TcpParameters())
+        # nothing remembered: a changed law gives its own mean
+        law.values = np.array([5_000.0])
+        assert wire_bytes_per_flow(law) == 5_000.0 + 4 * 40.0
+        mixed = Mixture([(0.5, law), (0.5, Constant(1_000.0))])
+        assert wire_bytes_per_flow(mixed) == _wire_mean(
+            mixed, TcpParameters()
+        )
 
     def test_arrival_rate_consistent_with_target(self):
         workload = table_i_workload(1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -111,3 +113,25 @@ class TestMixture:
             Mixture([])
         with pytest.raises(ParameterError):
             Mixture([(-1.0, Constant(1.0)), (0.0, Constant(2.0))])
+
+    def test_equality_follows_weights_and_components(self):
+        mix = Mixture([(0.25, Constant(1.0)), (0.75, Constant(9.0))])
+        same = Mixture([(1.0, Constant(1.0)), (3.0, Constant(9.0))])
+        assert mix == same and hash(mix) == hash(same)
+        assert mix != Mixture([(0.5, Constant(1.0)), (0.5, Constant(9.0))])
+        assert mix != Mixture([(0.25, Constant(1.0)), (0.75, Constant(8.0))])
+        assert mix != Mixture([(0.75, Constant(9.0)), (0.25, Constant(1.0))])
+        assert mix != Constant(1.0)
+
+    def test_immutable(self):
+        mix = Mixture([(0.25, Constant(1.0)), (0.75, Constant(9.0))])
+        for law in (mix, pickle.loads(pickle.dumps(mix))):
+            with pytest.raises(ValueError):
+                law.weights[0] = 0.5
+            assert isinstance(law.distributions, tuple)
+            assert law == mix
+
+    def test_unhashable_component_makes_it_unhashable(self):
+        mix = Mixture([(0.5, Constant(1.0)), (0.5, Empirical([2.0]))])
+        with pytest.raises(TypeError):
+            hash(mix)

@@ -12,6 +12,12 @@ scenario's report.
 10 s horizon (the size of the sweep benchmark's small run), so the whole
 module stays cheap.
 
+Each scenario runs twice: with its own execution section, and with a
+small measurement ``chunk`` on two threads.  The engine measures each
+class in ``chunk``-packet steps, holding routed windows until a step is
+full, so the second run measures mid-horizon and in many steps; both
+must give the recorded bits.
+
 Re-record only for an intended change of network output::
 
     PYTHONPATH=src python tests/network/test_golden_bits.py
@@ -27,6 +33,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.measurement import StreamingMeasurement
+from repro.network import engine as network_engine
 from repro.pipeline import default_registry, run_scenario
 
 GOLDEN = Path(__file__).with_name("golden_bits.json")
@@ -39,7 +47,12 @@ SCENARIOS = (
 )
 
 
-def scenario_spec(name: str):
+#: A measurement step far below one class's packets per window.
+SMALL_CHUNK = 1500
+
+
+def scenario_spec(name: str, **execution):
+    """The golden run of ``name``; ``execution`` knobs replace its own."""
     spec = default_registry().get(name)
     if spec.sweep is not None:
         spec = replace(
@@ -47,6 +60,10 @@ def scenario_spec(name: str):
             network=replace(spec.network, duration=10.0),
             sweep=replace(spec.sweep, demand_factors=(1.5,)),
         )
+        if execution:
+            spec = replace(spec, sweep=spec.sweep.with_execution(**execution))
+    elif execution:
+        spec = replace(spec, network=spec.network.with_execution(**execution))
     return spec
 
 
@@ -87,8 +104,8 @@ def simulation_bits(simulation, prefix: str = "") -> dict:
     }
 
 
-def scenario_bits(name: str) -> dict:
-    result = run_scenario(scenario_spec(name))
+def scenario_bits(name: str, **execution) -> dict:
+    result = run_scenario(scenario_spec(name, **execution))
     if result.sweep is not None:
         sweep = result.sweep.result
         links = {}
@@ -107,14 +124,47 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("name", SCENARIOS)
-def test_scenario_matches_golden_bits(name, golden):
-    bits = scenario_bits(name)
-    expected = golden[name]
+def assert_golden(bits, expected):
     assert sorted(bits["links"]) == sorted(expected["links"])
     for link, entry in expected["links"].items():
         assert bits["links"][link] == entry, link
     assert bits["report"] == expected["report"]
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_scenario_matches_golden_bits(name, golden):
+    assert_golden(scenario_bits(name), golden[name])
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_small_chunk_on_two_threads_matches_golden_bits(
+    name, golden, monkeypatch
+):
+    events = []  # ("cell", 0) per synthesised cell, ("step", packets)
+    shard_tasks = StreamingMeasurement.shard_tasks
+    synthesize = network_engine.synthesize_cell_task
+
+    def step(self, packets):
+        events.append(("step", packets.size))
+        return shard_tasks(self, packets)
+
+    def cell(task):
+        events.append(("cell", 0))
+        return synthesize(task)
+
+    monkeypatch.setattr(StreamingMeasurement, "shard_tasks", step)
+    monkeypatch.setattr(network_engine, "synthesize_cell_task", cell)
+    bits = scenario_bits(
+        name, chunk=SMALL_CHUNK, workers=2, backend="thread"
+    )
+    assert_golden(bits, golden[name])
+    sizes = [size for kind, size in events if kind == "step"]
+    assert max(sizes) == SMALL_CHUNK
+    if scenario_spec(name).sweep is None:
+        # some class filled a step and measured it before the last
+        # cells were synthesised (a 10 s sweep cell has one window)
+        last_cell = max(i for i, (kind, _) in enumerate(events) if kind == "cell")
+        assert events.index(("step", SMALL_CHUNK)) < last_cell
 
 
 if __name__ == "__main__":
