@@ -18,7 +18,11 @@ three claims are checked:
 
 The run emits the calibration perf datapoint as
 ``BENCH_calibration.json`` (CI uploads it as an artifact); set
-``REPRO_BENCH_CALIBRATION_JSON`` to redirect it.
+``REPRO_BENCH_CALIBRATION_JSON`` to redirect it.  It splits the
+streamed time into ``fit_s`` (``calibrate_accumulator`` on the streamed
+accumulator: the family fits and model selection) and
+``decode_accumulate_s`` (the rest), and names the host (``cpus``,
+``python``, ``numpy``, ``numba``).
 
 Run directly (``python -m pytest benchmarks/bench_calibration.py -s``)
 or via the benchmark suite.
@@ -26,8 +30,11 @@ or via the benchmark suite.
 
 from __future__ import annotations
 
+import contextlib
+import importlib.util
 import json
 import os
+import platform
 import time
 import tracemalloc
 from pathlib import Path
@@ -40,6 +47,7 @@ from repro.calibration import (
     calibrate_archive,
     calibrate_sizes,
 )
+from repro.calibration import calibrator
 from repro.interop import FLOW_RECORD_DTYPE, NetFlow5Reader, write_netflow5
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
@@ -104,6 +112,27 @@ def _calibrate_in_memory(archive):
     )
 
 
+@contextlib.contextmanager
+def _fit_timer():
+    """Yield a one-item list that collects the seconds spent in
+    ``calibrate_accumulator`` while the block runs."""
+    seconds = [0.0]
+    fit = calibrator.calibrate_accumulator
+
+    def timed_fit(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return fit(*args, **kwargs)
+        finally:
+            seconds[0] += time.perf_counter() - t0
+
+    calibrator.calibrate_accumulator = timed_fit
+    try:
+        yield seconds
+    finally:
+        calibrator.calibrate_accumulator = fit
+
+
 def _timed(fn):
     t0 = time.perf_counter()
     result = fn()
@@ -124,16 +153,19 @@ def test_calibration_scaling(benchmark, tmp_path):
     write_netflow5(records, archive)
 
     def build():
-        streamed, t_stream = _timed(lambda: _calibrate_streaming(archive))
+        with _fit_timer() as t_fit:
+            streamed, t_stream = _timed(
+                lambda: _calibrate_streaming(archive)
+            )
         in_memory, t_memory = _timed(lambda: _calibrate_in_memory(archive))
         peak_streamed = _peak_memory(lambda: _calibrate_streaming(archive))
         peak_memory = _peak_memory(lambda: _calibrate_in_memory(archive))
-        return streamed, in_memory, (t_stream, t_memory), (
+        return streamed, in_memory, (t_stream, t_fit[0], t_memory), (
             peak_streamed, peak_memory,
         )
 
     streamed, in_memory, times, peaks = run_once(benchmark, build)
-    t_stream, t_memory = times
+    t_stream, t_fit, t_memory = times
     peak_streamed, peak_in_memory = peaks
 
     archive_bytes = archive.stat().st_size
@@ -148,6 +180,8 @@ def test_calibration_scaling(benchmark, tmp_path):
     print(f"  streamed calibrate : {t_stream:8.2f} s "
           f"({records_per_s:12.0f} records/s, "
           f"chunk {CHUNK_RECORDS:,} records)")
+    print(f"    decode+accumulate: {t_stream - t_fit:8.2f} s, "
+          f"fit: {t_fit:.2f} s")
     print(f"  in-memory calibrate: {t_memory:8.2f} s")
     print(f"  peak memory: streamed {peak_streamed / 1e6:.1f} MB, "
           f"in-memory {peak_in_memory / 1e6:.1f} MB "
@@ -170,6 +204,8 @@ def test_calibration_scaling(benchmark, tmp_path):
         "archive_bytes": int(archive_bytes),
         "chunk_records": int(CHUNK_RECORDS),
         "streamed_s": float(t_stream),
+        "decode_accumulate_s": float(t_stream - t_fit),
+        "fit_s": float(t_fit),
         "in_memory_s": float(t_memory),
         "records_per_s": float(records_per_s),
         "peak_streamed_mb": float(peak_streamed / 1e6),
@@ -178,6 +214,10 @@ def test_calibration_scaling(benchmark, tmp_path):
         "family": streamed.family,
         "lambda_per_s": float(streamed.arrival_rate),
         "mean_size_b": float(streamed.mean_size),
+        "cpus": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "numba": importlib.util.find_spec("numba") is not None,
     }, indent=2) + "\n")
     print(f"  wrote datapoint -> {out_path}")
 

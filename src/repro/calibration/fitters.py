@@ -10,13 +10,20 @@ histogram data; with the default 512 bins over twelve decades the
 grouping error is far below the sampling noise of any real trace.
 
 The mixture fitter is a binned EM with a threshold grid and
-``SeedSequence``-seeded random restarts: for a fixed ``seed`` the
-restart initialisations are reproducible, so the chosen parameters are
-bitwise identical across runs, chunkings and execution backends.
+``SeedSequence``-seeded random restarts.  Every (threshold, restart)
+pair is one run, and the runs are fitted together as the rows of one
+array, in blocks of a fixed number of rows: each E and M step is one
+broadcast operation over the block, and a run that stops early keeps
+its parameters while the rest go on.  For a fixed ``seed`` the restart
+initialisations are reproducible and each row computes exactly what a
+lone run would, so the chosen parameters are bitwise identical across
+runs, chunkings and execution backends.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +56,9 @@ _ALPHA_BOUNDS = (0.05, 25.0)
 #: Log-spaced shape values scanned to bracket the Pareto optimum.
 _ALPHA_SCAN_POINTS = 64
 _EM_ITERATIONS = 60
+#: EM runs fitted together as the rows of one array.
+_EM_BLOCK_ROWS = 64
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
 _TINY = 1e-300
 
 
@@ -189,17 +199,6 @@ def _fit_pareto(acc: CalibrationAccumulator) -> dict:
     return {"alpha": float(alpha), "minimum": lo, "maximum": hi}
 
 
-def _lognormal_pdf(x, log_x, mu, sigma):
-    z = (log_x - mu) / sigma
-    return np.exp(-0.5 * z * z) / (x * sigma * np.sqrt(2.0 * np.pi))
-
-
-def _pareto_pdf(x, alpha, lo, hi):
-    norm = 1.0 - (lo / hi) ** alpha
-    density = alpha * lo**alpha * x ** (-alpha - 1.0) / norm
-    return np.where((x >= lo) & (x <= hi), density, 0.0)
-
-
 def _mixture_thresholds(acc: CalibrationAccumulator) -> list[float]:
     """Candidate body/tail split points, snapped to bin quantiles."""
     thresholds = []
@@ -212,68 +211,122 @@ def _mixture_thresholds(acc: CalibrationAccumulator) -> list[float]:
     return thresholds
 
 
-def _em_once(
-    acc: CalibrationAccumulator,
-    threshold: float,
+def _em_start(
+    weight0: float,
+    moments: tuple[float, float],
     rng: np.random.Generator,
-) -> dict:
-    """One EM run for the lognormal-body / Pareto-tail mixture."""
-    counts = acc.counts.astype(np.float64)
-    occupied = counts > 0
-    c = counts[occupied]
-    log_x = acc.log_midpoints[occupied]
-    x = np.exp(log_x)
-    n = float(c.sum())
-    hi = max(acc.max_size, threshold * (1.0 + 1e-9))
-
-    below = x < threshold
-    weight0 = float(c[below].sum()) / n if below.any() else 0.5
+) -> tuple[float, float, float, float]:
+    """One run's seeded ``(body_weight, mu, sigma, alpha)`` initialisation."""
     body_weight = float(
         np.clip(weight0 * (1.0 + 0.1 * rng.standard_normal()), 0.05, 0.95)
     )
-    if below.any():
-        mu, var = _weighted_log_moments(c[below], log_x[below])
-    else:
-        mu, var = _weighted_log_moments(c, log_x)
+    mu, var = moments
     mu += 0.2 * rng.standard_normal()
     sigma = float(np.sqrt(var)) * float(
         np.clip(1.0 + 0.2 * rng.standard_normal(), 0.5, 2.0)
     )
     sigma = max(sigma, 0.05)
     alpha = 1.0 + 1.5 * float(rng.random())
-    log_threshold = np.log(threshold)
+    return body_weight, mu, sigma, alpha
 
+
+def _em_block(
+    c: np.ndarray,
+    log_x: np.ndarray,
+    x: np.ndarray,
+    runs: list[tuple],
+) -> list[dict]:
+    """EM for a block of independent runs, one run per array row.
+
+    ``runs`` holds ``(threshold, hi, init)`` tuples in threshold-major
+    order, so the rows of one threshold form one contiguous range.  A
+    run stops at the first iteration whose body mass ``w1`` leaves
+    ``(0, n)``: its parameters are kept and its row is dropped, so only
+    the rows still running are computed.  Each row's tail sums run over
+    its own contiguous suffix ``x >= threshold`` and its scalar
+    constants are Python floats, so every row reproduces a one-run EM
+    bit for bit.
+    """
+    n = float(c.sum())
+    lo, hi, inits = (list(column) for column in zip(*runs))
+    rows = np.arange(len(runs))
+    body_weight, mu, sigma, alpha = (np.array(v) for v in zip(*inits))
+    final = [None] * len(runs)
+
+    def layout():
+        # the Pareto support of each running row, and its threshold runs
+        support = np.array([lo, hi])[:, :, None]
+        in_support = (x >= support[0]) & (x <= support[1])
+        groups, r0 = [], 0
+        for t, members in itertools.groupby(lo):
+            r1 = r0 + len(list(members))
+            first = int(np.searchsorted(x, t, side="left"))
+            groups.append((r0, r1, first, log_x[first:] - np.log(t)))
+            r0 = r1
+        return in_support, groups
+
+    in_support, groups = layout()
     for _ in range(_EM_ITERATIONS):
-        body_density = _lognormal_pdf(x, log_x, mu, sigma)
-        tail_density = _pareto_pdf(x, alpha, threshold, hi)
-        numerator = body_weight * body_density
-        denominator = numerator + (1.0 - body_weight) * tail_density
+        shape = alpha.tolist()
+        norm = np.array([1.0 - (t / h) ** a for t, h, a in zip(lo, hi, shape)])
+        scale = np.array([a * t**a for t, a in zip(lo, shape)])
+        z = (log_x - mu[:, None]) / sigma[:, None]
+        body_density = np.exp(-0.5 * z * z) / (x * sigma[:, None] * _SQRT_2PI)
+        tail_density = np.where(
+            in_support,
+            scale[:, None] * x ** (-alpha - 1.0)[:, None] / norm[:, None],
+            0.0,
+        )
+        numerator = body_weight[:, None] * body_density
+        denominator = numerator + (1.0 - body_weight)[:, None] * tail_density
         resp = numerator / np.maximum(denominator, _TINY)
         body_mass = c * resp
-        w1 = float(body_mass.sum())
-        if w1 <= 0.0 or w1 >= n:
-            break
-        body_weight = float(np.clip(w1 / n, 1e-3, 1.0 - 1e-3))
-        mu = float(np.sum(body_mass * log_x) / w1)
-        var = float(np.sum(body_mass * (log_x - mu) ** 2) / w1)
-        sigma = max(float(np.sqrt(max(var, 1e-8))), 0.05)
+        w1 = body_mass.sum(axis=1)
+        running = ~((w1 <= 0.0) | (w1 >= n))
+        if not running.all():
+            for i in np.flatnonzero(~running).tolist():
+                final[rows[i]] = (body_weight[i], mu[i], sigma[i], alpha[i])
+            keep = np.flatnonzero(running)
+            rows, body_weight, mu, sigma, alpha, resp, body_mass, w1 = (
+                v[keep] for v in (
+                    rows, body_weight, mu, sigma, alpha, resp, body_mass, w1
+                )
+            )
+            lo = [lo[i] for i in keep.tolist()]
+            hi = [hi[i] for i in keep.tolist()]
+            if not lo:
+                break
+            in_support, groups = layout()
+        body_weight = np.clip(w1 / n, 1e-3, 1.0 - 1e-3)
+        mu = np.sum(body_mass * log_x, axis=1) / w1
+        var = np.sum(body_mass * (log_x - mu[:, None]) ** 2, axis=1) / w1
+        sigma = np.maximum(np.sqrt(np.maximum(var, 1e-8)), 0.05)
         tail_mass = c * (1.0 - resp)
-        in_tail = x >= threshold
-        excess = float(
-            np.sum(tail_mass[in_tail] * (log_x[in_tail] - log_threshold))
+        excess = np.empty(len(lo))
+        total_tail = np.empty(len(lo))
+        for r0, r1, first, log_excess in groups:
+            tail = tail_mass[r0:r1, first:]
+            excess[r0:r1] = np.sum(tail * log_excess, axis=1)
+            total_tail[r0:r1] = tail.sum(axis=1)
+        # a row without tail mass keeps its (already in-bounds) alpha
+        update = (total_tail > 0.0) & (excess > 0.0)
+        alpha = np.clip(
+            np.divide(total_tail, excess, out=alpha.copy(), where=update),
+            *_ALPHA_BOUNDS,
         )
-        total_tail = float(tail_mass[in_tail].sum())
-        if total_tail > 0.0 and excess > 0.0:
-            alpha = float(np.clip(total_tail / excess, *_ALPHA_BOUNDS))
-
-    return {
-        "body_weight": body_weight,
-        "median": float(np.exp(mu)),
-        "sigma": sigma,
-        "alpha": alpha,
-        "minimum": float(threshold),
-        "maximum": float(hi),
-    }
+    for i, row in enumerate(rows.tolist()):
+        final[row] = (body_weight[i], mu[i], sigma[i], alpha[i])
+    return [
+        {
+            "body_weight": float(w),
+            "median": float(np.exp(m)),
+            "sigma": float(sd),
+            "alpha": float(al),
+            "minimum": float(t),
+            "maximum": float(h),
+        }
+        for (t, h, _), (w, m, sd, al) in zip(runs, final)
+    ]
 
 
 def _fit_lognormal_pareto(
@@ -281,20 +334,43 @@ def _fit_lognormal_pareto(
 ) -> dict:
     """Binned EM over a threshold grid with seeded random restarts.
 
-    Restart initialisations come from ``SeedSequence(seed).spawn``, so
-    the winning parameters are a pure function of the accumulator state
-    and the seed — reproducible across chunkings and backends.
+    Every (threshold, restart) pair is one EM run, and all runs are
+    fitted together as the rows of one array, in blocks of
+    ``_EM_BLOCK_ROWS`` rows so memory stays bounded for any
+    ``restarts``.  Restart initialisations come from
+    ``SeedSequence(seed).spawn``, drawn threshold by threshold, so the
+    winning parameters are a pure function of the accumulator state
+    and the seed — reproducible across chunkings and backends.  The
+    runs are scored threshold-major, then by restart, and the first
+    strictly best grouped log-likelihood wins.
     """
-    if restarts < 1:
-        raise ParameterError(f"restarts must be >= 1, got {restarts!r}")
+    counts = acc.counts.astype(np.float64)
+    occupied = counts > 0
+    c = counts[occupied]
+    log_x = acc.log_midpoints[occupied]
+    x = np.exp(log_x)
+    n = float(c.sum())
     children = np.random.SeedSequence(seed).spawn(restarts)
+    runs = []
+    for threshold in _mixture_thresholds(acc):
+        hi = max(acc.max_size, threshold * (1.0 + 1e-9))
+        below = x < threshold
+        if below.any():
+            weight0 = float(c[below].sum()) / n
+            moments = _weighted_log_moments(c[below], log_x[below])
+        else:
+            weight0 = 0.5
+            moments = _weighted_log_moments(c, log_x)
+        for child in children:
+            init = _em_start(
+                weight0, moments, np.random.Generator(np.random.PCG64(child))
+            )
+            runs.append((threshold, hi, init))
     best_params = None
     best_ll = -np.inf
-    for threshold in _mixture_thresholds(acc):
-        for child in children:
-            params = _em_once(
-                acc, threshold, np.random.Generator(np.random.PCG64(child))
-            )
+    for first in range(0, len(runs), _EM_BLOCK_ROWS):
+        block = runs[first:first + _EM_BLOCK_ROWS]
+        for params in _em_block(c, log_x, x, block):
             try:
                 ll = _law_log_likelihood(acc, LognormalParetoMixture(**params))
             except ParameterError:
@@ -328,6 +404,18 @@ _FITTERS = {
 # -- the fitting + selection drivers --------------------------------------
 
 
+def _require_integer(name: str, value, *, minimum: int) -> int:
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ParameterError(
+            f"{name} must be an integer, got {value!r}"
+        ) from None
+    if value < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {value!r}")
+    return value
+
+
 def fit_family(
     acc: CalibrationAccumulator,
     family: str,
@@ -344,6 +432,8 @@ def fit_family(
             f"unknown size-law family {family!r}; fittable families: "
             f"{CALIBRATION_FAMILIES}"
         ) from None
+    restarts = _require_integer("restarts", restarts, minimum=1)
+    seed = _require_integer("seed", seed, minimum=0)
     params = fitter(acc, restarts, seed)
     law = size_law(family, params)
     ll = _law_log_likelihood(acc, law)

@@ -526,9 +526,12 @@ class StreamingMeasurement:
 
     def update(self, packets) -> None:
         """Fold one time-ordered packet chunk into the measurement."""
-        tasks = self.shard_tasks(packets)
-        if tasks:
-            self.apply_shards(self._run_shards(tasks))
+        with stage_timer("measurement.shards"):
+            tasks = self.shard_tasks(packets)
+            if not tasks:
+                return
+            results = self._pool.map_ordered(process_shard, tasks)
+        self.apply_shards(results)
 
     def shard_tasks(self, packets) -> list[tuple]:
         """Bin one time-ordered chunk; return its per-shard tasks.
@@ -617,11 +620,6 @@ class StreamingMeasurement:
         for s, (state, result) in enumerate(results):
             self._states[s] = state
             self._apply(result)
-
-    def _run_shards(self, tasks):
-        """Process shard tasks, concurrently when more than one shard."""
-        with stage_timer("measurement.shards"):
-            return self._pool.map_ordered(process_shard, tasks)
 
     def close(self) -> None:
         """Release the shard worker pool (idempotent; finalize calls it).

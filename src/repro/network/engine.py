@@ -833,13 +833,13 @@ def _measure_window(pool, streamers, held, chunk, *, last):
     longest = max((packets.size for packets in ready.values()), default=0)
     for start in range(0, longest, chunk):
         owners, tasks = [], []
-        for slot, packets in ready.items():
-            if start < packets.size:
-                owners.append(slot)
-                tasks.extend(
-                    streamers[slot].shard_tasks(packets[start:start + chunk])
-                )
         with stage_timer("measurement.shards"):
+            for slot, packets in ready.items():
+                if start < packets.size:
+                    owners.append(slot)
+                    tasks.extend(streamers[slot].shard_tasks(
+                        packets[start:start + chunk]
+                    ))
             results = _map_lanes(pool, process_shard, tasks)
         for slot, result in zip(owners, results):
             streamers[slot].apply_shards([result])

@@ -123,6 +123,55 @@ class TestDeterminism:
             fit_family(acc, "lognormal_pareto", restarts=0)
 
 
+class TestHostileSeedAndRestarts:
+    """``restarts`` and ``seed`` are checked once, in ``fit_family``."""
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"restarts": 2.5}, "restarts must be an integer"),
+            ({"restarts": "4"}, "restarts must be an integer"),
+            ({"restarts": 0}, "restarts must be >= 1"),
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"seed": -1}, "seed must be >= 0"),
+        ],
+    )
+    @pytest.mark.parametrize("family", ["lognormal_pareto", "exponential"])
+    def test_fit_family_raises_parameter_error(self, family, kwargs, match):
+        acc = accumulate("exponential", {"mean_bytes": 9000.0}, n=2000)
+        with pytest.raises(ParameterError, match=match):
+            fit_family(acc, family, **kwargs)
+
+    def test_numpy_integers_are_accepted(self):
+        acc = accumulate("exponential", {"mean_bytes": 9000.0}, n=2000)
+        fit = fit_family(
+            acc, "lognormal_pareto", restarts=np.int64(2), seed=np.uint32(3)
+        )
+        assert fit == fit_family(acc, "lognormal_pareto", restarts=2, seed=3)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"seed": -1}, {"seed": 1.5}, {"restarts": 2.5}]
+    )
+    def test_calibrate_entry_points_raise_parameter_error(
+        self, kwargs, tmp_path
+    ):
+        from repro.calibration import (
+            calibrate_accumulator,
+            calibrate_archive,
+        )
+        from repro.interop import write_netflow5
+
+        from .test_golden_report import golden_records
+
+        acc = accumulate("exponential", {"mean_bytes": 9000.0}, n=2000)
+        with pytest.raises(ParameterError):
+            calibrate_accumulator(acc, **kwargs)
+        archive = tmp_path / "golden.nf5"
+        write_netflow5(golden_records(), archive)
+        with pytest.raises(ParameterError):
+            calibrate_archive(archive, **kwargs)
+
+
 class TestGroupedLikelihood:
     def test_truth_beats_perturbed(self):
         truth = {"median": 3000.0, "sigma": 0.8}

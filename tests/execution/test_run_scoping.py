@@ -36,6 +36,8 @@ from repro.execution import (
     stage_timer,
     stage_timings,
 )
+from repro.measurement import StreamingMeasurement
+from repro.netsim import medium_utilization_link
 from repro.network.engine import NetworkEngine
 from repro.pipeline import (
     DemandSpec,
@@ -175,6 +177,49 @@ class TestContention:
             sys.setswitchinterval(interval)
         assert seconds == 16 * 10_001
         assert n_retries == 16
+
+
+class TestMeasurementShards:
+    """Binning a chunk into shard tasks is charged to
+    ``measurement.shards``: with a clock that ticks once per
+    ``shard_tasks`` call and stands still otherwise, the label holds
+    exactly one second per call."""
+
+    @pytest.fixture
+    def binning_clock(self, monkeypatch):
+        now = [0.0]
+        calls = []
+        shard_tasks = StreamingMeasurement.shard_tasks
+
+        def ticking_shard_tasks(self, packets):
+            calls.append(len(packets))
+            now[0] += 1.0
+            return shard_tasks(self, packets)
+
+        monkeypatch.setattr(
+            telemetry, "time", SimpleNamespace(perf_counter=lambda: now[0])
+        )
+        monkeypatch.setattr(
+            StreamingMeasurement, "shard_tasks", ticking_shard_tasks
+        )
+        return calls
+
+    def test_update_charges_binning(self, binning_clock):
+        packets = medium_utilization_link(duration=2.0).synthesize(
+            seed=1
+        ).trace.packets
+        measurement = StreamingMeasurement()
+        half = packets.size // 2
+        measurement.update(packets[:half])
+        measurement.update(packets[half:])
+        measurement.finalize()
+        assert len(binning_clock) == 2
+        assert stage_timings()["measurement.shards"] == 2.0
+
+    def test_network_engine_charges_binning(self, binning_clock):
+        run_scenario(_network("binned"))
+        assert binning_clock
+        assert stage_timings()["measurement.shards"] == len(binning_clock)
 
 
 class TestSweepCells:

@@ -727,6 +727,16 @@ class TestCalibrate:
         assert main(["calibrate", "abilene-table-i"]) == 2
         assert "single-link" in capsys.readouterr().err
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        archive = self._archive(tmp_path)
+        fitted = tmp_path / "bad.json"
+        assert main(["calibrate", str(archive), "-o", str(fitted),
+                     "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "seed must be >= 0" in err
+        assert "Traceback" not in err
+        assert not fitted.exists()
+
     def test_empty_archive_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "empty.nf5"
         path.write_bytes(b"")
