@@ -117,7 +117,9 @@ def test_sweep_prefilter(benchmark):
     out_path = Path(
         os.environ.get("REPRO_BENCH_SWEEP_JSON", "BENCH_sweep.json")
     )
-    out_path.write_text(json.dumps({
+    # other benches keep their own sections of the file
+    data = json.loads(out_path.read_text()) if out_path.exists() else {}
+    data.update({
         "benchmark": "sweep_prefilter",
         "quick": QUICK,
         "scenario": SCENARIO,
@@ -133,7 +135,8 @@ def test_sweep_prefilter(benchmark):
         "breaches_prefiltered": len(report.breaches),
         "breaches_exhaustive": len(exhaustive.report.breaches),
         "missed_breaches": len(missed),
-    }, indent=2) + "\n")
+    })
+    out_path.write_text(json.dumps(data, indent=2) + "\n")
     print(f"  wrote datapoint -> {out_path}")
 
     # the tentpole's acceptance bar: at least half the grid settles

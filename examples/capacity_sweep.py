@@ -8,11 +8,15 @@ preset:
 
 1. **Expand** — the sweep axes become 45 concrete cells (baseline + 14
    fibre failures, three growth factors), each a complete
-   network-family `ScenarioSpec` with its own derived seed.
+   network-family `ScenarioSpec`.  Seeds are common random numbers:
+   one synthesis seed per (demand, growth factor), shared by every
+   failure, so a failure cell differs from its baseline by the failure
+   alone.
 2. **Pre-filter** — the closed-form moment superposition settles most
    cells against the SLA band without synthesizing a single packet.
 3. **Simulate the marginal rest** — only cells inside the band run the
-   full `NetworkEngine`; the result is one ranked `SweepReport`.
+   full `NetworkEngine`, in one pass that synthesises each (demand,
+   factor) once; the result is one ranked `SweepReport`.
 
 Run:  python examples/capacity_sweep.py
 """
@@ -43,7 +47,9 @@ def show_cells(spec) -> None:
           f"{len(spec.sweep.demand_factors)} growth factors x "
           "(baseline + 14 fibres); the first few:")
     for cell in cells[:4]:
-        print(f"  #{cell.index:03d}  {cell.label}  (seed {cell.seed})")
+        seeds = [demand.seed for demand in cell.spec.network.demands[:2]]
+        print(f"  #{cell.index:03d}  {cell.label}  (demand seeds "
+              f"{seeds[0]}, {seeds[1]}, ...)")
     # every cell is an ordinary scenario: re-run any of them directly
     # with run_scenario(cell.spec) and get the sweep's numbers, bitwise
     print(f"  ... cell specs are plain ScenarioSpecs "

@@ -33,7 +33,7 @@ import numpy as np
 
 from .exceptions import CheckpointError
 
-__all__ = ["CheckpointStore", "map_in_batches", "run_fingerprint"]
+__all__ = ["CheckpointStore", "run_fingerprint"]
 
 MANIFEST_NAME = "manifest.json"
 _VERSION = 1
@@ -160,18 +160,3 @@ class CheckpointStore:
 
     def keys(self) -> list[str]:
         return sorted(p.stem for p in self.directory.glob("*.ckpt"))
-
-
-def map_in_batches(pool, fn, tasks, store: CheckpointStore | None):
-    """Yield ``(task, fn(task))`` in task order, mapped on ``pool``.
-
-    Without a ``store`` every task goes in one fan-out.  With one, tasks
-    go through in pool-width batches, and a batch's pairs are all
-    yielded — for the caller to ``store.save`` — before the next batch
-    starts, so an interrupted run loses at most one batch of work.
-    """
-    tasks = list(tasks)
-    size = max(1, len(tasks) if store is None else pool.workers)
-    for b0 in range(0, len(tasks), size):
-        batch = tasks[b0:b0 + size]
-        yield from zip(batch, pool.map_ordered(fn, batch))

@@ -32,7 +32,6 @@ from .pcap import PcapReader, PcapWriter, write_pcap
 from .records import (
     FLOW_RECORD_DTYPE,
     flow_records_from_flowset,
-    iter_record_chunks,
 )
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "detect_format",
     "expand_flow_records",
     "flow_records_from_flowset",
-    "iter_record_chunks",
     "open_import_stream",
     "scan_record_chunks",
     "write_ipfix",

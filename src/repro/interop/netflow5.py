@@ -110,7 +110,8 @@ _WIRE_FIELDS = (
     ("prot", "protocol"),
 )
 
-#: Bytes per read of the archive, and about per write.  The reader
+#: Bytes per write, and at most per read of the archive.  The reader
+#: reads ``chunk`` records' worth of bytes at a time, up to this cap, and
 #: decodes every whole datagram of a read block at once.
 _BLOCK_BYTES = 1 << 20
 
@@ -223,7 +224,8 @@ class NetFlow5Reader:
     ``chunk`` records: a block is cut at the first datagram boundary
     where it holds at least ``chunk`` records, so datagrams are never
     split and blocks may run a datagram long.  Only one read block of
-    the archive plus one yielded chunk is ever in memory.
+    the archive (``chunk`` records' bytes, at most 1 MiB) plus one
+    yielded chunk is ever in memory.
 
     ``errors="strict"`` (the default) raises :class:`TraceFormatError`
     on corrupt or truncated archives, naming the byte offset and the
@@ -266,11 +268,12 @@ class NetFlow5Reader:
         """
         skip = self.errors == "skip"
         header_size = NETFLOW5_HEADER.size
+        block_bytes = min(_BLOCK_BYTES, self.chunk * NETFLOW5_RECORD_SIZE)
         with open(self.path, "rb") as fh:
             buf = b""
             origin = 0  # file offset of buf[0]
             while True:
-                more = fh.read(_BLOCK_BYTES)
+                more = fh.read(block_bytes)
                 at_eof = not more
                 buf += more
                 view = memoryview(buf)

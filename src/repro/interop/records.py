@@ -21,7 +21,6 @@ __all__ = [
     "FLOW_RECORD_DTYPE",
     "check_exportable",
     "flow_records_from_flowset",
-    "iter_record_chunks",
 ]
 
 #: One exported flow record: decoded timestamps are float64 seconds on
@@ -111,20 +110,3 @@ def check_exportable(records: np.ndarray, format_name: str) -> None:
                 f"{format_name} counters are unsigned; cannot encode "
                 f"{field} = {int(records[field].min())}"
             )
-
-
-def iter_record_chunks(records: np.ndarray, chunk: int | None):
-    """Yield consecutive views of at most ``chunk`` flow records."""
-    records = np.asarray(records)
-    if records.dtype != FLOW_RECORD_DTYPE:
-        raise ParameterError(
-            f"expected FLOW_RECORD_DTYPE records, got dtype {records.dtype}"
-        )
-    if chunk is None:
-        yield records
-        return
-    chunk = int(chunk)
-    if chunk < 1:
-        raise ParameterError(f"chunk must be >= 1 record, got {chunk}")
-    for i in range(0, records.size, chunk):
-        yield records[i: i + chunk]

@@ -25,7 +25,6 @@ from .workloads import (
     LinkWorkload,
     TableIRow,
     default_size_distribution,
-    high_utilization_link,
     low_utilization_link,
     medium_utilization_link,
     table_i_workload,
@@ -63,5 +62,4 @@ __all__ = [
     "table_i_workloads",
     "low_utilization_link",
     "medium_utilization_link",
-    "high_utilization_link",
 ]

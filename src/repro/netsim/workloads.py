@@ -47,7 +47,6 @@ __all__ = [
     "table_i_workloads",
     "low_utilization_link",
     "medium_utilization_link",
-    "high_utilization_link",
     "wire_bytes_per_flow",
     "wire_sizes",
 ]
@@ -294,10 +293,3 @@ def medium_utilization_link(
 ) -> LinkWorkload:
     """A 136 Mbps-class link: the middle CoV cluster of Figures 9-13."""
     return table_i_workload(4, scale=scale, duration=duration)
-
-
-def high_utilization_link(
-    *, duration: float = 120.0, scale: float = DEFAULT_SCALE
-) -> LinkWorkload:
-    """A 262 Mbps-class link: smooth traffic (bottom-left cluster)."""
-    return table_i_workload(2, scale=scale, duration=duration)

@@ -49,7 +49,9 @@ from .engine import (
     NetworkEngine,
     NetworkLinkReport,
     NetworkReport,
+    NetworkRun,
     NetworkSimulation,
+    SharedResults,
 )
 from .events import FlashCrowd, LinkOutage, RouteSegment, routing_timeline
 from .routing import (
@@ -92,6 +94,8 @@ __all__ = [
     "routing_timeline",
     # engine
     "NetworkEngine",
+    "NetworkRun",
+    "SharedResults",
     "NetworkSimulation",
     "LinkSimulation",
     "NetworkReport",

@@ -15,8 +15,8 @@ Execution model:
 * **Time-major loop.**  Each demand is synthesised once per run: demand
   ``i`` of a network seeded ``s`` opens one
   :class:`~repro.synthesis.StreamingSynthesis` stream from
-  ``SeedSequence([s, i])``, and all demands advance one window of arrival
-  cells at a time.  A demand's window block goes, through the
+  ``SeedSequence([s, i])`` (or from its own pinned seed), and all
+  demands advance one window of arrival cells at a time.  A demand's window block goes, through the
   flow-hash/route-segment rule, to every link on its route, so every
   hop sees the same flows.
 * **One measurement per class, not per hop.**  A *class* is one demand
@@ -39,15 +39,27 @@ Execution model:
   per demand plus, per class, fewer than ``chunk`` held packets and its
   open-flow carry table — never a trace.
 * **Fan-out.**  One :func:`repro.execution.make_pool` pool
-  (``workers`` × ``backend``) carries every task: the demand × cell
-  synthesis tasks of a window, one measurement step per class with a
-  full step held, and the per-link fits.  A window spans ``workers``
+  (``workers`` × ``backend``) carries every task: the realisation ×
+  cell synthesis tasks of a window, one measurement step per class with
+  a full step held, and the per-link fits.  A window spans ``workers``
   cells.  Tasks are leaf functions, so pools never nest.
+* **Many runs, one pass.**  :meth:`NetworkEngine.simulate_many` runs
+  several scenarios of one duration (a capacity sweep's cells) in one
+  loop, and :meth:`NetworkEngine.simulate` is its one-run case.  A
+  *realisation* is one demand's workload under one seed sequence; runs
+  that share it (common random numbers) share its synthesis, and a
+  class is keyed by realisations and keep rules, so it is measured once
+  for every link of every run that keeps its packets.  Links with the
+  same tuple of classes share one finished FlowSet, series, fit and
+  provisioning result, read-only; each keeps its own link, capacity and
+  demand count.
 * **Determinism.**  Per-link outputs depend only on ``(seed, demands,
-  topology, routing, events)`` — never on ``chunk``, ``workers`` or
-  ``backend``.  A link's merged packet order is canonical: sorted by
-  timestamp with ties broken by demand index (then within-demand
-  synthesis order).  Its FlowSet and RateSeries equal one
+  topology, routing, events)`` — never on ``chunk``, ``workers``,
+  ``backend`` or on the other runs of a pass.  The seed fixes the ECMP
+  salt, and each demand's synthesis seed (its own pinned ``seed``, or
+  ``SeedSequence([seed, i])``).  A link's merged packet order is
+  canonical: sorted by timestamp with ties broken by demand index (then
+  within-demand synthesis order).  Its FlowSet and RateSeries equal one
   :class:`~repro.measurement.StreamingMeasurement` over that merged
   trace bit for bit, so they are bitwise invariant to the execution
   knobs, and a one-demand one-link network reproduces
@@ -57,6 +69,7 @@ Execution model:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +94,8 @@ from .topology import Topology
 
 __all__ = [
     "NetworkEngine",
+    "NetworkRun",
+    "SharedResults",
     "LinkSimulation",
     "NetworkSimulation",
     "NetworkLinkReport",
@@ -399,6 +414,101 @@ class NetworkSimulation:
 # -- the engine ------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class NetworkRun:
+    """One network scenario of a :meth:`NetworkEngine.simulate_many` pass.
+
+    The arguments of :meth:`NetworkEngine.simulate` that may differ from
+    one scenario to the next; the measurement and detection knobs belong
+    to the pass.
+    """
+
+    topology: Topology
+    demands: object  # a DemandMatrix, or NetworkDemand entries
+    routing: object = "ecmp"
+    events: tuple = ()
+    seed: int = 0
+    name: str = "network"
+
+
+class SharedResults:
+    """Realisations, sealed class measurements and finished links, by key.
+
+    A *realisation* is what fixes one demand's synthesised packets: its
+    workload (tiled, flash crowds applied) and its seed sequence; runs
+    whose demands agree on both share it, under one integer id.
+    ``classes`` maps a class (a tuple of ``(realisation, keep rule)``
+    pairs) to its sealed :class:`~repro.measurement.StreamingMeasurement`,
+    and ``links`` maps a link's tuple of classes to its finished
+    :class:`LinkSimulation`, which every link of that tuple shares
+    read-only.  Each is a pure function of its key under one set of
+    measurement and detection knobs, so one instance may serve several
+    :meth:`NetworkEngine.simulate_many` passes with the same knobs: a
+    pass measures and finishes only what is not here yet.
+    """
+
+    def __init__(self) -> None:
+        self.classes: dict = {}
+        self.links: dict = {}
+        self._realisations: dict = {}  # seed entropy -> [(workload, id)]
+        self._count = 0
+        self._knobs = None
+
+    def bind(self, knobs) -> None:
+        """Pin the knobs the results were measured under."""
+        if self._knobs is None:
+            self._knobs = knobs
+        elif self._knobs != knobs:
+            raise ParameterError(
+                "these shared results were measured under other "
+                "measurement or detection knobs"
+            )
+
+    def realisation(self, demand, seed: int, index: int) -> int:
+        """The realisation id of demand ``index`` of a run seeded ``seed``."""
+        entropy = (
+            ("seed", int(demand.seed))
+            if demand.seed is not None
+            else ("position", int(seed), int(index))
+        )
+        known = self._realisations.setdefault(entropy, [])
+        for workload, rid in known:
+            if workload == demand.workload:
+                return rid
+        known.append((demand.workload, self._count))
+        self._count += 1
+        return self._count - 1
+
+
+def _knobs(
+    *,
+    delta: float = 0.2,
+    flow_kind: str = "five_tuple",
+    timeout: float = 8.0,
+    min_packets: int = 2,
+    prefix_length: int = 24,
+    epsilon: float = 0.01,
+    detect_anomalies: bool = False,
+    threshold_sigma: float = 3.0,
+    min_run: int = 3,
+):
+    """``(measure_kwargs, detect_kwargs)`` of one engine pass, checked."""
+    measure_kwargs = dict(
+        delta=check_positive("delta", delta),
+        key=flow_kind,
+        timeout=timeout,
+        min_packets=int(min_packets),
+        prefix_length=int(prefix_length),
+    )
+    detect_kwargs = dict(
+        epsilon=check_probability("epsilon", epsilon),
+        detect_anomalies=bool(detect_anomalies),
+        threshold_sigma=threshold_sigma,
+        min_run=int(min_run),
+    )
+    return measure_kwargs, detect_kwargs
+
+
 class NetworkEngine:
     """Whole-backbone flow simulation (see module docs).
 
@@ -487,7 +597,8 @@ class NetworkEngine:
         ``events`` mixes :class:`~repro.network.events.LinkOutage` and
         :class:`~repro.network.events.FlashCrowd` entries.  Returns a
         :class:`NetworkSimulation`; call :meth:`NetworkSimulation.report`
-        for the JSON-safe artifact.
+        for the JSON-safe artifact.  This is the one-run case of
+        :meth:`simulate_many`.
 
         ``checkpoint_dir`` persists each completed link's simulation
         durably (atomic write + manifest, see :mod:`repro.checkpoint`);
@@ -505,165 +616,305 @@ class NetworkEngine:
             raise ParameterError(
                 "resume=True needs a checkpoint_dir to resume from"
             )
-        if not isinstance(topology, Topology):
-            raise ParameterError(
-                f"expected a Topology, got {type(topology).__name__}"
-            )
-        if not isinstance(demands, DemandMatrix):
-            demands = DemandMatrix(demands)
-        declared = demands
-        if not len(demands):
-            raise ParameterError("the demand matrix must not be empty")
-        demands.validate_endpoints(topology)
-        routing = resolve_routing(routing)
-        delta = check_positive("delta", delta)
-        epsilon = check_probability("epsilon", epsilon)
-        outages = [e for e in events if isinstance(e, LinkOutage)]
-        crowds = [e for e in events if isinstance(e, FlashCrowd)]
-        stray = [
-            e for e in events
-            if not isinstance(e, (LinkOutage, FlashCrowd))
-        ]
-        if stray:
-            raise ParameterError(
-                f"unknown network event type {type(stray[0]).__name__}"
-            )
-        duration = demands.duration
-        # disjoint per-demand destination blocks (tile offset zero for
-        # demand 0, preserving the single-link degeneracy bit for bit)
-        demands = demands.with_tiled_addresses()
-        with stage_timer("network.routing"):
-            timeline = routing_timeline(
-                topology, demands, routing, outages, duration=duration
-            )
-            demands = apply_flash_crowds(demands, crowds)
-            salt = ecmp_salt(seed)
-
-            # which demands can ever cross each link (any segment)
-            crossing: dict[tuple[str, str], list[int]] = {
-                link: [] for link in topology.links
-            }
-            for index, segments in enumerate(timeline):
-                touched: set[tuple[str, str]] = set()
-                for segment in segments:
-                    if segment.routed is not None:
-                        touched.update(segment.routed.links())
-                for link in touched:
-                    crossing[link].append(index)
-
-        simulation = NetworkSimulation(
-            name=str(name),
-            seed=int(seed),
-            duration=duration,
-            routing=routing.name,
-            topology=topology,
-        )
-        simulation._n_demands = len(demands)
-        measure_kwargs = dict(
+        measure_kwargs, detect_kwargs = _knobs(
             delta=delta,
-            key=flow_kind,
+            flow_kind=flow_kind,
             timeout=timeout,
-            min_packets=int(min_packets),
-            prefix_length=int(prefix_length),
-        )
-        detect_kwargs = dict(
+            min_packets=min_packets,
+            prefix_length=prefix_length,
             epsilon=epsilon,
-            detect_anomalies=bool(detect_anomalies),
+            detect_anomalies=detect_anomalies,
             threshold_sigma=threshold_sigma,
-            min_run=int(min_run),
+            min_run=min_run,
+        )
+        run = NetworkRun(
+            topology, demands, routing=routing, events=tuple(events),
+            seed=seed, name=name,
+        )
+        plan = _plan(
+            run,
+            measure_kwargs,
+            detect_kwargs,
+            keep_packets=bool(keep_packets),
+            checkpoint_dir=checkpoint_dir,
+            resume=resume,
+        )
+        (simulation,) = self._run(
+            [plan], measure_kwargs, detect_kwargs, SharedResults(),
+            keep_packets=bool(keep_packets),
+        )
+        return simulation
+
+    def simulate_many(
+        self, runs, *, shared: SharedResults | None = None, **knobs
+    ) -> list[NetworkSimulation]:
+        """Simulate several network runs in one pass; one result per run.
+
+        ``runs`` are :class:`NetworkRun` entries of one duration, and
+        ``knobs`` are :meth:`simulate`'s measurement and detection
+        arguments (``delta`` … ``min_run``), common to every run.  Each
+        run's result is bitwise equal to its own :meth:`simulate` call,
+        but the work is shared: a *realisation* (one demand's workload
+        under one synthesis seed) is synthesised once for every run that
+        has it, a class is measured once for every link of every run
+        that keeps its packets, and links of one tuple of classes share
+        one finished :class:`LinkSimulation`'s FlowSet, series, fit and
+        provisioning result.  ``shared`` carries measured classes and
+        finished links into later passes with the same knobs.
+        """
+        measure_kwargs, detect_kwargs = _knobs(**knobs)
+        plans = [
+            _plan(run, measure_kwargs, detect_kwargs) for run in runs
+        ]
+        return self._run(
+            plans,
+            measure_kwargs,
+            detect_kwargs,
+            shared if shared is not None else SharedResults(),
         )
 
-        store = None
-        if checkpoint_dir is not None:
-            store = CheckpointStore(
-                checkpoint_dir,
-                run_fingerprint({
-                    "name": str(name),
-                    "seed": int(seed),
-                    "duration": float(duration),
-                    "routing": routing.name,
-                    "links": [
-                        [
-                            *link,
-                            topology.capacity_bps(*link),
-                            topology.weight(*link),
-                        ]
-                        for link in topology.links
-                    ],
-                    "demands": [
-                        [d.source, d.sink, d.seed, d.workload]
-                        for d in declared
-                    ],
-                    "events": list(events),
-                    "measure": measure_kwargs,
-                    "detect": detect_kwargs,
-                    "keep_packets": bool(keep_packets),
-                }),
-                resume=resume,
+    def _run(
+        self, plans, measure_kwargs, detect_kwargs, shared, *,
+        keep_packets=False,
+    ) -> list[NetworkSimulation]:
+        """Measure and finish every pending link of ``plans`` (one pass)."""
+        durations = sorted({plan.simulation.duration for plan in plans})
+        if len(durations) > 1:
+            raise ParameterError(
+                f"the runs of one pass must share one duration; got "
+                f"{durations}"
             )
-
-        pending = []  # (checkpoint key, link) of the links to measure
-        for position, link in enumerate(topology.links):
-            if not crossing[link]:
-                simulation.links[link] = LinkSimulation(
-                    link=link,
-                    capacity_bps=topology.capacity_bps(*link),
-                    n_demands=0,
-                    delta=delta,
-                    duration=duration,
-                )
-                continue
-            key = f"link-{position:04d}"
-            if store is not None and resume and store.has(key):
-                simulation.links[link] = store.load(key)
-                continue
-            pending.append((key, link))
-        links = [link for _, link in pending]
+        shared.bind((measure_kwargs, detect_kwargs))
+        sources, targets = _link_classes(plans, measure_kwargs, shared)
+        pending = [(plan, key, link) for plan in plans
+                   for key, link in plan.pending]
         with stage_timer("network.links"), make_pool(
             self.backend, self.workers, retry=self.retry
         ) as pool:
-            classes, kept = _measure_links(
+            kept = _measure_links(
                 pool,
-                links,
-                demands,
-                timeline,
-                crossing,
-                seed=int(seed),
-                salt=salt,
+                targets,
+                sources,
+                shared.classes,
                 window=self.workers,
                 chunk=self.chunk or DEFAULT_NETWORK_CHUNK,
-                duration=duration,
+                duration=durations[0] if durations else 0.0,
                 measure_kwargs=measure_kwargs,
-                keep_raw_series=bool(detect_anomalies),
+                keep_raw_series=bool(detect_kwargs["detect_anomalies"]),
                 keep_packets=keep_packets,
             )
-            tasks = [
-                (
-                    link,
-                    topology.capacity_bps(*link),
-                    len(crossing[link]),
-                    parts,
-                    duration,
-                    detect_kwargs,
-                )
-                for link, parts in zip(links, classes)
-            ]
-            done = _map_lanes(pool, _finish_link_task, tasks)
-            for (key, link), blocks, result in zip(pending, kept, done):
-                if keep_packets:
-                    result.packets = (
-                        np.concatenate(blocks)
-                        if blocks
-                        else np.zeros(0, dtype=PACKET_DTYPE)
+            todo = {}  # tuple of classes -> the task finishing it
+            for (plan, _, link), classes in zip(pending, targets):
+                if classes not in shared.links and classes not in todo:
+                    todo[classes] = (
+                        link,
+                        plan.simulation.topology.capacity_bps(*link),
+                        len(plan.crossing[link]),
+                        [shared.classes[group] for group in classes],
+                        plan.simulation.duration,
+                        detect_kwargs,
                     )
-                simulation.links[link] = result
-                if store is not None:
-                    store.save(key, result)
-        # restore topology order (empty links were inserted eagerly)
-        simulation.links = {
-            link: simulation.links[link] for link in topology.links
+            done = _map_lanes(pool, _finish_link_task, list(todo.values()))
+            for classes, result in zip(todo, done):
+                shared.links[classes] = _read_only(result)
+        for (plan, key, link), classes, blocks in zip(pending, targets, kept):
+            result = dataclasses.replace(
+                shared.links[classes],
+                link=link,
+                capacity_bps=plan.simulation.topology.capacity_bps(*link),
+                n_demands=len(plan.crossing[link]),
+            )
+            if keep_packets:
+                result.packets = (
+                    np.concatenate(blocks)
+                    if blocks
+                    else np.zeros(0, dtype=PACKET_DTYPE)
+                )
+            plan.simulation.links[link] = result
+            if plan.store is not None:
+                plan.store.save(key, result)
+        for plan in plans:
+            # restore topology order (empty links were inserted eagerly)
+            topology = plan.simulation.topology
+            plan.simulation.links = {
+                link: plan.simulation.links[link] for link in topology.links
+            }
+        return [plan.simulation for plan in plans]
+
+
+# -- planning one run --------------------------------------------------------
+
+
+@dataclass
+class _Plan:
+    """One run, routed: its result so far and the links left to measure."""
+
+    simulation: NetworkSimulation
+    demands: DemandMatrix  # tiled, flash crowds applied
+    timeline: list  # per demand: its route segments
+    crossing: dict  # link -> the demands that can ever cross it
+    salt: object
+    pending: list  # (checkpoint key, link) of the links to measure
+    store: CheckpointStore | None = None
+
+
+def _plan(
+    run, measure_kwargs, detect_kwargs, *, keep_packets=False,
+    checkpoint_dir=None, resume=False,
+) -> _Plan:
+    """Check and route one run; restore its checkpointed links."""
+    topology = run.topology
+    demands = run.demands
+    if not isinstance(topology, Topology):
+        raise ParameterError(
+            f"expected a Topology, got {type(topology).__name__}"
+        )
+    if not isinstance(demands, DemandMatrix):
+        demands = DemandMatrix(demands)
+    declared = demands
+    if not len(demands):
+        raise ParameterError("the demand matrix must not be empty")
+    demands.validate_endpoints(topology)
+    routing = resolve_routing(run.routing)
+    events = run.events
+    outages = [e for e in events if isinstance(e, LinkOutage)]
+    crowds = [e for e in events if isinstance(e, FlashCrowd)]
+    stray = [
+        e for e in events
+        if not isinstance(e, (LinkOutage, FlashCrowd))
+    ]
+    if stray:
+        raise ParameterError(
+            f"unknown network event type {type(stray[0]).__name__}"
+        )
+    duration = demands.duration
+    # disjoint per-demand destination blocks (tile offset zero for
+    # demand 0, preserving the single-link degeneracy bit for bit)
+    demands = demands.with_tiled_addresses()
+    with stage_timer("network.routing"):
+        timeline = routing_timeline(
+            topology, demands, routing, outages, duration=duration
+        )
+        demands = apply_flash_crowds(demands, crowds)
+        salt = ecmp_salt(run.seed)
+
+        # which demands can ever cross each link (any segment)
+        crossing: dict[tuple[str, str], list[int]] = {
+            link: [] for link in topology.links
         }
-        return simulation
+        for index, segments in enumerate(timeline):
+            touched: set[tuple[str, str]] = set()
+            for segment in segments:
+                if segment.routed is not None:
+                    touched.update(segment.routed.links())
+            for link in touched:
+                crossing[link].append(index)
+
+    simulation = NetworkSimulation(
+        name=str(run.name),
+        seed=int(run.seed),
+        duration=duration,
+        routing=routing.name,
+        topology=topology,
+    )
+    simulation._n_demands = len(demands)
+
+    store = None
+    if checkpoint_dir is not None:
+        store = CheckpointStore(
+            checkpoint_dir,
+            run_fingerprint({
+                "name": str(run.name),
+                "seed": int(run.seed),
+                "duration": float(duration),
+                "routing": routing.name,
+                "links": [
+                    [
+                        *link,
+                        topology.capacity_bps(*link),
+                        topology.weight(*link),
+                    ]
+                    for link in topology.links
+                ],
+                "demands": [
+                    [d.source, d.sink, d.seed, d.workload]
+                    for d in declared
+                ],
+                "events": list(events),
+                "measure": measure_kwargs,
+                "detect": detect_kwargs,
+                "keep_packets": bool(keep_packets),
+            }),
+            resume=resume,
+        )
+
+    pending = []
+    for position, link in enumerate(topology.links):
+        if not crossing[link]:
+            simulation.links[link] = LinkSimulation(
+                link=link,
+                capacity_bps=topology.capacity_bps(*link),
+                n_demands=0,
+                delta=measure_kwargs["delta"],
+                duration=duration,
+            )
+            continue
+        key = f"link-{position:04d}"
+        if store is not None and resume and store.has(key):
+            simulation.links[link] = store.load(key)
+            continue
+        pending.append((key, link))
+    return _Plan(
+        simulation=simulation,
+        demands=demands,
+        timeline=timeline,
+        crossing=crossing,
+        salt=salt,
+        pending=pending,
+        store=store,
+    )
+
+
+def _link_classes(plans, measure_kwargs, shared):
+    """Per realisation its source, and per pending link its classes.
+
+    A class is a tuple of ``(realisation, keep rule)`` pairs: one pair,
+    shared by every link of every run that keeps the same packets of the
+    realisation, or all of a link's pairs when their flow keys can
+    collide.  A rule that hashes flows carries the run's ECMP salt.
+    Returns ``(sources, targets)``: ``sources`` maps each realisation id
+    (:meth:`SharedResults.realisation`) to a ``(demand, run seed, demand
+    index)`` that synthesises it, and ``targets`` lists, per pending link
+    of every plan in order, its tuple of classes.
+    """
+    sources = {}
+    targets = []
+    for plan in plans:
+        seed = plan.simulation.seed
+        realisations = []
+        for index, demand in enumerate(plan.demands):
+            realisation = shared.realisation(demand, seed, index)
+            sources.setdefault(realisation, (demand, seed, index))
+            realisations.append(realisation)
+        for _, link in plan.pending:
+            pairs = []
+            for index in plan.crossing[link]:
+                rule = _keep_rule(plan.timeline[index], link)
+                pairs.append((
+                    realisations[index],
+                    None if rule is None else (plan.salt, rule),
+                ))
+            merged = destination_keys_overlap(
+                [plan.demands[i].workload.address_space
+                 for i in plan.crossing[link]],
+                key=measure_kwargs["key"],
+                prefix_length=measure_kwargs["prefix_length"],
+            )
+            targets.append(
+                (tuple(pairs),) if merged
+                else tuple((pair,) for pair in pairs)
+            )
+    return sources, targets
 
 
 # -- the time-major loop ---------------------------------------------------
@@ -694,13 +945,10 @@ def _map_lanes(pool, fn, tasks):
 
 def _measure_links(
     pool,
-    links,
-    demands,
-    timeline,
-    crossing,
+    targets,
+    sources,
+    measured,
     *,
-    seed,
-    salt,
     window,
     chunk,
     duration,
@@ -708,32 +956,21 @@ def _measure_links(
     keep_raw_series,
     keep_packets,
 ):
-    """Synthesise every demand once and stream it into each class it feeds.
+    """Synthesise each realisation once and stream it into its classes.
 
-    A class is a tuple of ``(demand index, keep rule)`` pairs: one pair,
-    shared by every link that keeps the same packets of the demand, or
-    all of a link's pairs when their flow keys can collide.  Each class
-    holds its window blocks and measures them in ``chunk``-packet steps
-    (:func:`_measure_window`).  Returns per link its sealed class
-    measurements, and per link the merged packet blocks (kept only with
-    ``keep_packets``).
+    ``targets`` lists per link its classes (:func:`_link_classes`).
+    Classes already in ``measured`` are not measured again; the others
+    hold their window blocks, are measured in ``chunk``-packet steps
+    (:func:`_measure_window`) and are added to ``measured``, sealed.
+    Only realisations feeding a class measured here are synthesised.
+    Returns per link the merged packet blocks (kept only with
+    ``keep_packets``, when every class is measured in this pass).
     """
-    classes: dict[tuple, int] = {}  # class -> slot
-    link_classes = []  # per link: its class slots, in demand order
-    for link in links:
-        pairs = [
-            (index, _keep_rule(timeline[index], link))
-            for index in crossing[link]
-        ]
-        merged = destination_keys_overlap(
-            [demands[index].workload.address_space for index, _ in pairs],
-            key=measure_kwargs["key"],
-            prefix_length=measure_kwargs["prefix_length"],
-        )
-        groups = [tuple(pairs)] if merged else [(pair,) for pair in pairs]
-        link_classes.append(
-            [classes.setdefault(group, len(classes)) for group in groups]
-        )
+    classes: dict[tuple, int] = {}  # class measured here -> slot
+    for groups in targets:
+        for group in groups:
+            if group not in measured:
+                classes.setdefault(group, len(classes))
     streamers = [
         StreamingMeasurement(
             duration=duration, keep_raw_series=keep_raw_series,
@@ -741,46 +978,50 @@ def _measure_links(
         )
         for _ in classes
     ]
-    kept = [[] for _ in links]
-    # per demand: the distinct keep rules its classes need; demands
-    # feeding no class are never synthesised
-    rules: dict[int, list] = {}
+    kept = [[] for _ in targets]
+    # per realisation: the distinct keep rules its classes need
+    rules: dict = {}
     for group in classes:
-        for index, rule in group:
-            if rule not in rules.setdefault(index, []):
-                rules[index].append(rule)
-    routes = sorted(rules.items())
-    streams = [
-        demands[index].workload.synthesize_chunks(
-            seed=demands[index].seed_sequence(seed, index)
-        )
-        for index, _ in routes
-    ]
-    # every demand shares the duration, hence one cell grid
+        for realisation, rule in group:
+            if rule not in rules.setdefault(realisation, []):
+                rules[realisation].append(rule)
+    routes = list(rules.items())
+    streams = []
+    for realisation, _ in routes:
+        demand, seed, index = sources[realisation]
+        streams.append(demand.workload.synthesize_chunks(
+            seed=demand.seed_sequence(seed, index)
+        ))
+    # every run of a pass shares the duration, hence one cell grid
     n_cells = streams[0].plan.n_cells if streams else 0
     held = [[] for _ in classes]  # per class: routed blocks not yet measured
     for g0 in range(0, n_cells, window):
         g1 = min(g0 + window, n_cells)
-        blocks = _route_window(pool, streams, routes, g0, g1, salt, classes)
+        blocks = _route_window(pool, streams, routes, g0, g1, classes)
         if keep_packets:
-            for slot, owned in enumerate(link_classes):
-                parts = [blocks[c] for c in owned if c in blocks]
+            for slot, groups in enumerate(targets):
+                parts = [
+                    blocks[classes[group]]
+                    for group in groups
+                    if classes[group] in blocks
+                ]
                 if parts:
                     kept[slot].append(_merge_window(parts))
         for slot, block in blocks.items():
             held[slot].append(block)
         _measure_window(pool, streamers, held, chunk, last=g1 == n_cells)
-    for streamer in streamers:
+    for group, streamer in zip(classes, streamers):
         streamer.seal()
-    return [[streamers[c] for c in owned] for owned in link_classes], kept
+        measured[group] = streamer
+    return kept
 
 
-def _route_window(pool, streams, routes, g0, g1, salt, classes):
-    """Synthesise cells ``g0 .. g1 - 1`` of every demand; route them.
+def _route_window(pool, streams, routes, g0, g1, classes):
+    """Synthesise cells ``g0 .. g1 - 1`` of every realisation; route them.
 
-    Filters each demand block once per keep rule and returns each
-    class's window block by class slot (classes the window leaves empty
-    are absent).
+    Filters each realisation's block once per keep rule (hashing its
+    flows once per ECMP salt) and returns each class's window block by
+    class slot (classes the window leaves empty are absent).
     """
     with stage_timer("synthesis.cells"):
         blocks = _map_lanes(
@@ -789,20 +1030,21 @@ def _route_window(pool, streams, routes, g0, g1, salt, classes):
             [t for stream in streams for t in stream.window_tasks(g0, g1)],
         )
     width = g1 - g0
-    filtered = {}  # (demand index, rule) -> the demand's packets under it
-    for j, (stream, (index, rules)) in enumerate(zip(streams, routes)):
+    filtered = {}  # (realisation, rule) -> its packets under the rule
+    for j, (stream, (realisation, rules)) in enumerate(zip(streams, routes)):
         packets = stream.emit_window(blocks[j * width:(j + 1) * width], g1)
         if packets is None:
             continue
-        uniforms = None
+        uniforms = {}  # salt -> the block's flow uniforms
         for rule in rules:
             part = packets
             if rule is not None:
-                if uniforms is None:
-                    uniforms = flow_uniforms(packets, salt)
-                part = _filter_block(packets, uniforms, rule)
+                salt, intervals = rule
+                if salt not in uniforms:
+                    uniforms[salt] = flow_uniforms(packets, salt)
+                part = _filter_block(packets, uniforms[salt], intervals)
             if part.size:
-                filtered[index, rule] = part
+                filtered[realisation, rule] = part
     out = {}
     for group, slot in classes.items():
         parts = [filtered[pair] for pair in group if pair in filtered]
@@ -846,6 +1088,19 @@ def _measure_window(pool, streamers, held, chunk, *, last):
 
 
 # -- one link --------------------------------------------------------------
+
+
+def _read_only(result: LinkSimulation) -> LinkSimulation:
+    """Lock the arrays every link of one tuple of classes shares."""
+    flows = result.flows
+    arrays = [flows.starts, flows.ends, flows.sizes, flows.packet_counts,
+              flows.keys]
+    arrays += [
+        s.values for s in (result.series, result.raw_series) if s is not None
+    ]
+    for array in arrays:
+        array.flags.writeable = False
+    return result
 
 
 def _finish_link_task(task) -> LinkSimulation:

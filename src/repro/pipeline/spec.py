@@ -1264,9 +1264,9 @@ class SweepSpec:
     over ``sla_utilization`` × capacity — lands inside the marginal
     band ``[1 - margin, 1 + margin]`` (``simulate: "all"``/``"none"``
     override the band for ground-truth and enumeration-only runs).
-    ``execution.workers`` fans simulated cells out over the engine
-    worker pool; per-cell results are bitwise equal to running the
-    cell's spec directly, for any ``execution`` setting.
+    The simulated cells share one network-engine pass whose pool
+    ``execution`` sets; per-cell results are bitwise equal to running
+    the cell's spec directly, for any ``execution`` setting.
     """
 
     demand_factors: tuple[float, ...] = (1.0, 1.5, 2.0)

@@ -491,29 +491,25 @@ class SimulateNetwork:
 
     name = "simulate_network"
 
-    def run(self, context: PipelineContext) -> NetworkStageResult:
-        from ..network.engine import NetworkEngine
+    @staticmethod
+    def network_run(spec):
+        """The :class:`~repro.network.NetworkRun` of a network scenario."""
+        from ..network.engine import NetworkRun
 
-        spec = context.spec
-        if spec.network is None:
-            raise ParameterError(
-                f"scenario {spec.name!r} has no 'network' section; the "
-                "SimulateNetwork stage only runs network scenarios"
-            )
         topology, demands, events = spec.network.build()
-        engine = NetworkEngine(
-            chunk=spec.network.chunk,
-            workers=int(spec.network.workers),
-            backend=spec.network.backend,
-            retry=spec.network.retry,
-        )
-        simulation = engine.simulate(
+        return NetworkRun(
             topology,
             demands,
             routing=spec.network.routing,
             events=events,
             seed=int(spec.seed),
             name=spec.name,
+        )
+
+    @staticmethod
+    def knobs(spec) -> dict:
+        """The engine's measurement and detection knobs of a scenario."""
+        return dict(
             delta=spec.estimation.delta,
             flow_kind=spec.flows.kind,
             timeout=spec.flows.timeout,
@@ -523,8 +519,34 @@ class SimulateNetwork:
             detect_anomalies=bool(spec.validation.detect_anomalies),
             threshold_sigma=spec.validation.threshold_sigma,
             min_run=int(spec.validation.min_run),
+        )
+
+    def run(self, context: PipelineContext) -> NetworkStageResult:
+        from ..network.engine import NetworkEngine
+
+        spec = context.spec
+        if spec.network is None:
+            raise ParameterError(
+                f"scenario {spec.name!r} has no 'network' section; the "
+                "SimulateNetwork stage only runs network scenarios"
+            )
+        run = self.network_run(spec)
+        engine = NetworkEngine(
+            chunk=spec.network.chunk,
+            workers=int(spec.network.workers),
+            backend=spec.network.backend,
+            retry=spec.network.retry,
+        )
+        simulation = engine.simulate(
+            run.topology,
+            run.demands,
+            routing=run.routing,
+            events=run.events,
+            seed=run.seed,
+            name=run.name,
             checkpoint_dir=context.checkpoint_dir,
             resume=bool(context.resume),
+            **self.knobs(spec),
         )
         context.network = NetworkStageResult(
             simulation=simulation,

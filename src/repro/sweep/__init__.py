@@ -9,13 +9,13 @@ This package answers that with a declarative sweep over a base
 * :func:`~repro.sweep.cells.expand_cells` — the cartesian product of
   demand growth factors, auto-enumerated fibre failures (N-1 / N-2) and
   routing policies, each cell a complete runnable
-  :class:`~repro.pipeline.ScenarioSpec` with a derived
-  ``SeedSequence``-child seed;
+  :class:`~repro.pipeline.ScenarioSpec` whose demands pin common random
+  numbers: one synthesis seed per (demand, growth factor);
 * :mod:`~repro.sweep.prefilter` — the closed-form moment-superposition
   assessment of every cell against a configurable SLA band, so the
   packet-level engine only runs where the analytic answer is marginal;
 * :func:`run_sweep` — the service: assess everything, simulate the
-  marginal cells over the engine worker pool, emit one ranked
+  marginal cells in one network-engine pass, emit one ranked
   :class:`~repro.sweep.report.SweepReport` (JSON + table).
 
 Quickstart::
@@ -32,6 +32,7 @@ from .cells import (
     enumerate_failures,
     enumerate_fibres,
     expand_cells,
+    realisation_seed,
     scale_demand,
 )
 from .prefilter import (
@@ -49,6 +50,7 @@ __all__ = [
     "enumerate_fibres",
     "enumerate_failures",
     "expand_cells",
+    "realisation_seed",
     "scale_demand",
     # prefilter
     "CellAssessment",

@@ -2,23 +2,26 @@
 
 A *cell* is one fully-specified what-if scenario: every demand scaled by
 one growth factor, one (possibly empty) set of failed fibres encoded as
-full-capture :class:`~repro.network.events.LinkOutage` events, one
-routing policy, and a derived seed.  Each cell carries a complete
-network-family :class:`~repro.pipeline.spec.ScenarioSpec`, so running it
-through :func:`~repro.pipeline.run_scenario` is *by construction* the
-same code path as a direct :class:`~repro.network.NetworkEngine` run —
-which is what makes the sweep's simulated results bitwise reproducible
-cell by cell.
+full-capture :class:`~repro.network.events.LinkOutage` events, and one
+routing policy.  Each cell carries a complete network-family
+:class:`~repro.pipeline.spec.ScenarioSpec`, so running it through
+:func:`~repro.pipeline.run_scenario` gives, bit for bit, what the sweep
+computes for it.
 
 Failure enumeration works on physical fibres, not directed links: the
 topology's shared-fate groups (both directions of a bidirectional link)
 are deduplicated, and failing a fibre fails the whole group — the
 operator's "a backhoe cut the conduit" question.
 
-Seeds are :class:`numpy.random.SeedSequence` children of the sweep
-scenario's seed, spawned in cell order, so the grid is deterministic,
-cells are statistically independent, and any cell can be re-run in
-isolation from its spec alone.
+Seeds are common random numbers.  Every cell spec keeps the sweep
+scenario's seed, so all cells hash flows onto ECMP paths with one salt,
+and every demand pins its synthesis seed to
+:func:`realisation_seed` of (scenario seed, demand index, growth
+factor).  Cells that differ only in failed fibres or routing policy
+therefore carry the same flows, and their difference reflects the
+failure, not resampling noise; distinct (demand, factor) pairs draw
+independent streams.  Any cell can still be re-run in isolation from its
+spec alone.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "enumerate_fibres",
     "enumerate_failures",
     "expand_cells",
+    "realisation_seed",
     "scale_demand",
 ]
 
@@ -110,6 +114,20 @@ def scale_demand(demand: DemandSpec, factor: float) -> DemandSpec:
     )
 
 
+def realisation_seed(seed: int, index: int, factor: float) -> int:
+    """The pinned synthesis seed of demand ``index`` under ``factor``.
+
+    Drawn from ``SeedSequence([seed, index, bits])``, ``bits`` being the
+    factor's IEEE-754 pattern, so it depends on the (demand, factor)
+    pair alone: every failure and routing policy of a sweep shares it.
+    """
+    bits = int(np.float64(factor).view(np.uint64))
+    return int(
+        np.random.SeedSequence([int(seed), int(index), bits])
+        .generate_state(1)[0]
+    )
+
+
 @dataclass(frozen=True)
 class SweepCell:
     """One expanded sweep cell: axes coordinates plus its runnable spec."""
@@ -118,7 +136,7 @@ class SweepCell:
     factor: float
     failure: tuple[tuple[str, str], ...]  # failed fibres, () = baseline
     routing: str
-    seed: int
+    seed: int  # the cell spec's seed: the sweep's, hence the ECMP salt
     spec: ScenarioSpec  # network-family spec (sweep=None)
 
     @property
@@ -136,13 +154,14 @@ def expand_cells(spec: ScenarioSpec) -> tuple[SweepCell, ...]:
     """The sweep's cartesian product as runnable per-cell scenario specs.
 
     Cell order is deterministic: routing policy (outermost), then
-    baseline followed by the failure cases, then growth factors — and
-    cell ``i`` seeds from child ``i`` of ``SeedSequence(spec.seed)``.
-    Each cell spec is the base scenario with the ``sweep`` section
-    stripped, demands scaled, the failure encoded as full-capture
-    outage events appended to the base events, and the network section
-    pinned to one worker (the sweep service owns the fan-out; pools
-    must not nest).
+    baseline followed by the failure cases, then growth factors.  Each
+    cell spec is the base scenario with the ``sweep`` section stripped,
+    the scenario seed kept, demands scaled and each pinned to its
+    :func:`realisation_seed` (a demand that pins its own seed roots the
+    draw in that seed instead of the scenario's), the failure encoded as
+    full-capture outage events appended to the base events, and the
+    network section pinned to one worker (the sweep drives the engine's
+    pool from its own ``execution`` section).
     """
     if spec.sweep is None or spec.network is None:
         raise ParameterError(
@@ -164,10 +183,23 @@ def expand_cells(spec: ScenarioSpec) -> tuple[SweepCell, ...]:
         for failure in failures
         for factor in sweep.demand_factors
     ]
-    children = np.random.SeedSequence(int(spec.seed)).spawn(len(grid))
+    seed = int(spec.seed)
+    demands = {
+        factor: tuple(
+            dataclasses.replace(
+                scale_demand(demand, factor),
+                seed=realisation_seed(
+                    seed if demand.seed is None else demand.seed,
+                    index,
+                    factor,
+                ),
+            )
+            for index, demand in enumerate(network.demands)
+        )
+        for factor in sweep.demand_factors
+    }
     cells = []
     for index, (routing, failure, factor) in enumerate(grid):
-        cell_seed = int(children[index].generate_state(1)[0])
         outages = tuple(
             NetworkEventSpec(
                 kind="outage",
@@ -187,9 +219,7 @@ def expand_cells(spec: ScenarioSpec) -> tuple[SweepCell, ...]:
         )
         cell_network = dataclasses.replace(
             cell_network,
-            demands=tuple(
-                scale_demand(demand, factor) for demand in network.demands
-            ),
+            demands=demands[factor],
             routing=routing,
             events=network.events + outages,
         )
@@ -204,12 +234,11 @@ def expand_cells(spec: ScenarioSpec) -> tuple[SweepCell, ...]:
                 factor=float(factor),
                 failure=failure,
                 routing=routing,
-                seed=cell_seed,
+                seed=seed,
                 spec=dataclasses.replace(
                     spec,
                     name=f"{spec.name}#{index:03d}",
                     description=label,
-                    seed=cell_seed,
                     sweep=None,
                     network=cell_network,
                 ),

@@ -4,8 +4,9 @@ A :class:`SweepReport` answers the capacity-planning questions in one
 object: which cells breach the SLA (ranked worst first), the worst link
 under every failure case, and how much headroom each growth step leaves
 — with every cell labelled by *how* it was decided (``analytic``
-pre-filter or full ``simulated`` engine run) and by the seed that makes
-it individually re-runnable.
+pre-filter or full ``simulated`` engine run) and by its cell spec's
+seed, the scenario's (the demands' synthesis seeds are pinned in the
+cell spec, which re-runs the cell on its own).
 """
 
 from __future__ import annotations

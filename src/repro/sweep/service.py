@@ -3,28 +3,31 @@
 :func:`run_sweep` is the one entry point: it expands the spec's axes
 into cells (:func:`~repro.sweep.cells.expand_cells`), runs the
 closed-form pre-filter on every cell
-(:func:`~repro.sweep.prefilter.assess_cell`), dispatches the full
-:class:`~repro.network.NetworkEngine` only on cells the band flags as
-marginal (or all / none, per ``sweep.simulate``), fanned out over a
-:func:`repro.execution.make_pool` worker pool (``sweep.workers`` ×
-``sweep.backend``), and folds everything into one ranked
-:class:`~repro.sweep.report.SweepReport`.
+(:func:`~repro.sweep.prefilter.assess_cell`), hands the cells the band
+flags as marginal (or all / none, per ``sweep.simulate``) to one
+:meth:`~repro.network.NetworkEngine.simulate_many` pass on the sweep's
+``execution`` pool (``sweep.workers`` × ``sweep.backend``), and folds
+everything into one ranked :class:`~repro.sweep.report.SweepReport`.
 
-Determinism: cell seeds are ``SeedSequence`` children of the scenario
-seed (fixed at expansion), each simulated cell runs its own complete
-network-family spec through :func:`~repro.pipeline.run_scenario`, and
-``map_ordered`` preserves cell order — so results are bitwise identical
-for any ``sweep.execution`` setting, and bitwise equal to running any
-cell's spec directly.
+Determinism: every cell spec keeps the scenario seed (one ECMP salt)
+and pins each demand's synthesis seed to its (demand, factor) pair at
+expansion — common random numbers.  The engine pass synthesises each
+(demand, factor) realisation once and measures each class once for
+every cell that has it, but a cell's result is a pure function of its
+own spec: bitwise equal to running that spec directly through
+:func:`~repro.pipeline.run_scenario`, whichever other cells share the
+pass, and for any ``sweep.execution`` setting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..checkpoint import CheckpointStore, map_in_batches, run_fingerprint
+from ..checkpoint import CheckpointStore, run_fingerprint
 from ..exceptions import ParameterError
-from ..execution import RunHealth, make_pool, run_health, run_trace
+from ..execution import RunHealth, run_health, run_trace
+from ..network.engine import NetworkEngine, SharedResults
+from ..pipeline.stages import NetworkStageResult, SimulateNetwork
 from .cells import SweepCell, expand_cells
 from .prefilter import (
     VERDICT_BREACH,
@@ -60,13 +63,6 @@ class SweepResult:
     def simulated(self, index: int):
         """The engine run of cell ``index`` (KeyError if pre-filtered)."""
         return self.simulations[index]
-
-
-def _simulate_cell(cell):
-    """Run one marginal cell's full network spec (worker entry point)."""
-    from ..pipeline.runner import run_scenario
-
-    return run_scenario(cell.spec).network
 
 
 def _simulated_outcome(cell, assessment, stage_result, *, sla_utilization):
@@ -143,11 +139,13 @@ def run_sweep(spec, *, checkpoint_dir=None, resume=False) -> SweepResult:
     in its own run trace.
 
     ``checkpoint_dir`` persists each simulated cell's outcome durably
-    (atomic write + manifest) as soon as it completes; ``resume=True``
-    then skips cells already checkpointed and re-runs only the
-    remainder.  Cell seeds are fixed at expansion, so the resumed
-    :class:`~repro.sweep.report.SweepReport` is bitwise-equal to an
-    uninterrupted run's.
+    (atomic write + manifest) as soon as it completes: the cells then
+    run one engine pass each, sharing the measured classes and finished
+    links of earlier passes, so an interruption loses at most one cell.
+    ``resume=True`` skips cells already checkpointed and re-runs only
+    the remainder.  A cell's result depends on its own spec alone, so
+    the resumed :class:`~repro.sweep.report.SweepReport` is
+    bitwise-equal to an uninterrupted run's.
     """
     if spec.sweep is None:
         raise ParameterError(
@@ -208,12 +206,29 @@ def run_sweep(spec, *, checkpoint_dir=None, resume=False) -> SweepResult:
     }
     simulations: dict[int, object] = {}
     outcome_of: dict[int, CellResult] = dict(restored)
-    # cell specs are pinned to one worker each (see expand_cells), so the
-    # sweep's pool is the only fan-out and pools never nest
-    with make_pool(sweep.backend, sweep.workers, retry=sweep.retry) as pool:
-        for cell, result in map_in_batches(
-            pool, _simulate_cell, to_simulate, store
-        ):
+    engine = NetworkEngine(
+        chunk=cells[0].spec.network.chunk,  # every cell spec carries it
+        workers=sweep.workers,
+        backend=sweep.backend,
+        retry=sweep.retry,
+    )
+    shared = SharedResults()
+    passes = (
+        [[cell] for cell in to_simulate] if store is not None
+        else [to_simulate] if to_simulate else []
+    )
+    for batch in passes:
+        runs = engine.simulate_many(
+            [SimulateNetwork.network_run(cell.spec) for cell in batch],
+            shared=shared,
+            **SimulateNetwork.knobs(spec),
+        )
+        for cell, simulation in zip(batch, runs):
+            result = NetworkStageResult(
+                simulation=simulation,
+                report=simulation.report(),
+                health=run_health(),
+            )
             simulations[cell.index] = result
             outcome = _simulated_outcome(
                 cell,

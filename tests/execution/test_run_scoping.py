@@ -8,8 +8,9 @@ run) and pin that
 * back-to-back runs in one process do not inherit each other's events;
 * concurrent ``run_scenarios`` on threads attribute each event to the
   scenario that raised it;
-* sweep cells on worker threads each report exactly their own event,
-  while the sweep's health holds all of them;
+* a sweep's cells share one engine pass, so the pass's events land in
+  the sweep's health, which every simulated cell reports, and a second
+  sweep does not inherit them;
 * closed runs still fold into the process root, so the benchmarks'
   reset/read of the root keeps seeing every event and stage second;
 * stage seconds and folds lose no update under thread contention.
@@ -223,7 +224,17 @@ class TestMeasurementShards:
 
 
 class TestSweepCells:
-    def test_thread_sweep_cells_report_their_own_event(self, bumpy_engine):
+    def test_sweep_pass_events_land_in_the_sweep_health(self, monkeypatch):
+        simulate_many = NetworkEngine.simulate_many
+
+        def recording_simulate_many(self, runs, **kwargs):
+            for run in runs:
+                record_degradation("test-event", run.name)
+            return simulate_many(self, runs, **kwargs)
+
+        monkeypatch.setattr(
+            NetworkEngine, "simulate_many", recording_simulate_many
+        )
         spec = dataclasses.replace(
             _network("toy"),
             sweep=SweepSpec(
@@ -235,12 +246,14 @@ class TestSweepCells:
         )
         result = run_sweep(spec)
         assert len(result.simulations) == len(result.cells)
-        for index, cell in result.simulations.items():
-            assert _details(cell.health.degradations) == [
-                result.cells[index].spec.name
-            ]
         assert sorted(_details(result.health.degradations)) == sorted(
             cell.spec.name for cell in result.cells
+        )
+        for cell in result.simulations.values():
+            assert cell.health == result.health
+        again = run_sweep(dataclasses.replace(spec, name="again"))
+        assert sorted(_details(again.health.degradations)) == sorted(
+            cell.spec.name for cell in again.cells
         )
 
 

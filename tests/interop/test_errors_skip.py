@@ -185,20 +185,44 @@ class TestNetFlow5SkipAcrossBlocks:
         data, bad = _damaged_nf5(case, tmp_path)
         path = tmp_path / "damaged.nf5"
         path.write_bytes(data)
-        reader = NetFlow5Reader(path, errors="skip", chunk=7)
+        # the default chunk reads the whole archive as one block
+        reader = NetFlow5Reader(path, errors="skip")
         expected = np.concatenate(list(reader))
         skipped = reader.skipped
         with pytest.raises(TraceFormatError) as whole_error:
             read_nf5(path)
         # the first read block ends ``cut`` bytes into the bad datagram
         monkeypatch.setattr(netflow5, "_BLOCK_BYTES", bad + cut)
-        reader = NetFlow5Reader(path, errors="skip", chunk=7)
+        reader = NetFlow5Reader(path, errors="skip")
         back = np.concatenate(list(reader))
         assert back.tobytes() == expected.tobytes()
         assert reader.skipped == skipped > 0
         with pytest.raises(TraceFormatError) as split_error:
             read_nf5(path)
         assert str(split_error.value) == str(whole_error.value)
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("chunk", [1, 7, 31])
+    def test_small_chunk_reads_as_the_default_reader(
+        self, tmp_path, case, chunk
+    ):
+        """``chunk`` sizes the read blocks (``chunk`` x 48 bytes), which
+        then cut through the bad datagram and its neighbours; records,
+        skips and strict errors stay those of one whole-archive read."""
+        data, _ = _damaged_nf5(case, tmp_path)
+        path = tmp_path / "damaged.nf5"
+        path.write_bytes(data)
+        whole = NetFlow5Reader(path, errors="skip")
+        expected = np.concatenate(list(whole))
+        small = NetFlow5Reader(path, errors="skip", chunk=chunk)
+        back = np.concatenate(list(small))
+        assert back.tobytes() == expected.tobytes()
+        assert small.skipped == whole.skipped > 0
+        with pytest.raises(TraceFormatError) as whole_error:
+            read_nf5(path)
+        with pytest.raises(TraceFormatError) as small_error:
+            read_nf5(path, chunk=chunk)
+        assert str(small_error.value) == str(whole_error.value)
 
     @pytest.mark.parametrize("case", CASES)
     def test_good_records_before_the_damage_survive(self, tmp_path, case):

@@ -310,6 +310,38 @@ class TestBulkDecoder:
         assert [b.size for b in blocks] == expected
         assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
+    @pytest.mark.parametrize("chunk", [1, 7, 30, 31, 200])
+    def test_read_blocks_follow_chunk(self, tmp_path, monkeypatch, chunk):
+        """A small-``chunk`` reader reads ``chunk`` records' bytes at a
+        time, so its read blocks cut through datagrams, and still yields
+        the default reader's records bit for bit."""
+        path = tmp_path / "mixed.nf5"
+        write_mixed_archive(path)
+        whole = read_all(path)
+        sizes = []
+
+        class Spy:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def read(self, size):
+                sizes.append(size)
+                return self.handle.read(size)
+
+        monkeypatch.setattr(
+            netflow5, "open", lambda *args: Spy(open(*args)), raising=False
+        )
+        back = read_all(path, chunk=chunk)
+        assert back.tobytes() == whole.tobytes()
+        assert set(sizes) == {chunk * NETFLOW5_RECORD_SIZE}
+        assert len(sizes) > 2
+
     @pytest.mark.parametrize("block", [300, 1 << 20])
     def test_oversized_datagram_decodes(self, tmp_path, monkeypatch, block):
         """A cflowd-style datagram of 100 records (> 30, <= 8192)."""

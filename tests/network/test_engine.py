@@ -324,7 +324,11 @@ class TestOncePerDemand:
             default_registry().get("abilene-single-failure-2x")
         )
         report = result.sweep.result.report
-        # 14 simulated cells x 6 demands x 6 arrival cells (60 s + 30 s
-        # warm-up in 15 s cells); once per hop would be 2,268
+        # the 14 simulated cells share 12 (demand, factor) realisations:
+        # 6 demands x {1.5, 2.0}, each 6 arrival cells (60 s + 30 s
+        # warm-up in 15 s cells); once per cell would be 504, once per
+        # hop 2,268
         assert report.n_simulated == 14
-        assert counts["cells"] == 14 * 6 * 6 == 504
+        assert {cell.factor for cell in report.cells
+                if cell.method == "simulated"} == {1.5, 2.0}
+        assert counts["cells"] == 2 * 6 * 6 == 72

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.exceptions import ParameterError
@@ -21,6 +20,7 @@ from repro.sweep import (
     enumerate_failures,
     enumerate_fibres,
     expand_cells,
+    realisation_seed,
     scale_demand,
 )
 
@@ -118,7 +118,6 @@ class TestExpandCells:
         spec = cell.spec
         assert spec.sweep is None
         assert spec.family == "network"
-        assert spec.seed == cell.seed
         # the sweep service owns the fan-out: cells must not nest pools
         assert spec.network.workers == 1
         # the failure rides along as a full-capture outage event
@@ -138,22 +137,73 @@ class TestExpandCells:
         ):
             assert scaled.scale == pytest.approx(base.scale * 2.0)
 
-    def test_seeds_are_deterministic_seedsequence_children(self, preset_spec):
+    def test_cells_keep_the_scenario_seed(self, preset_spec):
+        # one network seed, hence one ECMP salt, for every cell
         cells = expand_cells(preset_spec)
-        again = expand_cells(preset_spec)
-        assert [c.seed for c in cells] == [c.seed for c in again]
-        children = np.random.SeedSequence(int(preset_spec.seed)).spawn(
-            len(cells)
-        )
-        expected = [int(c.generate_state(1)[0]) for c in children]
-        assert [c.seed for c in cells] == expected
-        assert len(set(expected)) == len(expected)
+        assert {c.seed for c in cells} == {preset_spec.seed}
+        assert {c.spec.seed for c in cells} == {preset_spec.seed}
 
-    def test_seed_override_moves_every_cell(self, preset_spec):
+    def test_demand_seeds_are_common_random_numbers(self):
+        spec = _small_sweep(
+            demand_factors=(1.0, 1.5, 2.0),
+            failures="single",
+            routing=("ecmp", "shortest_path"),
+        )
+        spec = dataclasses.replace(
+            spec,
+            network=dataclasses.replace(
+                spec.network,
+                demands=(
+                    DemandSpec("src", "dst", preset="low"),
+                    DemandSpec("dst", "src", preset="low"),
+                ),
+            ),
+        )
+        cells = expand_cells(spec)
+        seeds: dict = {}  # (demand index, factor) -> its pinned seeds
+        for cell in cells:
+            for index, demand in enumerate(cell.spec.network.demands):
+                assert demand.seed is not None
+                seeds.setdefault((index, cell.factor), set()).add(demand.seed)
+        # the same pair gets one seed under every failure and routing
+        assert all(len(pinned) == 1 for pinned in seeds.values())
+        # distinct pairs get distinct seeds
+        distinct = {next(iter(pinned)) for pinned in seeds.values()}
+        assert len(distinct) == len(seeds) == 6
+        expected = {
+            (index, factor): {realisation_seed(spec.seed, index, factor)}
+            for index, factor in seeds
+        }
+        assert seeds == expected
+
+    def test_seed_override_moves_every_realisation(self, preset_spec):
         reseeded = preset_spec.with_overrides(seed=99)
-        a = [c.seed for c in expand_cells(preset_spec)]
-        b = [c.seed for c in expand_cells(reseeded)]
-        assert a != b
+
+        def pinned(spec):
+            return {
+                (index, cell.factor): demand.seed
+                for cell in expand_cells(spec)
+                for index, demand in enumerate(cell.spec.network.demands)
+            }
+
+        a, b = pinned(preset_spec), pinned(reseeded)
+        assert a.keys() == b.keys()
+        assert all(a[pair] != b[pair] for pair in a)
+
+    def test_pinned_demand_seed_roots_its_realisations(self):
+        spec = _small_sweep(demand_factors=(1.0, 2.0), failures="none")
+        spec = dataclasses.replace(
+            spec,
+            network=dataclasses.replace(
+                spec.network,
+                demands=(DemandSpec("src", "dst", preset="low", seed=5),),
+            ),
+        )
+        got = [c.spec.network.demands[0].seed for c in expand_cells(spec)]
+        assert got == [
+            realisation_seed(5, 0, 1.0), realisation_seed(5, 0, 2.0),
+        ]
+        assert len(set(got)) == 2
 
     def test_routing_axis_multiplies_the_grid(self):
         spec = _small_sweep(
