@@ -117,19 +117,23 @@ def _fail_for(exc: ReproError, prefix: str = "") -> int:
 
 
 def _execution_parent() -> argparse.ArgumentParser:
-    """The shared ``--chunk/--workers/--backend/--execution`` flags.
+    """The shared ``--chunk/--workers/--backend`` flags.
 
     One parent parser for every engine-backed command (``run``,
     ``network``, ``sweep``, ``synthesize``, ``measure``) so the flags
-    are spelled, defaulted and documented exactly once.  ``generate``
-    keeps its own ``--chunk`` — there it is a float time window in
-    seconds, not a packet count.
+    are spelled, defaulted and documented exactly once.  A flag you
+    give overrides the spec's ``execution`` section; a flag you leave
+    unset keeps the spec's value.  ``generate`` keeps its own
+    ``--chunk`` — there it is a float time window in seconds, not a
+    packet count.
     """
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group(
         "execution",
         "engine knobs: chunk bounds peak memory, workers bound "
-        "parallelism — neither ever changes any result",
+        "parallelism — neither ever changes any result; each flag given "
+        "overrides the spec's 'execution' section, each flag left unset "
+        "keeps it",
     )
     group.add_argument(
         "--chunk", type=int, default=None,
@@ -148,17 +152,6 @@ def _execution_parent() -> argparse.ArgumentParser:
         "(shared-memory worker processes; best for multi-core runs) or "
         "'serial' (in-line, for debugging)",
     )
-    group.add_argument(
-        "--execution", choices=("cli-wins", "spec-wins"),
-        default="cli-wins",
-        help="precedence between these flags and a spec file's "
-        "'execution' section: 'cli-wins' (default) lets --chunk, "
-        "--workers and --backend override the spec where explicitly "
-        "given, flags left unset keep the spec's values; 'spec-wins' "
-        "runs the spec exactly as written and ignores "
-        "--chunk/--workers/--backend (commands without a spec file, "
-        "such as measure/synthesize, always use the flags)",
-    )
     return parent
 
 
@@ -173,40 +166,24 @@ def _check_execution_flags(args: argparse.Namespace) -> str | None:
     return None
 
 
-def _cli_execution(args: argparse.Namespace) -> ExecutionSpec:
-    """The flags alone — for commands with no spec file to defer to."""
-    return ExecutionSpec(
-        chunk=args.chunk or None,
-        workers=1 if args.workers is None else args.workers,
-        backend="thread" if args.backend is None else args.backend,
-    )
-
-
 def _resolve_execution(
-    args: argparse.Namespace, execution: ExecutionSpec
+    args: argparse.Namespace, execution: ExecutionSpec = ExecutionSpec()
 ) -> ExecutionSpec:
-    """Combine a spec section's ``execution`` values with the CLI flags.
+    """``execution`` with the flags given on the command line applied.
 
-    ``--execution cli-wins`` (the default): a flag explicitly given
-    overrides the spec's value, a flag left unset keeps it.
-    ``--execution spec-wins``: the spec runs exactly as written.
+    A flag you give overrides the spec's value (``--chunk 0`` clears the
+    chunk), a flag you leave unset keeps it.  There is no retry flag: the
+    spec's policy always carries through.  Commands with no spec file
+    resolve against ``ExecutionSpec()``.
     """
-    if args.execution == "spec-wins":
-        return execution
-    return ExecutionSpec(
-        chunk=(
-            execution.chunk if args.chunk is None else (args.chunk or None)
-        ),
-        workers=(
-            execution.workers if args.workers is None else args.workers
-        ),
-        backend=(
-            execution.backend if args.backend is None else args.backend
-        ),
-        # there is no retry flag: the spec's policy always carries
-        # through (dropping it here would silently disarm the watchdog)
-        retry=execution.retry,
-    )
+    knobs = {
+        name: getattr(args, name)
+        for name in ("chunk", "workers", "backend")
+        if getattr(args, name) is not None
+    }
+    if "chunk" in knobs:
+        knobs["chunk"] = knobs["chunk"] or None
+    return dataclasses.replace(execution, **knobs)
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
@@ -220,7 +197,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     error = _check_execution_flags(args)
     if error is not None:
         return _fail(error)
-    execution = _cli_execution(args)
+    execution = _resolve_execution(args)
     workload_kwargs = dict(preset=args.preset, duration=args.duration)
     if args.scale is not None:
         workload_kwargs["scale"] = args.scale
@@ -233,10 +210,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         )
         workload = spec.workload.build()
         stream = workload.synthesize_chunks(
-            seed=spec.seed,
-            chunk=execution.chunk or 1_000_000,
-            workers=execution.workers,
-            backend=execution.backend,
+            seed=spec.seed, **vars(execution)
         )
         stream.write_trace(args.output)
     except ParameterError as exc:
@@ -340,7 +314,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         return _fail(error)
     spec = _ingest_spec(
         args,
-        _cli_execution(args),
+        _resolve_execution(args),
         format=args.format,
         order=args.order,
         rebase=args.rebase,
@@ -434,7 +408,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
             report = result.calibration.report
             closed = result.calibration.closed_loop
         else:
-            execution = _cli_execution(args)
+            execution = _resolve_execution(args)
             report = calibrate_archive(
                 args.target,
                 format=args.format,
@@ -445,9 +419,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
                 select=args.select or "bic",
                 restarts=4 if args.restarts is None else args.restarts,
                 seed=args.seed or 0,
-                chunk=execution.chunk,
-                workers=execution.workers,
-                backend=execution.backend,
+                **vars(execution),
             )
             if args.validate:
                 closed = validate_fitted_spec(
@@ -524,7 +496,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     error = _check_execution_flags(args)
     if error is not None:
         return _fail(error)
-    execution = _cli_execution(args)
+    execution = _resolve_execution(args)
     from .interop import (
         PcapWriter,
         flow_records_from_flowset,
@@ -548,10 +520,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
             print(f"wrote {writer.packet_count} packets "
                   f"({stream.format} -> pcap) -> {args.output}")
             return 0
-        engine = MeasurementEngine(
-            chunk=execution.chunk, workers=execution.workers,
-            backend=execution.backend,
-        )
+        engine = MeasurementEngine(**vars(execution))
         measured = engine.measure_chunks(
             stream,
             key="five_tuple",
@@ -588,7 +557,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     The spec picks the report printer — single-link, network or sweep —
     so ``run`` (and ``network``) redirect network and sweep specs; the
-    prelude (flags, seed, ``--execution`` precedence, quick mode) and
+    prelude (flags, seed, execution flags, quick mode) and
     the epilogue (the run's health line, ``--report``) are shared.
     """
     try:
@@ -633,9 +602,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         spec = dataclasses.replace(
             spec, ingest=dataclasses.replace(spec.ingest, path=ingest_path)
         )
-    # _resolve_execution applies the --execution precedence rule between
-    # the flags and the section's values; (chunk, workers) never change
-    # a scenario's results
+    # flags given override the section's values, flags left unset keep
+    # them; the execution strategy never changes a scenario's results
     current = getattr(spec, section)
     execution = _resolve_execution(args, current.execution)
     if execution != current.execution:
@@ -861,8 +829,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     net.add_argument(
         "--checkpoint-dir", default=None,
-        help="persist each simulated link's result to this directory as "
-        "it completes, so an interrupted simulation can be resumed",
+        help="persist each simulated link's result to this directory "
+        "once every link is measured and fitted; a run interrupted "
+        "before then saves nothing and --resume restarts it from the "
+        "beginning",
     )
     net.add_argument(
         "--resume", action="store_true",
@@ -1112,8 +1082,9 @@ def main(argv=None) -> int:
         checkpoint_dir = getattr(args, "checkpoint_dir", None)
         if checkpoint_dir:
             print(
-                f"interrupted — completed work is checkpointed in "
-                f"{checkpoint_dir}; re-run with --resume to continue",
+                f"interrupted — {checkpoint_dir} holds every sweep cell "
+                "that finished (a network run saves its links only once "
+                "all are measured); re-run with --resume to skip them",
                 file=sys.stderr,
             )
         else:

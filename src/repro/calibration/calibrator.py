@@ -16,7 +16,10 @@ Three entry points, one funnel:
   flows); pcap / ``.rptr`` captures are measured into flows first
   through the streaming :class:`~repro.measurement.MeasurementEngine`.
 
-All three end in :func:`calibrate_accumulator`, which fits every
+Their ``chunk``/``workers``/``backend``/``retry`` are an
+:class:`~repro.execution.ExecutionSpec`'s fields (``retry`` arms the
+process backend's watchdog on every pool they open).  All three end in
+:func:`calibrate_accumulator`, which fits every
 requested family, runs model selection, and assembles the
 :class:`~repro.calibration.report.CalibrationReport`.
 """
@@ -28,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from ..exceptions import ParameterError
-from ..execution import make_pool
+from ..execution import ExecutionSpec, RetryPolicy, make_pool
 from ..netsim.sizes import CALIBRATION_FAMILIES
 from .accumulators import (
     DEFAULT_BINS,
@@ -79,6 +82,7 @@ def calibrate_sizes(
     chunk: int | None = None,
     workers: int = 1,
     backend: str = "serial",
+    retry: RetryPolicy | None = None,
 ) -> CalibrationAccumulator:
     """Accumulate flow sizes (and optional start times), chunked + pooled."""
     sizes = np.asarray(sizes, dtype=np.float64).ravel()
@@ -89,14 +93,13 @@ def calibrate_sizes(
                 f"sizes and starts must align, got {sizes.size} sizes vs "
                 f"{starts.size} starts"
             )
+    execution = ExecutionSpec(chunk, workers, backend, retry)
     acc = CalibrationAccumulator(
         duration=duration, bins=bins, tail_k=tail_k, time_bins=time_bins
     )
     if sizes.size == 0:
         return acc
-    step = int(chunk) if chunk else sizes.size
-    if step < 1:
-        raise ParameterError(f"chunk must be >= 1 flow, got {chunk!r}")
+    step = execution.chunk or sizes.size
     items = [
         (
             sizes[i: i + step],
@@ -105,7 +108,9 @@ def calibrate_sizes(
         )
         for i in range(0, sizes.size, step)
     ]
-    with make_pool(backend, workers) as pool:
+    with make_pool(
+        execution.backend, execution.workers, retry=execution.retry
+    ) as pool:
         return _merge_parts(acc, pool.map_ordered(_accumulate_task, items))
 
 
@@ -176,6 +181,7 @@ def calibrate_flows(
     chunk: int | None = None,
     workers: int = 1,
     backend: str = "serial",
+    retry: RetryPolicy | None = None,
     metadata: dict | None = None,
 ) -> CalibrationReport:
     """Calibrate a measured :class:`~repro.flows.FlowSet`."""
@@ -189,6 +195,7 @@ def calibrate_flows(
         chunk=chunk,
         workers=workers,
         backend=backend,
+        retry=retry,
     )
     return calibrate_accumulator(
         acc,
@@ -231,6 +238,7 @@ def calibrate_archive(
     chunk: int | None = None,
     workers: int = 1,
     backend: str = "serial",
+    retry: RetryPolicy | None = None,
 ) -> CalibrationReport:
     """Calibrate a telemetry archive out-of-core.
 
@@ -269,7 +277,7 @@ def calibrate_archive(
         batch = []
         batch_limit = max(int(workers), 1)
         # one pool for the whole stream; it forks on the first batch
-        with make_pool(backend, workers) as pool:
+        with make_pool(backend, workers, retry=retry) as pool:
             for block in _record_reader(path, format, chunk, errors):
                 if block.size == 0:
                     continue
@@ -299,7 +307,7 @@ def calibrate_archive(
         from ..measurement.engine import MeasurementEngine
 
         measured = MeasurementEngine(
-            chunk=chunk, workers=workers, backend=backend
+            chunk=chunk, workers=workers, backend=backend, retry=retry
         ).measure_chunks(stream, duration=duration)
         if len(measured.flows) == 0:
             raise ParameterError(
@@ -315,6 +323,7 @@ def calibrate_archive(
             chunk=chunk,
             workers=workers,
             backend=backend,
+            retry=retry,
         )
         metadata["packets"] = measured.packet_count
         capacity = link_capacity_bps or measured.link_capacity

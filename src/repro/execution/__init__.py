@@ -1,13 +1,16 @@
 """Execution backends: serial / thread / shared-memory process pools.
 
 See :mod:`repro.execution.pool` for the abstraction every engine routes
-through, :mod:`repro.execution.shm` for the zero-pickle array transport
+through and :class:`ExecutionSpec`, the one type of the engines'
+``chunk``/``workers``/``backend``/``retry`` knobs,
+:mod:`repro.execution.shm` for the zero-pickle array transport
 behind the ``process`` backend, and :mod:`repro.execution.telemetry`
 for the run-scoped stage timings and retry/degradation accounting.
 """
 
 from .pool import (
     BACKENDS,
+    ExecutionSpec,
     RetryPolicy,
     SerialPool,
     SharedMemoryPool,
@@ -33,6 +36,7 @@ from .telemetry import (
 __all__ = [
     "BACKENDS",
     "SHM_PREFIX",
+    "ExecutionSpec",
     "HealthEvent",
     "RetryPolicy",
     "RunHealth",

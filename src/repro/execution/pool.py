@@ -70,6 +70,7 @@ from .telemetry import (
 
 __all__ = [
     "BACKENDS",
+    "ExecutionSpec",
     "RetryPolicy",
     "SerialPool",
     "ThreadPool",
@@ -120,6 +121,63 @@ def check_backend(name: str, value) -> str:
             f"{name} must be one of {BACKENDS}, got {value!r}"
         )
     return str(value)
+
+
+@dataclasses.dataclass(frozen=True)
+class ExecutionSpec:
+    """How an engine executes — never *what* it computes.
+
+    The one type, and the one check, for execution strategy: every
+    engine (synthesis, measurement, network; generation for
+    ``workers``/``backend``) and every spec section's ``execution``
+    field hold one.  ``chunk`` is packets per streamed block (``None``
+    = the caller's in-memory/default path), ``workers`` the tasks run
+    concurrently on the engine's pool, ``backend`` the pool flavour
+    (``"serial"``, ``"thread"`` or ``"process"``; the process backend
+    moves packet chunks through shared-memory ring buffers, see
+    :mod:`repro.execution.shm`).  ``retry`` arms the process backend's
+    watchdog (see :class:`RetryPolicy`); ``None`` disables retries.
+    Every engine is chunk/worker/backend invariant, so none of the four
+    ever changes a result, only memory footprint, wall-clock and
+    whether lost work is re-run.
+    """
+
+    chunk: int | None = None
+    workers: int = 1
+    backend: str = "thread"
+    retry: RetryPolicy | None = None
+
+    def __post_init__(self) -> None:
+        chunk, workers = self.chunk, self.workers
+        if chunk is not None:
+            if int(chunk) != chunk or int(chunk) < 1:
+                raise ParameterError(
+                    "execution.chunk must be an integer >= 1 packet, "
+                    f"got {chunk!r}"
+                )
+            object.__setattr__(self, "chunk", int(chunk))
+        if int(workers) != workers or int(workers) < 1:
+            raise ParameterError(
+                f"execution.workers must be an integer >= 1, got {workers!r}"
+            )
+        object.__setattr__(self, "workers", int(workers))
+        object.__setattr__(
+            self, "backend", check_backend("execution.backend", self.backend)
+        )
+        if isinstance(self.retry, dict):
+            object.__setattr__(self, "retry", RetryPolicy(**self.retry))
+        elif self.retry is not None and not isinstance(
+            self.retry, RetryPolicy
+        ):
+            raise ParameterError(
+                "execution.retry must be a RetryPolicy (or a JSON "
+                f"object), got {type(self.retry).__name__}"
+            )
+
+    @property
+    def uses_engine(self) -> bool:
+        """True when either knob engages the streaming/parallel path."""
+        return self.chunk is not None or self.workers > 1
 
 
 def process_backend_available() -> bool:

@@ -6,21 +6,14 @@ pre-engine per-flow loop survives as :func:`reference_rate_series`, the
 bit-for-bit oracle the engine is validated against.
 """
 
-from .engine import (
-    DEFAULT_ARRIVAL_CELL,
-    EngineConfig,
-    GenerationEngine,
-    default_engine,
-)
+from .engine import DEFAULT_ARRIVAL_CELL, GenerationEngine
 from .fluid import generate_rate_series
 from .packets import generate_packet_trace
 from .reference import reference_rate_series
 
 __all__ = [
     "DEFAULT_ARRIVAL_CELL",
-    "EngineConfig",
     "GenerationEngine",
-    "default_engine",
     "generate_rate_series",
     "generate_packet_trace",
     "reference_rate_series",

@@ -36,15 +36,13 @@ bitwise invariant to ``workers`` and ``chunk`` for a given seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .._util import as_rng, check_positive
 from ..core.ensemble import FlowEnsemble
 from ..core.shots import PowerShot, Shot
 from ..exceptions import ParameterError
-from ..execution import check_backend, make_pool
+from ..execution import ExecutionSpec, RetryPolicy, make_pool
 from ..kernels import powershot_scatter
 from ..netsim.addresses import AddressSpace
 from ..netsim.packetize import packetize_shots
@@ -53,60 +51,16 @@ from ..trace.packet import PacketTrace, packets_from_columns
 
 __all__ = [
     "DEFAULT_ARRIVAL_CELL",
-    "EngineConfig",
     "GenerationEngine",
-    "default_engine",
 ]
 
 #: Width (seconds) of one arrival-sampling cell in streamed mode.  Part of
 #: the seeding contract: changing it changes which SeedSequence child a
-#: flow is drawn from, so it is a config knob rather than a tuning default.
+#: flow is drawn from, so it is an engine knob rather than a tuning default.
 DEFAULT_ARRIVAL_CELL = 64.0
 
 #: Number of (size, duration) probe samples used to size the warm-up.
 _WARMUP_PROBE = 2048
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Knobs of the generation engine.
-
-    Parameters
-    ----------
-    chunk:
-        Processing window in seconds; ``None`` processes the whole horizon
-        as one chunk.  Peak accumulation memory scales with ``chunk``.
-    workers:
-        Pool width for independent chunks / links / seeds.  Results
-        never depend on it.
-    backend:
-        Pool flavour: ``"serial"`` runs inline, ``"thread"`` (default)
-        uses a thread pool, ``"process"`` a fork-based shared-memory
-        process pool (see :mod:`repro.execution`).  Results never depend
-        on it either — the bitwise contracts extend to the backend axis.
-    arrival_cell:
-        Streamed-mode sampling cell width in seconds.  Flows are drawn per
-        cell from a dedicated ``SeedSequence`` child, which is what makes
-        streamed output invariant to ``chunk`` and ``workers``.
-    """
-
-    chunk: float | None = None
-    workers: int = 1
-    backend: str = "thread"
-    arrival_cell: float = DEFAULT_ARRIVAL_CELL
-    retry: object | None = None  # RetryPolicy; process-backend watchdog
-
-    def __post_init__(self) -> None:
-        if self.chunk is not None:
-            check_positive("chunk", self.chunk)
-        workers = int(self.workers)
-        if workers != self.workers or workers < 1:
-            raise ParameterError(
-                f"workers must be an integer >= 1, got {self.workers!r}"
-            )
-        object.__setattr__(self, "workers", workers)
-        check_backend("backend", self.backend)
-        check_positive("arrival_cell", self.arrival_cell)
 
 
 def _warmup_from_probe(ensemble: FlowEnsemble, rng) -> float:
@@ -265,41 +219,48 @@ class _StreamBuffer:
 
 
 class GenerationEngine:
-    """Scalable generator for section VII-C traffic (see module docs)."""
+    """Scalable generator for section VII-C traffic (see module docs).
+
+    ``chunk`` is the processing window in seconds (``None`` processes the
+    whole horizon as one chunk; peak accumulation memory scales with
+    it).  ``workers`` (pool width for independent chunks), ``backend``
+    and ``retry`` form the engine's
+    :class:`~repro.execution.ExecutionSpec`, kept as ``execution``.
+    Results never depend on ``chunk``, ``workers`` or ``backend``.
+    ``arrival_cell`` is the streamed-mode sampling cell width in
+    seconds: flows are drawn per cell from a dedicated ``SeedSequence``
+    child, which is what makes streamed output invariant to ``chunk``
+    and ``workers``.
+    """
 
     def __init__(
         self,
-        config: EngineConfig | None = None,
         *,
         chunk: float | None = None,
-        workers: int | None = None,
-        backend: str | None = None,
-        arrival_cell: float | None = None,
+        workers: int = 1,
+        backend: str = "thread",
+        retry: RetryPolicy | None = None,
+        arrival_cell: float = DEFAULT_ARRIVAL_CELL,
     ) -> None:
-        if config is None:
-            config = EngineConfig()
-        overrides = {
-            "chunk": chunk,
-            "workers": workers,
-            "backend": backend,
-            "arrival_cell": arrival_cell,
-        }
-        overrides = {k: v for k, v in overrides.items() if v is not None}
-        if overrides:
-            config = replace(config, **overrides)
-        self.config = config
+        if chunk is not None:
+            check_positive("chunk", chunk)
+        self.chunk = chunk
+        self.execution = ExecutionSpec(
+            workers=workers, backend=backend, retry=retry
+        )
+        self.arrival_cell = check_positive("arrival_cell", arrival_cell)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        c = self.config
         return (
-            f"GenerationEngine(chunk={c.chunk}, workers={c.workers}, "
-            f"arrival_cell={c.arrival_cell:g})"
+            f"GenerationEngine(chunk={self.chunk}, "
+            f"workers={self.execution.workers}, "
+            f"arrival_cell={self.arrival_cell:g})"
         )
 
     # -- scheduling helpers ---------------------------------------------
 
     def _chunk_bin_ranges(self, n_bins: int, delta: float):
-        chunk = self.config.chunk
+        chunk = self.chunk
         if chunk is None:
             return [(0, n_bins)]
         per = max(1, int(round(chunk / delta)))
@@ -383,7 +344,7 @@ class GenerationEngine:
             for (b0, b1), cand in zip(ranges, buckets)
         ]
 
-        c = self.config
+        c = self.execution
         with make_pool(c.backend, c.workers, retry=c.retry) as pool:
             parts = pool.map_ordered(_scatter_task, tasks)
         volumes = np.zeros(n_bins)
@@ -425,14 +386,14 @@ class GenerationEngine:
             duration,
             warmup,
             seed,
-            self.config.arrival_cell,
+            self.arrival_cell,
         )
         n_bins = int(np.floor(duration / delta))
         ranges = self._chunk_bin_ranges(n_bins, delta)
 
         buffer = _StreamBuffer()
         volumes = np.zeros(n_bins)
-        c = self.config
+        c = self.execution
         group = c.workers
         with make_pool(c.backend, c.workers, retry=c.retry) as pool:
             for g0 in range(0, len(ranges), group):
@@ -505,12 +466,12 @@ class GenerationEngine:
         starts = np.sort(rng.random(n_flows) * (duration + warmup) - warmup)
         sizes, durations = ensemble.sample(n_flows, rng)
 
-        if self.config.chunk is None:
+        if self.chunk is None:
             per_group = n_flows
         else:
             per_group = max(
                 1,
-                int(np.ceil(n_flows * self.config.chunk / (duration + warmup))),
+                int(np.ceil(n_flows * self.chunk / (duration + warmup))),
             )
         ts_parts, flow_parts, wire_parts = [], [], []
         for g0 in range(0, n_flows, per_group):
@@ -616,11 +577,3 @@ class _CellSampler:
             self._next += 1
             if block is not None:
                 yield block
-
-
-_DEFAULT_ENGINE = GenerationEngine()
-
-
-def default_engine() -> GenerationEngine:
-    """The shared single-chunk, single-worker engine instance."""
-    return _DEFAULT_ENGINE

@@ -24,7 +24,7 @@ from __future__ import annotations
 from ..core.ensemble import FlowEnsemble
 from ..core.shots import Shot
 from ..stats.timeseries import RateSeries
-from .engine import GenerationEngine, default_engine
+from .engine import GenerationEngine
 
 __all__ = ["generate_rate_series"]
 
@@ -39,7 +39,7 @@ def generate_rate_series(
     warmup: float | None = None,
     rng=None,
     chunk: float | None = None,
-    workers: int | None = None,
+    workers: int = 1,
     engine: GenerationEngine | None = None,
 ) -> RateSeries:
     """Simulate the Delta-averaged total rate of the shot-noise model.
@@ -71,10 +71,7 @@ def generate_rate_series(
         (overrides ``chunk`` / ``workers``).
     """
     if engine is None:
-        if chunk is None and workers is None:
-            engine = default_engine()
-        else:
-            engine = GenerationEngine(chunk=chunk, workers=workers)
+        engine = GenerationEngine(chunk=chunk, workers=workers)
     return engine.rate_series(
         arrival_rate, ensemble, shot, duration, delta, warmup=warmup, rng=rng
     )

@@ -18,7 +18,7 @@ from ..core.ensemble import FlowEnsemble
 from ..core.shots import Shot
 from ..netsim.addresses import AddressSpace
 from ..trace.packet import PacketTrace
-from .engine import GenerationEngine, default_engine
+from .engine import GenerationEngine
 
 __all__ = ["generate_packet_trace"]
 
@@ -54,7 +54,7 @@ def generate_packet_trace(
     :class:`~repro.synthesis.StreamingSynthesis` instead.
     """
     if engine is None:
-        engine = default_engine() if chunk is None else GenerationEngine(chunk=chunk)
+        engine = GenerationEngine(chunk=chunk)
     return engine.packet_trace(
         arrival_rate,
         ensemble,

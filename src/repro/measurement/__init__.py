@@ -21,7 +21,6 @@ Quickstart::
 
 from .engine import (
     DEFAULT_FILE_CHUNK,
-    MeasurementConfig,
     MeasurementEngine,
     MeasurementResult,
     iter_packet_chunks,
@@ -31,7 +30,6 @@ from .streaming import StreamingMeasurement
 
 __all__ = [
     "DEFAULT_FILE_CHUNK",
-    "MeasurementConfig",
     "MeasurementEngine",
     "MeasurementResult",
     "StreamingMeasurement",

@@ -33,12 +33,12 @@ the packet array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..exceptions import ParameterError
-from ..execution import check_backend
+from ..execution import ExecutionSpec, RetryPolicy
 from ..flows.exporter import DEFAULT_TIMEOUT
 from ..flows.records import FlowSet
 from ..stats.timeseries import RateSeries
@@ -48,7 +48,6 @@ from .streaming import StreamingMeasurement, reject_non_finite
 
 __all__ = [
     "DEFAULT_FILE_CHUNK",
-    "MeasurementConfig",
     "MeasurementEngine",
     "MeasurementResult",
     "iter_packet_chunks",
@@ -79,47 +78,6 @@ def iter_packet_chunks(packets, chunk: int | None):
         raise ParameterError(f"chunk must be >= 1 packet, got {chunk}")
     for i in range(0, packets.size, chunk):
         yield packets[i: i + chunk]
-
-
-@dataclass(frozen=True)
-class MeasurementConfig:
-    """Knobs of the measurement engine.
-
-    Parameters
-    ----------
-    chunk:
-        Packets per processing block; ``None`` measures the whole trace
-        as one chunk.  Peak working memory scales with ``chunk``.
-    workers:
-        Key-space shards, processed concurrently on a worker pool that
-        persists for the whole measurement pass.  Results never depend
-        on it.
-    backend:
-        Pool flavour: ``"serial"``, ``"thread"`` (default) or
-        ``"process"`` (fork-based shared-memory pool, see
-        :mod:`repro.execution`).  Results never depend on it.
-    """
-
-    chunk: int | None = None
-    workers: int = 1
-    backend: str = "thread"
-
-    def __post_init__(self) -> None:
-        if self.chunk is not None:
-            chunk = int(self.chunk)
-            if chunk != self.chunk or chunk < 1:
-                raise ParameterError(
-                    f"measurement chunk must be an integer >= 1 packet, "
-                    f"got {self.chunk!r}"
-                )
-            object.__setattr__(self, "chunk", chunk)
-        workers = int(self.workers)
-        if workers != self.workers or workers < 1:
-            raise ParameterError(
-                f"workers must be an integer >= 1, got {self.workers!r}"
-            )
-        object.__setattr__(self, "workers", workers)
-        check_backend("backend", self.backend)
 
 
 @dataclass(frozen=True)
@@ -156,39 +114,36 @@ class MeasurementResult:
 
 
 class MeasurementEngine:
-    """Scalable measurement for packet traces (see module docs)."""
+    """Scalable measurement for packet traces (see module docs).
+
+    ``chunk`` (packets per processing block; ``None`` measures the whole
+    trace as one chunk), ``workers`` (key-space shards on one pool that
+    persists for the whole pass), ``backend`` and ``retry`` form the
+    engine's :class:`~repro.execution.ExecutionSpec`, kept as
+    ``execution``.  Results never depend on them.
+    """
 
     def __init__(
         self,
-        config: MeasurementConfig | None = None,
         *,
         chunk: int | None = None,
-        workers: int | None = None,
-        backend: str | None = None,
+        workers: int = 1,
+        backend: str = "thread",
+        retry: RetryPolicy | None = None,
     ) -> None:
-        if config is None:
-            config = MeasurementConfig()
-        overrides = {
-            k: v
-            for k, v in {
-                "chunk": chunk, "workers": workers, "backend": backend,
-            }.items()
-            if v is not None
-        }
-        if overrides:
-            config = replace(config, **overrides)
-        self.config = config
+        self.execution = ExecutionSpec(chunk, workers, backend, retry)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        c = self.config
+        c = self.execution
         return f"MeasurementEngine(chunk={c.chunk}, workers={c.workers})"
 
     def _streamer(self, *, delta, duration, keep_raw_series=False, **flow_kwargs):
         return StreamingMeasurement(
             delta=delta,
             duration=duration,
-            shards=self.config.workers,
-            backend=self.config.backend,
+            shards=self.execution.workers,
+            backend=self.execution.backend,
+            retry=self.execution.retry,
             keep_raw_series=keep_raw_series,
             **flow_kwargs,
         )
@@ -272,7 +227,7 @@ class MeasurementEngine:
     ) -> MeasurementResult:
         """Measure an in-memory :class:`PacketTrace` (or packet array).
 
-        Chunking is simulated by slicing ``config.chunk``-packet views,
+        Chunking is simulated by slicing ``execution.chunk``-packet views,
         so the result is pinned to the streaming code path while the
         input stays wherever it already lives.  An unsorted trace is
         time-sorted (stably) before it is cut into chunks, so the result
@@ -300,7 +255,7 @@ class MeasurementEngine:
             reject_non_finite(timestamps)
             packets = packets[np.argsort(timestamps, kind="stable")]
         return self.measure_chunks(
-            iter_packet_chunks(packets, self.config.chunk),
+            iter_packet_chunks(packets, self.execution.chunk),
             duration=duration,
             delta=delta,
             link_capacity=link_capacity,
@@ -318,14 +273,14 @@ class MeasurementEngine:
         """Measure a ``.rptr`` trace file out-of-core.
 
         Packets stream through :meth:`TraceReader.chunks`; only
-        ``config.chunk`` packets (default :data:`DEFAULT_FILE_CHUNK`)
+        ``execution.chunk`` packets (default :data:`DEFAULT_FILE_CHUNK`)
         plus the open-flow carry tables are ever in memory.
         """
         reader = TraceReader(path)
         if duration is None:
             duration = reader.duration
         return self.measure_chunks(
-            reader.chunks(self.config.chunk or DEFAULT_FILE_CHUNK),
+            reader.chunks(self.execution.chunk or DEFAULT_FILE_CHUNK),
             duration=duration,
             delta=delta,
             link_capacity=reader.link_capacity,

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import FlowExportError
-from ..execution import check_backend, make_pool, stage_timer
+from ..execution import make_pool, stage_timer
 from ..flows.exporter import DEFAULT_TIMEOUT
 from ..flows.keys import (
     pack_packet_keys,
@@ -439,6 +439,8 @@ class StreamingMeasurement:
     carry tables, run concurrently on one ``backend`` pool that persists
     across chunks (it starts on the first multi-shard chunk and is
     released by :meth:`finalize`).  Results are invariant to both.
+    ``shards``, ``backend`` and ``retry`` are an engine's already
+    checked ``execution.workers``/``backend``/``retry``.
 
     Chunks must be time-ordered across calls (a valid capture); packets
     *within* a chunk may be in any order.
@@ -458,7 +460,6 @@ class StreamingMeasurement:
         retry=None,
         keep_raw_series: bool = False,
     ) -> None:
-        check_backend("backend", backend)
         if key not in ("five_tuple", "prefix"):
             raise FlowExportError(
                 f"unknown flow key {key!r}; use 'five_tuple' or 'prefix'"
@@ -469,8 +470,6 @@ class StreamingMeasurement:
             raise FlowExportError(
                 f"min_packets must be >= 1, got {min_packets}"
             )
-        if shards < 1:
-            raise FlowExportError(f"shards must be >= 1, got {shards}")
         self.key = key
         self.timeout = float(timeout)
         self.min_packets = int(min_packets)
@@ -506,8 +505,10 @@ class StreamingMeasurement:
         self._states = [_ShardState(self._pend_width) for _ in range(shards)]
         self.backend = str(backend)
         self.retry = retry
-        # one pool for the whole measurement, not one per chunk
-        self._pool = make_pool(self.backend, shards, retry=retry)
+        # one pool for the whole measurement, not one per chunk; opened
+        # by the first update (the network engine maps shard_tasks on its
+        # own pool and never opens one)
+        self._pool = None
         self._volumes = np.zeros(self.n_bins)
         # pre-discard volumes: what RateSeries.from_packets with no mask
         # sees — a router watching the raw link rate (anomaly detection)
@@ -530,6 +531,10 @@ class StreamingMeasurement:
             tasks = self.shard_tasks(packets)
             if not tasks:
                 return
+            if self._pool is None:
+                self._pool = make_pool(
+                    self.backend, len(self._states), retry=self.retry
+                )
             results = self._pool.map_ordered(process_shard, tasks)
         self.apply_shards(results)
 
@@ -628,7 +633,8 @@ class StreamingMeasurement:
         failed measurement does not strand workers (or shared-memory
         segments) until GC.
         """
-        self._pool.close()
+        if self._pool is not None:
+            self._pool.close()
 
     def seal(self) -> None:
         """Close all open flows; keep the closed parts for :meth:`assemble`.

@@ -192,27 +192,25 @@ class LinkWorkload:
             name=self.name,
         )
 
-    def synthesize(self, seed=None, *, engine=None) -> LinkSynthesis:
+    def synthesize(self, seed=None) -> LinkSynthesis:
         """Generate a packet trace for this workload.
 
-        ``engine`` optionally supplies a configured
-        :class:`~repro.synthesis.SynthesisEngine`; the default engine is
-        equivalent for any ``chunk``/``workers`` (bit-for-bit, pinned by
-        ``tests/synthesis/``).
+        Runs the default :class:`~repro.synthesis.SynthesisEngine`.  The
+        blocks of :meth:`synthesize_chunks` concatenate to the same bits
+        for any ``chunk``/``workers`` (pinned by ``tests/synthesis/``).
         """
         from ..synthesis.engine import SynthesisEngine
 
-        engine = engine or SynthesisEngine()
-        return engine.synthesize(seed, **self._synthesis_kwargs())
+        return SynthesisEngine().synthesize(seed, **self._synthesis_kwargs())
 
     def synthesize_chunks(
         self,
         seed=None,
         *,
-        chunk: int = 1_000_000,
+        chunk: int | None = None,
         workers: int = 1,
         backend: str = "thread",
-        engine=None,
+        retry=None,
     ):
         """Stream this workload as time-ordered packet blocks of ``chunk``.
 
@@ -228,11 +226,18 @@ class LinkWorkload:
         memory is bounded by the active-flow population plus one merge
         window, never the trace, and the concatenated blocks equal
         :meth:`synthesize` bit for bit for any ``chunk``/``workers``.
+        ``chunk=None`` streams blocks of 10^6 packets; ``retry`` arms
+        the process backend's watchdog.  The keywords are an
+        :class:`~repro.execution.ExecutionSpec`'s fields, so
+        ``synthesize_chunks(seed, **vars(execution))`` works.
         """
         from ..synthesis.engine import SynthesisEngine
 
-        engine = engine or SynthesisEngine(
-            chunk=chunk, workers=workers, backend=backend
+        engine = SynthesisEngine(
+            chunk=chunk or 1_000_000,
+            workers=workers,
+            backend=backend,
+            retry=retry,
         )
         return engine.synthesize_chunks(seed, **self._synthesis_kwargs())
 

@@ -81,7 +81,7 @@ from ..checkpoint import CheckpointStore, run_fingerprint
 from ..core.model import PoissonShotNoiseModel
 from ..core.shots import variance_shape_factor
 from ..exceptions import ParameterError
-from ..execution import check_backend, make_pool, stage_timer
+from ..execution import ExecutionSpec, RetryPolicy, make_pool, stage_timer
 from ..flows.records import FlowSet
 from ..measurement.streaming import StreamingMeasurement, process_shard
 from ..synthesis.engine import synthesize_cell_task
@@ -538,6 +538,9 @@ class NetworkEngine:
         process backend's watchdog: a task whose worker crashes or
         hangs is deterministically re-executed.  Execution strategy
         only — never changes any result.
+
+    The four are checked and kept as one
+    :class:`~repro.execution.ExecutionSpec`, ``engine.execution``.
     """
 
     def __init__(
@@ -546,28 +549,15 @@ class NetworkEngine:
         chunk: int | None = None,
         workers: int = 1,
         backend: str = "thread",
-        retry=None,
+        retry: RetryPolicy | None = None,
     ) -> None:
-        if chunk is not None:
-            if int(chunk) != chunk or int(chunk) < 1:
-                raise ParameterError(
-                    f"network chunk must be an integer >= 1 packet, "
-                    f"got {chunk!r}"
-                )
-            chunk = int(chunk)
-        if int(workers) != workers or int(workers) < 1:
-            raise ParameterError(
-                f"workers must be an integer >= 1, got {workers!r}"
-            )
-        self.chunk = chunk
-        self.workers = int(workers)
-        self.backend = check_backend("backend", backend)
-        self.retry = retry
+        self.execution = ExecutionSpec(chunk, workers, backend, retry)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        c = self.execution
         return (
-            f"NetworkEngine(chunk={self.chunk}, workers={self.workers}, "
-            f"backend={self.backend!r})"
+            f"NetworkEngine(chunk={c.chunk}, workers={c.workers}, "
+            f"backend={c.backend!r})"
         )
 
     def simulate(
@@ -688,16 +678,17 @@ class NetworkEngine:
         sources, targets = _link_classes(plans, measure_kwargs, shared)
         pending = [(plan, key, link) for plan in plans
                    for key, link in plan.pending]
+        c = self.execution
         with stage_timer("network.links"), make_pool(
-            self.backend, self.workers, retry=self.retry
+            c.backend, c.workers, retry=c.retry
         ) as pool:
             kept = _measure_links(
                 pool,
                 targets,
                 sources,
                 shared.classes,
-                window=self.workers,
-                chunk=self.chunk or DEFAULT_NETWORK_CHUNK,
+                window=c.workers,
+                chunk=c.chunk or DEFAULT_NETWORK_CHUNK,
                 duration=durations[0] if durations else 0.0,
                 measure_kwargs=measure_kwargs,
                 keep_raw_series=bool(detect_kwargs["detect_anomalies"]),

@@ -27,7 +27,7 @@ import numpy as np
 
 from .._util import check_positive
 from ..exceptions import ParameterError
-from ..execution import BACKENDS, RetryPolicy
+from ..execution import ExecutionSpec, RetryPolicy
 from ..netsim.arrivals import (
     DiurnalArrivals,
     MMPPArrivals,
@@ -409,77 +409,6 @@ class FlowAccountingSpec:
             )
 
 
-def _validate_execution(section: str, chunk, workers, backend="thread") -> None:
-    """The one validation path for execution knobs, section-qualified.
-
-    ``section`` prefixes the error (``"synthesis"``, ``"measurement"``,
-    ``"network"``, ``"sweep"`` or the standalone ``"execution"``), so a
-    bad value always names the spec section it came from.
-    """
-    if chunk is not None and (int(chunk) != chunk or int(chunk) < 1):
-        raise ParameterError(
-            f"{section}.chunk must be an integer >= 1 packet, got {chunk!r}"
-        )
-    if int(workers) != workers or int(workers) < 1:
-        raise ParameterError(
-            f"{section}.workers must be an integer >= 1, got {workers!r}"
-        )
-    _check_choice(f"{section}.backend", backend, BACKENDS)
-
-
-@dataclass(frozen=True)
-class ExecutionSpec:
-    """How a stage executes — never *what* it computes.
-
-    The one schema for execution strategy across the pipeline:
-    ``chunk`` (packets per streamed block; ``null`` = the section's
-    in-memory/default path), ``workers`` (tasks processed concurrently
-    on the engine worker pool) and ``backend`` (pool flavour —
-    ``"serial"``, ``"thread"`` or ``"process"``; the process backend
-    moves packet chunks through shared-memory ring buffers, see
-    :mod:`repro.execution`).  Reused by the ``synthesis``,
-    ``measurement``, ``network`` and ``sweep`` sections — every engine
-    is chunk/worker/backend invariant, so an ``ExecutionSpec`` never
-    changes a scenario's results, only its memory footprint and
-    wall-clock.  Specs written before the ``backend`` key default to the
-    previous thread-pool behaviour (see MIGRATION.md).
-
-    ``retry`` arms the process backend's watchdog (per-task deadline,
-    pool respawn, deterministic re-execution — see
-    :class:`repro.execution.RetryPolicy`).  ``null`` (the default, and
-    what every pre-existing spec decodes to) disables retries entirely:
-    the exact legacy failure behaviour.  Like the other knobs it never
-    changes results, only whether lost work is re-run.
-    """
-
-    chunk: int | None = None
-    workers: int = 1
-    backend: str = "thread"
-    retry: RetryPolicy | None = None
-
-    def __post_init__(self) -> None:
-        _validate_execution(
-            "execution", self.chunk, self.workers, self.backend
-        )
-        if self.chunk is not None:
-            object.__setattr__(self, "chunk", int(self.chunk))
-        object.__setattr__(self, "workers", int(self.workers))
-        object.__setattr__(self, "backend", str(self.backend))
-        if self.retry is not None:
-            if isinstance(self.retry, dict):
-                object.__setattr__(self, "retry", RetryPolicy(**self.retry))
-            elif not isinstance(self.retry, RetryPolicy):
-                raise ParameterError(
-                    "execution.retry must be a RetryPolicy (or a JSON "
-                    f"object), got {type(self.retry).__name__}"
-                )
-
-    @property
-    def uses_engine(self) -> bool:
-        """True when either knob engages the streaming/parallel path."""
-        return self.chunk is not None or int(self.workers) > 1
-
-
 _register_nested("ExecutionSpec", "retry", RetryPolicy)
 
 
@@ -611,6 +540,11 @@ class IngestSpec:
     :class:`~repro.exceptions.TraceFormatError`; ``"skip"`` drops the
     bad unit, counts it, and keeps streaming — the operator-friendly
     mode for multi-GB archives with the odd truncated export packet.
+
+    Of ``execution``, only ``chunk`` is read: it is the reader's block
+    size (records or packets per decoded block).  Its ``workers``,
+    ``backend`` and ``retry`` are never read, because flow accounting
+    runs on the ``measurement`` section's execution.
     """
 
     path: str = ""
@@ -862,10 +796,10 @@ class GenerationSpec:
             # generation.chunk is a *time window in seconds* (the rate
             # sampler's horizon splitting), not a packet count — the one
             # execution knob ExecutionSpec does not cover, so this
-            # section keeps its own keys; workers/backend share the
-            # common validation path.
+            # section keeps its own keys; workers/backend go through
+            # ExecutionSpec's check.
             check_positive("generation.chunk", self.chunk)
-        _validate_execution("generation", None, self.workers, self.backend)
+        ExecutionSpec(workers=self.workers, backend=self.backend)
         _check_choice(
             "generation.mode", self.mode, ("exact", "streamed")
         )

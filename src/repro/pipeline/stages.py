@@ -531,12 +531,7 @@ class SimulateNetwork:
                 "SimulateNetwork stage only runs network scenarios"
             )
         run = self.network_run(spec)
-        engine = NetworkEngine(
-            chunk=spec.network.chunk,
-            workers=int(spec.network.workers),
-            backend=spec.network.backend,
-            retry=spec.network.retry,
-        )
+        engine = NetworkEngine(**vars(spec.network.execution))
         simulation = engine.simulate(
             run.topology,
             run.demands,
@@ -650,10 +645,7 @@ class Synthesize:
             context.workload = spec.workload.build()
             if spec.synthesis.execution.uses_engine and spec.anomaly is None:
                 stream = context.workload.synthesize_chunks(
-                    seed=spec.seed,
-                    chunk=spec.synthesis.chunk or 1_000_000,
-                    workers=int(spec.synthesis.workers),
-                    backend=spec.synthesis.backend,
+                    seed=spec.seed, **vars(spec.synthesis.execution)
                 )
                 source = "streamed"
             else:
@@ -778,11 +770,7 @@ class AccountFlows:
 
     def run(self, context: PipelineContext) -> AccountingResult:
         spec = context.spec
-        engine = MeasurementEngine(
-            chunk=spec.measurement.chunk,
-            workers=int(spec.measurement.workers),
-            backend=spec.measurement.backend,
-        )
+        engine = MeasurementEngine(**vars(spec.measurement.execution))
         if context.stream is not None:
             measure, packets = engine.measure_chunks, context.stream
         else:
@@ -887,10 +875,8 @@ class Calibrate:
             time_bins=int(section.time_bins),
             tail_quantiles=section.tail_quantiles,
             link_capacity_bps=meta.link_capacity or None,
-            chunk=section.chunk,
-            workers=int(section.workers),
-            backend=section.backend,
             metadata={"scenario": spec.name},
+            **vars(section.execution),
         )
         closed = None
         if section.validate:

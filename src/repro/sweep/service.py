@@ -21,7 +21,7 @@ pass, and for any ``sweep.execution`` setting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..checkpoint import CheckpointStore, run_fingerprint
 from ..exceptions import ParameterError
@@ -206,12 +206,10 @@ def run_sweep(spec, *, checkpoint_dir=None, resume=False) -> SweepResult:
     }
     simulations: dict[int, object] = {}
     outcome_of: dict[int, CellResult] = dict(restored)
-    engine = NetworkEngine(
+    engine = NetworkEngine(**vars(replace(
+        sweep.execution,
         chunk=cells[0].spec.network.chunk,  # every cell spec carries it
-        workers=sweep.workers,
-        backend=sweep.backend,
-        retry=sweep.retry,
-    )
+    )))
     shared = SharedResults()
     passes = (
         [[cell] for cell in to_simulate] if store is not None

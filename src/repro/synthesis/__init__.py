@@ -31,7 +31,6 @@ from .cells import (
 from .engine import (
     DEFAULT_SYNTHESIS_CELL,
     StreamingSynthesis,
-    SynthesisConfig,
     SynthesisEngine,
 )
 from .reference import reference_synthesize_link_trace
@@ -41,7 +40,6 @@ __all__ = [
     "CellBlock",
     "CellPlan",
     "StreamingSynthesis",
-    "SynthesisConfig",
     "SynthesisEngine",
     "default_warmup",
     "synthesize_cell",

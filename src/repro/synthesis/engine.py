@@ -46,12 +46,11 @@ arrival memory (flow metadata only; packets still stream).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
+from .._util import check_positive
 from ..exceptions import ParameterError
-from ..execution import check_backend, make_pool, stage_timer
+from ..execution import ExecutionSpec, RetryPolicy, make_pool, stage_timer
 from ..netsim.link import LinkSynthesis
 from ..trace.io import TraceWriter
 from ..trace.packet import PacketTrace, packets_from_columns
@@ -66,61 +65,10 @@ from .cells import (
 
 __all__ = [
     "DEFAULT_SYNTHESIS_CELL",
-    "SynthesisConfig",
     "SynthesisEngine",
     "StreamingSynthesis",
     "synthesize_cell_task",
 ]
-
-
-@dataclass(frozen=True)
-class SynthesisConfig:
-    """Knobs of the synthesis engine.
-
-    Parameters
-    ----------
-    chunk:
-        Packets per emitted block; ``None`` yields one block per merge
-        emission (the natural cell-group granularity).  Output content
-        never depends on it.
-    workers:
-        Cells synthesized concurrently on the worker pool.  Output never
-        depends on it.
-    backend:
-        Pool flavour: ``"serial"``, ``"thread"`` (default) or
-        ``"process"`` (fork-based shared-memory pool, see
-        :mod:`repro.execution`).  Output never depends on it.
-    cell:
-        Arrival-cell width in seconds — the seeding contract knob (see
-        :data:`DEFAULT_SYNTHESIS_CELL`).  Changing it changes the trace.
-    """
-
-    chunk: int | None = None
-    workers: int = 1
-    backend: str = "thread"
-    cell: float = DEFAULT_SYNTHESIS_CELL
-    retry: object | None = None  # RetryPolicy; process-backend watchdog
-
-    def __post_init__(self) -> None:
-        if self.chunk is not None:
-            chunk = int(self.chunk)
-            if chunk != self.chunk or chunk < 1:
-                raise ParameterError(
-                    f"synthesis chunk must be an integer >= 1 packet, "
-                    f"got {self.chunk!r}"
-                )
-            object.__setattr__(self, "chunk", chunk)
-        workers = int(self.workers)
-        if workers != self.workers or workers < 1:
-            raise ParameterError(
-                f"workers must be an integer >= 1, got {self.workers!r}"
-            )
-        object.__setattr__(self, "workers", workers)
-        check_backend("backend", self.backend)
-        if not np.isfinite(self.cell) or self.cell <= 0.0:
-            raise ParameterError(
-                f"cell must be finite and > 0 seconds, got {self.cell!r}"
-            )
 
 
 def synthesize_cell_task(task):
@@ -189,18 +137,17 @@ class StreamingSynthesis:
     def __init__(
         self,
         plan: CellPlan,
-        config: SynthesisConfig,
+        execution: ExecutionSpec,
         seed=None,
         *,
         keep_ground_truth: bool = False,
     ) -> None:
         self.plan = plan
-        self.config = config
+        self.execution = execution
         self.keep_ground_truth = keep_ground_truth
-        # one pool for the whole stream; it forks on the first cell group
-        self._pool = make_pool(
-            config.backend, config.workers, retry=config.retry
-        )
+        # one pool for the whole stream, opened by its first cell group;
+        # the network engine maps window_tasks on its own pool, opening none
+        self._pool = None
         root = _as_seed_sequence(seed)
         children = root.spawn(plan.n_cells + 1)
         self._presample_seed = children[0]
@@ -250,12 +197,16 @@ class StreamingSynthesis:
     # -- worker pool ------------------------------------------------------
 
     def _run_cells(self, tasks):
+        if self._pool is None:
+            c = self.execution
+            self._pool = make_pool(c.backend, c.workers, retry=c.retry)
         with stage_timer("synthesis.cells"):
             return self._pool.map_ordered(synthesize_cell_task, tasks)
 
     def close(self) -> None:
         """Release the worker pool (idempotent; exhaustion calls it)."""
-        self._pool.close()
+        if self._pool is not None:
+            self._pool.close()
 
     def write_trace(self, path) -> int:
         """Drain this stream straight into a ``.rptr`` file.
@@ -377,7 +328,7 @@ class StreamingSynthesis:
     def _emissions(self):
         """Yield the window emissions as time-ordered packet blocks."""
         n_cells = self.plan.n_cells
-        group = self.config.workers
+        group = self.execution.workers
         try:
             for g0 in range(0, n_cells, group):
                 g1 = min(g0 + group, n_cells)
@@ -390,7 +341,7 @@ class StreamingSynthesis:
 
     def _chunks(self):
         """Assemble emissions into PACKET_DTYPE blocks of ``chunk``."""
-        chunk = self.config.chunk
+        chunk = self.execution.chunk
         held: list[np.ndarray] = []
         held_count = 0
         for packets in self._emissions():
@@ -432,36 +383,34 @@ def _take_exactly(held, held_count, chunk):
 
 
 class SynthesisEngine:
-    """Scalable backbone-link trace synthesis (see module docs)."""
+    """Scalable backbone-link trace synthesis (see module docs).
+
+    ``chunk`` (packets per emitted block; ``None`` yields one block per
+    merge emission), ``workers`` (cells synthesized concurrently),
+    ``backend`` and ``retry`` form the engine's
+    :class:`~repro.execution.ExecutionSpec`, kept as ``execution``;
+    output never depends on them.  ``cell`` is the arrival-cell width in
+    seconds, the seeding contract knob (see
+    :data:`DEFAULT_SYNTHESIS_CELL`): changing it changes the trace.
+    """
 
     def __init__(
         self,
-        config: SynthesisConfig | None = None,
         *,
         chunk: int | None = None,
-        workers: int | None = None,
-        backend: str | None = None,
-        cell: float | None = None,
+        workers: int = 1,
+        backend: str = "thread",
+        retry: RetryPolicy | None = None,
+        cell: float = DEFAULT_SYNTHESIS_CELL,
     ) -> None:
-        if config is None:
-            config = SynthesisConfig()
-        overrides = {
-            k: v
-            for k, v in {
-                "chunk": chunk, "workers": workers,
-                "backend": backend, "cell": cell,
-            }.items()
-            if v is not None
-        }
-        if overrides:
-            config = replace(config, **overrides)
-        self.config = config
+        self.execution = ExecutionSpec(chunk, workers, backend, retry)
+        self.cell = check_positive("cell", cell)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        c = self.config
+        c = self.execution
         return (
             f"SynthesisEngine(chunk={c.chunk}, workers={c.workers}, "
-            f"cell={c.cell:g})"
+            f"cell={self.cell:g})"
         )
 
     # -- plan construction -------------------------------------------------
@@ -502,7 +451,7 @@ class SynthesisEngine:
             rtt_dist=rtt_dist,
             cbr_rate_dist=cbr_rate_dist,
             name=str(name),
-            cell=self.config.cell,
+            cell=self.cell,
         )
 
     # -- entry points ------------------------------------------------------
@@ -514,7 +463,7 @@ class SynthesisEngine:
         plan = self.plan(**plan_kwargs)
         return StreamingSynthesis(
             plan,
-            self.config,
+            self.execution,
             seed,
             keep_ground_truth=keep_ground_truth,
         )

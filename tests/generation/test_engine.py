@@ -27,8 +27,9 @@ from repro.core import (
     TriangularShot,
 )
 from repro.exceptions import ParameterError
+from repro.execution import ExecutionSpec, RetryPolicy
 from repro.generation import (
-    EngineConfig,
+    DEFAULT_ARRIVAL_CELL,
     GenerationEngine,
     generate_packet_trace,
     generate_rate_series,
@@ -190,23 +191,27 @@ class TestPacketPaths:
         assert base.is_sorted()
 
 
-class TestEngineConfig:
+class TestEngineKeywords:
     def test_validation(self):
         with pytest.raises(ParameterError):
-            EngineConfig(chunk=-1.0)
+            GenerationEngine(chunk=-1.0)
         with pytest.raises(ParameterError):
-            EngineConfig(workers=0)
+            GenerationEngine(workers=0)
         with pytest.raises(ParameterError):
-            EngineConfig(workers=2.5)
+            GenerationEngine(workers=2.5)
         with pytest.raises(ParameterError):
-            EngineConfig(arrival_cell=0.0)
+            GenerationEngine(backend="forkserver")
+        with pytest.raises(ParameterError):
+            GenerationEngine(arrival_cell=0.0)
 
     def test_integral_float_workers_coerced(self):
-        assert EngineConfig(workers=2.0).workers == 2
-        assert isinstance(EngineConfig(workers=2.0).workers, int)
+        execution = GenerationEngine(workers=2.0).execution
+        assert execution.workers == 2
+        assert isinstance(execution.workers, int)
 
-    def test_kwarg_overrides(self):
-        engine = GenerationEngine(chunk=3.0, workers=2)
-        assert engine.config.chunk == 3.0
-        assert engine.config.workers == 2
-        assert engine.config.arrival_cell == EngineConfig().arrival_cell
+    def test_keywords(self):
+        policy = RetryPolicy(max_retries=1)
+        engine = GenerationEngine(chunk=3.0, workers=2, retry=policy)
+        assert engine.chunk == 3.0
+        assert engine.execution == ExecutionSpec(workers=2, retry=policy)
+        assert engine.arrival_cell == DEFAULT_ARRIVAL_CELL

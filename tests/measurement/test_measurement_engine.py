@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from repro.exceptions import FlowExportError, ParameterError
+from repro.execution import ExecutionSpec, RetryPolicy
 from repro.flows import export_flows
 from repro.measurement import (
-    MeasurementConfig,
     MeasurementEngine,
     StreamingMeasurement,
     iter_packet_chunks,
@@ -295,21 +295,23 @@ class TestEquivalenceOnPresets:
         assert stats.mean_size == expected.mean_size
 
 
-class TestConfig:
+class TestEngineKeywords:
     def test_rejects_bad_chunk(self):
         with pytest.raises(ParameterError):
-            MeasurementConfig(chunk=0)
+            MeasurementEngine(chunk=0)
         with pytest.raises(ParameterError):
-            MeasurementConfig(chunk=2.5)
+            MeasurementEngine(chunk=2.5)
 
-    def test_rejects_bad_workers(self):
+    def test_rejects_bad_workers_and_backend(self):
         with pytest.raises(ParameterError):
-            MeasurementConfig(workers=0)
+            MeasurementEngine(workers=0)
+        with pytest.raises(ParameterError):
+            MeasurementEngine(backend="forkserver")
 
-    def test_engine_overrides(self):
-        engine = MeasurementEngine(MeasurementConfig(chunk=10), workers=3)
-        assert engine.config.chunk == 10
-        assert engine.config.workers == 3
+    def test_engine_keywords(self):
+        policy = RetryPolicy(max_retries=1)
+        engine = MeasurementEngine(chunk=10, workers=3, retry=policy)
+        assert engine.execution == ExecutionSpec(10, 3, retry=policy)
 
     def test_streamer_validation(self):
         with pytest.raises(FlowExportError):

@@ -1,0 +1,122 @@
+"""Every pool a stage opens runs on its spec section's execution.
+
+A section's ``execution`` (``workers``, ``backend``, ``retry``) must reach
+each pool the engines behind it open: a pool that drops ``retry`` runs
+without the process backend's watchdog, so a crashed worker hangs the
+run instead of being re-executed.  ``make_pool`` is spied in every
+engine module; each pool opened on a section's behalf must carry that
+section's workers, backend and the very same ``RetryPolicy`` object.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.execution import ExecutionSpec, RetryPolicy, make_pool
+from repro.pipeline import (
+    CalibrationSpec,
+    DemandSpec,
+    MeasurementSpec,
+    NetworkSpec,
+    ScenarioSpec,
+    SweepSpec,
+    SynthesisSpec,
+    TopologySpec,
+    WorkloadSpec,
+    run_scenario,
+)
+
+#: Engine modules that open pools, by the spec section that drives them.
+POOL_MODULES = {
+    "synthesis": "repro.synthesis.engine",
+    "measurement": "repro.measurement.streaming",
+    "calibration": "repro.calibration.calibrator",
+    "network": "repro.network.engine",
+    "generation": "repro.generation.engine",
+}
+
+POLICY = RetryPolicy(max_retries=1, timeout_s=60.0)
+EXECUTION = ExecutionSpec(workers=2, backend="thread", retry=POLICY)
+
+
+@pytest.fixture()
+def opened(monkeypatch):
+    """``(module, backend, workers, retry)`` of every pool opened."""
+    import importlib
+
+    calls = []
+    for module_name in POOL_MODULES.values():
+        module = importlib.import_module(module_name)
+
+        def spy(backend="thread", workers=1, *, retry=None, _name=module_name,
+                **kwargs):
+            calls.append((_name, backend, workers, retry))
+            return make_pool(backend, workers, retry=retry, **kwargs)
+
+        monkeypatch.setattr(module, "make_pool", spy)
+    return calls
+
+
+def _link_spec(**sections) -> ScenarioSpec:
+    return ScenarioSpec(
+        name="pools",
+        seed=3,
+        workload=WorkloadSpec(preset="low", duration=10.0),
+        generation=None,
+        **sections,
+    )
+
+
+def _network(**kwargs) -> NetworkSpec:
+    return NetworkSpec(
+        topology=TopologySpec(preset="parallel-paths", size=2),
+        demands=(DemandSpec("src", "dst", preset="low"),),
+        duration=8.0,
+        **kwargs,
+    )
+
+
+SPECS = {
+    "synthesis": _link_spec(synthesis=SynthesisSpec(execution=EXECUTION)),
+    "measurement": _link_spec(
+        measurement=MeasurementSpec(execution=EXECUTION)
+    ),
+    "calibration": _link_spec(
+        calibration=CalibrationSpec(
+            families=("lognormal",), restarts=1, execution=EXECUTION
+        )
+    ),
+    "network": ScenarioSpec(
+        name="pools-network", network=_network(execution=EXECUTION)
+    ),
+    "sweep": ScenarioSpec(
+        name="pools-sweep",
+        network=_network(),
+        sweep=SweepSpec(
+            demand_factors=(1.0,), failures="none", simulate="all",
+            execution=EXECUTION,
+        ),
+    ),
+}
+
+
+def _section_pools(section: str, calls) -> list:
+    """The pools opened on ``section``'s behalf.
+
+    Network and sweep runs drive every pool they open; in a single-link
+    run each section owns the pools of its engine's module.
+    """
+    if section in ("network", "sweep"):
+        return calls
+    return [call for call in calls if call[0] == POOL_MODULES[section]]
+
+
+@pytest.mark.parametrize("section", sorted(SPECS))
+def test_every_pool_gets_the_section_execution(section, opened):
+    run_scenario(SPECS[section])
+    pools = _section_pools(section, opened)
+    assert pools, f"the {section} run opened no pool"
+    for module, backend, workers, retry in pools:
+        assert (backend, workers) == ("thread", 2), module
+        assert retry is POLICY, module
+

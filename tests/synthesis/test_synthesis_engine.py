@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ParameterError
+from repro.execution import ExecutionSpec, RetryPolicy
 from repro.measurement import MeasurementEngine
 from repro.netsim import (
     DiurnalArrivals,
@@ -26,7 +27,6 @@ from repro.netsim import (
 from repro.netsim.sizes import BoundedPareto
 from repro.synthesis import (
     DEFAULT_SYNTHESIS_CELL,
-    SynthesisConfig,
     SynthesisEngine,
     reference_synthesize_link_trace,
 )
@@ -329,24 +329,26 @@ class TestGroundTruthAndScale:
         )
 
 
-class TestConfig:
+class TestEngineKeywords:
     def test_rejects_bad_chunk(self):
         with pytest.raises(ParameterError):
-            SynthesisConfig(chunk=0)
+            SynthesisEngine(chunk=0)
         with pytest.raises(ParameterError):
-            SynthesisConfig(chunk=2.5)
+            SynthesisEngine(chunk=2.5)
 
-    def test_rejects_bad_workers_and_cell(self):
+    def test_rejects_bad_workers_backend_and_cell(self):
         with pytest.raises(ParameterError):
-            SynthesisConfig(workers=0)
+            SynthesisEngine(workers=0)
         with pytest.raises(ParameterError):
-            SynthesisConfig(cell=0.0)
+            SynthesisEngine(backend="forkserver")
+        with pytest.raises(ParameterError):
+            SynthesisEngine(cell=0.0)
 
-    def test_engine_overrides(self):
-        engine = SynthesisEngine(SynthesisConfig(chunk=10), workers=3)
-        assert engine.config.chunk == 10
-        assert engine.config.workers == 3
-        assert engine.config.cell == DEFAULT_SYNTHESIS_CELL
+    def test_engine_keywords(self):
+        policy = RetryPolicy(max_retries=1)
+        engine = SynthesisEngine(chunk=10, workers=3, retry=policy)
+        assert engine.execution == ExecutionSpec(10, 3, retry=policy)
+        assert engine.cell == DEFAULT_SYNTHESIS_CELL
 
 
 class TestReferencePath:

@@ -421,9 +421,9 @@ class TestSweep:
 
 
 class TestExecutionPrecedence:
-    """--execution spec-wins|cli-wins, shared by all engine commands."""
+    """A flag given overrides the spec; a flag left unset keeps it."""
 
-    def _spec_with_execution(self, tmp_path, workers):
+    def _spec_with_execution(self, tmp_path, workers, chunk=None):
         spec = ScenarioSpec(
             name="precedence",
             network=NetworkSpec(
@@ -435,7 +435,7 @@ class TestExecutionPrecedence:
                 demand_factors=(1.0,),
                 failures="none",
                 simulate="none",
-                execution=ExecutionSpec(workers=workers),
+                execution=ExecutionSpec(chunk=chunk, workers=workers),
             ),
         )
         path = tmp_path / "precedence.json"
@@ -459,12 +459,13 @@ class TestExecutionPrecedence:
         assert main(["sweep", str(path), "--report", str(report)]) == 0
         assert self._reported_workers(report) == 2
 
-    def test_spec_wins_ignores_the_flags(self, tmp_path):
-        path = self._spec_with_execution(tmp_path, workers=2)
+    def test_chunk_zero_clears_the_spec_chunk(self, tmp_path):
+        path = self._spec_with_execution(tmp_path, workers=2, chunk=5000)
         report = tmp_path / "out.json"
-        assert main(["sweep", str(path), "--workers", "3",
-                     "--execution", "spec-wins",
+        assert main(["sweep", str(path), "--chunk", "0",
                      "--report", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        assert payload["spec"]["sweep"]["execution"]["chunk"] is None
         assert self._reported_workers(report) == 2
 
     @pytest.mark.parametrize(
@@ -473,9 +474,9 @@ class TestExecutionPrecedence:
     def test_help_documents_the_precedence_rule(self, command, capsys):
         with pytest.raises(SystemExit):
             main([command, "--help"])
-        out = capsys.readouterr().out
-        assert "--execution {cli-wins,spec-wins}" in out
-        assert "spec-wins" in out and "cli-wins" in out
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--execution" not in out
+        assert "each flag given overrides the spec's 'execution'" in out
 
 
 @pytest.fixture()
