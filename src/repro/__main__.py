@@ -426,6 +426,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
                     report,
                     seed=args.seed or 0,
                     duration=args.validate_duration,
+                    execution=execution,
                 )
     except ReproError as exc:
         return _fail_for(exc)

@@ -13,8 +13,9 @@ Three entry points, one funnel:
 * :func:`calibrate_archive` — out-of-core over a telemetry file:
   NetFlow v5 / IPFIX archives stream their flow *records* straight into
   accumulation (no packet expansion needed — the records are the
-  flows); pcap / ``.rptr`` captures are measured into flows first
-  through the streaming :class:`~repro.measurement.MeasurementEngine`.
+  flows) after a column-subset scan for the clock range; pcap /
+  ``.rptr`` captures are measured into flows first through the
+  streaming :class:`~repro.measurement.MeasurementEngine`.
 
 Their ``chunk``/``workers``/``backend``/``retry`` are an
 :class:`~repro.execution.ExecutionSpec`'s fields (``retry`` arms the
@@ -242,8 +243,14 @@ def calibrate_archive(
 ) -> CalibrationReport:
     """Calibrate a telemetry archive out-of-core.
 
-    Flow-record formats (NetFlow v5, IPFIX) accumulate straight from
-    the record stream in bounded memory; packet formats (pcap,
+    Flow-record formats (NetFlow v5, IPFIX) take two passes of the
+    format reader's one walker.  The first converts only the scan
+    columns (start, end, packets, octets) and finds the clock range the
+    time bins need; the second decodes every record once in full and
+    accumulates it straight from the stream, in bounded memory.  Both
+    passes run the same datagram/message checks, so under
+    ``errors="skip"`` they keep and drop the same records and the report
+    equals one from a single in-memory decode.  Packet formats (pcap,
     ``.rptr``) run through the streaming measurement engine's flow
     exporter first, so the calibrated flows obey the same 60 s-timeout
     / single-packet-discard semantics as everything else in the repo.
@@ -261,7 +268,9 @@ def calibrate_archive(
     metadata = {"format": format}
 
     if format in ("netflow5", "ipfix"):
-        scan = scan_record_chunks(_record_reader(path, format, chunk, errors))
+        scan = scan_record_chunks(
+            _record_reader(path, format, chunk, errors).record_chunks(scan=True)
+        )
         if scan.empty:
             raise ParameterError(
                 f"{path}: archive holds no flow records; nothing to calibrate"

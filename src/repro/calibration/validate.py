@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..exceptions import ParameterError
+from ..execution import ExecutionSpec
 from ..netsim.workloads import wire_sizes
 from ..stats.timeseries import RateSeries
 from .report import CalibrationReport
@@ -145,6 +146,7 @@ def validate_fitted_spec(
     tail_rtol: float = DEFAULT_TAIL_RTOL,
     cov_atol: float = DEFAULT_COV_ATOL,
     source_rate_cov: float | None = None,
+    execution: ExecutionSpec | None = None,
 ) -> ClosedLoopReport:
     """Run the calibrate → synthesize → compare loop once.
 
@@ -155,7 +157,11 @@ def validate_fitted_spec(
     2% tolerances regardless of the source capture's own length (long
     captures need not be replayed in full, sparse ones are extended).
     ``source_rate_cov`` enables the utilization second-moment check
-    when the caller measured the source series.
+    when the caller measured the source series.  ``execution`` (the
+    calibration section's) sets the synthesis pool's ``workers``,
+    ``backend`` and ``retry``; its ``chunk`` counts calibration records,
+    so the in-memory synthesis keeps its own block size.  The verdict
+    does not depend on it.
     """
     if duration is None and report.arrival_rate > 0.0:
         duration = max(
@@ -170,7 +176,13 @@ def validate_fitted_spec(
                 f"validation duration must be > 0 s, got {duration!r}"
             )
         workload = workload.with_duration(float(duration))
-    synthesis = workload.synthesize(seed)
+    execution = execution or ExecutionSpec()
+    synthesis = workload.synthesize(
+        seed,
+        workers=execution.workers,
+        backend=execution.backend,
+        retry=execution.retry,
+    )
     span = workload.duration
 
     failures = []

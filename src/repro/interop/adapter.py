@@ -13,6 +13,13 @@ idle timeout that produced the record — so re-measuring with the same
 timeout reproduces the archive's flows (up to the wire format's
 timestamp quantization).
 
+Opening a flow archive reads it twice.  :func:`scan_record_chunks`
+first walks it for the record count, clock range and start order,
+and the format reader converts only the scan columns on that pass;
+then iteration decodes each record once in full and expands it.  Both
+passes run the reader's one walker, so under ``errors="skip"`` they
+keep and drop the same records.
+
 Packet captures (pcap) and native ``.rptr`` traces skip the expansion
 and stream through :class:`PacketChunkStream`, which applies the same
 clock rebasing and cross-chunk ordering checks.
@@ -34,7 +41,7 @@ from ..trace.io import TraceReader
 from .ipfix import IpfixReader
 from .netflow5 import NetFlow5Reader
 from .pcap import PcapReader
-from .records import FLOW_RECORD_DTYPE
+from .records import FLOW_RECORD_DTYPE, start_order
 
 __all__ = [
     "IMPORT_FORMATS",
@@ -110,7 +117,12 @@ class ScanInfo:
 
 
 def scan_record_chunks(chunks) -> ScanInfo:
-    """Scan flow-record chunks for counts, clock range and sortedness."""
+    """Scan flow-record chunks for counts, clock range and sortedness.
+
+    The blocks need only the
+    :data:`~repro.interop.records.SCAN_RECORD_DTYPE` columns, which a
+    format reader's ``record_chunks(scan=True)`` converts alone.
+    """
     records = packets = octets = 0
     t_min = np.inf
     t_max = -np.inf
@@ -301,7 +313,7 @@ class FlowPacketStream:
                 return
             table = np.concatenate(blocks)
             del blocks
-            table = table[np.argsort(table["start"], kind="stable")]
+            table = table[start_order(table["start"])]
             # hand the sorted table back out in reader-sized chunks
             chunk = max(int(getattr(self._reader, "chunk", 65536)), 1)
             for i in range(0, table.size, chunk):
@@ -508,6 +520,7 @@ def open_import_stream(
     )
     return FlowPacketStream(
         reader,
+        scan=scan_record_chunks(reader.record_chunks(scan=True)),
         order=order,
         rebase=rebase,
         duration=duration,

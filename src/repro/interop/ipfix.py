@@ -3,10 +3,11 @@
 The on-disk layout is a concatenation of IPFIX messages — a 16-byte
 header (version 10), then sets: template sets (id 2) that describe
 record layouts, and data sets (id >= 256) carrying fixed-size records.
-The reader decodes templates into numpy structured dtypes on the fly,
-so it handles any exporter whose templates cover the five-tuple,
-packet/octet counters and start/end timestamps; unknown information
-elements are skipped, enterprise-specific ones tolerated.
+The reader decodes templates into numpy structured dtypes on the fly
+(each distinct template set once per pass), so it handles any exporter
+whose templates cover the five-tuple, packet/octet counters and
+start/end timestamps; unknown information elements are skipped,
+enterprise-specific ones tolerated.
 
 Our writer emits one template (id 256) with millisecond start/end
 timestamps (IEs 152/153), so exported archives round-trip with 1 ms
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ..exceptions import ParameterError, TraceFormatError
-from .records import FLOW_RECORD_DTYPE, check_exportable
+from .records import FLOW_RECORD_DTYPE, SCAN_RECORD_DTYPE, check_exportable
 
 __all__ = [
     "IPFIX_VERSION",
@@ -90,6 +91,9 @@ _EXPORT_RECORD_DTYPE = np.dtype(
 assert _EXPORT_RECORD_DTYPE.itemsize == sum(n for _, n in _EXPORT_FIELDS)
 
 _MS = 1000.0
+
+#: Wire bytes the reader joins for one conversion.
+_CONVERT_BYTES = 1 << 20
 
 
 def _template_set_bytes() -> bytes:
@@ -187,6 +191,8 @@ class _Template:
             self.by_ie.setdefault(ie, name)
         self.dtype = np.dtype(list(zip(names, dtypes)))
         self.record_size = self.dtype.itemsize
+        #: required information elements the template lacks
+        self.missing = self._missing_fields()
 
     def _field(self, wire: np.ndarray, ie: int):
         name = self.by_ie.get(ie)
@@ -198,7 +204,7 @@ class _Template:
         name = self.by_ie.get(ie)
         return name is not None and self.dtype[name].kind != "V"
 
-    def missing_fields(self) -> list[int]:
+    def _missing_fields(self) -> list[int]:
         required = (
             IE_SOURCE_IPV4_ADDRESS, IE_DESTINATION_IPV4_ADDRESS,
             IE_PROTOCOL_IDENTIFIER, IE_PACKET_DELTA_COUNT,
@@ -219,49 +225,33 @@ class _Template:
             missing.append(IE_FLOW_END_MILLISECONDS)
         return missing
 
-    def decode(
-        self, payload: bytes, *, path, offset: int, drop_invalid: bool = False
-    ) -> "tuple[np.ndarray, int]":
-        count = len(payload) // self.record_size
-        wire = np.frombuffer(
-            payload[: count * self.record_size], dtype=self.dtype
+    def _seconds(self, wire: np.ndarray, ms_ie: int, s_ie: int) -> np.ndarray:
+        column = self._field(wire, ms_ie)
+        if column is not None:
+            return column.astype(np.float64) / _MS
+        return self._field(wire, s_ie).astype(np.float64)
+
+    def convert(self, wire: np.ndarray, out: np.ndarray) -> None:
+        """Convert wire records into ``out``'s columns (a record view)."""
+        names = out.dtype.names
+        out["start"] = self._seconds(
+            wire, IE_FLOW_START_MILLISECONDS, IE_FLOW_START_SECONDS
         )
-        out = np.empty(count, dtype=FLOW_RECORD_DTYPE)
-        start_ms = self._field(wire, IE_FLOW_START_MILLISECONDS)
-        if start_ms is not None:
-            out["start"] = start_ms.astype(np.float64) / _MS
-        else:
-            out["start"] = self._field(
-                wire, IE_FLOW_START_SECONDS
-            ).astype(np.float64)
-        end_ms = self._field(wire, IE_FLOW_END_MILLISECONDS)
-        if end_ms is not None:
-            out["end"] = end_ms.astype(np.float64) / _MS
-        else:
-            out["end"] = self._field(
-                wire, IE_FLOW_END_SECONDS
-            ).astype(np.float64)
-        out["src_addr"] = self._field(wire, IE_SOURCE_IPV4_ADDRESS)
-        out["dst_addr"] = self._field(wire, IE_DESTINATION_IPV4_ADDRESS)
-        out["protocol"] = self._field(wire, IE_PROTOCOL_IDENTIFIER)
-        out["packets"] = self._field(wire, IE_PACKET_DELTA_COUNT)
-        out["octets"] = self._field(wire, IE_OCTET_DELTA_COUNT)
+        out["end"] = self._seconds(
+            wire, IE_FLOW_END_MILLISECONDS, IE_FLOW_END_SECONDS
+        )
         for ie, name in (
+            (IE_SOURCE_IPV4_ADDRESS, "src_addr"),
+            (IE_DESTINATION_IPV4_ADDRESS, "dst_addr"),
+            (IE_PROTOCOL_IDENTIFIER, "protocol"),
+            (IE_PACKET_DELTA_COUNT, "packets"),
+            (IE_OCTET_DELTA_COUNT, "octets"),
             (IE_SOURCE_TRANSPORT_PORT, "src_port"),
             (IE_DESTINATION_TRANSPORT_PORT, "dst_port"),
         ):
-            column = self._field(wire, ie)
-            out[name] = 0 if column is None else column
-        bad = out["end"] < out["start"]
-        if bool(np.any(bad)):
-            if drop_invalid:
-                return out[~bad], int(bad.sum())
-            index = int(np.argmax(bad))
-            raise TraceFormatError(
-                f"{path}: record {index} of the data set at byte offset "
-                f"{offset} ends before it starts"
-            )
-        return out, 0
+            if name in names:
+                column = self._field(wire, ie)
+                out[name] = 0 if column is None else column
 
 
 class IpfixReader:
@@ -272,13 +262,28 @@ class IpfixReader:
     timestamp fields, raise :class:`TraceFormatError` naming the byte
     offset.  Set padding (RFC 7011 §3.3.1) is tolerated.
 
+    ``record_chunks()`` yields :data:`FLOW_RECORD_DTYPE` blocks of at
+    most ``chunk`` records as read, cut at data set boundaries (a data
+    set larger than ``chunk`` is a block of its own; records dropped
+    under ``errors="skip"`` leave a block short).  Data sets are
+    converted into the block as they arrive, one conversion per run of
+    sets sharing a template (up to 1 MiB of wire bytes), so only that
+    run's messages and the block are held.  ``record_chunks(scan=True)``
+    walks the same sets but converts only the
+    :data:`~repro.interop.records.SCAN_RECORD_DTYPE` columns.  A
+    template set whose bytes repeat an earlier one (exporters
+    re-announce their templates in every message) is parsed once per
+    pass.
+
     ``errors="skip"`` drops malformed structures instead of raising and
     counts them in :attr:`skipped` (reset at the start of each pass):
     a bad set, an unknown or incomplete template's data set, or a
     bad-version message with a plausible length is skipped whole; a
     record that ends before it starts is dropped individually; a
     truncated message — where the stream cannot be re-synchronised —
-    stops the pass.
+    stops the pass.  A scan and a full decode run these checks in one
+    walk, so both passes over one archive keep and drop the same
+    records.
     """
 
     format = "ipfix"
@@ -336,10 +341,30 @@ class IpfixReader:
                 fields.append((ie, length))
             templates[template_id] = _Template(template_id, fields)
 
-    def _sets(self):
-        """Yield decoded ``FLOW_RECORD_DTYPE`` blocks, one per data set."""
+    def _template_set(self, body, templates, parsed, *, offset: int) -> None:
+        """Apply one template set, parsing its bytes once per pass."""
+        key = bytes(body)
+        known = parsed.get(key)
+        if known is None:
+            known = {}
+            try:
+                self._decode_template_set(body, known, offset=offset)
+            finally:
+                # a set that fails part-way keeps the templates before it
+                templates.update(known)
+            parsed[key] = known
+        else:
+            templates.update(known)
+
+    def _data_sets(self):
+        """Yield the archive's good data sets as ``(template, payload, offset)``.
+
+        Damage ends the walk, after every good set before it: the error
+        is raised (strict) or counted (skip).
+        """
         skip = self.errors == "skip"
         templates: dict[int, _Template] = {}
+        parsed: dict[bytes, dict[int, _Template]] = {}
         with open(self.path, "rb") as fh:
             offset = 0
             while True:
@@ -389,6 +414,7 @@ class IpfixReader:
                         f"{_MESSAGE_HEADER.size + len(body)} bytes, the "
                         f"header promised {length}"
                     )
+                view = memoryview(body)
                 pos = 0
                 while pos + _SET_HEADER.size <= len(body):
                     set_offset = offset + _MESSAGE_HEADER.size + pos
@@ -413,11 +439,11 @@ class IpfixReader:
                             f"runs past its message: set length {set_length}"
                             f", {len(body) - pos} bytes remain"
                         )
-                    set_body = body[pos + _SET_HEADER.size: pos + set_length]
+                    set_body = view[pos + _SET_HEADER.size: pos + set_length]
                     if set_id == _TEMPLATE_SET_ID:
                         try:
-                            self._decode_template_set(
-                                set_body, templates, offset=set_offset
+                            self._template_set(
+                                set_body, templates, parsed, offset=set_offset
                             )
                         except TraceFormatError:
                             if not skip:
@@ -438,8 +464,7 @@ class IpfixReader:
                                 f"{set_id}, which no template set has "
                                 "defined yet"
                             )
-                        missing = template.missing_fields()
-                        if missing:
+                        if template.missing:
                             if skip:
                                 self.skipped += 1
                                 pos += set_length
@@ -447,34 +472,97 @@ class IpfixReader:
                             raise TraceFormatError(
                                 f"{self.path}: template {set_id} lacks "
                                 "required information elements "
-                                f"{missing} (data set at byte offset "
-                                f"{set_offset})"
+                                f"{template.missing} (data set at byte "
+                                f"offset {set_offset})"
                             )
-                        block, dropped = template.decode(
-                            set_body,
-                            path=self.path,
-                            offset=set_offset,
-                            drop_invalid=skip,
-                        )
-                        self.skipped += dropped
-                        if block.size:
-                            yield block
+                        count = len(set_body) // template.record_size
+                        if count:
+                            yield template, set_body[
+                                : count * template.record_size
+                            ], set_offset
                     # set ids 0,1,4..255 are reserved: skip
                     pos += set_length
                 offset += length
 
-    def record_chunks(self):
-        """Yield decoded :data:`FLOW_RECORD_DTYPE` blocks (~``chunk``)."""
+    def _fill(self, group, block, filled: int) -> int:
+        """Convert ``group`` into ``block`` from row ``filled``; return the fill.
+
+        ``group`` holds consecutive data sets of one template; their
+        wire bytes are joined and converted in one pass, and the list is
+        emptied.  Under ``errors="strict"`` a record that ends before it
+        starts raises here, naming its data set.
+        """
+        template = group[0][0]
+        wire = np.frombuffer(
+            b"".join(payload for _, payload, _ in group), dtype=template.dtype
+        )
+        out = block[filled: filled + wire.size]
+        template.convert(wire, out)
+        sets = group[:]
+        group.clear()
+        if self.errors == "skip":
+            return filled + wire.size
+        bad = out["end"] < out["start"]
+        if bool(np.any(bad)):
+            index = int(np.argmax(bad))
+            for _, payload, offset in sets:
+                count = len(payload) // template.record_size
+                if index < count:
+                    break
+                index -= count
+            raise TraceFormatError(
+                f"{self.path}: record {index} of the data set at byte offset "
+                f"{offset} ends before it starts"
+            )
+        return filled + wire.size
+
+    def _finish(self, block):
+        """Drop, under ``errors="skip"``, the block's records that end first."""
+        bad = block["end"] < block["start"]
+        if not bool(np.any(bad)):
+            return block
+        self.skipped += int(np.count_nonzero(bad))
+        return block[~bad]
+
+    def record_chunks(self, scan: bool = False):
+        """Yield decoded blocks of at most ``chunk`` records.
+
+        Blocks hold whole :data:`FLOW_RECORD_DTYPE` records, or with
+        ``scan=True`` only the :data:`SCAN_RECORD_DTYPE` columns.
+        """
         self.skipped = 0
-        pending: list[np.ndarray] = []
-        pending_size = 0
-        for block in self._sets():
-            pending.append(block)
-            pending_size += block.size
-            if pending_size >= self.chunk:
-                yield np.concatenate(pending)
-                pending, pending_size = [], 0
-        if pending:
-            yield np.concatenate(pending)
+        dtype = SCAN_RECORD_DTYPE if scan else FLOW_RECORD_DTYPE
+        block, filled = np.empty(0, dtype=dtype), 0
+        # data sets awaiting conversion, and their records and wire bytes
+        group, queued, joined = [], 0, 0
+        try:
+            for item in self._data_sets():
+                template, payload, _offset = item
+                count = len(payload) // template.record_size
+                if filled + queued + count > block.size:
+                    # the set does not fit: finish the block before it
+                    if group:
+                        filled = self._fill(group, block, filled)
+                    if filled:
+                        yield self._finish(block[:filled])
+                    block, filled = np.empty(max(self.chunk, count), dtype), 0
+                    queued = joined = 0
+                elif group and (
+                    template is not group[0][0] or joined >= _CONVERT_BYTES
+                ):
+                    filled = self._fill(group, block, filled)
+                    queued = joined = 0
+                group.append(item)
+                queued += count
+                joined += len(payload)
+        except TraceFormatError:
+            # a bad record before the damage is the archive's first error
+            if group:
+                self._fill(group, block, filled)
+            raise
+        if group:
+            filled = self._fill(group, block, filled)
+        if filled:
+            yield self._finish(block[:filled])
 
     __iter__ = record_chunks

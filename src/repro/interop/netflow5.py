@@ -13,12 +13,13 @@ Timestamps quantize to 1 ms on the wire — the one documented lossy step
 of the NetFlow round trip (see ``tests/interop/test_roundtrip.py``).
 
 Both directions work a block at a time, not a datagram at a time.  The
-reader pulls the archive in ~1 MiB blocks, walks the block's headers
-(each count gives the next header's offset), joins the record payloads
-of the whole datagrams into one buffer and converts all their fields in
-one pass; a datagram cut off by the end of a block is carried into the
-next.  The writer lays full datagrams out as one structured array,
-header and 30 records each, and writes it in ~1 MiB slices.
+reader pulls the archive in 128 KiB blocks and walks the block's headers
+(each count gives the next header's offset).  It joins a chunk's
+datagrams into one record buffer per read block and converts the fields
+a pass asks for in one go; a datagram cut off by the end of a block is
+carried into the next.  The writer lays full datagrams out as one
+structured array, header and 30 records each, and writes it in ~1 MiB
+slices.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from ..exceptions import ParameterError, TraceFormatError
-from .records import FLOW_RECORD_DTYPE, check_exportable
+from .records import FLOW_RECORD_DTYPE, SCAN_RECORD_DTYPE, check_exportable
 
 __all__ = [
     "NETFLOW5_VERSION",
@@ -99,6 +100,9 @@ _HEADER_DTYPE = np.dtype(
 )
 assert _HEADER_DTYPE.itemsize == NETFLOW5_HEADER.size
 
+#: The leading version and count of a datagram header.
+_VERSION_COUNT = struct.Struct(">HH")
+
 #: (v5 record field, :data:`FLOW_RECORD_DTYPE` field) copied verbatim.
 _WIRE_FIELDS = (
     ("srcaddr", "src_addr"),
@@ -110,10 +114,15 @@ _WIRE_FIELDS = (
     ("prot", "protocol"),
 )
 
-#: Bytes per write, and at most per read of the archive.  The reader
-#: reads ``chunk`` records' worth of bytes at a time, up to this cap, and
-#: decodes every whole datagram of a read block at once.
-_BLOCK_BYTES = 1 << 20
+#: Bytes per write.
+_WRITE_BYTES = 1 << 20
+
+#: Bytes per read of the archive, at most.  The reader reads ``chunk``
+#: records' worth of bytes at a time, up to this cap, and converts a
+#: read block's datagrams together.  A 128 KiB block stays in cache
+#: while its datagrams are walked and converted; with 1 MiB blocks a
+#: decode ran about 1.5x slower on a 2-CPU x86 host.
+_BLOCK_BYTES = 1 << 17
 
 _MS = 1000.0
 _U32_MAX = 0xFFFFFFFF
@@ -204,7 +213,7 @@ class NetFlow5Writer:
             wire[wire_name] = records[name].reshape(n, per)
         wire["first"] = first.astype(np.uint64).reshape(n, per)
         wire["last"] = last.astype(np.uint64).reshape(n, per)
-        step = max(1, _BLOCK_BYTES // out.itemsize)
+        step = max(1, _WRITE_BYTES // out.itemsize)
         for lo in range(0, n, step):
             self._file.write(out[lo: lo + step])
         self.record_count += int(records.size)
@@ -222,10 +231,15 @@ class NetFlow5Reader:
 
     ``record_chunks()`` yields :data:`FLOW_RECORD_DTYPE` blocks of about
     ``chunk`` records: a block is cut at the first datagram boundary
-    where it holds at least ``chunk`` records, so datagrams are never
-    split and blocks may run a datagram long.  Only one read block of
-    the archive (``chunk`` records' bytes, at most 1 MiB) plus one
-    yielded chunk is ever in memory.
+    where it holds at least ``chunk`` records as read, so datagrams are
+    never split and blocks may run a datagram long (records dropped
+    under ``errors="skip"`` can leave a block short).
+    ``record_chunks(scan=True)`` walks the same datagrams but converts
+    only the :data:`~repro.interop.records.SCAN_RECORD_DTYPE` columns a
+    clock-range scan reads.  Only the raw read blocks (``chunk``
+    records' bytes each, at most 128 KiB) of one chunk's datagrams, one
+    read block's joined wire records and the block decoded from them
+    are ever in memory.
 
     ``errors="strict"`` (the default) raises :class:`TraceFormatError`
     on corrupt or truncated archives, naming the byte offset and the
@@ -235,7 +249,9 @@ class NetFlow5Reader:
     ``Last < First`` record is dropped individually, and truncation —
     where the datagram boundary itself is unknown — stops the pass
     after counting what the header promised.  Either way every good
-    record before the damage is yielded first.
+    record before the damage is yielded first.  A scan and a full
+    decode run these checks in one walk, so two passes over one
+    archive keep and drop the same records.
     """
 
     format = "netflow5"
@@ -256,15 +272,21 @@ class NetFlow5Reader:
         #: pass (0 under ``errors="strict"``)
         self.skipped = 0
 
-    def _blocks(self):
-        """Yield ``(records, counts)`` for each read block of the archive.
+    def _damage(self, message: str, records: int) -> None:
+        """Raise on damage (strict), or count what it costs (skip)."""
+        if self.errors != "skip":
+            raise TraceFormatError(message)
+        self.skipped += records
 
-        ``records`` are the decoded records of the block's whole
-        datagrams, ``counts`` how many of them each datagram kept.  A
-        datagram cut off by the end of a block waits, with its header,
-        for the next one.  Damage ends the walk: the good datagrams
-        before it are yielded, then the error is raised (strict) or
-        counted and the pass stops (skip).
+    def _datagrams(self):
+        """Yield each read block's good datagrams as ``(buf, origin, pos, counts)``.
+
+        Datagram ``i`` starts at ``buf[pos[i]]`` (file byte ``origin +
+        pos[i]``) and holds ``counts[i]`` records; both are int64
+        arrays.  A datagram cut off by the end of a read block waits,
+        with its header, for the next one.  Damage ends the walk, after
+        every good datagram before it: the error is raised (strict) or
+        counted (skip).
         """
         skip = self.errors == "skip"
         header_size = NETFLOW5_HEADER.size
@@ -276,8 +298,7 @@ class NetFlow5Reader:
                 more = fh.read(block_bytes)
                 at_eof = not more
                 buf += more
-                view = memoryview(buf)
-                payloads, offsets, bases, counts = [], [], [], []
+                positions, counts = [], []
                 failure = None  # (message, records the damage costs)
                 pos = 0
                 while True:
@@ -292,17 +313,14 @@ class NetFlow5Reader:
                                 1,
                             )
                         break
-                    version, count, sys_uptime, unix_secs, unix_nsecs = (
-                        NETFLOW5_HEADER.unpack_from(buf, pos)[:5]
-                    )
-                    offset = origin + pos
+                    version, count = _VERSION_COUNT.unpack_from(buf, pos)
                     if not 1 <= count <= _MAX_READ_COUNT:
                         # the count sizes the datagram; without it the
                         # stream cannot be re-synchronised
                         failure = (
                             f"{self.path}: implausible record count {count} "
-                            f"in the datagram header at byte offset {offset} "
-                            f"(expected 1-{_MAX_READ_COUNT})",
+                            "in the datagram header at byte offset "
+                            f"{origin + pos} (expected 1-{_MAX_READ_COUNT})",
                             1,
                         )
                         break
@@ -311,7 +329,7 @@ class NetFlow5Reader:
                         if not skip:
                             failure = (
                                 f"{self.path}: bad NetFlow version {version} "
-                                f"at byte offset {offset}, expected "
+                                f"at byte offset {origin + pos}, expected "
                                 f"{NETFLOW5_VERSION}",
                                 count,
                             )
@@ -326,25 +344,23 @@ class NetFlow5Reader:
                         if at_eof:
                             failure = (
                                 f"{self.path}: truncated NetFlow v5 datagram "
-                                f"at byte offset {offset + header_size}: got "
-                                f"{left - header_size} bytes, expected "
+                                f"at byte offset {origin + pos + header_size}"
+                                f": got {left - header_size} bytes, expected "
                                 f"{size - header_size} ({count} records of "
                                 f"{NETFLOW5_RECORD_SIZE} bytes)",
                                 count,
                             )
                         break
-                    payloads.append(view[pos + header_size: pos + size])
-                    offsets.append(offset)
-                    # router anchor: wall time of SysUptime's origin
-                    bases.append(
-                        float(unix_secs)
-                        + float(unix_nsecs) * 1e-9
-                        - float(sys_uptime) / _MS
-                    )
+                    positions.append(pos)
                     counts.append(count)
                     pos += size
-                if payloads:
-                    yield from self._decode(payloads, offsets, bases, counts)
+                if positions:
+                    yield (
+                        buf,
+                        origin,
+                        np.array(positions, dtype=np.int64),
+                        np.array(counts, dtype=np.int64),
+                    )
                 if failure is not None:
                     if not skip:
                         raise TraceFormatError(failure[0])
@@ -355,61 +371,108 @@ class NetFlow5Reader:
                 buf = buf[pos:]
                 origin += pos
 
-    def _decode(self, payloads, offsets, bases, counts):
-        """Decode one read block's good datagrams as ``(records, counts)``."""
-        wire = np.frombuffer(b"".join(payloads), dtype=_RECORD_DTYPE)
-        counts = np.array(counts, dtype=np.int64)
-        anchors = np.repeat(np.array(bases, dtype=np.float64), counts)
-        block = np.empty(wire.size, dtype=FLOW_RECORD_DTYPE)
-        block["start"] = anchors + wire["first"].astype(np.float64) / _MS
-        block["end"] = anchors + wire["last"].astype(np.float64) / _MS
+    @staticmethod
+    def _convert(buf, pos, counts, out) -> None:
+        """Convert the datagrams at ``buf[pos]`` into ``out``'s columns."""
+        header_size = NETFLOW5_HEADER.size
+        view = memoryview(buf)
+        heads = np.frombuffer(
+            b"".join(view[p: p + header_size] for p in pos.tolist()),
+            dtype=_HEADER_DTYPE,
+        )
+        wire = np.frombuffer(
+            b"".join(
+                view[p + header_size: p + header_size + c * NETFLOW5_RECORD_SIZE]
+                for p, c in zip(pos.tolist(), counts.tolist())
+            ),
+            dtype=_RECORD_DTYPE,
+        )
+        # router anchor: wall time of each datagram's SysUptime origin
+        anchors = np.repeat(
+            heads["unix_secs"].astype(np.float64)
+            + heads["unix_nsecs"].astype(np.float64) * 1e-9
+            - heads["sys_uptime"].astype(np.float64) / _MS,
+            counts,
+        )
+        out["start"] = anchors + wire["first"].astype(np.float64) / _MS
+        out["end"] = anchors + wire["last"].astype(np.float64) / _MS
         for wire_name, name in _WIRE_FIELDS:
-            block[name] = wire[wire_name]
+            if name in out.dtype.names:
+                out[name] = wire[wire_name]
+
+    def _decode(self, pending, dtype):
+        """Decode the pending datagrams into one block of ``dtype``.
+
+        ``pending`` holds ``_datagrams`` items, or slices of them.  The
+        list is emptied first, so the raw blocks it holds are freed
+        before the decoded block is used and a failed decode is not
+        retried.  Each read block's datagrams are joined and converted
+        together, so at most one read block of wire records is held
+        besides the raw blocks and the decoded one.
+        """
+        pieces = pending[:]
+        pending.clear()
+        sizes = [int(counts.sum()) for *_, counts in pieces]
+        block = np.empty(sum(sizes), dtype=dtype)
+        lo = 0
+        for (buf, _origin, pos, counts), size in zip(pieces, sizes):
+            self._convert(buf, pos, counts, block[lo: lo + size])
+            lo += size
         bad = block["end"] < block["start"]
         if not bool(np.any(bad)):
-            yield block, counts
-            return
-        ends = np.cumsum(counts)
+            return block
         if self.errors == "skip":
-            dropped = np.concatenate(([0], np.cumsum(bad)))
-            dropped = dropped[ends] - dropped[ends - counts]
-            self.skipped += int(dropped.sum())
-            yield block[~bad], counts - dropped
-            return
+            self.skipped += int(np.count_nonzero(bad))
+            return block[~bad]
         index = int(np.argmax(bad))
+        for (_buf, origin, pos, counts), size in zip(pieces, sizes):
+            if index < size:
+                break
+            index -= size
+        ends = np.cumsum(counts)
         datagram = int(np.searchsorted(ends, index, side="right"))
-        lo = int(ends[datagram] - counts[datagram])
-        if datagram:
-            yield block[:lo], counts[:datagram]
+        record = index - int(ends[datagram] - counts[datagram])
         raise TraceFormatError(
-            f"{self.path}: record {index - lo} of the datagram at "
-            f"byte offset {offsets[datagram]} ends before it starts "
+            f"{self.path}: record {record} of the datagram at byte offset "
+            f"{origin + int(pos[datagram])} ends before it starts "
             "(Last < First)"
         )
 
-    def record_chunks(self):
-        """Yield decoded :data:`FLOW_RECORD_DTYPE` blocks (~``chunk``)."""
+    def record_chunks(self, scan: bool = False):
+        """Yield decoded blocks of about ``chunk`` records.
+
+        Blocks hold whole :data:`FLOW_RECORD_DTYPE` records, or with
+        ``scan=True`` only the :data:`SCAN_RECORD_DTYPE` columns.
+        """
         self.skipped = 0
-        pending: list[np.ndarray] = []
-        pending_size = 0
-        for records, counts in self._blocks():
-            # cut at each datagram boundary where pending reaches chunk
-            ends = np.cumsum(counts)
-            lo = 0
-            need = self.chunk - pending_size
-            while True:
-                datagram = int(np.searchsorted(ends, lo + need))
-                if datagram == ends.size:
-                    break
-                cut = int(ends[datagram])
-                pending.append(records[lo:cut])
-                yield np.concatenate(pending)
-                pending, pending_size = [], 0
-                lo, need = cut, self.chunk
-            if lo < records.size:
-                pending.append(records[lo:])
-                pending_size += records.size - lo
+        dtype = SCAN_RECORD_DTYPE if scan else FLOW_RECORD_DTYPE
+        pending, held = [], 0
+        try:
+            for buf, origin, pos, counts in self._datagrams():
+                # cut at each datagram where the block reaches chunk
+                ends = np.cumsum(counts)
+                lo = 0
+                while True:
+                    base = int(ends[lo - 1]) if lo else 0
+                    cut = int(np.searchsorted(ends, base + self.chunk - held))
+                    if cut == ends.size:
+                        pending.append((buf, origin, pos[lo:], counts[lo:]))
+                        held += int(ends[-1]) - base
+                        break
+                    pending.append(
+                        (buf, origin, pos[lo: cut + 1], counts[lo: cut + 1])
+                    )
+                    held = 0
+                    yield self._decode(pending, dtype)
+                    lo = cut + 1
+                    if lo == ends.size:
+                        break
+        except TraceFormatError:
+            # a bad record before the damage is the archive's first error
+            if pending:
+                self._decode(pending, dtype)
+            raise
         if pending:
-            yield np.concatenate(pending)
+            yield self._decode(pending, dtype)
 
     __iter__ = record_chunks

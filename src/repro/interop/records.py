@@ -15,12 +15,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import ParameterError, TraceFormatError
+from ..flows.keys import packed_key_order
 from ..flows.records import FlowSet
 
 __all__ = [
     "FLOW_RECORD_DTYPE",
+    "SCAN_RECORD_DTYPE",
     "check_exportable",
     "flow_records_from_flowset",
+    "start_order",
 ]
 
 #: One exported flow record: decoded timestamps are float64 seconds on
@@ -40,6 +43,33 @@ FLOW_RECORD_DTYPE = np.dtype(
     ]
 )
 
+#: The columns a clock-range scan reads (``scan_record_chunks``): a
+#: reader's ``record_chunks(scan=True)`` converts only these.
+SCAN_RECORD_DTYPE = np.dtype(
+    [(name, FLOW_RECORD_DTYPE[name]) for name in ("start", "end", "packets", "octets")]
+)
+
+_SIGN = np.uint64(1 << 63)
+_INF_BITS = np.uint64(0x7FF0000000000000)
+
+
+def start_order(starts) -> np.ndarray:
+    """``np.argsort(starts, kind="stable")``, computed by radix.
+
+    Each float64's bits map to a uint64 whose unsigned order is the
+    float order (positive: set the sign bit; negative: flip every bit),
+    with ``-0.0`` keyed as ``+0.0`` and every NaN as the largest key, so
+    ties, signed zeros, infinities and NaNs all land where the stable
+    argsort puts them.  Only integer operations touch the values, so
+    no NaN raises a floating-point warning.  The keys then go through the
+    flow exporter's LSD radix, :func:`~repro.flows.keys.packed_key_order`.
+    """
+    bits = np.asarray(starts, dtype=np.float64).view(np.uint64)
+    key = np.where(bits & _SIGN, ~bits, bits | _SIGN)
+    key[bits == _SIGN] = _SIGN  # -0.0 ties with +0.0
+    key[(bits & ~_SIGN) > _INF_BITS] = np.iinfo(np.uint64).max  # NaN
+    return packed_key_order(key, np.zeros(key.size, dtype=np.uint64))
+
 
 def flow_records_from_flowset(flows: FlowSet) -> np.ndarray:
     """A :data:`FLOW_RECORD_DTYPE` array of the flow set, start-ordered.
@@ -54,7 +84,7 @@ def flow_records_from_flowset(flows: FlowSet) -> np.ndarray:
             f"key_kind={flows.key_kind!r} (prefix aggregation is a "
             "measurement-side view, not a wire format)"
         )
-    order = np.argsort(flows.starts, kind="stable")
+    order = start_order(flows.starts)
     # gather column by column: indexing the packed record dtype copies
     # whole records field by field, several times slower
     records = np.empty(len(flows), dtype=FLOW_RECORD_DTYPE)

@@ -192,16 +192,30 @@ class LinkWorkload:
             name=self.name,
         )
 
-    def synthesize(self, seed=None) -> LinkSynthesis:
+    def synthesize(
+        self,
+        seed=None,
+        *,
+        chunk: int | None = None,
+        workers: int = 1,
+        backend: str = "thread",
+        retry=None,
+    ) -> LinkSynthesis:
         """Generate a packet trace for this workload.
 
-        Runs the default :class:`~repro.synthesis.SynthesisEngine`.  The
-        blocks of :meth:`synthesize_chunks` concatenate to the same bits
-        for any ``chunk``/``workers`` (pinned by ``tests/synthesis/``).
+        Runs a :class:`~repro.synthesis.SynthesisEngine` on the given
+        execution knobs, an :class:`~repro.execution.ExecutionSpec`'s
+        fields as in :meth:`synthesize_chunks`, so
+        ``synthesize(seed, **vars(execution))`` works.  The trace is the
+        same bits for any ``chunk``/``workers`` (pinned by
+        ``tests/synthesis/``).
         """
         from ..synthesis.engine import SynthesisEngine
 
-        return SynthesisEngine().synthesize(seed, **self._synthesis_kwargs())
+        engine = SynthesisEngine(
+            chunk=chunk, workers=workers, backend=backend, retry=retry
+        )
+        return engine.synthesize(seed, **self._synthesis_kwargs())
 
     def synthesize_chunks(
         self,

@@ -649,7 +649,9 @@ class Synthesize:
                 )
                 source = "streamed"
             else:
-                trace = context.workload.synthesize(seed=spec.seed).trace
+                trace = context.workload.synthesize(
+                    seed=spec.seed, **vars(spec.synthesis.execution)
+                ).trace
                 source = "synthesized"
         if spec.anomaly is not None:
             trace = _apply_anomaly(trace, spec)
@@ -896,6 +898,7 @@ class Calibrate:
                 tail_rtol=section.tail_rtol,
                 cov_atol=section.cov_atol,
                 source_rate_cov=source_cov,
+                execution=section.execution,
             )
         context.calibration = CalibrationResult(
             report=report, closed_loop=closed, powers=tuple(powers)

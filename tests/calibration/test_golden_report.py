@@ -1,11 +1,12 @@
-"""Golden CalibrationReport from a small NetFlow v5 archive.
+"""Golden CalibrationReports from a small NetFlow v5 and IPFIX archive.
 
-The archive is generated deterministically (fixed seed, fixed record
-layout), calibrated with a fixed seed, and the resulting report is
-compared field-for-field against the committed fixture.  Any change to
-the accumulator binning, the fitters, the selection rule or the report
-schema shows up here as a diff against
-``tests/calibration/golden_report.json``.
+The records are generated deterministically (fixed seed, fixed record
+layout), written in both formats, calibrated with a fixed seed, and
+each resulting report is compared field-for-field against its committed
+fixture.  Any change to the accumulator binning, the fitters, the
+selection rule, the report schema or either format's decode path shows
+up here as a diff against ``tests/calibration/golden_report.json``
+(NetFlow v5) or ``tests/calibration/golden_report_ipfix.json``.
 
 Regenerate (after an *intentional* change) with::
 
@@ -22,9 +23,23 @@ import numpy as np
 import pytest
 
 from repro.calibration import calibrate_archive
-from repro.interop import FLOW_RECORD_DTYPE, write_netflow5
+from repro.interop import FLOW_RECORD_DTYPE, write_ipfix, write_netflow5
 
 GOLDEN = Path(__file__).with_name("golden_report.json")
+GOLDEN_IPFIX = Path(__file__).with_name("golden_report_ipfix.json")
+
+#: format -> (writer, archive name, golden fixture)
+ARCHIVES = {
+    "netflow5": (write_netflow5, "golden.nf5", GOLDEN),
+    "ipfix": (write_ipfix, "golden.ipfix", GOLDEN_IPFIX),
+}
+
+
+def golden_archive(tmp_path, fmt):
+    writer, name, _ = ARCHIVES[fmt]
+    archive = tmp_path / name
+    writer(golden_records(), archive)
+    return archive
 
 
 def golden_records(n=800, seed=42):
@@ -68,34 +83,42 @@ def assert_json_equal(actual, expected, path="report"):
         assert actual == expected, f"{path}: {actual!r} != {expected!r}"
 
 
-def test_golden_netflow5_calibration(tmp_path):
-    archive = tmp_path / "golden.nf5"
-    write_netflow5(golden_records(), archive)
+def check_golden(tmp_path, fmt):
+    archive = golden_archive(tmp_path, fmt)
     report = calibrate_archive(archive, seed=0)
     payload = report.to_dict()
-    payload["source"] = "golden.nf5"  # drop the tmp_path prefix
+    payload["source"] = archive.name  # drop the tmp_path prefix
 
+    golden = ARCHIVES[fmt][2]
     if os.environ.get("REPRO_REGEN_GOLDEN"):
-        GOLDEN.write_text(json.dumps(payload, indent=2) + "\n")
-        pytest.skip(f"regenerated {GOLDEN}")
+        golden.write_text(json.dumps(payload, indent=2) + "\n")
+        pytest.skip(f"regenerated {golden}")
 
-    expected = json.loads(GOLDEN.read_text())
+    expected = json.loads(golden.read_text())
     assert_json_equal(payload, expected)
 
 
+def test_golden_netflow5_calibration(tmp_path):
+    check_golden(tmp_path, "netflow5")
+
+
+def test_golden_ipfix_calibration(tmp_path):
+    check_golden(tmp_path, "ipfix")
+
+
 def test_golden_is_chunk_and_backend_invariant(tmp_path):
-    archive = tmp_path / "golden.nf5"
-    write_netflow5(golden_records(), archive)
-    reference = calibrate_archive(archive, seed=0).to_dict()
-    for chunk, workers, backend in (
-        (64, 1, "serial"), (100, 4, "thread"), (200, 2, "process"),
-    ):
-        other = calibrate_archive(
-            archive, seed=0, chunk=chunk, workers=workers, backend=backend
-        ).to_dict()
-        for skip in ("backend", "workers"):
-            reference.pop(skip, None), other.pop(skip, None)
-        assert other == reference
+    for fmt in ARCHIVES:
+        archive = golden_archive(tmp_path, fmt)
+        reference = calibrate_archive(archive, seed=0).to_dict()
+        for chunk, workers, backend in (
+            (64, 1, "serial"), (100, 4, "thread"), (200, 2, "process"),
+        ):
+            other = calibrate_archive(
+                archive, seed=0, chunk=chunk, workers=workers, backend=backend
+            ).to_dict()
+            for skip in ("backend", "workers"):
+                reference.pop(skip, None), other.pop(skip, None)
+            assert other == reference, fmt
 
 
 def test_streamed_archive_forks_one_pool(tmp_path, monkeypatch):

@@ -10,10 +10,15 @@ section's workers, backend and the very same ``RetryPolicy`` object.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.__main__ import main
 from repro.execution import ExecutionSpec, RetryPolicy, make_pool
+from repro.interop import write_netflow5
 from repro.pipeline import (
+    AnomalySpec,
     CalibrationSpec,
     DemandSpec,
     MeasurementSpec,
@@ -25,6 +30,8 @@ from repro.pipeline import (
     WorkloadSpec,
     run_scenario,
 )
+
+from ..calibration.test_golden_report import golden_records
 
 #: Engine modules that open pools, by the spec section that drives them.
 POOL_MODULES = {
@@ -120,3 +127,51 @@ def test_every_pool_gets_the_section_execution(section, opened):
         assert (backend, workers) == ("thread", 2), module
         assert retry is POLICY, module
 
+
+
+def _synthesis_pools(calls) -> list:
+    return [call[1:] for call in calls if call[0] == POOL_MODULES["synthesis"]]
+
+
+def test_anomaly_synthesis_gets_the_section_execution(opened):
+    # an anomaly run synthesises in memory before injecting the anomaly
+    anomaly = AnomalySpec(kind="flood", start=2.0, duration=3.0)
+    spec = _link_spec(
+        synthesis=SynthesisSpec(execution=EXECUTION), anomaly=anomaly
+    )
+    result = run_scenario(spec)
+    assert _synthesis_pools(opened) == [("thread", 2, POLICY)]
+    default = run_scenario(_link_spec(anomaly=anomaly))
+    assert result.trace.packets.tobytes() == default.trace.packets.tobytes()
+
+
+def test_closed_loop_synthesis_gets_the_calibration_execution(opened):
+    calibration = CalibrationSpec(
+        families=("lognormal",), restarts=1, validate=True,
+        validate_duration=5.0,
+    )
+    spec = _link_spec(
+        calibration=dataclasses.replace(calibration, execution=EXECUTION)
+    )
+    result = run_scenario(spec)
+    # the Synthesize stage's default section, then the closed loop's
+    assert _synthesis_pools(opened) == [
+        ("thread", 1, None), ("thread", 2, POLICY),
+    ]
+    default = run_scenario(_link_spec(calibration=calibration))
+    assert (
+        result.calibration.closed_loop.to_dict()
+        == default.calibration.closed_loop.to_dict()
+    )
+
+
+def test_cli_closed_loop_gets_the_calibrate_flags(opened, tmp_path, capsys):
+    archive = tmp_path / "golden.nf5"
+    write_netflow5(golden_records(), archive)
+    code = main([
+        "calibrate", str(archive), "--validate", "--validate-duration", "5",
+        "--workers", "2", "--backend", "thread",
+    ])
+    # the verdict (exit 0 pass, 3 fail) is not under test, only the pool
+    assert code in (0, 3), capsys.readouterr().err
+    assert _synthesis_pools(opened) == [("thread", 2, None)]
