@@ -49,55 +49,14 @@ network
     routing moment sums of sections VI-A/VII-A.
 baselines
     Related-work comparison models ([3] M/G/infinity, ON/OFF, Poisson pkt).
+
+Subpackages and the re-exported names load on first access (PEP 562), so
+``import repro`` costs only what a command goes on to use; the
+exceptions are imported eagerly.
 """
 
-from . import (
-    applications,
-    baselines,
-    core,
-    experiments,
-    flows,
-    generation,
-    measurement,
-    netsim,
-    network,
-    pipeline,
-    prediction,
-    stats,
-    synthesis,
-    trace,
-)
-from .core import (
-    EmpiricalEnsemble,
-    FlowStatistics,
-    GaussianApproximation,
-    GenericShot,
-    MGInfinityModel,
-    MonteCarloEnsemble,
-    ParabolicShot,
-    PoissonShotNoiseModel,
-    PowerFit,
-    PowerShot,
-    RectangularShot,
-    SizeRateEnsemble,
-    SuperposedModel,
-    ThreeParameterModel,
-    TriangularShot,
-    fit_power_averaged,
-    fit_power_from_cov,
-    fit_power_from_variance,
-    normal_quantile,
-    solve_power,
-    variance_shape_factor,
-)
-from .pipeline import (
-    ScenarioRegistry,
-    ScenarioResult,
-    ScenarioSpec,
-    default_registry,
-    run_scenario,
-    run_scenarios,
-)
+import importlib
+
 from .exceptions import (
     FittingError,
     FlowExportError,
@@ -166,3 +125,51 @@ __all__ = [
     "PredictionError",
     "TopologyError",
 ]
+
+#: Submodules loaded on first attribute access: every subpackage, and
+#: the top-level modules an eager ``import repro`` made reachable.
+_SUBMODULES = frozenset({
+    "applications", "baselines", "calibration", "checkpoint", "core",
+    "execution", "experiments", "faults", "flows", "generation",
+    "interop", "kernels", "measurement", "netsim", "network", "pipeline",
+    "prediction", "stats", "sweep", "synthesis", "trace",
+})
+
+#: The re-exported names, by the subpackage that defines them.
+_REEXPORTS = {
+    **dict.fromkeys(
+        (
+            "ScenarioSpec", "ScenarioResult", "ScenarioRegistry",
+            "default_registry", "run_scenario", "run_scenarios",
+        ),
+        "pipeline",
+    ),
+    **dict.fromkeys(
+        (
+            "PoissonShotNoiseModel", "ThreeParameterModel",
+            "SuperposedModel", "FlowStatistics", "GaussianApproximation",
+            "MGInfinityModel", "EmpiricalEnsemble", "MonteCarloEnsemble",
+            "SizeRateEnsemble", "PowerShot", "RectangularShot",
+            "TriangularShot", "ParabolicShot", "GenericShot", "PowerFit",
+            "variance_shape_factor", "solve_power",
+            "fit_power_from_variance", "fit_power_from_cov",
+            "fit_power_averaged", "normal_quantile",
+        ),
+        "core",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _REEXPORTS:
+        module = importlib.import_module(f"{__name__}.{_REEXPORTS[name]}")
+        value = getattr(module, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SUBMODULES | set(_REEXPORTS))

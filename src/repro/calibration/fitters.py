@@ -27,7 +27,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ..exceptions import FittingError, ParameterError
 from ..netsim.sizes import (
@@ -168,6 +167,8 @@ def _fit_exponential(acc: CalibrationAccumulator) -> dict:
 
 def _fit_pareto(acc: CalibrationAccumulator) -> dict:
     """Bounded-Pareto shape by 1-D grouped-likelihood maximisation."""
+    from scipy.optimize import minimize_scalar  # on first use
+
     lo = max(acc.min_size, 1.0)
     hi = max(acc.max_size, lo * (1.0 + 1e-9))
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .._util import check_nonnegative, check_positive
 from ..exceptions import FittingError
@@ -175,5 +174,7 @@ def fit_power_averaged(
     gap_high = gap(b_max)
     if gap_high <= 0.0:
         return PowerFit(power=b_max, kappa=kappa, clipped=True)
-    power = float(optimize.brentq(gap, 0.0, b_max, xtol=1e-4))
+    from scipy.optimize import brentq  # on first use
+
+    power = float(brentq(gap, 0.0, b_max, xtol=1e-4))
     return PowerFit(power=power, kappa=kappa, clipped=False)

@@ -23,7 +23,6 @@ large-deviations route the paper cites ([23]).
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from .._util import check_positive, leggauss_nodes
 from ..exceptions import ModelError, ParameterError
@@ -294,7 +293,9 @@ def chernoff_tail_bound(
         ).real
         return psi - t * level
 
-    result = optimize.minimize_scalar(
+    from scipy.optimize import minimize_scalar  # on first use
+
+    result = minimize_scalar(
         negative_exponent, bounds=(1e-12, t_max), method="bounded"
     )
     return float(min(1.0, np.exp(result.fun)))

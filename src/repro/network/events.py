@@ -136,7 +136,6 @@ def routing_timeline(
     ]
     timeline: list[list[RouteSegment]] = [[] for _ in demands.demands]
     points = _breakpoints(outages, float(duration))
-    reduced_cache: dict[frozenset, Topology] = {}
     for t0, t1 in zip(points[:-1], points[1:]):
         if t1 <= t0:
             continue
@@ -151,9 +150,7 @@ def routing_timeline(
             for segments, routed in zip(timeline, baseline):
                 segments.append(RouteSegment(t0, t1, routed))
             continue
-        if failed not in reduced_cache:
-            reduced_cache[failed] = topology.without_links(failed)
-        reduced = reduced_cache[failed]
+        reduced = topology.without_links(failed)  # memoised per set
         for segments, routed, demand in zip(
             timeline, baseline, demands.demands
         ):

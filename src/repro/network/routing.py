@@ -22,10 +22,11 @@ Strategies:
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from ..exceptions import ParameterError, TopologyError
@@ -123,22 +124,143 @@ def _no_route(source: str, sink: str) -> TopologyError:
     return TopologyError(f"no route from {source!r} to {sink!r}")
 
 
-class ShortestPathRouting(RoutingStrategy):
+def _equal_cost_preds(topology: Topology, source: str) -> dict:
+    """Single-source Dijkstra over the link ``weight``s.
+
+    Maps every router reachable from ``source`` to the list of its
+    predecessors on equal-cost shortest paths (exact float ties, found
+    in networkx's ``all_shortest_paths`` order: heap entries
+    ``(dist, counter, node)``, neighbours relaxed in adjacency order).
+    An unknown ``source`` reaches nothing.
+    """
+    if not topology.has_router(source):
+        return {}
+    done: dict[str, float] = {}
+    seen = {source: 0.0}
+    preds: dict[str, list[str]] = {source: []}
+    counter = itertools.count()
+    heap = [(0.0, next(counter), source)]
+    while heap:
+        dist, _, v = heapq.heappop(heap)
+        if v in done:
+            continue
+        done[v] = dist
+        for u, data in topology.successors(v).items():
+            through = dist + data["weight"]
+            if u in done:
+                if through == done[u]:
+                    preds[u].append(v)
+            elif u not in seen or through < seen[u]:
+                seen[u] = through
+                heapq.heappush(heap, (through, next(counter), u))
+                preds[u] = [v]
+            elif through == seen[u]:
+                preds[u].append(v)
+    return preds
+
+
+def _all_paths(preds, source: str, node: str) -> list[tuple[str, ...]]:
+    """Every equal-cost shortest path from ``source`` to ``node``."""
+    if node == source:
+        return [(source,)]
+    return [
+        path + (node,)
+        for pred in preds[node]
+        for path in _all_paths(preds, source, pred)
+    ]
+
+
+def _bidirectional_path(topology: Topology, source: str, sink: str):
+    """The one shortest path networkx's ``shortest_path`` picks, or None.
+
+    For a single pair networkx runs a bidirectional Dijkstra, and its
+    tie-break is reproduced here: the forward (successor) and backward
+    (predecessor) searches alternate one heap pop each, heap entries are
+    ``(dist, counter, node)`` with one counter for both, neighbours are
+    relaxed in adjacency order, a node's parent changes only on a strict
+    improvement, and the meeting node changes only when it strictly
+    shortens the best total.  The search ends when a node is settled
+    from both sides.
+    """
+    if not (topology.has_router(source) and topology.has_router(sink)):
+        return None
+    if source == sink:
+        return (source,)
+    neighbours = (topology.successors, topology.predecessors)
+    done: tuple[dict, dict] = ({}, {})
+    seen = ({source: 0.0}, {sink: 0.0})
+    parent = ({source: None}, {sink: None})
+    counter = itertools.count()
+    fringe = ([(0.0, next(counter), source)], [(0.0, next(counter), sink)])
+    best = meet = None
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        dist, _, v = heapq.heappop(fringe[direction])
+        if v in done[direction]:
+            continue
+        done[direction][v] = dist
+        if v in done[1 - direction]:
+            forward, backward = [], []
+            node = meet
+            while node is not None:
+                forward.append(node)
+                node = parent[0][node]
+            node = parent[1][meet]
+            while node is not None:
+                backward.append(node)
+                node = parent[1][node]
+            return tuple(reversed(forward)) + tuple(backward)
+        for w, data in neighbours[direction](v).items():
+            through = dist + data["weight"]
+            if w in done[direction]:
+                continue
+            if w not in seen[direction] or through < seen[direction][w]:
+                seen[direction][w] = through
+                heapq.heappush(fringe[direction], (through, next(counter), w))
+                parent[direction][w] = v
+                if w in seen[1 - direction]:
+                    total = through + seen[1 - direction][w]
+                    if best is None or total < best:
+                        best, meet = total, w
+    return None
+
+
+class _MemoisedRouting(RoutingStrategy):
+    """A strategy computed from the topology alone, memoised on it.
+
+    Routes are memoised per (strategy type, source, sink), unroutable
+    pairs included; mutating the topology clears them.
+    """
+
+    def route(self, topology: Topology, source: str, sink: str) -> RoutedPaths:
+        key = (type(self), str(source), str(sink))
+        if key not in topology._routes:
+            topology._routes[key] = self._compute(topology, key[1], key[2])
+        routed = topology._routes[key]
+        if routed is None:
+            raise _no_route(source, sink)
+        return routed
+
+    @abstractmethod
+    def _compute(
+        self, topology: Topology, source: str, sink: str
+    ) -> RoutedPaths | None: ...
+
+
+class ShortestPathRouting(_MemoisedRouting):
     """Single IGP shortest path by the ``weight`` link attribute."""
 
     name = "shortest_path"
 
-    def route(self, topology: Topology, source: str, sink: str) -> RoutedPaths:
-        try:
-            path = nx.shortest_path(
-                topology.graph, str(source), str(sink), weight="weight"
-            )
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise _no_route(source, sink) from exc
-        return RoutedPaths(paths=(tuple(path),), weights=(1.0,))
+    def _compute(self, topology, source, sink):
+        path = _bidirectional_path(topology, source, sink)
+        if path is None:
+            return None
+        return RoutedPaths(paths=(path,), weights=(1.0,))
 
 
-class ECMPRouting(RoutingStrategy):
+class ECMPRouting(_MemoisedRouting):
     """All equal-cost shortest paths, flows split equally by hash.
 
     Paths are sorted lexicographically so the path order — and therefore
@@ -148,19 +270,12 @@ class ECMPRouting(RoutingStrategy):
 
     name = "ecmp"
 
-    def route(self, topology: Topology, source: str, sink: str) -> RoutedPaths:
-        try:
-            paths = sorted(
-                tuple(p)
-                for p in nx.all_shortest_paths(
-                    topology.graph, str(source), str(sink), weight="weight"
-                )
-            )
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise _no_route(source, sink) from exc
-        return RoutedPaths(
-            paths=tuple(paths), weights=(1.0,) * len(paths)
-        )
+    def _compute(self, topology, source, sink):
+        preds = _equal_cost_preds(topology, source)
+        if sink not in preds:
+            return None
+        paths = sorted(_all_paths(preds, source, sink))
+        return RoutedPaths(paths=tuple(paths), weights=(1.0,) * len(paths))
 
 
 class StaticRouting(RoutingStrategy):

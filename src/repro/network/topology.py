@@ -21,8 +21,6 @@ use:
 
 from __future__ import annotations
 
-import networkx as nx
-
 from .._util import check_positive
 from ..exceptions import ParameterError, TopologyError
 
@@ -30,25 +28,55 @@ __all__ = ["Topology", "abilene", "parallel_paths", "line"]
 
 
 class Topology:
-    """A backbone graph: routers plus capacity/weight-annotated links."""
+    """A backbone graph: routers plus capacity/weight-annotated links.
+
+    The adjacency is a dict of dicts in router-insertion order:
+    ``_adjacency[a][b]`` holds the ``capacity_bps`` and ``weight`` of the
+    directed link ``a -> b``, and ``_predecessors[b][a]`` is the same
+    dict, in the order the links into ``b`` were first declared.
+    Re-declaring a link updates its data in place and keeps its
+    position.
+
+    A topology memoises what is derived from it: the reduced topologies
+    of :meth:`without_links` (per expanded failed-link set) and each
+    routing strategy's paths (per strategy type, source and sink, see
+    :mod:`repro.network.routing`).  :meth:`add_router` and
+    :meth:`add_link` clear both, so treat a memoised reduced topology as
+    read-only.
+    """
 
     def __init__(self) -> None:
-        self.graph = nx.DiGraph()
+        self._adjacency: dict[str, dict[str, dict[str, float]]] = {}
+        self._predecessors: dict[str, dict[str, dict[str, float]]] = {}
         #: Physical fibres: maps each directed link to its reverse twin
         #: when the link was declared bidirectional (shared-fate outages).
         self._twins: dict[tuple[str, str], tuple[str, str]] = {}
+        self._reduced: dict[frozenset, Topology] = {}
+        self._routes: dict[tuple, object] = {}
 
     def __repr__(self) -> str:
-        return (
-            f"Topology(routers={self.graph.number_of_nodes()}, "
-            f"links={self.graph.number_of_edges()})"
-        )
+        return f"Topology(routers={len(self._adjacency)}, links={self.n_links})"
 
     # -- construction ------------------------------------------------------
 
+    def _changed(self) -> None:
+        self._reduced.clear()
+        self._routes.clear()
+
     def add_router(self, name: str) -> None:
         """Add a node (idempotent)."""
-        self.graph.add_node(str(name))
+        self._put_router(str(name))
+        self._changed()
+
+    def _put_router(self, name: str) -> None:
+        self._adjacency.setdefault(name, {})
+        self._predecessors.setdefault(name, {})
+
+    def _put_link(self, a: str, b: str, capacity_bps: float, weight: float):
+        self._put_router(a)
+        self._put_router(b)
+        data = {"capacity_bps": capacity_bps, "weight": weight}
+        self._adjacency[a][b] = self._predecessors[b][a] = data
 
     def add_link(
         self,
@@ -65,51 +93,54 @@ class Topology:
         a, b = str(a), str(b)
         if a == b:
             raise TopologyError(f"link endpoints must differ, got {a!r}")
-        self.graph.add_edge(a, b, capacity_bps=capacity_bps, weight=weight)
+        self._put_link(a, b, capacity_bps, weight)
         if bidirectional:
-            self.graph.add_edge(b, a, capacity_bps=capacity_bps, weight=weight)
+            self._put_link(b, a, capacity_bps, weight)
             self._twins[(a, b)] = (b, a)
             self._twins[(b, a)] = (a, b)
-
-    @classmethod
-    def from_graph(cls, graph: nx.DiGraph) -> "Topology":
-        """Wrap an existing annotated DiGraph (no copy; shared fate only
-        where both directions exist)."""
-        topo = cls.__new__(cls)
-        topo.graph = graph
-        topo._twins = {
-            (a, b): (b, a) for a, b in graph.edges() if graph.has_edge(b, a)
-        }
-        return topo
+        self._changed()
 
     # -- queries -----------------------------------------------------------
 
     @property
     def routers(self) -> list[str]:
-        return list(self.graph.nodes())
+        return list(self._adjacency)
 
     @property
     def links(self) -> list[tuple[str, str]]:
-        """All directed links, in insertion order."""
-        return list(self.graph.edges())
+        """All directed links, node-major: every link out of the first
+        router (in link-insertion order), then every link out of the
+        second, and so on, routers in insertion order."""
+        return [(a, b) for a, out in self._adjacency.items() for b in out]
 
     @property
     def n_links(self) -> int:
-        return self.graph.number_of_edges()
+        return sum(len(out) for out in self._adjacency.values())
 
     def has_router(self, name: str) -> bool:
-        return str(name) in self.graph
+        return str(name) in self._adjacency
 
     def has_link(self, a: str, b: str) -> bool:
-        return self.graph.has_edge(str(a), str(b))
+        return str(b) in self._adjacency.get(str(a), {})
+
+    def successors(self, name: str) -> dict[str, dict[str, float]]:
+        """The links out of ``name``: ``{b: {"capacity_bps", "weight"}}``
+        in link-insertion order (read-only view; empty for an unknown
+        router)."""
+        return self._adjacency.get(str(name), {})
+
+    def predecessors(self, name: str) -> dict[str, dict[str, float]]:
+        """The links into ``name``: ``{a: {"capacity_bps", "weight"}}``
+        in the order they were first declared (read-only view)."""
+        return self._predecessors.get(str(name), {})
 
     def capacity_bps(self, a: str, b: str) -> float:
         self._require_link(a, b)
-        return float(self.graph.edges[(str(a), str(b))]["capacity_bps"])
+        return float(self._adjacency[str(a)][str(b)]["capacity_bps"])
 
     def weight(self, a: str, b: str) -> float:
         self._require_link(a, b)
-        return float(self.graph.edges[(str(a), str(b))]["weight"])
+        return float(self._adjacency[str(a)][str(b)]["weight"])
 
     def fate_group(self, a: str, b: str) -> tuple[tuple[str, str], ...]:
         """The directed links sharing the physical fibre of ``(a, b)``.
@@ -127,35 +158,38 @@ class Topology:
 
         ``failed`` is an iterable of ``(a, b)`` pairs; each is expanded
         to its shared-fate group, so failing one direction of a
-        bidirectional fibre fails both.
+        bidirectional fibre fails both.  The copy is memoised per
+        expanded set: every caller failing the same fibres gets the same
+        (read-only) instance, with its routes memoised on it.
         """
-        removed: set[tuple[str, str]] = set()
-        for a, b in failed:
-            removed.update(self.fate_group(a, b))
-        reduced = Topology()
-        reduced.graph.add_nodes_from(self.graph.nodes())
-        for a, b in self.graph.edges():
-            if (a, b) in removed:
-                continue
-            data = self.graph.edges[(a, b)]
-            reduced.graph.add_edge(
-                a, b,
-                capacity_bps=data["capacity_bps"],
-                weight=data["weight"],
-            )
-        reduced._twins = {
-            link: twin
-            for link, twin in self._twins.items()
-            if link not in removed and twin not in removed
-        }
+        removed = frozenset(
+            link for a, b in failed for link in self.fate_group(a, b)
+        )
+        reduced = self._reduced.get(removed)
+        if reduced is None:
+            reduced = Topology()
+            for name in self._adjacency:
+                reduced._put_router(name)
+            for a, b in self.links:
+                if (a, b) not in removed:
+                    data = self._adjacency[a][b]
+                    reduced._put_link(
+                        a, b, data["capacity_bps"], data["weight"]
+                    )
+            reduced._twins = {
+                link: twin
+                for link, twin in self._twins.items()
+                if link not in removed and twin not in removed
+            }
+            self._reduced[removed] = reduced
         return reduced
 
     def _require_link(self, a: str, b: str) -> None:
-        if not self.graph.has_edge(str(a), str(b)):
+        if not self.has_link(a, b):
             raise TopologyError(f"no link {a!r} -> {b!r} in the topology")
 
     def require_router(self, name: str) -> None:
-        if str(name) not in self.graph:
+        if str(name) not in self._adjacency:
             raise TopologyError(f"unknown router {name!r}")
 
     # -- serialization -----------------------------------------------------
@@ -168,10 +202,10 @@ class Topology:
         """
         links = []
         seen: set[tuple[str, str]] = set()
-        for a, b in self.graph.edges():
+        for a, b in self.links:
             if (a, b) in seen:
                 continue
-            data = self.graph.edges[(a, b)]
+            data = self._adjacency[a][b]
             twin = self._twins.get((a, b))
             entry = {
                 "a": a,
@@ -185,7 +219,7 @@ class Topology:
                 seen.add(twin)
             links.append(entry)
             seen.add((a, b))
-        return {"routers": list(self.graph.nodes()), "links": links}
+        return {"routers": self.routers, "links": links}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Topology":
@@ -205,7 +239,7 @@ class Topology:
                 raise ParameterError(
                     f"topology link entry {entry!r} is missing key {exc}"
                 ) from None
-        if not topo.graph.number_of_edges():
+        if not topo.n_links:
             raise ParameterError("topology must declare at least one link")
         return topo
 

@@ -216,8 +216,13 @@ def run_sweep(spec, *, checkpoint_dir=None, resume=False) -> SweepResult:
         else [to_simulate] if to_simulate else []
     )
     for batch in passes:
+        # every cell shares the base topology, whose memoised reduced
+        # topologies and routes the prefilter has already computed
         runs = engine.simulate_many(
-            [SimulateNetwork.network_run(cell.spec) for cell in batch],
+            [
+                replace(SimulateNetwork.network_run(cell.spec), topology=topology)
+                for cell in batch
+            ],
             shared=shared,
             **SimulateNetwork.knobs(spec),
         )

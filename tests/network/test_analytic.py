@@ -51,9 +51,11 @@ class TestRouting:
         assert loaded_links(topology, demands) == {("A", "B"), ("B", "C")}
 
     def test_weight_changes_route(self, topology):
-        topology.graph.edges[("A", "B")]["weight"] = 100.0
-        topology.graph.edges[("B", "A")]["weight"] = 100.0
         demands = [AnalyticDemand("A", "C", stats())]
+        # routed (and memoised) on the old weights first
+        assert loaded_links(topology, demands) == {("A", "B"), ("B", "C")}
+        # re-declaring the fibre updates both directions and the memo
+        topology.add_link("A", "B", capacity_bps=100e6, weight=100.0)
         assert loaded_links(topology, demands) == {("A", "D"), ("D", "C")}
 
     def test_no_route_raises(self):

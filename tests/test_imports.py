@@ -1,4 +1,10 @@
-"""What importing the package loads: ``scipy.stats`` stays off the path."""
+"""What importing the package loads.
+
+``scipy.stats``, ``scipy.optimize`` and ``networkx`` stay off the import
+path: no module of ``src/`` imports them at module level (the functions
+that need scipy import it on first use, and routing needs no networkx),
+and ``repro`` resolves its subpackages and re-exported names lazily.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -26,26 +34,41 @@ def _module_level_imports(tree: ast.AST):
             stack.append(child)
 
 
-def _imports_scipy_stats(node: ast.Import | ast.ImportFrom) -> bool:
+def _imports(node: ast.Import | ast.ImportFrom, target: str) -> bool:
+    """Whether ``node`` imports the dotted module ``target`` or below it."""
     if isinstance(node, ast.Import):
         return any(
-            a.name == "scipy.stats" or a.name.startswith("scipy.stats.")
+            a.name == target or a.name.startswith(target + ".")
             for a in node.names
         )
     module = node.module or ""
-    if module == "scipy":
-        return any(a.name == "stats" for a in node.names)
-    return module == "scipy.stats" or module.startswith("scipy.stats.")
+    parent, _, leaf = target.rpartition(".")
+    if parent and module == parent:
+        return any(a.name == leaf for a in node.names)
+    return module == target or module.startswith(target + ".")
 
 
-def test_no_module_level_scipy_stats_import():
+def _imports_scipy_stats(node: ast.Import | ast.ImportFrom) -> bool:
+    return _imports(node, "scipy.stats")
+
+
+def _offenders(target: str) -> list[str]:
     offenders = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in _module_level_imports(tree):
-            if _imports_scipy_stats(node):
+            if _imports(node, target):
                 offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
-    assert offenders == []
+    return offenders
+
+
+def test_no_module_level_scipy_stats_import():
+    assert _offenders("scipy.stats") == []
+
+
+@pytest.mark.parametrize("target", ["scipy.optimize", "networkx"])
+def test_no_module_level_optimize_or_networkx_import(target):
+    assert _offenders(target) == []
 
 
 def test_scanner_sees_module_level_forms():
@@ -63,6 +86,38 @@ def test_scanner_sees_module_level_forms():
     assert sorted(found) == [1, 2, 3, 5, 9]
 
 
+def test_scanner_sees_optimize_and_networkx_forms():
+    source = (
+        "from scipy import optimize\n"
+        "from scipy.optimize import brentq\n"
+        "import scipy.optimize._minimize\n"
+        "import networkx as nx\n"
+        "from networkx.algorithms import shortest_paths\n"
+        "def f():\n    from scipy.optimize import minimize_scalar\n"
+        "from scipy import special\n"
+        "import networkxlike\n"
+    )
+    tree = ast.parse(source)
+    found = {
+        target: sorted(
+            n.lineno for n in _module_level_imports(tree)
+            if _imports(n, target)
+        )
+        for target in ("scipy.optimize", "networkx")
+    }
+    assert found == {"scipy.optimize": [1, 2, 3], "networkx": [4, 5]}
+
+
+def _run(script: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+    )
+
+
 def test_import_and_large_ks_test_leave_scipy_stats_unloaded():
     script = (
         "import sys\n"
@@ -76,11 +131,37 @@ def test_import_and_large_ks_test_leave_scipy_stats_unloaded():
         "assert exponentiality(gaps).ks_method == 'asymptotic'\n"
         "assert 'scipy.stats' not in sys.modules, 'exponentiality'\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
-    )
+    result = _run(script)
     assert result.returncode == 0, result.stderr
+
+
+def test_import_pipeline_and_routing_leave_heavy_modules_unloaded():
+    script = (
+        "import sys\n"
+        "heavy = ('networkx', 'scipy.optimize', 'repro.experiments')\n"
+        "def loaded():\n"
+        "    return [m for m in heavy if m in sys.modules]\n"
+        "import repro\n"
+        "assert loaded() == [], ('import repro', loaded())\n"
+        "import repro.pipeline\n"
+        "assert loaded() == [], ('import repro.pipeline', loaded())\n"
+        "from repro.network import ECMPRouting, ShortestPathRouting, abilene\n"
+        "topo = abilene()\n"
+        "reduced = topo.without_links([topo.links[0]])\n"
+        "for strategy in (ECMPRouting(), ShortestPathRouting()):\n"
+        "    for sink in topo.routers[1:]:\n"
+        "        strategy.route(topo, topo.routers[0], sink)\n"
+        "        strategy.route(reduced, topo.routers[0], sink)\n"
+        "assert loaded() == [], ('routing', loaded())\n"
+    )
+    result = _run(script)
+    assert result.returncode == 0, result.stderr
+
+
+def test_every_public_name_resolves_and_is_listed():
+    listed = set(dir(repro))
+    for name in repro.__all__:
+        assert getattr(repro, name) is not None, name
+        assert name in listed, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        repro.no_such_name
