@@ -19,7 +19,7 @@ from repro.core import (
     PowerShot,
     variance_shape_factor,
 )
-from repro.generation import generate_rate_series
+from repro.generation import GenerationEngine
 
 
 def test_ablation_shot_variance_factors(benchmark):
@@ -34,7 +34,7 @@ def test_ablation_shot_variance_factors(benchmark):
         rows = []
         for b in powers:
             model = PoissonShotNoiseModel(lam, ensemble, PowerShot(b))
-            simulated = generate_rate_series(
+            simulated = GenerationEngine().rate_series(
                 lam, ensemble, PowerShot(b), duration=300.0, delta=0.05,
                 rng=int(10 * b) + 1,
             )

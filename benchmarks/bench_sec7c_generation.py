@@ -17,7 +17,7 @@ from conftest import QUICK, print_header, run_once
 
 from repro.core import PoissonShotNoiseModel, RectangularShot
 from repro.experiments import DELTA, SCALED_TIMEOUT
-from repro.generation import generate_rate_series
+from repro.generation import GenerationEngine
 from repro.measurement import MeasurementEngine
 
 #: Generated-path length; shorter in CI smoke mode (REPRO_BENCH_QUICK=1).
@@ -34,11 +34,11 @@ def test_sec7c_generation_matches_measured_statistics(benchmark, reference_trace
             flows.sizes, flows.durations, reference_trace.duration
         )
         fit = model.fit_power(measured.variance)
-        fitted = generate_rate_series(
+        fitted = GenerationEngine().rate_series(
             model.arrival_rate, model.ensemble, fit.shot,
             duration=GENERATION_DURATION, delta=DELTA, rng=1,
         )
-        naive = generate_rate_series(
+        naive = GenerationEngine().rate_series(
             model.arrival_rate, model.ensemble, RectangularShot(),
             duration=GENERATION_DURATION, delta=DELTA, rng=1,
         )

@@ -18,11 +18,7 @@ import tempfile
 from repro.core import PoissonShotNoiseModel, RectangularShot
 from repro.experiments import DELTA, SCALED_TIMEOUT
 from repro.flows import export_five_tuple_flows
-from repro.generation import (
-    GenerationEngine,
-    generate_packet_trace,
-    generate_rate_series,
-)
+from repro.generation import GenerationEngine
 from repro.measurement import MeasurementEngine
 from repro.netsim import medium_utilization_link
 from repro.trace import read_trace, write_trace
@@ -47,13 +43,13 @@ def main() -> None:
           f"CoV = {measured.coefficient_of_variation:.2%}\n")
 
     # -- fluid generation: right shot vs naive constant rate -------------
-    # chunk/workers route through the generation engine: bounded memory,
-    # parallel accumulation, same output bit-for-bit for any setting.
+    # the engine's chunk/workers bound memory and parallelise the
+    # accumulation; the output is the same bit for bit for any setting.
     for shot, label in ((fit.shot, f"fitted b={fit.power:.2f}"),
                         (RectangularShot(), "naive constant-rate")):
-        generated = generate_rate_series(
+        generated = GenerationEngine(chunk=30.0, workers=2).rate_series(
             model.arrival_rate, model.ensemble, shot,
-            duration=240.0, delta=DELTA, rng=1, chunk=30.0, workers=2,
+            duration=240.0, delta=DELTA, rng=1,
         )
         print(f"generated ({label:22s}): mean = {generated.mean / 1e3:7.1f} kB/s, "
               f"CoV = {generated.coefficient_of_variation:.2%}")
@@ -69,7 +65,7 @@ def main() -> None:
           f"({len(long_series)} bins, memory bounded by the 60 s chunk)")
 
     # -- packet-level generation + capture round trip --------------------
-    trace = generate_packet_trace(
+    trace = GenerationEngine().packet_trace(
         model.arrival_rate, model.ensemble, fit.shot,
         duration=60.0, link_capacity=real.link_capacity, rng=2,
         name="generated-for-simulator",

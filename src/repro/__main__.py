@@ -61,7 +61,7 @@ from .exceptions import (
     ReproError,
     TraceFormatError,
 )
-from .generation import GenerationEngine, generate_packet_trace
+from .generation import GenerationEngine
 from .measurement import MeasurementEngine
 from .pipeline import (
     CALIBRATION_FAMILIES,
@@ -330,13 +330,15 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    # built first: it rejects a negative or non-finite window before the fit
+    engine = GenerationEngine(chunk=args.chunk or None)
     # generate only needs the fit — stop before the Validate stage
     result = run_scenario(
         _ingest_spec(args, ExecutionSpec()), stages=INGEST_STAGES[:-1]
     )
     meta = result.ingest.meta
     fit = result.fit.power_fit
-    generated = generate_packet_trace(
+    generated = engine.packet_trace(
         result.fit.model.arrival_rate,
         result.fit.model.ensemble,
         fit.shot,
@@ -344,7 +346,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         link_capacity=meta.link_capacity,
         rng=args.seed,
         name="generated",
-        engine=GenerationEngine(chunk=args.chunk if args.chunk > 0 else None),
     )
     write_trace(generated, args.output)
     print(f"calibrated b = {fit.power:.2f}; wrote {generated} -> {args.output}")

@@ -283,11 +283,38 @@ class GenerationEngine:
     ) -> RateSeries:
         """Delta-averaged total rate of the shot-noise model.
 
+        The synthetic traffic a network simulator would be fed: each
+        flow's bytes follow the fitted shot rather than a constant rate,
+        which is what makes the generated traffic match the measured
+        second-order statistics.  Each bin holds the exact bin average,
+        so the series compares directly with a
+        :class:`~repro.stats.timeseries.RateSeries` measured with the
+        same ``delta``.
+
         Samples all flows from one RNG stream exactly like the reference
         implementation, then accumulates them with the chunked vectorized
         scatter.  The result is bit-for-bit identical to
         :func:`repro.generation.reference_rate_series` for the same seed,
         for any shot, ``chunk`` and ``workers``.
+
+        Parameters
+        ----------
+        arrival_rate:
+            Flow arrival rate ``lambda`` (flows/second).
+        ensemble:
+            Joint (size, duration) law flows are drawn from.
+        shot:
+            Rate profile applied to every flow.
+        duration:
+            Length of the generated path (seconds).
+        delta:
+            Averaging bin (seconds); the result has ``duration/delta``
+            samples.
+        warmup:
+            Extra lead-in time so the process is stationary at t=0.
+            Defaults to a high quantile of the sampled flow durations.
+        rng:
+            Seed or Generator.
         """
         arrival_rate = check_positive("arrival_rate", arrival_rate)
         duration = check_positive("duration", duration)
@@ -441,6 +468,18 @@ class GenerationEngine:
         rng=None,
     ) -> PacketTrace:
         """Generate a full synthetic packet trace (section VII-C).
+
+        Flows arrive as Poisson, draw (S, D) from ``ensemble`` and send
+        their packets along ``shot``.  Unlike :mod:`repro.netsim.link`,
+        which simulates TCP dynamics the model does not know, this
+        generator *is* the model: it feeds simulators traffic with
+        prescribed statistics.  ``warmup`` seconds of pre-capture
+        arrivals put the process in steady state at t = 0 (default: the
+        99th percentile of sampled durations), so the generated mean rate
+        matches the model's; flows that would extend past ``duration``
+        are truncated at the capture end, like a real trace.  Captures
+        too long to hold in memory stream from
+        :class:`~repro.synthesis.StreamingSynthesis` instead.
 
         Sampling matches the pre-engine implementation draw for draw;
         packetization runs per chunk of flows so the per-packet expansion

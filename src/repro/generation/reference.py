@@ -1,14 +1,13 @@
 """Reference (pre-engine) rate-path generator — the validation oracle.
 
-This module preserves the original per-flow Python loop that
-:func:`repro.generation.generate_rate_series` shipped with, byte for byte
-in behaviour: one global RNG stream, one pass over flows, one
-``volumes[lo:hi] += diff`` per flow.  The vectorized engine
-(:mod:`repro.generation.engine`) must reproduce this function's output
-**bit-for-bit** for the same seed — the equivalence tests in
-``tests/generation/test_engine.py`` and the scaling benchmark in
-``benchmarks/bench_engine_scaling.py`` both treat it as ground truth, so
-do not "optimise" it.
+This module preserves the original per-flow Python loop of the rate
+path, byte for byte in behaviour: one global RNG stream, one pass over
+flows, one ``volumes[lo:hi] += diff`` per flow.
+:meth:`repro.generation.GenerationEngine.rate_series` must reproduce
+this function's output **bit-for-bit** for the same seed — the
+equivalence tests in ``tests/generation/test_engine.py`` and the
+scaling benchmark in ``benchmarks/bench_engine_scaling.py`` both treat
+it as ground truth, so do not "optimise" it.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ single-packet-filtered rate series in bounded memory:
   semantics bit-for-bit across chunk boundaries.  Peak memory is bounded
   by the chunk size plus the active-flow population, not the trace.
 * **Sharding** (``workers``): the packed flow-key space is partitioned
-  into ``workers`` independent carry tables processed concurrently on a
-  persistent worker thread pool.  All accumulation is exact
+  into ``workers`` independent carry tables processed concurrently on
+  one worker pool per measurement pass.  All accumulation is exact
   integer arithmetic in float64, so results are invariant to both
   ``chunk`` and ``workers``.
 
@@ -38,13 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ParameterError
-from ..execution import ExecutionSpec, RetryPolicy
+from ..execution import ExecutionSpec, RetryPolicy, make_pool, stage_timer
 from ..flows.exporter import DEFAULT_TIMEOUT
 from ..flows.records import FlowSet
 from ..stats.timeseries import RateSeries
 from ..trace.io import TraceReader
 from ..trace.packet import PACKET_DTYPE, PacketTrace
-from .streaming import StreamingMeasurement, reject_non_finite
+from .streaming import StreamingMeasurement, process_shard, reject_non_finite
 
 __all__ = [
     "DEFAULT_FILE_CHUNK",
@@ -137,17 +137,6 @@ class MeasurementEngine:
         c = self.execution
         return f"MeasurementEngine(chunk={c.chunk}, workers={c.workers})"
 
-    def _streamer(self, *, delta, duration, keep_raw_series=False, **flow_kwargs):
-        return StreamingMeasurement(
-            delta=delta,
-            duration=duration,
-            shards=self.execution.workers,
-            backend=self.execution.backend,
-            retry=self.execution.retry,
-            keep_raw_series=keep_raw_series,
-            **flow_kwargs,
-        )
-
     # -- entry points -----------------------------------------------------
 
     def measure_chunks(
@@ -191,22 +180,26 @@ class MeasurementEngine:
                 )
         if link_capacity is None:
             link_capacity = getattr(chunks, "link_capacity", None)
-        streamer = self._streamer(
+        c = self.execution
+        streamer = StreamingMeasurement(
             delta=delta,
             duration=duration,
             key=key,
             timeout=timeout,
             min_packets=min_packets,
             prefix_length=prefix_length,
+            shards=c.workers,
             keep_raw_series=keep_raw_series,
         )
-        try:
+        # a malformed chunk mid-stream must not strand shard workers
+        with make_pool(c.backend, c.workers, retry=c.retry) as pool:
             for block in chunks:
-                streamer.update(block)
-            flows, series = streamer.finalize()
-        finally:
-            # a malformed chunk mid-stream must not strand shard threads
-            streamer.close()
+                with stage_timer("measurement.shards"):
+                    results = pool.map_ordered(
+                        process_shard, streamer.shard_tasks(block)
+                    )
+                streamer.apply_shards(results)
+        flows, series = streamer.finalize()
         return MeasurementResult(
             flows=flows,
             series=series,

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import FlowExportError
-from ..execution import make_pool, stage_timer
+from ..execution import stage_timer
 from ..flows.exporter import DEFAULT_TIMEOUT
 from ..flows.keys import (
     pack_packet_keys,
@@ -436,11 +436,10 @@ class StreamingMeasurement:
     ``delta`` and ``duration`` to additionally accumulate the
     single-packet-filtered rate series (``delta=None`` accounts flows
     only).  ``shards`` splits the key space into independently processed
-    carry tables, run concurrently on one ``backend`` pool that persists
-    across chunks (it starts on the first multi-shard chunk and is
-    released by :meth:`finalize`).  Results are invariant to both.
-    ``shards``, ``backend`` and ``retry`` are an engine's already
-    checked ``execution.workers``/``backend``/``retry``.
+    carry tables; results are invariant to it.  :meth:`update` runs the
+    shards in the calling thread; a driver with a pool maps
+    :meth:`shard_tasks` on it instead (:class:`MeasurementEngine` with
+    ``shards = execution.workers``, and the network engine).
 
     Chunks must be time-ordered across calls (a valid capture); packets
     *within* a chunk may be in any order.
@@ -456,8 +455,6 @@ class StreamingMeasurement:
         delta: float | None = None,
         duration: float | None = None,
         shards: int = 1,
-        backend: str = "thread",
-        retry=None,
         keep_raw_series: bool = False,
     ) -> None:
         if key not in ("five_tuple", "prefix"):
@@ -503,12 +500,6 @@ class StreamingMeasurement:
             track=self.delta is not None,
         )
         self._states = [_ShardState(self._pend_width) for _ in range(shards)]
-        self.backend = str(backend)
-        self.retry = retry
-        # one pool for the whole measurement, not one per chunk; opened
-        # by the first update (the network engine maps shard_tasks on its
-        # own pool and never opens one)
-        self._pool = None
         self._volumes = np.zeros(self.n_bins)
         # pre-discard volumes: what RateSeries.from_packets with no mask
         # sees — a router watching the raw link rate (anomaly detection)
@@ -526,24 +517,17 @@ class StreamingMeasurement:
     # -- public API -------------------------------------------------------
 
     def update(self, packets) -> None:
-        """Fold one time-ordered packet chunk into the measurement."""
+        """Fold one time-ordered packet chunk in the calling thread."""
         with stage_timer("measurement.shards"):
-            tasks = self.shard_tasks(packets)
-            if not tasks:
-                return
-            if self._pool is None:
-                self._pool = make_pool(
-                    self.backend, len(self._states), retry=self.retry
-                )
-            results = self._pool.map_ordered(process_shard, tasks)
+            results = [process_shard(t) for t in self.shard_tasks(packets)]
         self.apply_shards(results)
 
     def shard_tasks(self, packets) -> list[tuple]:
         """Bin one time-ordered chunk; return its per-shard tasks.
 
         The first half of :meth:`update`, for a driver that runs the
-        shard steps of several measurements on one pool (the network
-        engine): map the tasks with :func:`process_shard`, then pass the
+        shard steps on a pool (the measurement and network engines): map
+        the tasks with :func:`process_shard`, then pass the
         results, in shard order, to :meth:`apply_shards` before the next
         chunk.  An empty chunk yields no tasks.
         """
@@ -626,16 +610,6 @@ class StreamingMeasurement:
             self._states[s] = state
             self._apply(result)
 
-    def close(self) -> None:
-        """Release the shard worker pool (idempotent; finalize calls it).
-
-        Call from a ``finally`` when feeding chunks that may raise, so a
-        failed measurement does not strand workers (or shared-memory
-        segments) until GC.
-        """
-        if self._pool is not None:
-            self._pool.close()
-
     def seal(self) -> None:
         """Close all open flows; keep the closed parts for :meth:`assemble`.
 
@@ -651,7 +625,6 @@ class StreamingMeasurement:
         if self._finalized:
             raise FlowExportError("measurement already finalized")
         self._finalized = True
-        self.close()
         for state in self._states:
             result = _ChunkResult()
             _close_carry(

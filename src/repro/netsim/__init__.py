@@ -14,7 +14,7 @@ from .arrivals import (
     PoissonArrivals,
     SessionArrivals,
 )
-from .link import LinkSynthesis, synthesize_link_trace
+from .link import LinkSynthesis
 from .packetize import packetize_shots
 from .sizes import BoundedPareto, Constant, Empirical, Exponential, LogNormal, Mixture
 from .tcp import PacketSchedule, TcpParameters, simulate_tcp_flows
@@ -51,7 +51,6 @@ __all__ = [
     "simulate_tcp_flows",
     "packetize_shots",
     "LinkSynthesis",
-    "synthesize_link_trace",
     "OC12_BPS",
     "DEFAULT_SCALE",
     "TableIRow",

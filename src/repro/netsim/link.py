@@ -13,13 +13,15 @@ that is the paper's operating regime — backbone links are kept below 50%
 utilisation, so flows do not interact on the monitored hop (Assumption 2's
 independence).
 
-Since the streaming synthesis engine (:mod:`repro.synthesis`) became the
-canonical implementation, :func:`synthesize_link_trace` is cell-seeded:
-the arrival timeline is cut into fixed
+The synthesis itself runs in the streaming engine
+(:class:`repro.synthesis.SynthesisEngine`); this module keeps the
+materialised result type, :class:`LinkSynthesis`, that
+:meth:`~repro.synthesis.SynthesisEngine.synthesize` returns.  The trace
+is cell-seeded: the arrival timeline is cut into fixed
 :data:`~repro.synthesis.DEFAULT_SYNTHESIS_CELL`-second cells, each owning
 its own ``SeedSequence`` child, and the per-cell packet blocks are merged
 in time order.  The output is therefore a pure function of ``seed`` (and
-the workload), identical bit for bit whether it is materialised here or
+the workload), identical bit for bit whether it is materialised or
 streamed chunk by chunk with any ``chunk``/``workers`` configuration via
 :meth:`~repro.synthesis.SynthesisEngine.synthesize_chunks`.  The
 pre-engine single-stream implementation survives as
@@ -33,11 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .addresses import AddressSpace
-from .arrivals import ArrivalProcess
-from .tcp import TcpParameters
-
-__all__ = ["LinkSynthesis", "synthesize_link_trace"]
+__all__ = ["LinkSynthesis"]
 
 
 @dataclass
@@ -60,73 +58,3 @@ class LinkSynthesis:
     @property
     def n_flows(self) -> int:
         return int(self.flow_start_times.size)
-
-
-def synthesize_link_trace(
-    *,
-    arrivals: ArrivalProcess,
-    size_dist,
-    duration: float,
-    link_capacity: float,
-    address_space: AddressSpace | None = None,
-    tcp_params: TcpParameters = TcpParameters(),
-    rtt_dist=None,
-    cbr_rate_dist=None,
-    warmup: float | None = None,
-    name: str = "synthetic",
-    seed=None,
-) -> LinkSynthesis:
-    """Synthesise a packet trace for one uncongested backbone link.
-
-    Parameters
-    ----------
-    arrivals:
-        Flow arrival process (Poisson for the paper's Assumption 1).
-    size_dist:
-        Flow payload size distribution (bytes); e.g.
-        :class:`~repro.netsim.sizes.BoundedPareto`.
-    duration:
-        Capture length in seconds.  Flows starting near the end are
-        truncated at the capture boundary, as in any real trace.
-    link_capacity:
-        Link speed in bits/second (only recorded as metadata; the link is
-        assumed uncongested and imposes no queueing).
-    warmup:
-        Lead-in time (seconds) during which flows already arrive before
-        the capture starts, so the trace opens in steady state: the tails
-        of pre-capture flows compensate the bytes lost to end-of-capture
-        truncation, and the interval genuinely starts with split flows —
-        the paper's Figure 1 boundary effect.  Defaults to half the
-        capture, capped at 90 s.
-    address_space:
-        Endpoint population; defaults to :class:`AddressSpace()`.
-    tcp_params:
-        Window dynamics for TCP flows.
-    rtt_dist:
-        Per-flow RTT distribution (seconds); defaults to
-        LogNormal(median=0.5, sigma=0.4)-like behaviour via numpy.
-    cbr_rate_dist:
-        Rate distribution for UDP/CBR flows (bytes/second); defaults to a
-        lognormal around 20 kB/s.
-    seed:
-        Seed, ``SeedSequence`` or Generator; the whole synthesis is
-        reproducible from it.  Per-cell ``SeedSequence`` children make
-        the result identical to the streamed engine output for any
-        ``chunk``/``workers``.
-    """
-    # lazy import: repro.synthesis imports this module for LinkSynthesis
-    from ..synthesis.engine import SynthesisEngine
-
-    return SynthesisEngine().synthesize(
-        seed,
-        arrivals=arrivals,
-        size_dist=size_dist,
-        duration=duration,
-        link_capacity=link_capacity,
-        address_space=address_space,
-        tcp_params=tcp_params,
-        rtt_dist=rtt_dist,
-        cbr_rate_dist=cbr_rate_dist,
-        warmup=warmup,
-        name=name,
-    )

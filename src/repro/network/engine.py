@@ -63,7 +63,7 @@ Execution model:
   :class:`~repro.measurement.StreamingMeasurement` over that merged
   trace bit for bit, so they are bitwise invariant to the execution
   knobs, and a one-demand one-link network reproduces
-  :func:`~repro.netsim.link.synthesize_link_trace` +
+  :meth:`~repro.synthesis.SynthesisEngine.synthesize` +
   :class:`~repro.measurement.StreamingMeasurement` bit for bit.
 """
 

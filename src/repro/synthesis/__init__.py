@@ -4,10 +4,12 @@ The third engine of the pipeline, mirroring :mod:`repro.generation`
 (PR 1) and :mod:`repro.measurement` (PR 3): the arrival timeline is cut
 into seed-owning cells, cells are synthesized independently over a
 worker pool, and per-cell packet blocks are k-way-merged into globally
-time-ordered ``PACKET_DTYPE`` chunks in bounded memory — bit-for-bit
-identical to :func:`repro.netsim.link.synthesize_link_trace` for any
-``chunk`` and ``workers``.  The pre-engine whole-trace path survives as
-:func:`reference_synthesize_link_trace`.
+time-ordered ``PACKET_DTYPE`` chunks in bounded memory, bit for bit the
+same for any ``chunk`` and ``workers``.
+:meth:`SynthesisEngine.synthesize` materialises one link's
+:class:`~repro.netsim.link.LinkSynthesis`;
+:meth:`SynthesisEngine.synthesize_chunks` streams it.  The pre-engine
+whole-trace path survives as :func:`reference_synthesize_link_trace`.
 
 Quickstart::
 

@@ -19,14 +19,15 @@ blocks into globally time-ordered ``PACKET_DTYPE`` chunks:
   emitted past them.
 * **Sharding** (``workers``): cells are independent given their seed
   child, so groups of ``workers`` cells run concurrently on one worker
-  pool per stream (:func:`repro.execution.make_pool`).
+  pool per stream (:func:`repro.execution.make_pool`), open while the
+  stream is being drained.
 * **Determinism**: the output depends only on ``(seed, cell)`` and the
   workload — never on ``chunk`` or ``workers``.  The canonical packet
   order is: per-cell blocks sorted by timestamp, merged by one *stable*
   sort keyed on timestamp with ties broken by cell index, then within-
   cell position; every emission is a contiguous prefix of that global
   order, so concatenating the chunks of any configuration reproduces
-  :func:`repro.netsim.link.synthesize_link_trace` bit for bit.
+  :meth:`SynthesisEngine.synthesize` bit for bit.
 
 The carry rule mirrors the ``warmup`` semantics of the whole-trace path:
 flows are synthesized in full by their arrival cell (their packet
@@ -45,6 +46,8 @@ arrival memory (flow metadata only; packets still stream).
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 
@@ -145,9 +148,6 @@ class StreamingSynthesis:
         self.plan = plan
         self.execution = execution
         self.keep_ground_truth = keep_ground_truth
-        # one pool for the whole stream, opened by its first cell group;
-        # the network engine maps window_tasks on its own pool, opening none
-        self._pool = None
         root = _as_seed_sequence(seed)
         children = root.spawn(plan.n_cells + 1)
         self._presample_seed = children[0]
@@ -194,28 +194,15 @@ class StreamingSynthesis:
             np.concatenate(protocols),
         )
 
-    # -- worker pool ------------------------------------------------------
-
-    def _run_cells(self, tasks):
-        if self._pool is None:
-            c = self.execution
-            self._pool = make_pool(c.backend, c.workers, retry=c.retry)
-        with stage_timer("synthesis.cells"):
-            return self._pool.map_ordered(synthesize_cell_task, tasks)
-
-    def close(self) -> None:
-        """Release the worker pool (idempotent; exhaustion calls it)."""
-        if self._pool is not None:
-            self._pool.close()
-
     def write_trace(self, path) -> int:
         """Drain this stream straight into a ``.rptr`` file.
 
         Only one emission window (plus the active-cell carry) is ever in
-        memory.  A zero-flow workload raises
-        :class:`~repro.exceptions.ParameterError` and removes the
-        partial file, like the in-memory path which raises before
-        producing any output.  Returns the number of packets written.
+        memory.  Any exception while writing — a zero-flow workload's
+        :class:`~repro.exceptions.ParameterError`, a worker failure or a
+        ``KeyboardInterrupt`` — removes the partial file and propagates,
+        so no torn trace is left behind.  Returns the number of packets
+        written.
         """
         try:
             with TraceWriter(
@@ -225,9 +212,7 @@ class StreamingSynthesis:
             ) as writer:
                 for block in self:
                     writer.write(block)
-        except ParameterError:
-            from pathlib import Path
-
+        except BaseException:
             Path(path).unlink(missing_ok=True)
             raise
         return self.packet_count
@@ -254,10 +239,10 @@ class StreamingSynthesis:
         """Picklable :func:`synthesize_cell_task` inputs for cells
         ``g0 .. g1 - 1``.
 
-        The stream's own iteration runs them on its pool; a driver that
-        advances several streams in lockstep (the network engine) maps
-        them on a shared pool and hands the blocks to
-        :meth:`emit_window` in cell order.
+        The stream's own iteration maps them on the pool it opens while
+        it is drained; a driver that advances several streams in
+        lockstep (the network engine) maps them on a shared pool and
+        hands the blocks to :meth:`emit_window` in cell order.
         """
         plan = self.plan
         if self._presampled is None and not plan.arrivals.cellable:
@@ -326,18 +311,23 @@ class StreamingSynthesis:
         return packets_from_columns(ts, *unpack_payload(hi, lo))
 
     def _emissions(self):
-        """Yield the window emissions as time-ordered packet blocks."""
+        """Yield the window emissions as time-ordered packet blocks.
+
+        The cell pool lives for the window loop: it closes when the
+        stream is drained, and when the generator is closed or collected.
+        """
+        c = self.execution
         n_cells = self.plan.n_cells
-        group = self.execution.workers
-        try:
-            for g0 in range(0, n_cells, group):
-                g1 = min(g0 + group, n_cells)
-                blocks = self._run_cells(self.window_tasks(g0, g1))
+        with make_pool(c.backend, c.workers, retry=c.retry) as pool:
+            for g0 in range(0, n_cells, c.workers):
+                g1 = min(g0 + c.workers, n_cells)
+                with stage_timer("synthesis.cells"):
+                    blocks = pool.map_ordered(
+                        synthesize_cell_task, self.window_tasks(g0, g1)
+                    )
                 packets = self.emit_window(blocks, g1)
                 if packets is not None:
                     yield packets
-        finally:
-            self.close()
 
     def _chunks(self):
         """Assemble emissions into PACKET_DTYPE blocks of ``chunk``."""
@@ -429,8 +419,51 @@ class SynthesisEngine:
         warmup: float | None = None,
         name: str = "synthetic",
     ) -> CellPlan:
-        """Build the cell plan for one link (defaults mirror the legacy
-        whole-trace path: warm-up of half the capture, capped at 90 s)."""
+        """Build the cell plan for one uncongested backbone link.
+
+        :meth:`synthesize_chunks` and :meth:`synthesize` take these
+        arguments as keywords.
+
+        Parameters
+        ----------
+        arrivals:
+            Flow arrival process (Poisson for the paper's Assumption 1).
+        size_dist:
+            Flow payload size distribution (bytes); e.g.
+            :class:`~repro.netsim.sizes.BoundedPareto`.
+        duration:
+            Capture length in seconds.  Flows starting near the end are
+            truncated at the capture boundary, as in any real trace.
+        link_capacity:
+            Link speed in bits/second (only recorded as metadata; the
+            link is assumed uncongested and imposes no queueing).
+        address_space:
+            Endpoint population; defaults to :class:`AddressSpace()`.
+        tcp_params:
+            Window dynamics for TCP flows; defaults to
+            :class:`TcpParameters()`.
+        rtt_dist:
+            Per-flow RTT distribution (seconds); defaults to
+            LogNormal(median=0.5, sigma=0.4)-like behaviour via numpy.
+        cbr_rate_dist:
+            Rate distribution for UDP/CBR flows (bytes/second); defaults
+            to a lognormal around 20 kB/s.
+        warmup:
+            Lead-in time (seconds) during which flows already arrive
+            before the capture starts, so the trace opens in steady
+            state: the tails of pre-capture flows compensate the bytes
+            lost to end-of-capture truncation, and the interval
+            genuinely starts with split flows — the paper's Figure 1
+            boundary effect.  Defaults to half the capture, capped at
+            90 s.
+        name:
+            Trace name recorded in the metadata.
+
+        The synthesis seed is not part of the plan: pass it to
+        :meth:`synthesize_chunks` or :meth:`synthesize`.  Per-cell
+        ``SeedSequence`` children of it make the trace identical for any
+        ``chunk``/``workers``.
+        """
         from ..netsim.addresses import AddressSpace
         from ..netsim.tcp import TcpParameters
 
@@ -473,8 +506,9 @@ class SynthesisEngine:
 
         Drains the engine's own stream, so the result is bit-for-bit the
         concatenation of :meth:`synthesize_chunks` for any ``chunk`` and
-        ``workers`` — this *is* the canonical
-        :func:`~repro.netsim.link.synthesize_link_trace` output.
+        ``workers``.  ``seed`` (seed, ``SeedSequence`` or Generator)
+        makes the whole synthesis reproducible; ``plan_kwargs`` are
+        documented on :meth:`plan`.
         """
         stream = self.synthesize_chunks(
             seed, keep_ground_truth=True, **plan_kwargs
@@ -496,12 +530,3 @@ class SynthesisEngine:
             flow_sizes=sizes,
             flow_protocols=protocols,
         )
-
-    def write_trace(self, path, seed=None, **plan_kwargs) -> int:
-        """Stream a synthesized capture straight to a ``.rptr`` file.
-
-        See :meth:`StreamingSynthesis.write_trace`; returns the number
-        of packets written.
-        """
-        stream = self.synthesize_chunks(seed, **plan_kwargs)
-        return stream.write_trace(path)

@@ -1,7 +1,7 @@
 """Frozen legacy whole-trace synthesis — the engine's racing baseline.
 
 ``reference_synthesize_link_trace`` is the pre-engine implementation of
-:func:`repro.netsim.link.synthesize_link_trace`, kept verbatim (including
+one-link synthesis, kept verbatim (including
 its private copy of the round-synchronous TCP loop and its original
 per-packet round expansion) as the performance baseline the synthesis
 benchmarks race against — the same role
@@ -15,8 +15,8 @@ the two are equal in distribution (same arrival, size, endpoint, RTT and
 rate laws; same round-model dynamics), not bitwise.  Use it when an
 independent realisation of the legacy sampling scheme is wanted, or as
 the memory/throughput baseline; use
-:func:`~repro.netsim.link.synthesize_link_trace` (engine-backed) for
-everything else.
+:meth:`~repro.synthesis.SynthesisEngine.synthesize` for everything
+else.
 """
 
 from __future__ import annotations
@@ -127,9 +127,8 @@ def reference_synthesize_link_trace(
 ):
     """Whole-trace, single-stream synthesis (legacy path, frozen).
 
-    Signature and semantics of the pre-engine
-    ``synthesize_link_trace``; see
-    :func:`repro.netsim.link.synthesize_link_trace` for the parameter
+    Signature and semantics of the pre-engine one-link synthesis; see
+    :meth:`repro.synthesis.SynthesisEngine.plan` for the parameter
     documentation.  Returns a :class:`~repro.netsim.link.LinkSynthesis`.
     """
     from ..netsim.link import LinkSynthesis

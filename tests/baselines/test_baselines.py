@@ -97,10 +97,10 @@ class TestOnOff:
         )
         lrd = OnOffAggregate(src, 20).generate(240.0, 0.1, rng=1)
         hurst_lrd = estimate_hurst(lrd)
-        from repro.generation import generate_rate_series
+        from repro.generation import GenerationEngine
         from repro.core import RectangularShot
 
-        srd = generate_rate_series(
+        srd = GenerationEngine().rate_series(
             100.0, ensemble, RectangularShot(), duration=240.0, delta=0.1,
             rng=2,
         )

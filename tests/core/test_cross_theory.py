@@ -20,7 +20,7 @@ from repro.core import (
     TriangularShot,
     sinc_squared_filter,
 )
-from repro.generation import generate_rate_series
+from repro.generation import GenerationEngine
 from repro.prediction import ModelBasedPredictor, prediction_error, theoretical_mse
 
 
@@ -68,7 +68,7 @@ class TestPredictionConsistency:
         one-step error on traffic generated from the same model."""
         theta = 0.5
         predictor = ModelBasedPredictor(small_model, theta, order=3)
-        series = generate_rate_series(
+        series = GenerationEngine().rate_series(
             small_model.arrival_rate,
             small_model.ensemble,
             small_model.shot,
@@ -97,7 +97,7 @@ class TestPredictionConsistency:
             ens = EmpiricalEnsemble(sizes, durations * stretch)
             model = PoissonShotNoiseModel(30.0, ens, RectangularShot())
             predictor = ModelBasedPredictor(model, theta, order=2)
-            series = generate_rate_series(
+            series = GenerationEngine().rate_series(
                 30.0, ens, RectangularShot(), duration=1200.0, delta=theta,
                 rng=9,
             )
@@ -109,7 +109,7 @@ class TestCumulantConsistency:
     def test_generated_traffic_third_moment(self, small_model):
         """Skewness from Corollary 3 cumulants vs the sample skewness of a
         long generated path (tiny delta to avoid averaging bias)."""
-        series = generate_rate_series(
+        series = GenerationEngine().rate_series(
             small_model.arrival_rate,
             small_model.ensemble,
             small_model.shot,

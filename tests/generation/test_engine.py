@@ -31,8 +31,6 @@ from repro.execution import ExecutionSpec, RetryPolicy
 from repro.generation import (
     DEFAULT_ARRIVAL_CELL,
     GenerationEngine,
-    generate_packet_trace,
-    generate_rate_series,
     reference_rate_series,
 )
 
@@ -62,7 +60,7 @@ class TestReferenceEquivalence:
         ref = reference_rate_series(
             40.0, small_ensemble, shot, duration=90.0, delta=0.2, rng=3
         )
-        out = generate_rate_series(
+        out = GenerationEngine().rate_series(
             40.0, small_ensemble, shot, duration=90.0, delta=0.2, rng=3
         )
         np.testing.assert_array_equal(ref.values, out.values)
@@ -74,9 +72,9 @@ class TestReferenceEquivalence:
             40.0, small_ensemble, TriangularShot(), duration=60.0, delta=0.2,
             rng=11,
         )
-        out = generate_rate_series(
+        out = GenerationEngine(chunk=chunk, workers=1).rate_series(
             40.0, small_ensemble, TriangularShot(), duration=60.0, delta=0.2,
-            rng=11, chunk=chunk, workers=1,
+            rng=11,
         )
         np.testing.assert_array_equal(ref.values, out.values)
 
@@ -87,19 +85,19 @@ class TestReferenceEquivalence:
             40.0, small_ensemble, ParabolicShot(), duration=45.0, delta=0.5,
             warmup=2.0, rng=rng_a,
         )
-        out = generate_rate_series(
+        out = GenerationEngine(chunk=4.0).rate_series(
             40.0, small_ensemble, ParabolicShot(), duration=45.0, delta=0.5,
-            warmup=2.0, rng=rng_b, chunk=4.0,
+            warmup=2.0, rng=rng_b,
         )
         np.testing.assert_array_equal(ref.values, out.values)
 
     def test_validation_matches_reference(self, small_ensemble):
         with pytest.raises(ParameterError):
-            generate_rate_series(
+            GenerationEngine().rate_series(
                 40.0, small_ensemble, TriangularShot(), duration=1.0, delta=2.0
             )
         with pytest.raises(ParameterError):
-            generate_rate_series(
+            GenerationEngine().rate_series(
                 1e-9, small_ensemble, TriangularShot(), duration=0.1,
                 delta=0.05, warmup=0.0, rng=5,
             )
@@ -111,13 +109,13 @@ class TestDeterminism:
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("chunk", [1.1, 7.0, None])
     def test_compat_invariant_to_geometry(self, small_ensemble, chunk, workers):
-        base = generate_rate_series(
+        base = GenerationEngine().rate_series(
             40.0, small_ensemble, TriangularShot(), duration=60.0, delta=0.2,
             rng=21,
         )
-        out = generate_rate_series(
+        out = GenerationEngine(chunk=chunk, workers=workers).rate_series(
             40.0, small_ensemble, TriangularShot(), duration=60.0, delta=0.2,
-            rng=21, chunk=chunk, workers=workers,
+            rng=21,
         )
         np.testing.assert_array_equal(base.values, out.values)
 
@@ -169,23 +167,23 @@ class TestRectangularFastPath:
             40.0, small_ensemble, RectangularShot(), duration=60.0, delta=0.2,
             rng=17,
         )
-        out = generate_rate_series(
+        out = GenerationEngine(chunk=3.0).rate_series(
             40.0, small_ensemble, RectangularShot(), duration=60.0, delta=0.2,
-            rng=17, chunk=3.0,
+            rng=17,
         )
         np.testing.assert_array_equal(ref.values, out.values)
 
 
 class TestPacketPaths:
     def test_chunked_packet_trace_identical(self, small_ensemble):
-        base = generate_packet_trace(
+        base = GenerationEngine().packet_trace(
             40.0, small_ensemble, TriangularShot(), duration=45.0,
             link_capacity=1e8, rng=6,
         )
         for chunk in (4.0, 13.0):
-            out = generate_packet_trace(
+            out = GenerationEngine(chunk=chunk).packet_trace(
                 40.0, small_ensemble, TriangularShot(), duration=45.0,
-                link_capacity=1e8, rng=6, chunk=chunk,
+                link_capacity=1e8, rng=6,
             )
             np.testing.assert_array_equal(base.packets, out.packets)
         assert base.is_sorted()

@@ -13,14 +13,14 @@ from repro.core import (
 )
 from repro.exceptions import ParameterError
 from repro.flows import export_five_tuple_flows
-from repro.generation import generate_packet_trace, generate_rate_series
+from repro.generation import GenerationEngine
 from repro.stats import RateSeries
 
 
 class TestFluidGeneration:
     def test_mean_matches_model(self, ensemble):
         model = PoissonShotNoiseModel(50.0, ensemble, TriangularShot())
-        series = generate_rate_series(
+        series = GenerationEngine().rate_series(
             50.0, ensemble, TriangularShot(), duration=300.0, delta=0.2, rng=0
         )
         assert series.mean == pytest.approx(model.mean, rel=0.05)
@@ -29,7 +29,7 @@ class TestFluidGeneration:
         """The generated bin variance matches eq. (7), not Gamma(0)."""
         model = PoissonShotNoiseModel(50.0, ensemble, TriangularShot())
         delta = 0.2
-        series = generate_rate_series(
+        series = GenerationEngine().rate_series(
             50.0, ensemble, TriangularShot(), duration=600.0, delta=delta, rng=1
         )
         assert series.variance == pytest.approx(
@@ -40,17 +40,17 @@ class TestFluidGeneration:
         """Parabolic shots generate burstier traffic than rectangles — the
         paper's central point for simulation-traffic realism."""
         kwargs = dict(duration=400.0, delta=0.2)
-        rect = generate_rate_series(
+        rect = GenerationEngine().rate_series(
             50.0, ensemble, RectangularShot(), rng=2, **kwargs
         )
-        para = generate_rate_series(
+        para = GenerationEngine().rate_series(
             50.0, ensemble, ParabolicShot(), rng=2, **kwargs
         )
         assert para.variance > 1.2 * rect.variance
         assert para.mean == pytest.approx(rect.mean, rel=0.05)
 
     def test_stationary_after_warmup(self, ensemble):
-        series = generate_rate_series(
+        series = GenerationEngine().rate_series(
             50.0, ensemble, TriangularShot(), duration=400.0, delta=0.5, rng=3
         )
         half = len(series) // 2
@@ -62,7 +62,7 @@ class TestFluidGeneration:
         """With deterministic (S, D), generated volume ~ lambda * S * T."""
         ens = EmpiricalEnsemble([1e4], [1.0])
         duration, lam = 200.0, 20.0
-        series = generate_rate_series(
+        series = GenerationEngine().rate_series(
             lam, ens, RectangularShot(), duration=duration, delta=0.5, rng=4
         )
         total = series.values.sum() * series.delta
@@ -70,11 +70,11 @@ class TestFluidGeneration:
 
     def test_validation(self, ensemble):
         with pytest.raises(ParameterError):
-            generate_rate_series(
+            GenerationEngine().rate_series(
                 50.0, ensemble, TriangularShot(), duration=1.0, delta=2.0
             )
         with pytest.raises(ParameterError):
-            generate_rate_series(
+            GenerationEngine().rate_series(
                 1e-9, ensemble, TriangularShot(), duration=0.1, delta=0.05,
                 warmup=0.0, rng=5,
             )
@@ -83,7 +83,7 @@ class TestFluidGeneration:
 class TestPacketGeneration:
     def test_trace_rate_matches_model(self, ensemble):
         model = PoissonShotNoiseModel(50.0, ensemble, TriangularShot())
-        trace = generate_packet_trace(
+        trace = GenerationEngine().packet_trace(
             50.0, ensemble, TriangularShot(), duration=120.0,
             link_capacity=1e8, rng=6,
         )
@@ -94,7 +94,7 @@ class TestPacketGeneration:
     def test_remesurable_by_flow_pipeline(self, ensemble):
         """Generated traffic re-measured through the exporter produces flow
         statistics close to the generating ensemble."""
-        trace = generate_packet_trace(
+        trace = GenerationEngine().packet_trace(
             50.0, ensemble, TriangularShot(), duration=120.0,
             link_capacity=1e8, rng=7,
         )
@@ -107,7 +107,7 @@ class TestPacketGeneration:
         )
 
     def test_sorted_and_windowed(self, ensemble):
-        trace = generate_packet_trace(
+        trace = GenerationEngine().packet_trace(
             30.0, ensemble, RectangularShot(), duration=60.0,
             link_capacity=1e8, rng=8,
         )
@@ -116,10 +116,10 @@ class TestPacketGeneration:
 
     def test_generated_bins_match_fluid_statistics(self, ensemble):
         """Packetized generation agrees with fluid generation moments."""
-        fluid = generate_rate_series(
+        fluid = GenerationEngine().rate_series(
             40.0, ensemble, TriangularShot(), duration=300.0, delta=0.5, rng=9
         )
-        trace = generate_packet_trace(
+        trace = GenerationEngine().packet_trace(
             40.0, ensemble, TriangularShot(), duration=300.0,
             link_capacity=1e8, header_bytes=0, rng=10,
         )

@@ -56,7 +56,7 @@ def sealed(
 ) -> StreamingMeasurement:
     part = StreamingMeasurement(
         timeout=TIMEOUT, delta=DELTA, duration=DURATION, shards=shards,
-        backend="serial", **key
+        **key
     )
     for start in range(0, packets.size, chunk):
         part.update(packets[start:start + chunk])

@@ -16,7 +16,6 @@ from repro.netsim import (
     LinkWorkload,
     PoissonArrivals,
     TcpParameters,
-    synthesize_link_trace,
     table_i_workload,
     table_i_workloads,
 )
@@ -33,6 +32,7 @@ from repro.netsim.workloads import (
     wire_bytes_per_flow,
     wire_sizes,
 )
+from repro.synthesis import SynthesisEngine
 
 
 class TestSynthesis:
@@ -75,12 +75,12 @@ class TestSynthesis:
 
     def test_zero_flow_error(self):
         with pytest.raises(ParameterError):
-            synthesize_link_trace(
+            SynthesisEngine().synthesize(
+                0,
                 arrivals=PoissonArrivals(1e-6),
                 size_dist=BoundedPareto(1.2, 2e3, 2e6),
                 duration=0.001,
                 link_capacity=1e7,
-                seed=0,
             )
 
 

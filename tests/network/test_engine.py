@@ -3,7 +3,7 @@
 The acceptance anchors:
 
 * a one-node-pair topology reproduces the single-link engines
-  (``synthesize_link_trace`` / ``StreamingMeasurement``) bit for bit for
+  (``SynthesisEngine.synthesize`` / ``StreamingMeasurement``) bit for bit for
   any ``chunk``/``workers``;
 * per-link outputs are bitwise invariant to ``chunk``/``workers``;
 * ECMP flow pinning is deterministic under a fixed seed, conserves the
@@ -51,7 +51,7 @@ def one_link_simulation():
 class TestSingleLinkDegeneracy:
     """One demand on one link == the single-link engines, bitwise."""
 
-    def test_trace_matches_synthesize_link_trace(self, one_link_simulation):
+    def test_trace_matches_single_link_synthesis(self, one_link_simulation):
         link = one_link_simulation[("r0", "r1")]
         reference = workload().synthesize(seed=5)
         assert np.array_equal(link.packets, reference.trace.packets)

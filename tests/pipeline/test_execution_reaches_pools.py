@@ -36,7 +36,7 @@ from ..calibration.test_golden_report import golden_records
 #: Engine modules that open pools, by the spec section that drives them.
 POOL_MODULES = {
     "synthesis": "repro.synthesis.engine",
-    "measurement": "repro.measurement.streaming",
+    "measurement": "repro.measurement.engine",
     "calibration": "repro.calibration.calibrator",
     "network": "repro.network.engine",
     "generation": "repro.generation.engine",

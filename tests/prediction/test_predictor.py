@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import PoissonShotNoiseModel, TriangularShot
 from repro.exceptions import PredictionError
-from repro.generation import generate_rate_series
+from repro.generation import GenerationEngine
 from repro.prediction import (
     EmpiricalPredictor,
     LinearPredictor,
@@ -95,7 +95,7 @@ class TestModelBasedPredictor:
         """End-to-end: model-derived predictor works on traffic generated
         from the same model (the paper's self-consistency)."""
         model = PoissonShotNoiseModel(60.0, ensemble, TriangularShot())
-        series = generate_rate_series(
+        series = GenerationEngine().rate_series(
             60.0, ensemble, TriangularShot(), duration=400.0, delta=0.5, rng=4
         )
         pred = ModelBasedPredictor(model, sample_interval=0.5, order=3)
@@ -123,7 +123,7 @@ class TestEvaluation:
 
     def test_compare_predictors_rows(self, ensemble):
         model = PoissonShotNoiseModel(60.0, ensemble, TriangularShot())
-        series = generate_rate_series(
+        series = GenerationEngine().rate_series(
             60.0, ensemble, TriangularShot(), duration=300.0, delta=0.5, rng=5
         )
         rows = compare_predictors(

@@ -1,7 +1,7 @@
 """Tests for the streaming, time-sharded synthesis engine.
 
 The headline contract: the streamed path is **bit-for-bit** equal to
-``synthesize_link_trace`` for any ``chunk`` and ``workers`` — trace,
+``SynthesisEngine.synthesize`` for any ``chunk`` and ``workers`` — trace,
 measured FlowSet and RateSeries alike — including cell-boundary-straddling
 flows, empty cells, and every arrival family the cell sampler supports
 (mirroring the chunk/shard invariance battery of ``tests/measurement``).
@@ -21,10 +21,10 @@ from repro.netsim import (
     PoissonArrivals,
     SessionArrivals,
     medium_utilization_link,
-    synthesize_link_trace,
     table_i_workload,
 )
 from repro.netsim.sizes import BoundedPareto
+from repro.synthesis import engine as synthesis_engine
 from repro.synthesis import (
     DEFAULT_SYNTHESIS_CELL,
     SynthesisEngine,
@@ -75,9 +75,9 @@ class TestChunkWorkerInvariance:
         packets, _ = drain(stream)
         np.testing.assert_array_equal(packets, canonical.trace.packets)
 
-    def test_synthesize_matches_link_trace_front_door(self, workload, canonical):
-        direct = synthesize_link_trace(
-            seed=SEED, **workload._synthesis_kwargs()
+    def test_engine_synthesize_matches_workload(self, workload, canonical):
+        direct = SynthesisEngine().synthesize(
+            SEED, **workload._synthesis_kwargs()
         )
         np.testing.assert_array_equal(
             direct.trace.packets, canonical.trace.packets
@@ -197,9 +197,9 @@ class TestMeasurementEquivalence:
     def test_write_trace_round_trip(self, workload, canonical, tmp_path):
         path = tmp_path / "streamed.rptr"
         engine = SynthesisEngine(chunk=2500, workers=2)
-        written = engine.write_trace(
-            path, SEED, **workload._synthesis_kwargs()
-        )
+        written = engine.synthesize_chunks(
+            SEED, **workload._synthesis_kwargs()
+        ).write_trace(path)
         assert written == len(canonical.trace)
         loaded = TraceReader(path).read()
         np.testing.assert_array_equal(
@@ -262,38 +262,67 @@ class TestArrivalFamilies:
 class TestZeroFlows:
     def test_empty_cells_are_legal(self):
         """A rate low enough for empty cells still synthesizes fine."""
-        syn = synthesize_link_trace(
+        syn = SynthesisEngine().synthesize(
+            2,
             arrivals=PoissonArrivals(0.5),
             size_dist=BoundedPareto(1.2, 2e3, 2e6),
             duration=60.0,
             link_capacity=1e7,
-            seed=2,
         )
         assert syn.n_flows > 0
         assert syn.trace.is_sorted()
 
     def test_whole_workload_zero_flows_raises(self):
         with pytest.raises(ParameterError, match="zero flows"):
-            synthesize_link_trace(
-                arrivals=PoissonArrivals(1e-6),
-                size_dist=BoundedPareto(1.2, 2e3, 2e6),
-                duration=0.001,
-                link_capacity=1e7,
-                seed=0,
-            )
-
-    def test_streamed_zero_flows_raises_and_cleans_file(self, tmp_path):
-        path = tmp_path / "empty.rptr"
-        engine = SynthesisEngine(chunk=1000)
-        with pytest.raises(ParameterError, match="zero flows"):
-            engine.write_trace(
-                path,
+            SynthesisEngine().synthesize(
                 0,
                 arrivals=PoissonArrivals(1e-6),
                 size_dist=BoundedPareto(1.2, 2e3, 2e6),
                 duration=0.001,
                 link_capacity=1e7,
             )
+
+    def test_streamed_zero_flows_raises_and_cleans_file(self, tmp_path):
+        path = tmp_path / "empty.rptr"
+        engine = SynthesisEngine(chunk=1000)
+        with pytest.raises(ParameterError, match="zero flows"):
+            engine.synthesize_chunks(
+                0,
+                arrivals=PoissonArrivals(1e-6),
+                size_dist=BoundedPareto(1.2, 2e3, 2e6),
+                duration=0.001,
+                link_capacity=1e7,
+            ).write_trace(path)
+        assert not path.exists()
+
+    def test_failed_stream_leaves_no_torn_file(self, workload, tmp_path,
+                                               monkeypatch):
+        """A failure mid-stream removes the partial trace and propagates.
+
+        The first cell's packets are written before the second cell
+        fails, so a file that kept them would hold a 0-packet header
+        with packet bytes behind it, which ``TraceReader`` refuses as
+        truncated.
+        """
+        calls = []
+        real_task = synthesis_engine.synthesize_cell_task
+
+        def failing_task(task):
+            calls.append(task)
+            if len(calls) == 2:
+                raise RuntimeError("cell worker died")
+            return real_task(task)
+
+        monkeypatch.setattr(
+            synthesis_engine, "synthesize_cell_task", failing_task
+        )
+        path = tmp_path / "torn.rptr"
+        stream = SynthesisEngine(chunk=100).synthesize_chunks(
+            SEED, **workload._synthesis_kwargs()
+        )
+        with pytest.raises(RuntimeError, match="cell worker died"):
+            stream.write_trace(path)
+        assert len(calls) == 2
         assert not path.exists()
 
 

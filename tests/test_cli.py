@@ -123,6 +123,19 @@ class TestGenerate:
             original.mean_rate_bps, rel=0.3
         )
 
+    @pytest.mark.parametrize("chunk", ["-1", "nan", "inf", "-inf"])
+    def test_rejects_negative_and_non_finite_chunk(
+        self, trace_file, tmp_path, capsys, chunk
+    ):
+        out_path = tmp_path / "generated.rptr"
+        assert main(
+            ["generate", str(trace_file), str(out_path), f"--chunk={chunk}"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: chunk must be finite and > 0")
+        assert "Traceback" not in err
+        assert not out_path.exists()
+
 
 class TestRun:
     def test_registry_scenario_with_report(self, tmp_path, capsys,
@@ -349,7 +362,7 @@ class TestStreamedSynthesize:
     def test_streamed_zero_flow_error_is_friendly_and_clean(
         self, tmp_path, capsys
     ):
-        """Mirrors SynthesisEngine.write_trace: friendly error, no
+        """Mirrors StreamingSynthesis.write_trace: friendly error, no
         stale capture file left behind."""
         path = tmp_path / "empty.rptr"
         code = main(["synthesize", str(path), "--preset", "low",

@@ -12,7 +12,7 @@ import pytest
 from repro.core import PoissonShotNoiseModel, PowerShot, fit_power_from_variance
 from repro.experiments import SCALED_TIMEOUT
 from repro.flows import export_five_tuple_flows, export_prefix_flows
-from repro.generation import generate_rate_series
+from repro.generation import GenerationEngine
 from repro.measurement import MeasurementEngine
 from repro.prediction import ModelBasedPredictor, prediction_error
 from repro.stats import RateSeries, exponentiality
@@ -76,7 +76,7 @@ class TestFullPipeline:
             trace.duration,
             fit.shot,
         )
-        generated = generate_rate_series(
+        generated = GenerationEngine().rate_series(
             model.arrival_rate, model.ensemble, model.shot,
             duration=240.0, delta=0.2, rng=0,
         )
