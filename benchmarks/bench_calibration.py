@@ -18,7 +18,9 @@ three claims are checked:
 
 The run emits the calibration perf datapoint as
 ``BENCH_calibration.json`` (CI uploads it as an artifact); set
-``REPRO_BENCH_CALIBRATION_JSON`` to redirect it.  It splits the
+``REPRO_BENCH_CALIBRATION_JSON`` to redirect it.
+A quick run (``REPRO_BENCH_QUICK=1``) writes ``BENCH_calibration_quick.json``.
+It splits the
 streamed time into ``fit_s`` (``calibrate_accumulator`` on the streamed
 accumulator: the family fits and model selection) and
 ``decode_accumulate_s`` (the rest), and names the host (``cpus``,
@@ -40,7 +42,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
-from conftest import print_header, run_once
+from conftest import bench_json_path, print_header, run_once
 
 from repro.calibration import (
     calibrate_accumulator,
@@ -192,11 +194,7 @@ def test_calibration_scaling(benchmark, tmp_path):
 
     # record the datapoint before any gate can fail — a regression run
     # is exactly the one whose numbers must survive
-    out_path = Path(
-        os.environ.get(
-            "REPRO_BENCH_CALIBRATION_JSON", "BENCH_calibration.json"
-        )
-    )
+    out_path = bench_json_path("calibration")
     out_path.write_text(json.dumps({
         "benchmark": "calibration_scaling",
         "quick": QUICK,

@@ -23,6 +23,7 @@ claims are checked:
 The run emits the interop perf datapoint as ``BENCH_interop.json`` (CI
 uploads it as an artifact); set ``REPRO_BENCH_INTEROP_JSON`` to
 redirect it.
+A quick run (``REPRO_BENCH_QUICK=1``) writes ``BENCH_interop_quick.json``.
 
 Run directly (``python -m pytest benchmarks/bench_interop.py -s``) or
 via the benchmark suite.
@@ -38,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import print_header, run_once
+from conftest import bench_json_path, print_header, run_once
 
 from repro.interop import (
     FLOW_RECORD_DTYPE,
@@ -207,9 +208,7 @@ def test_interop_scaling(benchmark, tmp_path):
 
     # record the datapoint before any gate can fail — a regression run
     # is exactly the one whose numbers must survive
-    out_path = Path(
-        os.environ.get("REPRO_BENCH_INTEROP_JSON", "BENCH_interop.json")
-    )
+    out_path = bench_json_path("interop")
     out_path.write_text(json.dumps({
         "benchmark": "interop_scaling",
         "quick": QUICK,

@@ -20,7 +20,9 @@ three claims are checked:
 
 The run emits the measurement-side perf datapoint as
 ``BENCH_measurement.json`` (CI uploads it as an artifact); set
-``REPRO_BENCH_MEASUREMENT_JSON`` to redirect it.  The datapoint records
+``REPRO_BENCH_MEASUREMENT_JSON`` to redirect it.
+A quick run (``REPRO_BENCH_QUICK=1``) writes ``BENCH_measurement_quick.json``.
+The datapoint records
 the selected execution backend and a per-stage wall-time breakdown
 (``stages_s``: shard fan-out, result apply, final flow assembly);
 ``REPRO_BENCH_WORKERS``/``REPRO_BENCH_BACKEND`` select the raced
@@ -41,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import print_header, run_once
+from conftest import bench_json_path, print_header, run_once
 
 from repro.execution import (
     reset_run_health,
@@ -227,9 +229,7 @@ def test_measurement_scaling(benchmark, tmp_path):
 
     # record the datapoint before any gate can fail — a regression run is
     # exactly the one whose numbers must survive
-    out_path = Path(
-        os.environ.get("REPRO_BENCH_MEASUREMENT_JSON", "BENCH_measurement.json")
-    )
+    out_path = bench_json_path("measurement")
     out_path.write_text(json.dumps({
         "benchmark": "measurement_scaling",
         "quick": QUICK,

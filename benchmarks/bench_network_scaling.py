@@ -27,6 +27,7 @@ two claims are checked:
 The run emits the network perf datapoint as ``BENCH_network.json`` (CI
 uploads it as an artifact); set ``REPRO_BENCH_NETWORK_JSON`` to redirect
 it.
+A quick run (``REPRO_BENCH_QUICK=1``) writes ``BENCH_network_quick.json``.
 
 Run directly (``python benchmarks/bench_network_scaling.py``) or via
 pytest (``pytest benchmarks/bench_network_scaling.py -s``).
@@ -41,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import print_header, run_once
+from conftest import bench_json_path, print_header, run_once
 
 from repro.execution import (
     reset_run_health,
@@ -176,9 +177,7 @@ def test_network_scaling(benchmark):
 
     # record the datapoint before any gate can fail — a regression run is
     # exactly the one whose numbers must survive
-    out_path = Path(
-        os.environ.get("REPRO_BENCH_NETWORK_JSON", "BENCH_network.json")
-    )
+    out_path = bench_json_path("network")
     out_path.write_text(json.dumps({
         "benchmark": "network_scaling",
         "quick": QUICK,

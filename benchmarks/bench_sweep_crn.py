@@ -22,6 +22,7 @@ twice:
 The gate: CRN's standard deviation is lower.  The datapoint lands in the
 ``crn`` section of ``BENCH_sweep.json``; set ``REPRO_BENCH_SWEEP_JSON``
 to redirect it.
+A quick run (``REPRO_BENCH_QUICK=1``) writes ``BENCH_sweep_quick.json``.
 
 Run directly (``python benchmarks/bench_sweep_crn.py``) or via pytest
 (``pytest benchmarks/bench_sweep_crn.py -s``).
@@ -37,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import print_header, run_once
+from conftest import bench_json_path, print_header, run_once
 
 from repro.network import NetworkEngine
 from repro.pipeline import SimulateNetwork, default_registry
@@ -128,9 +129,7 @@ def test_crn_lowers_the_variance_of_failure_deltas(benchmark):
     print(f"  d = failure worst ratio - baseline worst ratio; CRN cuts its "
           f"sd {sd_ind / sd_crn:.2f}x")
 
-    out_path = Path(
-        os.environ.get("REPRO_BENCH_SWEEP_JSON", "BENCH_sweep.json")
-    )
+    out_path = bench_json_path("sweep")
     data = json.loads(out_path.read_text()) if out_path.exists() else {}
     data["crn"] = {
         "benchmark": "sweep_crn",

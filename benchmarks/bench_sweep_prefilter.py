@@ -19,6 +19,7 @@ must be *sound* — no cell the closed form marked ``ok`` may be an SLA
 breach in the exhaustive run.  The datapoint lands in
 ``BENCH_sweep.json`` (CI uploads it as an artifact); set
 ``REPRO_BENCH_SWEEP_JSON`` to redirect it.
+A quick run (``REPRO_BENCH_QUICK=1``) writes ``BENCH_sweep_quick.json``.
 
 Run directly (``python benchmarks/bench_sweep_prefilter.py``) or via
 pytest (``pytest benchmarks/bench_sweep_prefilter.py -s``).
@@ -33,7 +34,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from conftest import print_header, run_once
+from conftest import bench_json_path, print_header, run_once
 
 from repro.pipeline import apply_quick_mode, default_registry
 from repro.sweep import run_sweep
@@ -114,9 +115,7 @@ def test_sweep_prefilter(benchmark):
 
     # record the datapoint before any gate can fail — a regression run
     # is exactly the one whose numbers must survive
-    out_path = Path(
-        os.environ.get("REPRO_BENCH_SWEEP_JSON", "BENCH_sweep.json")
-    )
+    out_path = bench_json_path("sweep")
     # other benches keep their own sections of the file
     data = json.loads(out_path.read_text()) if out_path.exists() else {}
     data.update({

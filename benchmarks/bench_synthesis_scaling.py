@@ -27,7 +27,9 @@ streaming cell-sharded engine, and three claims are checked:
 
 The run emits the synthesis perf datapoint as ``BENCH_synthesis.json``
 (CI uploads it as an artifact); set ``REPRO_BENCH_SYNTHESIS_JSON`` to
-redirect it.  The datapoint records the selected execution backend
+redirect it.
+A quick run (``REPRO_BENCH_QUICK=1``) writes ``BENCH_synthesis_quick.json``.
+The datapoint records the selected execution backend
 (``REPRO_BENCH_BACKEND``; defaults to ``process`` when the fan-out can
 actually parallelise) and a per-stage wall-time breakdown
 (``stages_s``: cell fan-out vs run merging) so regressions localise to
@@ -43,11 +45,10 @@ import json
 import os
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import print_header, run_once
+from conftest import bench_json_path, print_header, run_once
 
 from repro.execution import (
     reset_run_health,
@@ -200,9 +201,7 @@ def test_synthesis_scaling(benchmark):
 
     # record the datapoint before any gate can fail — a regression run is
     # exactly the one whose numbers must survive
-    out_path = Path(
-        os.environ.get("REPRO_BENCH_SYNTHESIS_JSON", "BENCH_synthesis.json")
-    )
+    out_path = bench_json_path("synthesis")
     out_path.write_text(json.dumps({
         "benchmark": "synthesis_scaling",
         "quick": QUICK,

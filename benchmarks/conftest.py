@@ -9,6 +9,7 @@ the corresponding paper exhibit reports, so `pytest benchmarks/
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,17 @@ VALIDATION_SEEDS = (0,) if QUICK else (0, 1)
 
 #: Length (seconds) of the shared reference interval.
 REFERENCE_DURATION = 60.0 if QUICK else 120.0
+
+
+def bench_json_path(name: str) -> Path:
+    """The file a bench writes its ``name`` perf datapoint to.
+
+    ``REPRO_BENCH_<NAME>_JSON`` names it; otherwise a quick run writes
+    ``BENCH_<name>_quick.json``, so it never overwrites the full-size
+    ``BENCH_<name>.json`` datapoints the repository keeps.
+    """
+    default = f"BENCH_{name}_quick.json" if QUICK else f"BENCH_{name}.json"
+    return Path(os.environ.get(f"REPRO_BENCH_{name.upper()}_JSON", default))
 
 
 def print_header(title: str) -> None:

@@ -76,26 +76,31 @@ def pack_packet_keys(packets: np.ndarray, key: str, prefix_length: int = 24):
     )
 
 
-def packed_key_order(hi: np.ndarray, lo: np.ndarray, within=None) -> np.ndarray:
-    """Stable order by ``(hi, lo)`` — or ``(hi, lo, within)`` — via radix.
+def packed_key_order(*words, within=None) -> np.ndarray:
+    """Stable order by uint64 ``words`` (most significant first) via radix.
 
     ``np.argsort`` falls back to comparison sorting for 64-bit integers
-    but uses an O(n) radix sort for 16-bit ones, so the two packed key
-    words are decomposed into uint16 digits and sorted
-    least-significant-digit first (``np.lexsort`` with the primary key
-    last *is* an LSD radix sort when every pass is stable).  Constant
-    digits — fixed address-pool prefixes, the all-zero upper half of
-    prefix keys — are skipped outright.  Because every pass is stable,
-    the permutation is **identical** to ``np.lexsort((within, lo, hi))``,
-    just several times faster on packet-scale inputs.
+    but uses an O(n) radix sort for 16-bit ones, so the words are
+    decomposed into uint16 digits and sorted least-significant-digit
+    first (``np.lexsort`` with the primary key last *is* an LSD radix
+    sort when every pass is stable).  Constant digits — fixed
+    address-pool prefixes, the all-zero upper half of prefix keys — are
+    skipped outright.  Because every pass is stable, the permutation of
+    ``packed_key_order(hi, lo)`` is **identical** to
+    ``np.lexsort((lo, hi))``, just several times faster on packet-scale
+    inputs.  Its callers need the exporter's canonical (key, start)
+    order: :meth:`~repro.measurement.streaming.StreamingMeasurement.seal`
+    and ``assemble`` over flows, and the export records' start order;
+    the per-packet grouping of the streaming accountant sorts by a key
+    mix instead, and by ``(mix, hi, lo)`` only on a mix collision.
 
     ``within`` (e.g. timestamps) is the least significant sort key; omit
     it when rows of equal key are already in the desired relative order
     (stability preserves it).
     """
-    n = hi.size
+    n = words[0].size
     digits = []
-    for word in (lo, hi):  # significance ascending: lo below hi
+    for word in reversed(words):  # significance ascending
         cols = np.ascontiguousarray(word, dtype=np.uint64).view(
             np.uint16
         ).reshape(n, 4)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import ParameterError, TraceFormatError
-from ..flows.keys import packed_key_order
+from ..flows.keys import FIVE_TUPLE_FIELDS, packed_key_order
 from ..flows.records import FlowSet
 
 __all__ = [
@@ -68,7 +68,7 @@ def start_order(starts) -> np.ndarray:
     key = np.where(bits & _SIGN, ~bits, bits | _SIGN)
     key[bits == _SIGN] = _SIGN  # -0.0 ties with +0.0
     key[(bits & ~_SIGN) > _INF_BITS] = np.iinfo(np.uint64).max  # NaN
-    return packed_key_order(key, np.zeros(key.size, dtype=np.uint64))
+    return packed_key_order(key)
 
 
 def flow_records_from_flowset(flows: FlowSet) -> np.ndarray:
@@ -85,15 +85,18 @@ def flow_records_from_flowset(flows: FlowSet) -> np.ndarray:
             "measurement-side view, not a wire format)"
         )
     order = start_order(flows.starts)
-    # gather column by column: indexing the packed record dtype copies
-    # whole records field by field, several times slower
+    # gather column by column straight into the record fields: indexing
+    # the packed record dtype copies whole records field by field,
+    # several times slower ("clip" lets np.take write to the strided
+    # field without a buffer; ``order`` is a permutation, never clipped)
     records = np.empty(len(flows), dtype=FLOW_RECORD_DTYPE)
-    records["start"] = flows.starts[order]
-    records["end"] = flows.ends[order]
-    for field in ("src_addr", "dst_addr", "src_port", "dst_port", "protocol"):
-        records[field] = flows.keys[field][order]
-    records["packets"] = flows.packet_counts[order]
-    records["octets"] = flows.sizes[order].astype(np.int64)
+    for name, column in (
+        ("start", flows.starts), ("end", flows.ends),
+        *((field, flows.keys[field]) for field in FIVE_TUPLE_FIELDS),
+        ("packets", flows.packet_counts),
+        ("octets", flows.sizes.astype(np.int64)),
+    ):
+        np.take(column, order, out=records[name], mode="clip")
     return records
 
 

@@ -7,8 +7,9 @@ Python loops):
 
 * :func:`expand_rounds` — the per-packet schedule, bit-for-bit equal to
   a round-by-round loop.
-* :func:`powershot_scatter` — accumulates per-row increments in flow
-  order through ``np.bincount``, so it stays bit-for-bit equal to
+* :func:`powershot_scatter` — evaluates the power curve once per bin
+  edge and accumulates the per-row differences in flow order through
+  ``np.bincount``, so it stays bit-for-bit equal to
   ``reference_rate_series`` (the engines only use it for
   :class:`~repro.core.shots.PowerShot`; table-interpolated shots keep
   the generic path).
@@ -87,34 +88,41 @@ def powershot_scatter(
     """Exact power-shot byte scatter over the bin range ``[b0, b1)``.
 
     ``a``/``b`` give each flow's half-open touched-bin range already
-    clamped to the chunk.  Rows are accumulated in flow order, so every
-    bin sums its floating-point contributions in exactly the order the
-    reference per-flow loop performed them.
+    clamped to the chunk.  Flow ``f`` adds ``C(j + 1) - C(j)`` to each
+    bin ``j`` in its range, where ``C(j) = s·clip((Δ·j - t)/d, 0, 1)^(p+1)``
+    is its cumulative volume at bin edge ``j``.  Bin ``j``'s right edge
+    is bitwise bin ``j + 1``'s left edge (``Δ·float(j + 1)`` is one
+    correctly-rounded product), so each flow's ``b - a + 1`` edge values
+    are evaluated once and differenced.  The rows are accumulated in
+    flow order, so every bin sums its floating-point contributions in
+    exactly the order the reference per-flow loop performed them.
     """
     power, delta, b0, b1 = float(power), float(delta), int(b0), int(b1)
-    volumes = np.zeros(b1 - b0)
-    sel = b > a
-    if not np.any(sel):
-        return volumes
-    counts = b[sel] - a[sel]
-    total = int(counts.sum())
-    flow = np.repeat(np.flatnonzero(sel), counts)
-    row_start = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    within = np.arange(total) - np.repeat(row_start, counts)
-    gbin = np.repeat(a[sel], counts) + within
-
-    t = starts[flow]
-    s = sizes[flow]
-    d = durations[flow]
-    gb = gbin.astype(np.float64)
-    p1 = power + 1.0
-    # Same edge values the reference builds via ``delta * arange``:
-    # delta * j is one correctly-rounded product.
-    v_left = np.clip((delta * gb - t) / d, 0.0, 1.0)
-    v_right = np.clip((delta * (gb + 1.0) - t) / d, 0.0, 1.0)
-    c_left = s * np.power(v_left, p1)
-    c_right = s * np.power(v_right, p1)
-    return np.bincount(gbin - b0, weights=c_right - c_left, minlength=b1 - b0)
+    sel = np.flatnonzero(b > a)
+    if not sel.size:
+        return np.zeros(b1 - b0)
+    n_edges = b[sel] - a[sel] + 1
+    edge_end = np.cumsum(n_edges)  # one past each flow's last edge
+    total = int(edge_end[-1])
+    flow = np.repeat(sel, n_edges)
+    edge = np.arange(total, dtype=np.int64)
+    edge += np.repeat(a[sel] - (edge_end - n_edges), n_edges)
+    # C at every edge, one reference operation at a time, in place
+    cum = edge.astype(np.float64)
+    cum *= delta
+    cum -= starts[flow]
+    cum /= durations[flow]
+    np.clip(cum, 0.0, 1.0, out=cum)
+    np.power(cum, power + 1.0, out=cum)
+    cum *= sizes[flow]
+    del flow
+    rows = cum[1:] - cum[:-1]
+    # the difference across two flows is no row: it adds an exact +0.0
+    # (a sum of non-negative increments is never -0.0) to the earlier
+    # flow's bin ``b``, which may be the spare bin ``b1``
+    rows[edge_end[:-1] - 1] = 0.0
+    edge -= b0
+    return np.bincount(edge[:-1], weights=rows, minlength=b1 - b0 + 1)[:-1]
 
 
 # -- EWMA replay --------------------------------------------------------

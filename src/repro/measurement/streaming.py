@@ -36,12 +36,16 @@ Three properties make exact streaming possible:
   fewer than ``min_packets`` packets or a single distinct timestamp), and
   the pending amounts are subtracted if the flow closes discarded.
 
-The key space is sharded by a pure function of the packed key words, so
-independent shards can be processed by a worker pool; shard results merge
-exactly (integer arithmetic again) and the final flow ordering — by key,
-then start time, the exporter's order — is restored with one flow-level
-stable sort by key when the measurement is sealed (a key's flows close
-in start order).
+Within a shard, packets are grouped, and the carry table kept, in the
+order of one 64-bit mix of the packed key words (:func:`_key_mix`): four
+radix digit passes instead of up to eight.  Keys are compared on their
+exact words throughout; where two keys share a mix, the grouping falls
+back to the exact ``(mix, hi, lo)`` order.  The key space is sharded by a
+pure function of the packed key words, so independent shards can be
+processed by a worker pool; shard results merge exactly (integer
+arithmetic again) and the final flow ordering — by key, then start time,
+the exporter's order — is restored with one flow-level stable sort by
+key when the measurement is sealed (a key's flows close in start order).
 """
 
 from __future__ import annotations
@@ -94,32 +98,69 @@ def reject_non_finite(timestamps, offset: int = 0) -> None:
         )
 
 
-def _match_sorted(a_hi, a_lo, b_hi, b_lo):
-    """Indices ``(ai, bi)`` of equal keys between two sorted unique lists."""
-    na = a_hi.size
-    if na == 0 or b_hi.size == 0:
+#: Odd multiplier of :func:`_key_mix` (2**64 over the golden ratio).
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _key_mix(hi, lo):
+    """One uint64 per packed key, ``hi ^ lo·K`` (wrapping): the grouping key.
+
+    Equal keys share a mix; two different keys may share one too (a
+    collision), which every grouping detects on the exact words.  Prefix
+    keys have ``lo = 0``, so their mix is ``hi`` itself.
+    """
+    return hi ^ (lo * _MIX)
+
+
+def _key_change(hi, lo):
+    """True where a row's exact key differs from the row before."""
+    return np.concatenate([[True], (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])])
+
+
+def _match_carry(state, mix, hi, lo):
+    """Indices ``(ci, qi)`` of carried keys equal to the unique query keys.
+
+    The queries come in mix order.  A table with distinct mixes is
+    searched by mix and each hit checked on the exact words; a table
+    holding a mix collision matches by one exact ``(hi, lo)`` sort.
+    """
+    nc = state.mix.size
+    if nc == 0 or mix.size == 0:
         return _EMPTY_I64, _EMPTY_I64
-    cat_hi = np.concatenate([a_hi, b_hi])
-    cat_lo = np.concatenate([a_lo, b_lo])
-    order = packed_key_order(cat_hi, cat_lo)
-    oh = cat_hi[order]
-    ol = cat_lo[order]
-    eq = (oh[1:] == oh[:-1]) & (ol[1:] == ol[:-1])
-    at = np.flatnonzero(eq)
-    # lexsort is stable and a-entries precede b-entries in the
-    # concatenation, so of an equal pair the first index is the a side
-    return order[at].astype(np.int64), (order[at + 1] - na).astype(np.int64)
+    if np.any(state.mix[1:] == state.mix[:-1]):
+        cat_hi = np.concatenate([state.hi, hi])
+        cat_lo = np.concatenate([state.lo, lo])
+        order = packed_key_order(cat_hi, cat_lo)
+        eq = ~_key_change(cat_hi[order], cat_lo[order])[1:]
+        at = np.flatnonzero(eq)
+        # the sort is stable and carried keys precede the queries in the
+        # concatenation, so of an equal pair the first index is carried
+        return order[at].astype(np.int64), (order[at + 1] - nc).astype(np.int64)
+    pos = np.minimum(np.searchsorted(state.mix, mix), nc - 1)
+    hit = np.flatnonzero(
+        (state.mix[pos] == mix) & (state.hi[pos] == hi) & (state.lo[pos] == lo)
+    )
+    return pos[hit], hit
+
+
+#: The carry table's columns, one row per open flow.
+_CARRY = (
+    "mix", "hi", "lo", "start", "last", "size", "count",
+    "pend_n", "pend_bin", "pend_byte",
+)
 
 
 class _ShardState:
-    """Open-flow carry table of one key shard (arrays sorted by key)."""
+    """Open-flow carry table of one key shard.
 
-    __slots__ = (
-        "hi", "lo", "start", "last", "size", "count",
-        "pend_n", "pend_bin", "pend_byte",
-    )
+    Rows are in :func:`_key_mix` order (keys that share a mix in any
+    order between them; lookups handle such a collision exactly).
+    """
+
+    __slots__ = _CARRY
 
     def __init__(self, pend_width: int) -> None:
+        self.mix = _EMPTY_U64
         self.hi = _EMPTY_U64
         self.lo = _EMPTY_U64
         self.start = _EMPTY_F64
@@ -224,32 +265,19 @@ def _close_carry(params, state: _ShardState, idx, result: _ChunkResult):
             )
 
 
-def _rebuild_carry(params, state: _ShardState, keep_mask, new_rows, new_pend):
-    """Replace the carry table with kept rows + the chunk's open flows."""
-    if new_rows is None:
-        n_hi = n_lo = _EMPTY_U64
-        n_start = n_last = n_size = _EMPTY_F64
-        n_count = _EMPTY_I64
-        n_pn = _EMPTY_I64
-        n_pb = np.zeros((0, params.pend_width), dtype=np.int64)
-        n_py = np.zeros((0, params.pend_width), dtype=np.float64)
-    else:
-        n_hi, n_lo, n_start, n_last, n_size, n_count = new_rows
-        n_pn, n_pb, n_py = new_pend
-    hi = np.concatenate([state.hi[keep_mask], n_hi])
-    lo = np.concatenate([state.lo[keep_mask], n_lo])
-    order = packed_key_order(hi, lo)
-    state.hi = hi[order]
-    state.lo = lo[order]
-    state.start = np.concatenate([state.start[keep_mask], n_start])[order]
-    state.last = np.concatenate([state.last[keep_mask], n_last])[order]
-    state.size = np.concatenate([state.size[keep_mask], n_size])[order]
-    state.count = np.concatenate([state.count[keep_mask], n_count])[order]
-    state.pend_n = np.concatenate([state.pend_n[keep_mask], n_pn])[order]
-    state.pend_bin = np.concatenate([state.pend_bin[keep_mask], n_pb])[order]
-    state.pend_byte = np.concatenate(
-        [state.pend_byte[keep_mask], n_py]
-    )[order]
+def _rebuild_carry(state: _ShardState, keep_mask, new_rows=None):
+    """Replace the carry table with kept rows + the chunk's open flows.
+
+    ``new_rows`` holds the :data:`_CARRY` columns of the open flows, in
+    mix order like the kept rows: one stable merge of the two runs
+    (timsort finds them) keeps the table in mix order.
+    """
+    kept = [getattr(state, name)[keep_mask] for name in _CARRY]
+    if new_rows is not None:
+        order = np.argsort(np.concatenate([kept[0], new_rows[0]]), kind="stable")
+        kept = [np.concatenate(pair)[order] for pair in zip(kept, new_rows)]
+    for name, column in zip(_CARRY, kept):
+        setattr(state, name, column)
 
 
 def process_shard(task):  # noqa: E741
@@ -274,20 +302,26 @@ def process_shard(task):  # noqa: E741
             _close_carry(params, state, stale, result)
             keep = np.ones(state.hi.size, dtype=bool)
             keep[stale] = False
-            _rebuild_carry(params, state, keep, None, None)
+            _rebuild_carry(state, keep)
         return state, result
 
-    order = packed_key_order(h, l, within=None if time_sorted else t)
+    # group each key's packets, in time order, by the key mix
+    mix = _key_mix(h, l)
+    order = packed_key_order(mix, within=None if time_sorted else t)
+    mix, h, l = mix[order], h[order], l[order]  # noqa: E741
+    key_change = _key_change(h, l)
+    if np.any(key_change[1:] & (mix[1:] == mix[:-1])):
+        # two keys share a mix and their packets interleave: regroup by
+        # (mix, hi, lo); the sort is stable, so each key stays in time
+        # order
+        fix = packed_key_order(mix, h, l)
+        order, mix, h, l = order[fix], mix[fix], h[fix], l[fix]  # noqa: E741
+        key_change = _key_change(h, l)
     t = t[order]
     s = s[order]
-    h = h[order]
-    l = l[order]  # noqa: E741
     if track:
         b = b[order]
 
-    key_change = np.concatenate(
-        [[True], (h[1:] != h[:-1]) | (l[1:] != l[:-1])]
-    )
     gap_split = np.concatenate([[False], (t[1:] - t[:-1]) > timeout])
     new_seg = key_change | gap_split
     seg_id = np.cumsum(new_seg) - 1
@@ -298,6 +332,7 @@ def process_shard(task):  # noqa: E741
     seg_t1 = t[seg_last]
     seg_size = np.bincount(seg_id, weights=s, minlength=nseg)
     seg_count = np.bincount(seg_id, minlength=nseg)
+    seg_mix = mix[seg_first]
     seg_hi = h[seg_first]
     seg_lo = l[seg_first]
     first_of_key = key_change[seg_first]
@@ -313,8 +348,8 @@ def process_shard(task):  # noqa: E741
     inh_pend_byte = np.zeros((nseg, width), dtype=np.float64)
 
     kf_idx = np.flatnonzero(first_of_key)
-    ci, si = _match_sorted(
-        state.hi, state.lo, seg_hi[kf_idx], seg_lo[kf_idx]
+    ci, si = _match_carry(
+        state, seg_mix[kf_idx], seg_hi[kf_idx], seg_lo[kf_idx]
     )
     seg_m = kf_idx[si]
     cont = seg_t0[seg_m] - state.last[ci] <= timeout
@@ -417,14 +452,13 @@ def process_shard(task):  # noqa: E741
         )
 
     _rebuild_carry(
-        params,
         state,
         carry_keep,
         (
-            seg_hi[open_idx], seg_lo[open_idx], eff_start[open_idx],
-            seg_t1[open_idx], eff_size[open_idx], eff_count[open_idx],
+            seg_mix[open_idx], seg_hi[open_idx], seg_lo[open_idx],
+            eff_start[open_idx], seg_t1[open_idx], eff_size[open_idx],
+            eff_count[open_idx], pend_n, pend_bin, pend_byte,
         ),
-        (pend_n, pend_bin, pend_byte),
     )
     return state, result
 
@@ -542,7 +576,9 @@ class StreamingMeasurement:
             )
         if packets.size == 0:
             return []
-        ts = packets["timestamp"].astype(np.float64, copy=False)
+        # contiguous: the shard steps gather it, and gathers from the
+        # strided field of the 23-byte records are several times slower
+        ts = np.ascontiguousarray(packets["timestamp"], dtype=np.float64)
         t_min = float(ts.min())
         t_max = float(ts.max())
         if not (np.isfinite(t_min) and np.isfinite(t_max)):

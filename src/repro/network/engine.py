@@ -85,7 +85,7 @@ from ..execution import ExecutionSpec, RetryPolicy, make_pool, stage_timer
 from ..flows.records import FlowSet
 from ..measurement.streaming import StreamingMeasurement, process_shard
 from ..synthesis.engine import synthesize_cell_task
-from ..trace.packet import PACKET_DTYPE
+from ..trace.packet import concatenate_packets
 from ..stats.timeseries import RateSeries
 from .demands import DemandMatrix, destination_keys_overlap
 from .events import FlashCrowd, LinkOutage, apply_flash_crowds, routing_timeline
@@ -104,9 +104,6 @@ __all__ = [
 
 #: Default packets of one per-class measurement step.
 DEFAULT_NETWORK_CHUNK = 1_000_000
-
-#: One packet record as opaque bytes, for whole-record copies.
-_RECORD = np.dtype((np.void, PACKET_DTYPE.itemsize))
 
 
 # -- per-link packet plumbing ----------------------------------------------
@@ -195,19 +192,8 @@ def _merge_window(parts):
     """
     if len(parts) == 1:
         return parts[0]
-    merged = _concatenate(parts)
+    merged = concatenate_packets(parts)
     return np.take(merged, np.argsort(merged["timestamp"], kind="stable"))
-
-
-def _concatenate(blocks):
-    """The packet blocks end to end, as one array."""
-    if len(blocks) == 1:
-        return blocks[0]
-    # whole-record copies (a void view, np.take): numpy copies the packed
-    # packet dtype field by field otherwise, several times slower
-    return np.concatenate([block.view(_RECORD) for block in blocks]).view(
-        PACKET_DTYPE
-    )
 
 
 # -- results ---------------------------------------------------------------
@@ -716,11 +702,9 @@ class NetworkEngine:
                 n_demands=len(plan.crossing[link]),
             )
             if keep_packets:
-                result.packets = (
-                    np.concatenate(blocks)
-                    if blocks
-                    else np.zeros(0, dtype=PACKET_DTYPE)
-                )
+                packets = concatenate_packets(blocks)
+                # a lone window block may be another link's too: own it
+                result.packets = packets.copy() if len(blocks) == 1 else packets
             plan.simulation.links[link] = result
             if plan.store is not None:
                 plan.store.save(key, result)
@@ -1058,7 +1042,7 @@ def _measure_window(pool, streamers, held, chunk, *, last):
     for slot, blocks in enumerate(held):
         size = sum(block.size for block in blocks)
         if size and (last or size >= chunk):
-            packets = _concatenate(blocks)
+            packets = concatenate_packets(blocks)
             cut = size if last else size - size % chunk
             # a copy, so the remainder does not pin the measured packets
             blocks[:] = [packets[cut:].copy()] if cut < size else []

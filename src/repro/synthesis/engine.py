@@ -56,7 +56,7 @@ from ..exceptions import ParameterError
 from ..execution import ExecutionSpec, RetryPolicy, make_pool, stage_timer
 from ..netsim.link import LinkSynthesis
 from ..trace.io import TraceWriter
-from ..trace.packet import PacketTrace, packets_from_columns
+from ..trace.packet import PacketTrace, concatenate_packets, packets_from_columns
 from .cells import (
     DEFAULT_SYNTHESIS_CELL,
     CellBlock,
@@ -348,7 +348,7 @@ class StreamingSynthesis:
                 self.total_bytes += float(out["size"].sum(dtype=np.int64))
                 yield out
         if chunk is not None and held_count:
-            out = held[0] if len(held) == 1 else np.concatenate(held)
+            out = concatenate_packets(held)
             self.packet_count += out.size
             self.total_bytes += float(out["size"].sum(dtype=np.int64))
             yield out
@@ -368,7 +368,7 @@ def _take_exactly(held, held_count, chunk):
             out_parts.append(part[:need])
             rest.append(part[need:])
             need = 0
-    out = out_parts[0] if len(out_parts) == 1 else np.concatenate(out_parts)
+    out = concatenate_packets(out_parts)
     return out, rest, held_count - chunk
 
 
@@ -513,10 +513,7 @@ class SynthesisEngine:
         stream = self.synthesize_chunks(
             seed, keep_ground_truth=True, **plan_kwargs
         )
-        blocks = list(stream)
-        packets = (
-            blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-        ) if blocks else packets_from_columns(*([[]] * 7))
+        packets = concatenate_packets(stream)
         starts, sizes, protocols = stream.ground_truth()
         trace = PacketTrace(
             packets,

@@ -18,7 +18,8 @@ import numpy as np
 
 from ..exceptions import ParameterError
 
-__all__ = ["PACKET_DTYPE", "PacketRecord", "PacketTrace", "packets_from_columns"]
+__all__ = ["PACKET_DTYPE", "PacketRecord", "PacketTrace", "concatenate_packets",
+           "packets_from_columns"]
 
 #: On-disk / in-memory packet layout (little-endian, packed: 23 bytes).
 PACKET_DTYPE = np.dtype(
@@ -32,6 +33,25 @@ PACKET_DTYPE = np.dtype(
         ("size", "<u2"),  # wire size in bytes (<= 65535)
     ]
 )
+
+#: One packet record as opaque bytes, for whole-record copies.
+_RECORD = np.dtype((np.void, PACKET_DTYPE.itemsize))
+
+
+def concatenate_packets(blocks) -> np.ndarray:
+    """The :data:`PACKET_DTYPE` blocks end to end (one block as is).
+
+    Whole records are copied through a void view: numpy concatenates the
+    packed packet dtype field by field otherwise, several times slower.
+    """
+    blocks = list(blocks)
+    if len(blocks) == 1:
+        return blocks[0]
+    if not blocks:
+        return np.zeros(0, dtype=PACKET_DTYPE)
+    return np.concatenate([block.view(_RECORD) for block in blocks]).view(
+        PACKET_DTYPE
+    )
 
 
 @dataclass(frozen=True)

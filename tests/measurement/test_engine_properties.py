@@ -72,6 +72,15 @@ flow_keys = st.one_of(
 def test_engine_equals_reference_oracle(
     packets, flow_key, timeout, min_packets, chunk, workers
 ):
+    check_engine_equals_oracle(
+        packets, flow_key, timeout, min_packets, chunk, workers
+    )
+
+
+def check_engine_equals_oracle(
+    packets, flow_key, timeout, min_packets, chunk, workers
+):
+    """The engine's FlowSet and rate series equal the oracle's, bitwise."""
     kwargs = dict(timeout=timeout, min_packets=min_packets, **flow_key)
     expected, packet_map = reference_export_flows(packets, **kwargs)
     duration = MAX_TICK * GRID + 1.0

@@ -6,6 +6,8 @@ written here, so the engines' bitwise contracts rest on a plain loop.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,59 @@ def test_powershot_scatter_matches_shot_cumulative():
         starts, sizes, durations, a, b, 0.8, delta, 3, 40
     )
     assert got.tobytes() == oracle.tobytes()  # bitwise
+
+
+def _edge_case_fixture(delta=0.5, b0=3, b1=40, n=400):
+    """Flows clamped at ``b0`` and ``b1``, one-bin flows, and flows with
+    no row (``b == a``) between flows with rows."""
+    rng = np.random.default_rng(7)
+    starts = rng.uniform(-2.0, 22.0, n)
+    durations = rng.lognormal(0.0, 1.0, n)
+    one_bin = np.arange(0, n, 4)
+    starts[one_bin] = (rng.integers(b0, b1, one_bin.size) + 0.25) * delta
+    durations[one_bin] = 0.5 * delta
+    outside = np.arange(2, n, 8)  # wholly before b0 or after b1
+    starts[outside] = np.where(outside % 16 == 2, -5.0, 25.0)
+    durations[outside] = 1.0
+    sizes = rng.pareto(2.0, n) * 5e3 + 1e3
+    lo = np.floor(starts / delta).astype(np.int64)
+    hi = np.ceil((starts + durations) / delta).astype(np.int64)
+    a = np.clip(np.maximum(lo, b0), b0, b1)
+    b = np.clip(np.minimum(hi, b1), b0, b1)
+    rows = b > a
+    assert np.any(rows & (lo < b0)) and np.any(rows & (hi > b1))
+    assert np.any(b - a == 1)
+    assert np.any(~rows[1:-1] & rows[:-2] & rows[2:])
+    return starts, sizes, durations, a, b, delta
+
+
+@pytest.mark.parametrize("power", [0.0, 0.8, 2.46])
+def test_powershot_scatter_edge_cases_match_oracle(power):
+    starts, sizes, durations, a, b, delta = _edge_case_fixture()
+    got = powershot_scatter(
+        starts, sizes, durations, a, b, power, delta, 3, 40
+    )
+    oracle = _scatter_oracle(
+        starts, sizes, durations, a, b, power, delta, 3, 40
+    )
+    assert got.tobytes() == oracle.tobytes()  # bitwise
+
+
+def test_powershot_scatter_peak_memory():
+    # the curve is evaluated once per bin edge, in place: the kernel's
+    # peak allocation stays within 9 row-sized float64 arrays
+    starts, sizes, durations, a, b, delta = _scatter_fixture(
+        seed=3, n=5000, delta=0.05, b0=0, b1=2500
+    )
+    rows = int((b - a).sum())
+    assert rows >= 100_000
+    tracemalloc.start()
+    try:
+        powershot_scatter(starts, sizes, durations, a, b, 0.8, delta, 0, 2500)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 8 * rows
 
 
 def test_powershot_scatter_dispatcher_handles_empty_ranges():
