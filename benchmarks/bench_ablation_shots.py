@@ -36,7 +36,7 @@ def test_ablation_shot_variance_factors(benchmark):
             model = PoissonShotNoiseModel(lam, ensemble, PowerShot(b))
             simulated = GenerationEngine().rate_series(
                 lam, ensemble, PowerShot(b), duration=300.0, delta=0.05,
-                rng=int(10 * b) + 1,
+                seed=int(10 * b) + 1,
             )
             rows.append((b, model, simulated))
         return rows

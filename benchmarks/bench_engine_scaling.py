@@ -2,9 +2,10 @@
 
 Measures the chunked/vectorized engine against the original per-flow
 Python loop (kept verbatim as
-:func:`repro.generation.reference_rate_series`) on the same seed, so both
-sides produce the *identical* ``RateSeries`` while only the execution
-strategy differs.  Three claims are checked:
+:func:`repro.generation.reference_rate_series`) fed the flows the
+engine's arrival cells draw for the same seed, so both sides produce the
+*identical* ``RateSeries`` while only the execution strategy differs.
+Three claims are checked:
 
 * **Speedup**: the engine is >= 10x faster than the reference loop at the
   benchmark's flow count (~1e6 flows with ``REPRO_BENCH_FULL=1``, ~2e5 in
@@ -30,6 +31,7 @@ from conftest import print_header, run_once
 
 from repro.core import EmpiricalEnsemble, TriangularShot
 from repro.generation import GenerationEngine, reference_rate_series
+from repro.generation.engine import _CellSampler
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
 
@@ -68,31 +70,32 @@ def test_engine_scaling(benchmark):
     arrival_rate = N_FLOWS / (DURATION + WARMUP)
     shot = TriangularShot()
     kwargs = dict(duration=DURATION, delta=DELTA, warmup=WARMUP)
+    sampler = _CellSampler(arrival_rate, ensemble, DURATION, WARMUP, SEED)
+    blocks = [block for block, _ in sampler.cells_before(np.inf)]
+    flows = [np.concatenate(col) for col in zip(*blocks)]
 
     def build():
         reference, t_reference = _timed(
-            lambda: reference_rate_series(
-                arrival_rate, ensemble, shot, rng=SEED, **kwargs
-            )
+            lambda: reference_rate_series(*flows, shot, DURATION, DELTA)
         )
         chunked, t_chunked = _timed(
             lambda: GenerationEngine(chunk=10.0).rate_series(
-                arrival_rate, ensemble, shot, rng=SEED, **kwargs
+                arrival_rate, ensemble, shot, seed=SEED, **kwargs
             )
         )
         threaded, t_threaded = _timed(
             lambda: GenerationEngine(chunk=10.0, workers=4).rate_series(
-                arrival_rate, ensemble, shot, rng=SEED, **kwargs
+                arrival_rate, ensemble, shot, seed=SEED, **kwargs
             )
         )
         peak_whole = _peak_memory(
             lambda: GenerationEngine(chunk=None).rate_series(
-                arrival_rate, ensemble, shot, rng=SEED, **kwargs
+                arrival_rate, ensemble, shot, seed=SEED, **kwargs
             )
         )
         peak_chunked = _peak_memory(
             lambda: GenerationEngine(chunk=2.0).rate_series(
-                arrival_rate, ensemble, shot, rng=SEED, **kwargs
+                arrival_rate, ensemble, shot, seed=SEED, **kwargs
             )
         )
         return (

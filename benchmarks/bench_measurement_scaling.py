@@ -111,13 +111,13 @@ def _build_trace():
     # ~ packets per flow from the packetizer's MSS split
     mean_packets = float(np.mean(np.maximum(np.ceil(sizes / 1460.0), 2.0)))
     arrival_rate = N_PACKETS / mean_packets / DURATION
-    return GenerationEngine(chunk=DURATION / 8).packet_trace(
+    return GenerationEngine().packet_trace(
         arrival_rate,
         ensemble,
         RectangularShot(),
         DURATION,
         warmup=10.0,
-        rng=SEED,
+        seed=SEED,
         name="measurement-bench",
     )
 

@@ -36,11 +36,11 @@ def test_sec7c_generation_matches_measured_statistics(benchmark, reference_trace
         fit = model.fit_power(measured.variance)
         fitted = GenerationEngine().rate_series(
             model.arrival_rate, model.ensemble, fit.shot,
-            duration=GENERATION_DURATION, delta=DELTA, rng=1,
+            duration=GENERATION_DURATION, delta=DELTA, seed=1,
         )
         naive = GenerationEngine().rate_series(
             model.arrival_rate, model.ensemble, RectangularShot(),
-            duration=GENERATION_DURATION, delta=DELTA, rng=1,
+            duration=GENERATION_DURATION, delta=DELTA, seed=1,
         )
         return measured, fit, fitted, naive
 

@@ -49,25 +49,25 @@ def main() -> None:
                         (RectangularShot(), "naive constant-rate")):
         generated = GenerationEngine(chunk=30.0, workers=2).rate_series(
             model.arrival_rate, model.ensemble, shot,
-            duration=240.0, delta=DELTA, rng=1,
+            duration=240.0, delta=DELTA, seed=1,
         )
         print(f"generated ({label:22s}): mean = {generated.mean / 1e3:7.1f} kB/s, "
               f"CoV = {generated.coefficient_of_variation:.2%}")
 
     # -- long-horizon fluid generation in bounded memory ------------------
     engine = GenerationEngine(chunk=60.0, workers=2)
-    long_series = engine.rate_series_streamed(
+    long_series = engine.rate_series(
         model.arrival_rate, model.ensemble, fit.shot,
         duration=1800.0, delta=DELTA, seed=3,
     )
-    print(f"\nstreamed 30-minute path: mean = {long_series.mean / 1e3:.1f} kB/s, "
+    print(f"\n30-minute path: mean = {long_series.mean / 1e3:.1f} kB/s, "
           f"CoV = {long_series.coefficient_of_variation:.2%} "
           f"({len(long_series)} bins, memory bounded by the 60 s chunk)")
 
     # -- packet-level generation + capture round trip --------------------
     trace = GenerationEngine().packet_trace(
         model.arrival_rate, model.ensemble, fit.shot,
-        duration=60.0, link_capacity=real.link_capacity, rng=2,
+        duration=60.0, link_capacity=real.link_capacity, seed=2,
         name="generated-for-simulator",
     )
     print(f"\npacket generation: {trace}")

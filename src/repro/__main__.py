@@ -41,7 +41,7 @@ Examples::
     python -m repro import router.nf5 --link-capacity 622e6
     python -m repro calibrate router.nf5 -o fitted-spec.json --validate
     python -m repro export /tmp/link.rptr /tmp/link.nf5 --format netflow5
-    python -m repro generate /tmp/link.rptr /tmp/synthetic.rptr --chunk 30
+    python -m repro generate /tmp/link.rptr /tmp/synthetic.rptr --seed 3
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._util import check_integer
 from .exceptions import (
     CheckpointError,
     FlowExportError,
@@ -123,9 +124,7 @@ def _execution_parent() -> argparse.ArgumentParser:
     ``network``, ``sweep``, ``synthesize``, ``measure``) so the flags
     are spelled, defaulted and documented exactly once.  A flag you
     give overrides the spec's ``execution`` section; a flag you leave
-    unset keeps the spec's value.  ``generate`` keeps its own
-    ``--chunk`` — there it is a float time window in seconds, not a
-    packet count.
+    unset keeps the spec's value.
     """
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group(
@@ -330,21 +329,21 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    # built first: it rejects a negative or non-finite window before the fit
-    engine = GenerationEngine(chunk=args.chunk or None)
+    # checked first: a bad seed fails before the input is read
+    seed = check_integer("seed", args.seed, minimum=0)
     # generate only needs the fit — stop before the Validate stage
     result = run_scenario(
         _ingest_spec(args, ExecutionSpec()), stages=INGEST_STAGES[:-1]
     )
     meta = result.ingest.meta
     fit = result.fit.power_fit
-    generated = engine.packet_trace(
+    generated = GenerationEngine().packet_trace(
         result.fit.model.arrival_rate,
         result.fit.model.ensemble,
         fit.shot,
         duration=args.duration or meta.duration,
         link_capacity=meta.link_capacity,
-        rng=args.seed,
+        seed=seed,
         name="generated",
     )
     write_trace(generated, args.output)
@@ -1066,11 +1065,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("output", help="output trace file (.rptr)")
     gen.add_argument("--duration", type=float, default=None)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument(
-        "--chunk", type=float, default=0.0,
-        help="engine chunk window in seconds (bounds peak memory; "
-        "0 = whole horizon at once)",
-    )
     gen.set_defaults(func=_cmd_generate)
 
     return parser

@@ -7,6 +7,7 @@ of the public API.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import Iterable
 
@@ -16,6 +17,7 @@ from .exceptions import ParameterError
 
 __all__ = [
     "as_rng",
+    "check_integer",
     "check_positive",
     "check_nonnegative",
     "check_probability",
@@ -31,6 +33,19 @@ def as_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def check_integer(name: str, value, *, minimum: int) -> int:
+    """Validate that ``value`` is an integer (not a float) >= ``minimum``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ParameterError(
+            f"{name} must be an integer, got {value!r}"
+        ) from None
+    if value < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {value!r}")
+    return value
 
 
 def check_positive(name: str, value: float) -> float:

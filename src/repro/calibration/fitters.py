@@ -23,11 +23,11 @@ runs, chunkings and execution backends.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .._util import check_integer
 from ..exceptions import FittingError, ParameterError
 from ..netsim.sizes import (
     CALIBRATION_FAMILIES,
@@ -405,18 +405,6 @@ _FITTERS = {
 # -- the fitting + selection drivers --------------------------------------
 
 
-def _require_integer(name: str, value, *, minimum: int) -> int:
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ParameterError(
-            f"{name} must be an integer, got {value!r}"
-        ) from None
-    if value < minimum:
-        raise ParameterError(f"{name} must be >= {minimum}, got {value!r}")
-    return value
-
-
 def fit_family(
     acc: CalibrationAccumulator,
     family: str,
@@ -433,8 +421,8 @@ def fit_family(
             f"unknown size-law family {family!r}; fittable families: "
             f"{CALIBRATION_FAMILIES}"
         ) from None
-    restarts = _require_integer("restarts", restarts, minimum=1)
-    seed = _require_integer("seed", seed, minimum=0)
+    restarts = check_integer("restarts", restarts, minimum=1)
+    seed = check_integer("seed", seed, minimum=0)
     params = fitter(acc, restarts, seed)
     law = size_law(family, params)
     ll = _law_log_likelihood(acc, law)

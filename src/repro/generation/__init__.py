@@ -7,11 +7,11 @@ pre-engine per-flow loop survives as :func:`reference_rate_series`, the
 bit-for-bit oracle the engine is validated against.
 """
 
-from .engine import DEFAULT_ARRIVAL_CELL, GenerationEngine
+from .engine import ARRIVAL_CELL, GenerationEngine
 from .reference import reference_rate_series
 
 __all__ = [
-    "DEFAULT_ARRIVAL_CELL",
+    "ARRIVAL_CELL",
     "GenerationEngine",
     "reference_rate_series",
 ]

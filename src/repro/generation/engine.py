@@ -5,6 +5,14 @@ materialised the whole horizon at once, which caps them at a few hundred
 thousand flows.  This engine is the scalable substrate every generation
 entry point now routes through.  It provides three orthogonal mechanisms:
 
+**Cell sampling.**  Flows are drawn per fixed *arrival cell* of
+:data:`ARRIVAL_CELL` seconds, each from its own
+``numpy.random.SeedSequence`` child keyed only by the cell index.  The
+rate path keeps a flow in a buffer only while it can still contribute
+and drops it once the horizon has passed it, so arbitrarily long
+horizons run in memory proportional to the stationary flow population,
+not the duration.  Both paths draw the same flows for the same seed.
+
 **Vectorization.**  The per-flow bin scatter becomes one grouped
 segment-sum: every (flow, bin) overlap is expanded into a flat row, the
 shot's cumulative byte curve is evaluated once per row, and
@@ -12,33 +20,22 @@ shot's cumulative byte curve is evaluated once per row, and
 order, so each bin receives its floating-point additions in exactly the
 order the reference loop performed them — the vectorized output is
 **bit-for-bit identical** to :func:`repro.generation.reference_rate_series`
-for the same seed, for every shot family.
+run on the same flows, for every shot family.
 
-**Chunking.**  Time is cut into fixed windows of ``chunk`` seconds
-(aligned to whole bins for rate paths).  Each chunk's accumulation sees
-only the rows overlapping it, so peak memory is bounded by the chunk
-size instead of the horizon.  Flows spanning chunk boundaries are exact:
-a flow's contribution to any bin is the increment of its cumulative
-curve over that bin, wherever the flow started.  In streamed mode
-(:meth:`GenerationEngine.rate_series_streamed`) arrival sampling is
-chunked too: flows are drawn per fixed *arrival cell* from
-``numpy.random.SeedSequence`` children, kept in a buffer only while they
-can still contribute, and dropped once the horizon has passed them — so
-arbitrarily long horizons run in memory proportional to the stationary
-flow population, not the duration.
-
-**Parallelism.**  Chunks cover disjoint bin ranges, so they fan out over
-a :func:`repro.execution.make_pool` pool (``workers`` x ``backend``).
-Sampling is either a single compat RNG stream (exact mode) or per-cell
-``SeedSequence`` children keyed only by cell index, hence results are
-bitwise invariant to ``workers`` and ``chunk`` for a given seed.
+**Chunking and parallelism.**  Time is cut into fixed windows of
+``chunk`` seconds (aligned to whole bins).  Each chunk's accumulation
+sees only the flows overlapping it, so peak memory is bounded by the
+chunk size instead of the horizon.  Chunks cover disjoint bin ranges, so
+they fan out over a :func:`repro.execution.make_pool` pool (``workers``
+x ``backend``).  Since sampling depends only on the seed and the cell
+index, results are bitwise invariant to ``workers`` and ``chunk``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .._util import as_rng, check_positive
+from .._util import check_integer, check_positive
 from ..core.ensemble import FlowEnsemble
 from ..core.shots import PowerShot, Shot
 from ..exceptions import ParameterError
@@ -47,17 +44,21 @@ from ..kernels import powershot_scatter
 from ..netsim.addresses import AddressSpace
 from ..netsim.packetize import packetize_shots
 from ..stats.timeseries import RateSeries
-from ..trace.packet import PacketTrace, packets_from_columns
+from ..trace.packet import (
+    PacketTrace,
+    concatenate_packets,
+    packets_from_columns,
+)
 
 __all__ = [
-    "DEFAULT_ARRIVAL_CELL",
+    "ARRIVAL_CELL",
     "GenerationEngine",
 ]
 
-#: Width (seconds) of one arrival-sampling cell in streamed mode.  Part of
-#: the seeding contract: changing it changes which SeedSequence child a
-#: flow is drawn from, so it is an engine knob rather than a tuning default.
-DEFAULT_ARRIVAL_CELL = 64.0
+#: Width (seconds) of one arrival-sampling cell.  Part of the seeding
+#: contract: changing it changes which SeedSequence child a flow is drawn
+#: from, and so every generated bit.
+ARRIVAL_CELL = 64.0
 
 #: Number of (size, duration) probe samples used to size the warm-up.
 _WARMUP_PROBE = 2048
@@ -83,34 +84,6 @@ def _bin_bounds(starts, durations, delta, n_bins):
     lo = first[active]
     hi = np.minimum(np.maximum(last[active], lo + 1), n_bins)
     return active, lo, hi
-
-
-def _chunk_buckets(lo, hi, ranges):
-    """Flow indices overlapping each bin range, each bucket in flow order.
-
-    Chunk ranges are uniform (``per`` bins, last possibly shorter), so a
-    flow spanning bins ``[lo, hi)`` overlaps chunks ``lo//per`` through
-    ``(hi-1)//per``.  One flat expansion plus a stable sort by chunk
-    yields every bucket in O(total flow-chunk overlaps).
-    """
-    if len(ranges) == 1:
-        return [slice(None)]
-    per = ranges[0][1] - ranges[0][0]
-    c_lo = lo // per
-    c_hi = (hi - 1) // per
-    counts = c_hi - c_lo + 1
-    total = int(counts.sum())
-    flow_entry = np.repeat(np.arange(lo.size), counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    chunk_entry = c_lo[flow_entry] + (np.arange(total) - offsets[flow_entry])
-    order = np.argsort(chunk_entry, kind="stable")
-    sorted_flows = flow_entry[order]
-    bounds = np.searchsorted(
-        chunk_entry[order], np.arange(len(ranges) + 1)
-    )
-    return [
-        sorted_flows[bounds[k]: bounds[k + 1]] for k in range(len(ranges))
-    ]
 
 
 def _scatter_chunk(shot, starts, sizes, durations, lo, hi, delta, b0, b1):
@@ -151,14 +124,8 @@ def _scatter_chunk(shot, starts, sizes, durations, lo, hi, delta, b0, b1):
     return np.bincount(gbin - b0, weights=c_right - c_left, minlength=b1 - b0)
 
 
-def _scatter_task(task):
-    """Exact scatter of one chunk's candidate flows (picklable)."""
-    shot, starts, sizes, durations, lo, hi, delta, b0, b1 = task
-    return _scatter_chunk(shot, starts, sizes, durations, lo, hi, delta, b0, b1)
-
-
 def _stream_accum_task(task):
-    """Streamed-mode accumulation of one chunk's gathered flows."""
+    """Accumulation of one chunk's gathered flows (picklable)."""
     shot, delta, n_bins, b0, b1, flows = task
     if flows is None:
         return np.zeros(b1 - b0)
@@ -189,9 +156,8 @@ class _StreamBuffer:
     def __init__(self) -> None:
         self._blocks: list[tuple[np.ndarray, ...]] = []
 
-    def push(self, block: tuple[np.ndarray, ...] | None) -> None:
-        if block is not None and block[0].size:
-            self._blocks.append(block)
+    def push(self, block: tuple[np.ndarray, ...]) -> None:
+        self._blocks.append(block)
 
     def prune(self, t_start: float) -> None:
         """Drop flows that ended at or before ``t_start``."""
@@ -221,16 +187,13 @@ class _StreamBuffer:
 class GenerationEngine:
     """Scalable generator for section VII-C traffic (see module docs).
 
-    ``chunk`` is the processing window in seconds (``None`` processes the
-    whole horizon as one chunk; peak accumulation memory scales with
-    it).  ``workers`` (pool width for independent chunks), ``backend``
-    and ``retry`` form the engine's
+    ``chunk`` is the rate path's processing window in seconds (``None``
+    processes the whole horizon as one chunk; peak accumulation memory
+    scales with it).  ``workers`` (pool width for independent chunks),
+    ``backend`` and ``retry`` form the engine's
     :class:`~repro.execution.ExecutionSpec`, kept as ``execution``.
-    Results never depend on ``chunk``, ``workers`` or ``backend``.
-    ``arrival_cell`` is the streamed-mode sampling cell width in
-    seconds: flows are drawn per cell from a dedicated ``SeedSequence``
-    child, which is what makes streamed output invariant to ``chunk``
-    and ``workers``.
+    Results depend only on the seed and the model inputs, never on
+    ``chunk``, ``workers`` or ``backend``.
     """
 
     def __init__(
@@ -240,7 +203,6 @@ class GenerationEngine:
         workers: int = 1,
         backend: str = "thread",
         retry: RetryPolicy | None = None,
-        arrival_cell: float = DEFAULT_ARRIVAL_CELL,
     ) -> None:
         if chunk is not None:
             check_positive("chunk", chunk)
@@ -248,13 +210,11 @@ class GenerationEngine:
         self.execution = ExecutionSpec(
             workers=workers, backend=backend, retry=retry
         )
-        self.arrival_cell = check_positive("arrival_cell", arrival_cell)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"GenerationEngine(chunk={self.chunk}, "
-            f"workers={self.execution.workers}, "
-            f"arrival_cell={self.arrival_cell:g})"
+            f"workers={self.execution.workers})"
         )
 
     # -- scheduling helpers ---------------------------------------------
@@ -268,7 +228,7 @@ class GenerationEngine:
             (b0, min(b0 + per, n_bins)) for b0 in range(0, n_bins, per)
         ]
 
-    # -- fluid rate path: compat (bit-for-bit) sampling ------------------
+    # -- fluid rate path -------------------------------------------------
 
     def rate_series(
         self,
@@ -279,7 +239,7 @@ class GenerationEngine:
         delta: float,
         *,
         warmup: float | None = None,
-        rng=None,
+        seed=0,
     ) -> RateSeries:
         """Delta-averaged total rate of the shot-noise model.
 
@@ -291,11 +251,12 @@ class GenerationEngine:
         :class:`~repro.stats.timeseries.RateSeries` measured with the
         same ``delta``.
 
-        Samples all flows from one RNG stream exactly like the reference
-        implementation, then accumulates them with the chunked vectorized
-        scatter.  The result is bit-for-bit identical to
-        :func:`repro.generation.reference_rate_series` for the same seed,
-        for any shot, ``chunk`` and ``workers``.
+        Flows are sampled per arrival cell and buffered only while they
+        can still reach an unprocessed bin, so peak memory is
+        O(stationary flow population + chunk), not O(horizon).  The
+        result equals :func:`repro.generation.reference_rate_series` run
+        on the same cells' flows, bit for bit, for any shot, ``chunk``
+        and ``workers``.
 
         Parameters
         ----------
@@ -313,93 +274,9 @@ class GenerationEngine:
         warmup:
             Extra lead-in time so the process is stationary at t=0.
             Defaults to a high quantile of the sampled flow durations.
-        rng:
-            Seed or Generator.
-        """
-        arrival_rate = check_positive("arrival_rate", arrival_rate)
-        duration = check_positive("duration", duration)
-        delta = check_positive("delta", delta)
-        if delta > duration:
-            raise ParameterError("delta must not exceed duration")
-        rng = as_rng(rng)
-
-        if warmup is None:
-            warmup = _warmup_from_probe(ensemble, rng)
-        warmup = max(float(warmup), 0.0)
-
-        horizon = duration + warmup
-        n_flows = rng.poisson(arrival_rate * horizon)
-        if n_flows == 0:
-            raise ParameterError(
-                "no flows generated; increase arrival_rate or duration"
-            )
-        starts = rng.random(n_flows) * horizon - warmup
-        sizes, flow_durations = ensemble.sample(n_flows, rng)
-
-        n_bins = int(np.floor(duration / delta))
-        volumes = self._accumulate(
-            shot, starts, sizes, flow_durations, delta, n_bins
-        )
-        return RateSeries(volumes / delta, delta)
-
-    def _accumulate(
-        self, shot, starts, sizes, durations, delta, n_bins
-    ) -> np.ndarray:
-        """Chunked, parallel bin accumulation for one flow population."""
-        ranges = self._chunk_bin_ranges(n_bins, delta)
-        active, lo, hi = _bin_bounds(starts, durations, delta, n_bins)
-        a_starts = starts[active]
-        a_sizes = sizes[active]
-        a_durations = durations[active]
-        # Bucket flows to the chunks they overlap once, so each chunk
-        # task touches only its own flows (instead of rescanning all
-        # n_flows per chunk).  The stable sort keeps every bucket in
-        # flow order, preserving bitwise accumulation order.
-        buckets = _chunk_buckets(lo, hi, ranges)
-        tasks = [
-            (
-                shot,
-                a_starts[cand],
-                a_sizes[cand],
-                a_durations[cand],
-                lo[cand],
-                hi[cand],
-                delta,
-                b0,
-                b1,
-            )
-            for (b0, b1), cand in zip(ranges, buckets)
-        ]
-
-        c = self.execution
-        with make_pool(c.backend, c.workers, retry=c.retry) as pool:
-            parts = pool.map_ordered(_scatter_task, tasks)
-        volumes = np.zeros(n_bins)
-        for (b0, b1), part in zip(ranges, parts):
-            volumes[b0:b1] = part
-        return volumes
-
-    # -- fluid rate path: streamed (bounded-memory) sampling -------------
-
-    def rate_series_streamed(
-        self,
-        arrival_rate: float,
-        ensemble: FlowEnsemble,
-        shot: Shot,
-        duration: float,
-        delta: float,
-        *,
-        warmup: float | None = None,
-        seed=0,
-    ) -> RateSeries:
-        """Bounded-memory rate path for arbitrarily long horizons.
-
-        Flows are sampled per arrival cell from ``SeedSequence`` children
-        and buffered only while they can still reach an unprocessed bin,
-        so peak memory is O(stationary flow population + chunk), not
-        O(horizon).  Output depends only on ``(seed, arrival_cell)`` and
-        the model inputs — never, not even in the last bit, on ``chunk``
-        or ``workers``.
+        seed:
+            Integer >= 0 or ``numpy.random.SeedSequence``; the output
+            depends on nothing else but the model inputs.
         """
         arrival_rate = check_positive("arrival_rate", arrival_rate)
         duration = check_positive("duration", duration)
@@ -407,14 +284,7 @@ class GenerationEngine:
         if delta > duration:
             raise ParameterError("delta must not exceed duration")
 
-        sampler = _CellSampler(
-            arrival_rate,
-            ensemble,
-            duration,
-            warmup,
-            seed,
-            self.arrival_cell,
-        )
+        sampler = _CellSampler(arrival_rate, ensemble, duration, warmup, seed)
         n_bins = int(np.floor(duration / delta))
         ranges = self._chunk_bin_ranges(n_bins, delta)
 
@@ -427,7 +297,7 @@ class GenerationEngine:
                 tasks = []
                 for b0, b1 in ranges[g0: g0 + group]:
                     t_start, t_end = delta * b0, delta * b1
-                    for block in sampler.cells_before(t_end):
+                    for block, _ in sampler.cells_before(t_end):
                         buffer.push(block)
                     buffer.prune(t_start)
                     tasks.append(
@@ -449,7 +319,7 @@ class GenerationEngine:
             )
         return RateSeries(volumes / delta, delta)
 
-    # -- packet path: compat (bit-for-bit) sampling ----------------------
+    # -- packet path -----------------------------------------------------
 
     def packet_trace(
         self,
@@ -465,7 +335,7 @@ class GenerationEngine:
         jitter: float = 0.25,
         warmup: float | None = None,
         name: str = "generated",
-        rng=None,
+        seed=0,
     ) -> PacketTrace:
         """Generate a full synthetic packet trace (section VII-C).
 
@@ -481,71 +351,51 @@ class GenerationEngine:
         too long to hold in memory stream from
         :class:`~repro.synthesis.StreamingSynthesis` instead.
 
-        Sampling matches the pre-engine implementation draw for draw;
-        packetization runs per chunk of flows so the per-packet expansion
-        is bounded by ``chunk`` seconds of arrivals.  Because jitter
-        uniforms are consumed from the same stream in the same order, the
-        resulting trace is bit-for-bit identical for any chunking.
+        The flows are those :meth:`rate_series` draws for the same
+        ``seed``.  Each arrival cell's generator then draws that cell's
+        packet jitter and endpoints, so a cell is packetized on its own
+        and the trace depends only on ``seed``, never on ``chunk`` or
+        ``workers``.
         """
         arrival_rate = check_positive("arrival_rate", arrival_rate)
         duration = check_positive("duration", duration)
-        rng = as_rng(rng)
         if address_space is None:
             address_space = AddressSpace()
 
-        if warmup is None:
-            warmup = _warmup_from_probe(ensemble, rng)
-        warmup = max(float(warmup), 0.0)
-
-        n_flows = rng.poisson(arrival_rate * (duration + warmup))
-        if n_flows == 0:
-            raise ParameterError(
-                "no flows generated; increase rate or duration"
-            )
-        starts = np.sort(rng.random(n_flows) * (duration + warmup) - warmup)
-        sizes, durations = ensemble.sample(n_flows, rng)
-
-        if self.chunk is None:
-            per_group = n_flows
-        else:
-            per_group = max(
-                1,
-                int(np.ceil(n_flows * self.chunk / (duration + warmup))),
-            )
-        ts_parts, flow_parts, wire_parts = [], [], []
-        for g0 in range(0, n_flows, per_group):
-            g1 = min(g0 + per_group, n_flows)
+        sampler = _CellSampler(arrival_rate, ensemble, duration, warmup, seed)
+        blocks = []
+        for (starts, sizes, durations), rng in sampler.cells_before(np.inf):
             schedule = packetize_shots(
-                sizes[g0:g1],
-                durations[g0:g1],
+                sizes,
+                durations,
                 shot,
                 mss=mss,
                 header_bytes=header_bytes,
                 jitter=jitter,
                 rng=rng,
             )
-            ts = starts[g0:g1][schedule.flow_index] + schedule.offset
+            ts = starts[schedule.flow_index] + schedule.offset
             keep = (ts >= 0.0) & (ts < duration)
-            ts_parts.append(ts[keep])
-            flow_parts.append(schedule.flow_index[keep] + g0)
-            wire_parts.append(schedule.wire_size[keep])
-
-        timestamps = np.concatenate(ts_parts)
-        flow_of_packet = np.concatenate(flow_parts)
-        wire_sizes = np.concatenate(wire_parts)
-
-        src, dst, sport, dport, proto = address_space.sample_endpoints(
-            n_flows, rng
-        )
-        packets = packets_from_columns(
-            timestamps,
-            src[flow_of_packet],
-            dst[flow_of_packet],
-            sport[flow_of_packet],
-            dport[flow_of_packet],
-            proto[flow_of_packet],
-            wire_sizes,
-        )
+            flow = schedule.flow_index[keep]
+            src, dst, sport, dport, proto = address_space.sample_endpoints(
+                starts.size, rng
+            )
+            blocks.append(
+                packets_from_columns(
+                    ts[keep],
+                    src[flow],
+                    dst[flow],
+                    sport[flow],
+                    dport[flow],
+                    proto[flow],
+                    schedule.wire_size[keep],
+                )
+            )
+        if sampler.total_flows == 0:
+            raise ParameterError(
+                "no flows generated; increase rate or duration"
+            )
+        packets = concatenate_packets(blocks)
         order = np.argsort(packets["timestamp"], kind="stable")
         return PacketTrace(
             packets[order],
@@ -556,12 +406,13 @@ class GenerationEngine:
 
 
 class _CellSampler:
-    """Streamed Poisson arrivals, one SeedSequence child per fixed cell.
+    """Poisson arrivals, one SeedSequence child per fixed cell.
 
-    Cell ``k`` covers ``[-warmup + k * cell, ...)`` and owns every draw
-    for the flows arriving in it (counts, start offsets, sizes and
-    durations), so any consumer that replays the cells obtains the same
-    flows in the same order.
+    Cell ``k`` covers ``[-warmup + k * ARRIVAL_CELL, ...)`` and owns every
+    draw for the flows arriving in it: first their count, start offsets,
+    sizes and durations, then whatever its consumer draws from the
+    generator handed out with them.  So any consumer that replays the
+    cells obtains the same flows in the same order.
     """
 
     def __init__(
@@ -571,13 +422,12 @@ class _CellSampler:
         duration: float,
         warmup: float | None,
         seed,
-        cell: float,
     ) -> None:
-        root = (
-            seed
-            if isinstance(seed, np.random.SeedSequence)
-            else np.random.SeedSequence(seed)
-        )
+        if isinstance(seed, np.random.SeedSequence):
+            root = seed
+        else:
+            seed = check_integer("seed", seed, minimum=0)
+            root = np.random.SeedSequence(seed)
         probe_child = root.spawn(1)[0]
         if warmup is None:
             warmup = _warmup_from_probe(
@@ -586,7 +436,7 @@ class _CellSampler:
         self.warmup = max(float(warmup), 0.0)
         self.arrival_rate = arrival_rate
         self.ensemble = ensemble
-        self.cell = float(cell)
+        self.cell = ARRIVAL_CELL
         horizon = duration + self.warmup
         self.n_cells = max(1, int(np.ceil(horizon / self.cell)))
         self._seeds = root.spawn(self.n_cells)
@@ -607,12 +457,13 @@ class _CellSampler:
             return None
         starts = t_lo + rng.random(n) * width
         sizes, durations = self.ensemble.sample(n, rng)
-        return starts, sizes, durations
+        return (starts, sizes, durations), rng
 
     def cells_before(self, t_end: float):
-        """Yield blocks for every unsampled cell starting before t_end."""
+        """Yield ``((starts, sizes, durations), rng)`` for every unsampled
+        cell that starts before ``t_end`` and holds at least one flow."""
         while self._next < self.n_cells and self._cell_start(self._next) < t_end:
-            block = self._sample(self._next)
+            cell = self._sample(self._next)
             self._next += 1
-            if block is not None:
-                yield block
+            if cell is not None:
+                yield cell

@@ -1,21 +1,21 @@
-"""Reference (pre-engine) rate-path generator — the validation oracle.
+"""Reference (pre-engine) rate-path accumulation — the validation oracle.
 
 This module preserves the original per-flow Python loop of the rate
-path, byte for byte in behaviour: one global RNG stream, one pass over
-flows, one ``volumes[lo:hi] += diff`` per flow.
+path, byte for byte in behaviour: one pass over the given flows, one
+``volumes[lo:hi] += diff`` per flow.
 :meth:`repro.generation.GenerationEngine.rate_series` must reproduce
-this function's output **bit-for-bit** for the same seed — the
-equivalence tests in ``tests/generation/test_engine.py`` and the
-scaling benchmark in ``benchmarks/bench_engine_scaling.py`` both treat
-it as ground truth, so do not "optimise" it.
+this function's output **bit-for-bit** when the loop is fed the flows
+the engine's arrival cells draw, in cell order — the equivalence tests
+in ``tests/generation/test_engine.py`` and the scaling benchmark in
+``benchmarks/bench_engine_scaling.py`` both treat it as ground truth,
+so do not "optimise" it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .._util import as_rng, check_positive
-from ..core.ensemble import FlowEnsemble
+from .._util import check_positive
 from ..core.shots import Shot
 from ..exceptions import ParameterError
 from ..stats.timeseries import RateSeries
@@ -24,37 +24,19 @@ __all__ = ["reference_rate_series"]
 
 
 def reference_rate_series(
-    arrival_rate: float,
-    ensemble: FlowEnsemble,
+    starts,
+    sizes,
+    flow_durations,
     shot: Shot,
     duration: float,
     delta: float,
-    *,
-    warmup: float | None = None,
-    rng=None,
 ) -> RateSeries:
-    """Simulate the Delta-averaged total rate with the original flow loop."""
-    arrival_rate = check_positive("arrival_rate", arrival_rate)
+    """The Delta-averaged total rate of the given flows, flow by flow."""
     duration = check_positive("duration", duration)
     delta = check_positive("delta", delta)
     if delta > duration:
         raise ParameterError("delta must not exceed duration")
-    rng = as_rng(rng)
-
-    # draw a provisional sample to size the warm-up
-    if warmup is None:
-        _, probe_durations = ensemble.sample(2048, rng)
-        warmup = float(np.quantile(probe_durations, 0.99))
-    warmup = max(float(warmup), 0.0)
-
-    horizon = duration + warmup
-    n_flows = rng.poisson(arrival_rate * horizon)
-    if n_flows == 0:
-        raise ParameterError(
-            "no flows generated; increase arrival_rate or duration"
-        )
-    starts = rng.random(n_flows) * horizon - warmup
-    sizes, flow_durations = ensemble.sample(n_flows, rng)
+    n_flows = len(starts)
 
     n_bins = int(np.floor(duration / delta))
     edges = delta * np.arange(n_bins + 1)

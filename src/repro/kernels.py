@@ -10,9 +10,9 @@ Python loops):
 * :func:`powershot_scatter` — evaluates the power curve once per bin
   edge and accumulates the per-row differences in flow order through
   ``np.bincount``, so it stays bit-for-bit equal to
-  ``reference_rate_series`` (the engines only use it for
-  :class:`~repro.core.shots.PowerShot`; table-interpolated shots keep
-  the generic path).
+  ``reference_rate_series`` run on the same flows (the engines only use
+  it for :class:`~repro.core.shots.PowerShot`; table-interpolated shots
+  keep the generic path).
 * :func:`ewma` — the blocked closed form of ``y ← (1-eps)·y + eps·x``,
   equal to the sequential recurrence (``EwmaEstimator``) to ~1e-12
   relative.

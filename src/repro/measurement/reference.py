@@ -1,8 +1,9 @@
 """Reference (pre-engine) measurement implementations, kept verbatim.
 
 These are the hot loops the measurement engine replaced, preserved as
-oracles — exactly like :func:`repro.generation.reference_rate_series`
-stays next to the generation engine.  ``benchmarks/
+oracles — exactly like :func:`repro.generation.reference_rate_series`,
+the per-flow loop the generation engine's rate path must match bit for
+bit on the same flows, stays next to that engine.  ``benchmarks/
 bench_measurement_scaling.py`` races the engine against them on the same
 trace and asserts the outputs agree; tests use them to pin equivalence.
 

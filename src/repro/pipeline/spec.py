@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .._util import check_positive
+from .._util import check_integer, check_positive
 from ..exceptions import ParameterError
 from ..execution import ExecutionSpec, RetryPolicy
 from ..netsim.arrivals import (
@@ -772,9 +772,7 @@ _register_nested("CalibrationSpec", "execution", ExecutionSpec)
 class GenerationSpec:
     """Model-driven generation of section VII-C traffic via the engine.
 
-    ``mode``: ``"exact"`` reproduces the reference sampler bit-for-bit,
-    ``"streamed"`` uses the bounded-memory cell sampler; both are
-    bitwise invariant to chunk and workers.
+    The output is bitwise invariant to chunk and workers.
     ``duration``/``delta``/``seed`` default to the workload duration, the
     estimation delta and the scenario seed respectively.
     """
@@ -784,7 +782,6 @@ class GenerationSpec:
     chunk: float | None = None
     workers: int = 1
     backend: str = "thread"
-    mode: str = "exact"
     seed: int | None = None
 
     def __post_init__(self) -> None:
@@ -800,13 +797,8 @@ class GenerationSpec:
             # ExecutionSpec's check.
             check_positive("generation.chunk", self.chunk)
         ExecutionSpec(workers=self.workers, backend=self.backend)
-        _check_choice(
-            "generation.mode", self.mode, ("exact", "streamed")
-        )
-        if self.seed is not None and int(self.seed) < 0:
-            raise ParameterError(
-                f"generation.seed must be >= 0, got {self.seed!r}"
-            )
+        if self.seed is not None:
+            check_integer("generation.seed", self.seed, minimum=0)
 
 
 @dataclass(frozen=True)
@@ -1287,8 +1279,7 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not str(self.name).strip():
             raise ParameterError("scenario name must be a non-empty string")
-        if int(self.seed) < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed!r}")
+        check_integer("seed", self.seed, minimum=0)
         if self.network is not None and self.workload is not None:
             raise ParameterError(
                 "a scenario is either single-link ('workload') or "

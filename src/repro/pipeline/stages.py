@@ -339,14 +339,12 @@ class GenerationResult:
     """Output of :class:`Generate`: the model-driven rate path."""
 
     series: RateSeries
-    mode: str
     seed: int
     chunk: float | None
     workers: int
 
     def summary(self) -> dict:
         return {
-            "mode": self.mode,
             "seed": int(self.seed),
             "chunk_s": None if self.chunk is None else float(self.chunk),
             "workers": int(self.workers),
@@ -978,27 +976,16 @@ class Generate:
         engine = GenerationEngine(
             chunk=gen.chunk, workers=int(gen.workers), backend=gen.backend
         )
-        if gen.mode == "streamed":
-            series = engine.rate_series_streamed(
-                fitted.arrival_rate,
-                fitted.ensemble,
-                fitted.shot,
-                duration,
-                delta,
-                seed=int(seed),
-            )
-        else:
-            series = engine.rate_series(
-                fitted.arrival_rate,
-                fitted.ensemble,
-                fitted.shot,
-                duration,
-                delta,
-                rng=as_rng(int(seed)),
-            )
+        series = engine.rate_series(
+            fitted.arrival_rate,
+            fitted.ensemble,
+            fitted.shot,
+            duration,
+            delta,
+            seed=seed,
+        )
         context.generation = GenerationResult(
             series=series,
-            mode=gen.mode,
             seed=int(seed),
             chunk=gen.chunk,
             workers=int(gen.workers),

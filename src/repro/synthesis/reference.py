@@ -5,7 +5,8 @@ one-link synthesis, kept verbatim (including
 its private copy of the round-synchronous TCP loop and its original
 per-packet round expansion) as the performance baseline the synthesis
 benchmarks race against — the same role
-:func:`repro.generation.reference_rate_series` and
+:func:`repro.generation.reference_rate_series` (the per-flow rate loop,
+fed the generation engine's flows) and
 :func:`repro.measurement.reference_export_flows` play for the generation
 and measurement engines.
 

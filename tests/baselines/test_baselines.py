@@ -102,7 +102,7 @@ class TestOnOff:
 
         srd = GenerationEngine().rate_series(
             100.0, ensemble, RectangularShot(), duration=240.0, delta=0.1,
-            rng=2,
+            seed=2,
         )
         hurst_srd = estimate_hurst(srd)
         assert hurst_lrd > hurst_srd

@@ -74,7 +74,7 @@ class TestPredictionConsistency:
             small_model.shot,
             duration=2000.0,
             delta=theta,
-            rng=8,
+            seed=8,
         )
         realised = prediction_error(predictor, series) * series.mean
         # predicted error uses the *sampled/averaged* process variance; the
@@ -99,7 +99,7 @@ class TestPredictionConsistency:
             predictor = ModelBasedPredictor(model, theta, order=2)
             series = GenerationEngine().rate_series(
                 30.0, ens, RectangularShot(), duration=1200.0, delta=theta,
-                rng=9,
+                seed=9,
             )
             errors[stretch] = prediction_error(predictor, series)
         assert errors[4.0] < errors[1.0]
@@ -115,7 +115,7 @@ class TestCumulantConsistency:
             small_model.shot,
             duration=4000.0,
             delta=0.05,
-            rng=10,
+            seed=10,
         )
         x = series.values
         sample_skew = float(

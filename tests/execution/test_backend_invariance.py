@@ -96,13 +96,6 @@ class TestGenerationInvariance:
     def baseline(self, model):
         rate, ens, shot = model
         return GenerationEngine(workers=1).rate_series(
-            rate, ens, shot, 120.0, 0.5, rng=5
-        )
-
-    @pytest.fixture(scope="class")
-    def baseline_streamed(self, model):
-        rate, ens, shot = model
-        return GenerationEngine(workers=1).rate_series_streamed(
             rate, ens, shot, 120.0, 0.5, seed=5
         )
 
@@ -113,20 +106,8 @@ class TestGenerationInvariance:
             chunk=float(max(chunk, 4096)) / 1000.0,  # seconds
             workers=workers,
             backend=backend,
-        ).rate_series(rate, ens, shot, 120.0, 0.5, rng=5)
+        ).rate_series(rate, ens, shot, 120.0, 0.5, seed=5)
         assert got.values.tobytes() == baseline.values.tobytes()
-
-    @pytest.mark.parametrize("backend,workers,chunk", GRID)
-    def test_streamed_bitwise(
-        self, model, baseline_streamed, backend, workers, chunk
-    ):
-        rate, ens, shot = model
-        got = GenerationEngine(
-            chunk=float(max(chunk, 4096)) / 1000.0,
-            workers=workers,
-            backend=backend,
-        ).rate_series_streamed(rate, ens, shot, 120.0, 0.5, seed=5)
-        assert got.values.tobytes() == baseline_streamed.values.tobytes()
 
 
 class TestNetworkInvariance:

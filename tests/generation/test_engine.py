@@ -3,14 +3,12 @@
 The engine's contract has three legs, each pinned here:
 
 1. *Equivalence*: the vectorized/chunked path reproduces the reference
-   per-flow loop's ``RateSeries`` bit-for-bit for the same seed, for
-   every shot family.
-2. *Determinism*: output never depends on ``workers`` or ``chunk``, in
-   both compat and streamed sampling modes.
+   per-flow loop's ``RateSeries`` bit-for-bit on the flows the arrival
+   cells draw, for every shot family.
+2. *Determinism*: output never depends on ``workers`` or ``chunk``, on
+   the rate path and the packet path alike.
 3. *Bitwise invariance for every shot*: no shot family takes a shortcut
-   that trades bits for speed — the rectangular shot stays bitwise equal
-   to the reference in compat mode and bitwise chunk/worker-invariant in
-   streamed mode.
+   that trades bits for speed.
 """
 
 from __future__ import annotations
@@ -28,11 +26,8 @@ from repro.core import (
 )
 from repro.exceptions import ParameterError
 from repro.execution import ExecutionSpec, RetryPolicy
-from repro.generation import (
-    DEFAULT_ARRIVAL_CELL,
-    GenerationEngine,
-    reference_rate_series,
-)
+from repro.generation import GenerationEngine, reference_rate_series
+from repro.generation.engine import _CellSampler
 
 SHOT_FAMILIES = [
     RectangularShot(),
@@ -52,42 +47,41 @@ def small_ensemble():
     return EmpiricalEnsemble(sizes, sizes / rates)
 
 
-class TestReferenceEquivalence:
-    """Engine output == seed implementation output, bit for bit."""
+def _reference(arrival_rate, ensemble, shot, duration, delta, *,
+               warmup=None, seed):
+    """The oracle loop fed every arrival cell's flows, in cell order."""
+    sampler = _CellSampler(arrival_rate, ensemble, duration, warmup, seed)
+    blocks = [block for block, _ in sampler.cells_before(np.inf)]
+    starts, sizes, durations = (np.concatenate(col) for col in zip(*blocks))
+    return reference_rate_series(starts, sizes, durations, shot, duration, delta)
 
+
+class TestReferenceEquivalence:
+    """Engine output == the per-flow loop's output, bit for bit."""
+
+    # 150 s plus the warm-up spans three 64 s arrival cells
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("chunk", [0.2, 3.7, 10.0, 60.0, None])
     @pytest.mark.parametrize("shot", SHOT_FAMILIES, ids=lambda s: s.name)
-    def test_bit_for_bit_per_shot_family(self, small_ensemble, shot):
-        ref = reference_rate_series(
-            40.0, small_ensemble, shot, duration=90.0, delta=0.2, rng=3
+    def test_bit_for_bit(self, small_ensemble, shot, chunk, workers, seed):
+        ref = _reference(
+            40.0, small_ensemble, shot, 150.0, 0.2, seed=seed
         )
-        out = GenerationEngine().rate_series(
-            40.0, small_ensemble, shot, duration=90.0, delta=0.2, rng=3
+        out = GenerationEngine(chunk=chunk, workers=workers).rate_series(
+            40.0, small_ensemble, shot, 150.0, 0.2, seed=seed
         )
         np.testing.assert_array_equal(ref.values, out.values)
         assert out.delta == ref.delta
 
-    @pytest.mark.parametrize("chunk", [0.2, 3.7, 10.0, 60.0, None])
-    def test_bit_for_bit_any_chunk(self, small_ensemble, chunk):
-        ref = reference_rate_series(
-            40.0, small_ensemble, TriangularShot(), duration=60.0, delta=0.2,
-            rng=11,
-        )
-        out = GenerationEngine(chunk=chunk, workers=1).rate_series(
-            40.0, small_ensemble, TriangularShot(), duration=60.0, delta=0.2,
-            rng=11,
-        )
-        np.testing.assert_array_equal(ref.values, out.values)
-
-    def test_explicit_warmup_and_generator_rng(self, small_ensemble):
-        rng_a = np.random.default_rng(5)
-        rng_b = np.random.default_rng(5)
-        ref = reference_rate_series(
-            40.0, small_ensemble, ParabolicShot(), duration=45.0, delta=0.5,
-            warmup=2.0, rng=rng_a,
+    def test_explicit_warmup(self, small_ensemble):
+        ref = _reference(
+            40.0, small_ensemble, ParabolicShot(), 140.0, 0.5,
+            warmup=2.0, seed=5,
         )
         out = GenerationEngine(chunk=4.0).rate_series(
-            40.0, small_ensemble, ParabolicShot(), duration=45.0, delta=0.5,
-            warmup=2.0, rng=rng_b,
+            40.0, small_ensemble, ParabolicShot(), 140.0, 0.5,
+            warmup=2.0, seed=5,
         )
         np.testing.assert_array_equal(ref.values, out.values)
 
@@ -97,96 +91,90 @@ class TestReferenceEquivalence:
                 40.0, small_ensemble, TriangularShot(), duration=1.0, delta=2.0
             )
         with pytest.raises(ParameterError):
+            reference_rate_series(
+                [], [], [], TriangularShot(), duration=1.0, delta=2.0
+            )
+        with pytest.raises(ParameterError):
             GenerationEngine().rate_series(
                 1e-9, small_ensemble, TriangularShot(), duration=0.1,
-                delta=0.05, warmup=0.0, rng=5,
+                delta=0.05, warmup=0.0, seed=5,
             )
 
 
 class TestDeterminism:
     """Same seed => same output, whatever the execution geometry."""
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    @pytest.mark.parametrize("chunk", [1.1, 7.0, None])
-    def test_compat_invariant_to_geometry(self, small_ensemble, chunk, workers):
-        base = GenerationEngine().rate_series(
-            40.0, small_ensemble, TriangularShot(), duration=60.0, delta=0.2,
-            rng=21,
-        )
-        out = GenerationEngine(chunk=chunk, workers=workers).rate_series(
-            40.0, small_ensemble, TriangularShot(), duration=60.0, delta=0.2,
-            rng=21,
-        )
-        np.testing.assert_array_equal(base.values, out.values)
-
-    @pytest.mark.parametrize(
-        "shot", [TriangularShot(), RectangularShot()], ids=lambda s: s.name
-    )
-    @pytest.mark.parametrize("workers", [1, 4])
-    @pytest.mark.parametrize("chunk", [2.3, 15.0, None])
-    def test_streamed_invariant_to_geometry(
-        self, small_ensemble, chunk, workers, shot
-    ):
-        base = GenerationEngine(chunk=6.0, workers=1).rate_series_streamed(
-            40.0, small_ensemble, shot, 60.0, 0.2, seed=8
-        )
-        out = GenerationEngine(chunk=chunk, workers=workers).rate_series_streamed(
-            40.0, small_ensemble, shot, 60.0, 0.2, seed=8
-        )
-        np.testing.assert_array_equal(base.values, out.values)
-
-    def test_streamed_depends_on_seed_and_cell(self, small_ensemble):
+    def test_depends_on_seed_and_cell(self, small_ensemble, monkeypatch):
         kwargs = dict(duration=60.0, delta=0.2)
-        a = GenerationEngine().rate_series_streamed(
+        a = GenerationEngine().rate_series(
             40.0, small_ensemble, TriangularShot(), seed=1, **kwargs
         )
-        b = GenerationEngine().rate_series_streamed(
+        b = GenerationEngine().rate_series(
             40.0, small_ensemble, TriangularShot(), seed=2, **kwargs
         )
-        c = GenerationEngine(arrival_cell=16.0).rate_series_streamed(
+        monkeypatch.setattr("repro.generation.engine.ARRIVAL_CELL", 16.0)
+        c = GenerationEngine().rate_series(
             40.0, small_ensemble, TriangularShot(), seed=1, **kwargs
         )
         assert not np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
 
-    def test_streamed_statistics_match_model(self, small_ensemble):
-        series = GenerationEngine(chunk=10.0).rate_series_streamed(
+    def test_seed_sequence_is_a_seed(self, small_ensemble):
+        kwargs = dict(duration=60.0, delta=0.2)
+        a = GenerationEngine().rate_series(
+            40.0, small_ensemble, TriangularShot(), seed=7, **kwargs
+        )
+        b = GenerationEngine().rate_series(
+            40.0, small_ensemble, TriangularShot(),
+            seed=np.random.SeedSequence(7), **kwargs
+        )
+        np.testing.assert_array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "abc", None])
+    def test_bad_seed_is_a_parameter_error(self, small_ensemble, seed):
+        engine = GenerationEngine()
+        with pytest.raises(ParameterError, match="seed must be"):
+            engine.rate_series(
+                40.0, small_ensemble, TriangularShot(), 60.0, 0.2, seed=seed
+            )
+        with pytest.raises(ParameterError, match="seed must be"):
+            engine.packet_trace(
+                40.0, small_ensemble, TriangularShot(), 60.0, seed=seed
+            )
+
+    def test_statistics_match_model(self, small_ensemble):
+        series = GenerationEngine(chunk=10.0).rate_series(
             50.0, small_ensemble, TriangularShot(), 300.0, 0.2, seed=4
         )
         expected_mean = 50.0 * small_ensemble.mean_size
         assert series.mean == pytest.approx(expected_mean, rel=0.05)
 
 
-class TestRectangularFastPath:
-    """The rectangular shot has no closed-form shortcut: it runs the same
-    exact scatter as every other shot."""
-
-    def test_compat_default_stays_bitwise_for_rectangles(self, small_ensemble):
-        """Constant-rate flows stay bit-for-bit equal to the reference."""
-        ref = reference_rate_series(
-            40.0, small_ensemble, RectangularShot(), duration=60.0, delta=0.2,
-            rng=17,
-        )
-        out = GenerationEngine(chunk=3.0).rate_series(
-            40.0, small_ensemble, RectangularShot(), duration=60.0, delta=0.2,
-            rng=17,
-        )
-        np.testing.assert_array_equal(ref.values, out.values)
-
-
 class TestPacketPaths:
-    def test_chunked_packet_trace_identical(self, small_ensemble):
-        base = GenerationEngine().packet_trace(
-            40.0, small_ensemble, TriangularShot(), duration=45.0,
-            link_capacity=1e8, rng=6,
+    @pytest.fixture(scope="class")
+    def base(self, small_ensemble):
+        return GenerationEngine().packet_trace(
+            40.0, small_ensemble, TriangularShot(), duration=150.0,
+            link_capacity=1e8, seed=6,
         )
-        for chunk in (4.0, 13.0):
-            out = GenerationEngine(chunk=chunk).packet_trace(
-                40.0, small_ensemble, TriangularShot(), duration=45.0,
-                link_capacity=1e8, rng=6,
-            )
-            np.testing.assert_array_equal(base.packets, out.packets)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("chunk", [4.0, 13.0, None])
+    def test_invariant_to_geometry(self, small_ensemble, base, chunk, workers):
+        out = GenerationEngine(chunk=chunk, workers=workers).packet_trace(
+            40.0, small_ensemble, TriangularShot(), duration=150.0,
+            link_capacity=1e8, seed=6,
+        )
+        assert out.packets.tobytes() == base.packets.tobytes()
+
+    def test_sorted_and_seeded(self, small_ensemble, base):
+        other = GenerationEngine().packet_trace(
+            40.0, small_ensemble, TriangularShot(), duration=150.0,
+            link_capacity=1e8, seed=7,
+        )
         assert base.is_sorted()
+        assert other.is_sorted()
+        assert base.packets.tobytes() != other.packets.tobytes()
 
 
 class TestEngineKeywords:
@@ -199,8 +187,6 @@ class TestEngineKeywords:
             GenerationEngine(workers=2.5)
         with pytest.raises(ParameterError):
             GenerationEngine(backend="forkserver")
-        with pytest.raises(ParameterError):
-            GenerationEngine(arrival_cell=0.0)
 
     def test_integral_float_workers_coerced(self):
         execution = GenerationEngine(workers=2.0).execution
@@ -212,4 +198,3 @@ class TestEngineKeywords:
         engine = GenerationEngine(chunk=3.0, workers=2, retry=policy)
         assert engine.chunk == 3.0
         assert engine.execution == ExecutionSpec(workers=2, retry=policy)
-        assert engine.arrival_cell == DEFAULT_ARRIVAL_CELL

@@ -21,7 +21,7 @@ class TestFluidGeneration:
     def test_mean_matches_model(self, ensemble):
         model = PoissonShotNoiseModel(50.0, ensemble, TriangularShot())
         series = GenerationEngine().rate_series(
-            50.0, ensemble, TriangularShot(), duration=300.0, delta=0.2, rng=0
+            50.0, ensemble, TriangularShot(), duration=300.0, delta=0.2, seed=0
         )
         assert series.mean == pytest.approx(model.mean, rel=0.05)
 
@@ -30,7 +30,7 @@ class TestFluidGeneration:
         model = PoissonShotNoiseModel(50.0, ensemble, TriangularShot())
         delta = 0.2
         series = GenerationEngine().rate_series(
-            50.0, ensemble, TriangularShot(), duration=600.0, delta=delta, rng=1
+            50.0, ensemble, TriangularShot(), duration=600.0, delta=delta, seed=1
         )
         assert series.variance == pytest.approx(
             model.averaged_variance(delta), rel=0.15
@@ -41,17 +41,17 @@ class TestFluidGeneration:
         paper's central point for simulation-traffic realism."""
         kwargs = dict(duration=400.0, delta=0.2)
         rect = GenerationEngine().rate_series(
-            50.0, ensemble, RectangularShot(), rng=2, **kwargs
+            50.0, ensemble, RectangularShot(), seed=2, **kwargs
         )
         para = GenerationEngine().rate_series(
-            50.0, ensemble, ParabolicShot(), rng=2, **kwargs
+            50.0, ensemble, ParabolicShot(), seed=2, **kwargs
         )
         assert para.variance > 1.2 * rect.variance
         assert para.mean == pytest.approx(rect.mean, rel=0.05)
 
     def test_stationary_after_warmup(self, ensemble):
         series = GenerationEngine().rate_series(
-            50.0, ensemble, TriangularShot(), duration=400.0, delta=0.5, rng=3
+            50.0, ensemble, TriangularShot(), duration=400.0, delta=0.5, seed=3
         )
         half = len(series) // 2
         first = series.window(0, half)
@@ -63,7 +63,7 @@ class TestFluidGeneration:
         ens = EmpiricalEnsemble([1e4], [1.0])
         duration, lam = 200.0, 20.0
         series = GenerationEngine().rate_series(
-            lam, ens, RectangularShot(), duration=duration, delta=0.5, rng=4
+            lam, ens, RectangularShot(), duration=duration, delta=0.5, seed=4
         )
         total = series.values.sum() * series.delta
         assert total == pytest.approx(lam * 1e4 * duration, rel=0.05)
@@ -76,7 +76,7 @@ class TestFluidGeneration:
         with pytest.raises(ParameterError):
             GenerationEngine().rate_series(
                 1e-9, ensemble, TriangularShot(), duration=0.1, delta=0.05,
-                warmup=0.0, rng=5,
+                warmup=0.0, seed=5,
             )
 
 
@@ -85,7 +85,7 @@ class TestPacketGeneration:
         model = PoissonShotNoiseModel(50.0, ensemble, TriangularShot())
         trace = GenerationEngine().packet_trace(
             50.0, ensemble, TriangularShot(), duration=120.0,
-            link_capacity=1e8, rng=6,
+            link_capacity=1e8, seed=6,
         )
         # wire overhead inflates the byte rate slightly; edge truncation
         # removes a little
@@ -96,7 +96,7 @@ class TestPacketGeneration:
         statistics close to the generating ensemble."""
         trace = GenerationEngine().packet_trace(
             50.0, ensemble, TriangularShot(), duration=120.0,
-            link_capacity=1e8, rng=7,
+            link_capacity=1e8, seed=7,
         )
         flows = export_five_tuple_flows(trace, timeout=8.0)
         assert len(flows) > 100
@@ -109,7 +109,7 @@ class TestPacketGeneration:
     def test_sorted_and_windowed(self, ensemble):
         trace = GenerationEngine().packet_trace(
             30.0, ensemble, RectangularShot(), duration=60.0,
-            link_capacity=1e8, rng=8,
+            link_capacity=1e8, seed=8,
         )
         assert trace.is_sorted()
         assert trace.packets["timestamp"].max() < 60.0
@@ -117,11 +117,11 @@ class TestPacketGeneration:
     def test_generated_bins_match_fluid_statistics(self, ensemble):
         """Packetized generation agrees with fluid generation moments."""
         fluid = GenerationEngine().rate_series(
-            40.0, ensemble, TriangularShot(), duration=300.0, delta=0.5, rng=9
+            40.0, ensemble, TriangularShot(), duration=300.0, delta=0.5, seed=9
         )
         trace = GenerationEngine().packet_trace(
             40.0, ensemble, TriangularShot(), duration=300.0,
-            link_capacity=1e8, header_bytes=0, rng=10,
+            link_capacity=1e8, header_bytes=0, seed=10,
         )
         binned = RateSeries.from_packets(trace, 0.5)
         assert binned.mean == pytest.approx(fluid.mean, rel=0.1)

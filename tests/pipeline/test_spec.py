@@ -44,7 +44,7 @@ def _rich_spec() -> ScenarioSpec:
         ),
         estimation=EstimationSpec(delta=0.1, estimator="ewma"),
         fit=FitSpec(powers=(0.0, 1.5), class_split_bytes=10e3),
-        generation=GenerationSpec(mode="streamed", chunk=5.0, workers=2),
+        generation=GenerationSpec(chunk=5.0, workers=2, seed=9),
         anomaly=AnomalySpec(kind="flood", start=10.0, duration=5.0),
         validation=ValidationSpec(detect_anomalies=True, max_lag=10),
     )
@@ -157,9 +157,20 @@ class TestRejection:
         with pytest.raises(ParameterError, match="estimation.estimator"):
             EstimationSpec(estimator="kalman")
 
-    def test_bad_generation_mode(self):
-        with pytest.raises(ParameterError, match="generation.mode"):
-            GenerationSpec(mode="psychic")
+    def test_mode_key_in_generation_rejected(self):
+        data = default_registry().get("medium").to_dict()
+        data["generation"]["mode"] = "exact"
+        with pytest.raises(ParameterError, match=r"spec\.generation.*'mode'"):
+            ScenarioSpec.from_dict(data)
+
+    @pytest.mark.parametrize("seed", [1.5, "abc", -1])
+    @pytest.mark.parametrize("build", [
+        lambda seed: GenerationSpec(seed=seed),
+        lambda seed: ScenarioSpec(name="x", seed=seed),
+    ], ids=["generation", "scenario"])
+    def test_seed_must_be_a_nonnegative_integer(self, build, seed):
+        with pytest.raises(ParameterError, match="seed must be"):
+            build(seed)
 
     def test_anomaly_needs_workload(self):
         with pytest.raises(ParameterError, match="workload"):

@@ -96,7 +96,7 @@ class TestModelBasedPredictor:
         from the same model (the paper's self-consistency)."""
         model = PoissonShotNoiseModel(60.0, ensemble, TriangularShot())
         series = GenerationEngine().rate_series(
-            60.0, ensemble, TriangularShot(), duration=400.0, delta=0.5, rng=4
+            60.0, ensemble, TriangularShot(), duration=400.0, delta=0.5, seed=4
         )
         pred = ModelBasedPredictor(model, sample_interval=0.5, order=3)
         err = prediction_error(pred, series)
@@ -124,7 +124,7 @@ class TestEvaluation:
     def test_compare_predictors_rows(self, ensemble):
         model = PoissonShotNoiseModel(60.0, ensemble, TriangularShot())
         series = GenerationEngine().rate_series(
-            60.0, ensemble, TriangularShot(), duration=300.0, delta=0.5, rng=5
+            60.0, ensemble, TriangularShot(), duration=300.0, delta=0.5, seed=5
         )
         rows = compare_predictors(
             {0.5: series, 1.0: series.resample(2)}, model, max_order=4

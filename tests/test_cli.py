@@ -123,16 +123,16 @@ class TestGenerate:
             original.mean_rate_bps, rel=0.3
         )
 
-    @pytest.mark.parametrize("chunk", ["-1", "nan", "inf", "-inf"])
-    def test_rejects_negative_and_non_finite_chunk(
-        self, trace_file, tmp_path, capsys, chunk
+    def test_rejects_negative_seed_before_reading_input(
+        self, tmp_path, capsys
     ):
         out_path = tmp_path / "generated.rptr"
+        missing = tmp_path / "missing.rptr"
         assert main(
-            ["generate", str(trace_file), str(out_path), f"--chunk={chunk}"]
+            ["generate", str(missing), str(out_path), "--seed", "-1"]
         ) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: chunk must be finite and > 0")
+        assert err.startswith("error: seed must be >= 0, got -1")
         assert "Traceback" not in err
         assert not out_path.exists()
 
@@ -342,6 +342,7 @@ class TestParser:
         [
             ["scenario", "links"],
             ["generate", "in.rptr", "out.rptr", "--workers", "4"],
+            ["generate", "in.rptr", "out.rptr", "--chunk", "5"],
         ],
     )
     def test_removed_surfaces_are_rejected(self, argv):

@@ -78,7 +78,7 @@ class TestFullPipeline:
         )
         generated = GenerationEngine().rate_series(
             model.arrival_rate, model.ensemble, model.shot,
-            duration=240.0, delta=0.2, rng=0,
+            duration=240.0, delta=0.2, seed=0,
         )
         assert generated.mean == pytest.approx(model.mean, rel=0.1)
         assert generated.coefficient_of_variation == pytest.approx(
