@@ -76,46 +76,81 @@ def pack_packet_keys(packets: np.ndarray, key: str, prefix_length: int = 24):
     )
 
 
-def packed_key_order(*words, within=None) -> np.ndarray:
-    """Stable order by uint64 ``words`` (most significant first) via radix.
+def _lead_sort(word):
+    """``(order, lead, exact)``: rows in (lead, row index) order.
 
-    ``np.argsort`` falls back to comparison sorting for 64-bit integers
-    but uses an O(n) radix sort for 16-bit ones, so the words are
-    decomposed into uint16 digits and sorted least-significant-digit
-    first (``np.lexsort`` with the primary key last *is* an LSD radix
-    sort when every pass is stable).  Constant digits — fixed
-    address-pool prefixes, the all-zero upper half of prefix keys — are
-    skipped outright.  Because every pass is stable, the permutation of
-    ``packed_key_order(hi, lo)`` is **identical** to
-    ``np.lexsort((lo, hi))``, just several times faster on packet-scale
-    inputs.  Its callers need the exporter's canonical (key, start)
-    order: :meth:`~repro.measurement.streaming.StreamingMeasurement.seal`
-    and ``assemble`` over flows, and the export records' start order;
-    the per-packet grouping of the streaming accountant sorts by a key
-    mix instead, and by ``(mix, hi, lo)`` only on a mix collision.
+    The lead is ``word - word.min()`` shifted right only as far as it
+    must be to leave ``k = bit_length(n - 1)`` low bits of a uint64 for
+    the row index, so one ``np.sort`` of ``lead << k | index`` orders
+    the rows by lead and then by index.  On uint64, ``np.sort`` runs
+    numpy's vectorised (SIMD) sort, several times faster than a stable
+    argsort or a digit lexsort.  ``lead`` comes back in sorted order; it
+    is monotone in ``word``, and ``exact`` tells whether no bit was
+    shifted off (then equal leads mean equal words).
+    """
+    n = word.size
+    k = (n - 1).bit_length() if n else 0
+    base = word.min() if n else np.uint64(0)
+    lead = word - base
+    span = int(lead.max()).bit_length() if n else 0
+    shift = max(0, span + k - 64)
+    if shift:
+        lead >>= np.uint64(shift)
+    lead <<= np.uint64(k)
+    lead |= np.arange(n, dtype=np.uint64)
+    lead.sort()
+    # the index bits hold values below 2**63: an intp view reads them
+    order = (lead & np.uint64((1 << k) - 1)).view(np.intp)
+    lead >>= np.uint64(k)
+    return order, lead, shift == 0
+
+
+def packed_key_order(*words, within=None) -> np.ndarray:
+    """Stable order by uint64 ``words`` (most significant first).
+
+    The permutation is **identical** to ``np.lexsort`` with the words
+    reversed (``packed_key_order(hi, lo) == np.lexsort((lo, hi))``),
+    computed by one vectorised sort of the first word's lead and the row
+    index (:func:`_lead_sort`).  Only adjacent rows that share a lead are
+    then compared on the other words (and on the first word too, if the
+    lead lost low bits); a run of one lead that holds two or more keys
+    is re-sorted exactly, by ``np.lexsort`` over that run's rows alone.
+    Its callers need the exporter's canonical (key, start) order:
+    :meth:`~repro.measurement.streaming.StreamingMeasurement.seal` and
+    ``assemble`` over flows, the export records' start order and the
+    accountant's collision fallbacks; the accountant's per-packet
+    grouping sorts by the lead of a key mix itself.
 
     ``within`` (e.g. timestamps) is the least significant sort key; omit
     it when rows of equal key are already in the desired relative order
     (stability preserves it).
     """
-    n = words[0].size
-    digits = []
-    for word in reversed(words):  # significance ascending
-        cols = np.ascontiguousarray(word, dtype=np.uint64).view(
-            np.uint16
-        ).reshape(n, 4)
-        order = range(4) if np.little_endian else range(3, -1, -1)
-        for j in order:
-            col = cols[:, j]
-            if n and col.size and int(col.min()) != int(col.max()):
-                digits.append(col)
+    pre = None
     if within is not None:
-        digits.insert(0, within)
-    if not digits:
-        return np.arange(n, dtype=np.intp)
-    if len(digits) == 1:
-        return np.argsort(digits[0], kind="stable")
-    return np.lexsort(tuple(digits))
+        pre = np.argsort(within, kind="stable")
+        words = [word[pre] for word in words]
+    first = np.asarray(words[0], dtype=np.uint64)
+    order, lead, exact = _lead_sort(first)
+    rest = [np.asarray(word, dtype=np.uint64) for word in words[1:]]
+    if not exact:
+        rest.insert(0, first)
+    if rest and order.size > 1:
+        pair = np.flatnonzero(lead[1:] == lead[:-1])
+        if pair.size:
+            a, b = order[pair], order[pair + 1]
+            differ = np.zeros(pair.size, dtype=bool)
+            for word in rest:
+                differ |= word[a] != word[b]
+            if differ.any():
+                # runs of one lead holding two keys: re-sort them exactly
+                run = np.cumsum(np.concatenate(([True], lead[1:] != lead[:-1])))
+                mixed = np.zeros(int(run[-1]) + 1, dtype=bool)
+                mixed[run[pair[differ]]] = True
+                at = np.flatnonzero(mixed[run])
+                rows = order[at]
+                keys = [word[rows] for word in reversed(rest)]
+                order[at] = rows[np.lexsort((*keys, run[at]))]
+    return order if pre is None else pre[order]
 
 
 def unpack_packet_keys(

@@ -54,7 +54,7 @@ _INF_BITS = np.uint64(0x7FF0000000000000)
 
 
 def start_order(starts) -> np.ndarray:
-    """``np.argsort(starts, kind="stable")``, computed by radix.
+    """``np.argsort(starts, kind="stable")``, computed on integer keys.
 
     Each float64's bits map to a uint64 whose unsigned order is the
     float order (positive: set the sign bit; negative: flip every bit),
@@ -62,7 +62,8 @@ def start_order(starts) -> np.ndarray:
     ties, signed zeros, infinities and NaNs all land where the stable
     argsort puts them.  Only integer operations touch the values, so
     no NaN raises a floating-point warning.  The keys then go through the
-    flow exporter's LSD radix, :func:`~repro.flows.keys.packed_key_order`.
+    flow exporter's key order, :func:`~repro.flows.keys.packed_key_order`:
+    one vectorised sort of each key's leading bits and its row index.
     """
     bits = np.asarray(starts, dtype=np.float64).view(np.uint64)
     key = np.where(bits & _SIGN, ~bits, bits | _SIGN)

@@ -37,15 +37,17 @@ Three properties make exact streaming possible:
   the pending amounts are subtracted if the flow closes discarded.
 
 Within a shard, packets are grouped, and the carry table kept, in the
-order of one 64-bit mix of the packed key words (:func:`_key_mix`): four
-radix digit passes instead of up to eight.  Keys are compared on their
-exact words throughout; where two keys share a mix, the grouping falls
-back to the exact ``(mix, hi, lo)`` order.  The key space is sharded by a
-pure function of the packed key words, so independent shards can be
-processed by a worker pool; shard results merge exactly (integer
-arithmetic again) and the final flow ordering — by key, then start time,
-the exporter's order — is restored with one flow-level stable sort by
-key when the measurement is sealed (a key's flows close in start order).
+order of one 64-bit mix of the packed key words (:func:`_key_mix`): the
+packets go through one vectorised sort of the mix's leading bits and
+their arrival rank, packed into one uint64.  Keys are compared on their
+exact words throughout; where two keys share those leading bits, the
+grouping falls back to the exact ``(mix, hi, lo)`` order.  The key
+space is sharded by a pure function of the packed key words, so
+independent shards can be processed by a worker pool; shard results
+merge exactly (integer arithmetic again) and the final flow ordering —
+by key, then start time, the exporter's order — is restored with one
+flow-level stable sort by key when the measurement is sealed (a key's
+flows close in start order).
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from ..exceptions import FlowExportError
 from ..execution import stage_timer
 from ..flows.exporter import DEFAULT_TIMEOUT
 from ..flows.keys import (
+    _lead_sort,
     pack_packet_keys,
     packed_key_order,
     unpack_packet_keys,
@@ -103,13 +106,17 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _key_mix(hi, lo):
-    """One uint64 per packed key, ``hi ^ lo·K`` (wrapping): the grouping key.
+    """One uint64 per packed key, ``(hi ^ lo·K)·K`` (wrapping): the grouping key.
 
     Equal keys share a mix; two different keys may share one too (a
-    collision), which every grouping detects on the exact words.  Prefix
-    keys have ``lo = 0``, so their mix is ``hi`` itself.
+    collision), which every grouping detects on the exact words.  The
+    outer product by the odd ``K`` is a bijection, so it adds no
+    collision; it carries differences in the low bits (neighbouring
+    addresses) up into the leading bits the chunk sort orders by.
     """
-    return hi ^ (lo * _MIX)
+    mix = hi ^ (lo * _MIX)
+    mix *= _MIX
+    return mix
 
 
 def _key_change(hi, lo):
@@ -269,14 +276,25 @@ def _rebuild_carry(state: _ShardState, keep_mask, new_rows=None):
     """Replace the carry table with kept rows + the chunk's open flows.
 
     ``new_rows`` holds the :data:`_CARRY` columns of the open flows, in
-    mix order like the kept rows: one stable merge of the two runs
-    (timsort finds them) keeps the table in mix order.
+    mix order like the kept rows: a stable merge of the two runs (kept
+    rows first among equal mixes) keeps the table in mix order.  Both
+    runs go to their merged places by one ``searchsorted`` each.
     """
-    kept = [getattr(state, name)[keep_mask] for name in _CARRY]
-    if new_rows is not None:
-        order = np.argsort(np.concatenate([kept[0], new_rows[0]]), kind="stable")
-        kept = [np.concatenate(pair)[order] for pair in zip(kept, new_rows)]
-    for name, column in zip(_CARRY, kept):
+    kept = np.flatnonzero(keep_mask)
+    if new_rows is None:
+        for name in _CARRY:
+            setattr(state, name, getattr(state, name)[kept])
+        return
+    kept_mix, new_mix = state.mix[kept], new_rows[0]
+    kept_at = np.searchsorted(new_mix, kept_mix, side="left")
+    kept_at += np.arange(kept.size)
+    new_at = np.searchsorted(kept_mix, new_mix, side="right")
+    new_at += np.arange(new_mix.size)
+    total = kept.size + new_mix.size
+    for name, new in zip(_CARRY, new_rows):
+        column = np.empty((total, *new.shape[1:]), dtype=new.dtype)
+        column[kept_at] = getattr(state, name)[kept]
+        column[new_at] = new
         setattr(state, name, column)
 
 
@@ -305,15 +323,20 @@ def process_shard(task):  # noqa: E741
             _rebuild_carry(state, keep)
         return state, result
 
-    # group each key's packets, in time order, by the key mix
+    # group each key's packets, in arrival order, by the lead of the key
+    # mix: one sort of (lead, arrival rank)
     mix = _key_mix(h, l)
-    order = packed_key_order(mix, within=None if time_sorted else t)
-    mix, h, l = mix[order], h[order], l[order]  # noqa: E741
+    arrival = None if time_sorted else np.argsort(t, kind="stable")
+    order, lead, _ = _lead_sort(mix if arrival is None else mix[arrival])
+    if arrival is not None:
+        order = arrival[order]
+    h, l = h[order], l[order]  # noqa: E741
+    mix = _key_mix(h, l)  # cheaper than a third gather
     key_change = _key_change(h, l)
-    if np.any(key_change[1:] & (mix[1:] == mix[:-1])):
-        # two keys share a mix and their packets interleave: regroup by
-        # (mix, hi, lo); the sort is stable, so each key stays in time
-        # order
+    if np.any(key_change[1:] & (lead[1:] == lead[:-1])):
+        # two keys share a lead: regroup by (mix, hi, lo); the sort is
+        # stable, so each key stays in arrival order, and distinct
+        # mixes keep the order their leads gave
         fix = packed_key_order(mix, h, l)
         order, mix, h, l = order[fix], mix[fix], h[fix], l[fix]  # noqa: E741
         key_change = _key_change(h, l)
@@ -324,14 +347,13 @@ def process_shard(task):  # noqa: E741
 
     gap_split = np.concatenate([[False], (t[1:] - t[:-1]) > timeout])
     new_seg = key_change | gap_split
-    seg_id = np.cumsum(new_seg) - 1
-    nseg = int(seg_id[-1]) + 1
     seg_first = np.flatnonzero(new_seg)
+    nseg = seg_first.size
     seg_last = np.concatenate([seg_first[1:] - 1, [t.size - 1]])
     seg_t0 = t[seg_first]
     seg_t1 = t[seg_last]
-    seg_size = np.bincount(seg_id, weights=s, minlength=nseg)
-    seg_count = np.bincount(seg_id, minlength=nseg)
+    seg_size = np.add.reduceat(s, seg_first)
+    seg_count = seg_last - seg_first + 1
     seg_mix = mix[seg_first]
     seg_hi = h[seg_first]
     seg_lo = l[seg_first]
@@ -392,7 +414,7 @@ def process_shard(task):  # noqa: E741
         result.discarded_packets += int(eff_count[cd].sum())
         if track:
             # in-chunk packets of the discarded segments ...
-            pk = (closed & ~kept_seg)[seg_id]
+            pk = np.repeat(closed & ~kept_seg, seg_count)
             bb = b[pk]
             ok = bb >= 0
             if ok.any():
@@ -598,18 +620,25 @@ class StreamingMeasurement:
         bins = None
         if self.delta is not None:
             bins = np.floor(ts / self.delta).astype(np.int64)
-            in_range = (bins >= 0) & (bins < self.n_bins)
-            if in_range.any():
+            # bins are monotone in time, so the extreme times bound them
+            if 0 <= np.floor(t_min / self.delta) and (
+                np.floor(t_max / self.delta) < self.n_bins
+            ):
+                increment = np.bincount(
+                    bins, weights=sizes, minlength=self.n_bins
+                )
+            else:
+                in_range = (bins >= 0) & (bins < self.n_bins)
                 increment = np.bincount(
                     bins[in_range], weights=sizes[in_range],
                     minlength=self.n_bins,
                 )
-                self._volumes += increment
-                if self._raw_volumes is not None:
-                    # raw accumulation: same packets, no later discard
-                    # subtraction — equals the unmasked from_packets bins
-                    self._raw_volumes += increment
-            bins = np.where(in_range, bins, _NO_BIN)
+                bins = np.where(in_range, bins, _NO_BIN)
+            self._volumes += increment
+            if self._raw_volumes is not None:
+                # raw accumulation: same packets, no later discard
+                # subtraction — equals the unmasked from_packets bins
+                self._raw_volumes += increment
 
         # a time-sorted chunk lets the shard sort drop its timestamp pass
         # entirely (stability preserves arrival order within a key); shard

@@ -736,10 +736,8 @@ class CalibrationSpec:
             raise ParameterError(
                 f"calibration.restarts must be >= 1, got {self.restarts!r}"
             )
-        if self.seed is not None and int(self.seed) < 0:
-            raise ParameterError(
-                f"calibration.seed must be >= 0, got {self.seed!r}"
-            )
+        if self.seed is not None:
+            check_integer("calibration.seed", self.seed, minimum=0)
         if self.powers is not None:
             _freeze_tuple(self, "powers")
             _validate_powers("calibration", self.powers)
@@ -1012,10 +1010,8 @@ class DemandSpec:
                 self.target_mean_rate_bps,
             )
         check_positive("network.demands[].scale", self.scale)
-        if self.seed is not None and int(self.seed) < 0:
-            raise ParameterError(
-                f"network.demands[].seed must be >= 0, got {self.seed!r}"
-            )
+        if self.seed is not None:
+            check_integer("network.demands[].seed", self.seed, minimum=0)
 
     def build(self, duration: float):
         """Materialise the :class:`~repro.network.NetworkDemand`.

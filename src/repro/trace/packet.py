@@ -104,7 +104,7 @@ def packets_from_columns(
     """Assemble a packet array from per-field columns (bulk constructor)."""
     timestamps = np.asarray(timestamps, dtype=np.float64)
     n = timestamps.size
-    packets = np.zeros(n, dtype=PACKET_DTYPE)
+    packets = np.empty(n, dtype=PACKET_DTYPE)  # every field is written
     packets["timestamp"] = timestamps
     packets["src_addr"] = np.asarray(src_addrs, dtype=np.uint32)
     packets["dst_addr"] = np.asarray(dst_addrs, dtype=np.uint32)

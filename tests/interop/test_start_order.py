@@ -1,7 +1,7 @@
-"""Flow records leave a FlowSet start-ordered by radix, not by argsort.
+"""Flow records leave a FlowSet start-ordered by integer keys, not argsort.
 
 :func:`repro.interop.records.start_order` maps each start to an
-order-preserving uint64 and runs the flow exporter's LSD radix over it;
+order-preserving uint64 and runs the flow exporter's key order over it;
 its permutation must be the stable argsort's on every float64 input,
 or exported archives would change byte for byte.
 """

@@ -15,6 +15,8 @@ from repro.netsim.arrivals import (
 from repro.pipeline import (
     AnomalySpec,
     ArrivalSpec,
+    CalibrationSpec,
+    DemandSpec,
     EstimationSpec,
     ExecutionSpec,
     FitSpec,
@@ -163,11 +165,13 @@ class TestRejection:
         with pytest.raises(ParameterError, match=r"spec\.generation.*'mode'"):
             ScenarioSpec.from_dict(data)
 
-    @pytest.mark.parametrize("seed", [1.5, "abc", -1])
+    @pytest.mark.parametrize("seed", [1.5, 2.7, "abc", -1])
     @pytest.mark.parametrize("build", [
         lambda seed: GenerationSpec(seed=seed),
         lambda seed: ScenarioSpec(name="x", seed=seed),
-    ], ids=["generation", "scenario"])
+        lambda seed: CalibrationSpec(seed=seed),
+        lambda seed: DemandSpec("src", "dst", preset="low", seed=seed),
+    ], ids=["generation", "scenario", "calibration", "demand"])
     def test_seed_must_be_a_nonnegative_integer(self, build, seed):
         with pytest.raises(ParameterError, match="seed must be"):
             build(seed)

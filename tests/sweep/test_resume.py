@@ -24,6 +24,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +39,9 @@ from repro.pipeline import (
     TopologySpec,
 )
 from repro.sweep import run_sweep
+
+#: The checkout this test file belongs to: the CLI under test runs from it.
+_REPO = Path(__file__).resolve().parents[2]
 
 
 def _toy(duration=8.0, preset="low", seed=23, **sweep_kwargs):
@@ -190,7 +194,7 @@ class TestKilledMidFlightCli:
         spec_file, spec = self._spec_file(tmp_path)
         ckpt = tmp_path / "ckpt"
         report = tmp_path / "report.json"
-        env = dict(os.environ, PYTHONPATH="src")
+        env = dict(os.environ, PYTHONPATH=str(_REPO / "src"))
         cmd = [
             sys.executable, "-m", "repro", "sweep", str(spec_file),
             "--workers", "1",
@@ -199,7 +203,7 @@ class TestKilledMidFlightCli:
         ]
         proc = subprocess.Popen(
             cmd,
-            cwd="/root/repo",
+            cwd=_REPO,
             env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -226,7 +230,7 @@ class TestKilledMidFlightCli:
 
         resumed = subprocess.run(
             cmd + ["--resume"],
-            cwd="/root/repo",
+            cwd=_REPO,
             env=env,
             capture_output=True,
             text=True,
