@@ -76,81 +76,138 @@ def pack_packet_keys(packets: np.ndarray, key: str, prefix_length: int = 24):
     )
 
 
+def _stream_bits(words, bases, spans, rows, pos, take):
+    """Bits ``[pos, pos + take)`` of each row's key stream, as a uint64.
+
+    A row's key stream is its ``word - base`` for each word in turn, the
+    most significant of each word's ``span`` low bits first; ``pos``
+    counts from the stream's start.  ``rows`` selects rows (``None``:
+    all of them).
+    """
+    out = None
+    start = 0
+    for word, base, span in zip(words, bases, spans):
+        lo, hi = max(pos, start), min(pos + take, start + span)
+        if lo < hi:
+            bits = (word if rows is None else word[rows]) - base
+            if start + span > hi:
+                bits >>= np.uint64(start + span - hi)
+            if lo > start:
+                bits &= np.uint64((1 << (hi - lo)) - 1)
+            if pos + take > hi:
+                bits <<= np.uint64(pos + take - hi)
+            if out is None:
+                out = bits
+            else:
+                out |= bits
+        start += span
+    if out is None:
+        size = words[0].size if rows is None else rows.size
+        out = np.zeros(size, dtype=np.uint64)
+    return out
+
+
+def _sorted_rows(key, k):
+    """``(order, key)``: rows by ``key`` (below ``2**(64 - k)``), then index.
+
+    One ``np.sort`` of ``key << k | index``; on uint64 it runs numpy's
+    vectorised (SIMD) sort, several times faster than a stable argsort
+    or a digit lexsort.  ``key`` is consumed and comes back sorted.
+    """
+    key <<= np.uint64(k)
+    key |= np.arange(key.size, dtype=np.uint64)
+    key.sort()
+    # the index bits hold values below 2**63: an intp view reads them
+    order = (key & np.uint64((1 << k) - 1)).view(np.intp)
+    key >>= np.uint64(k)
+    return order, key
+
+
 def _lead_sort(word):
-    """``(order, lead, exact)``: rows in (lead, row index) order.
+    """``(order, lead)``: rows by the lead of ``word``, then by row index.
 
     The lead is ``word - word.min()`` shifted right only as far as it
     must be to leave ``k = bit_length(n - 1)`` low bits of a uint64 for
-    the row index, so one ``np.sort`` of ``lead << k | index`` orders
-    the rows by lead and then by index.  On uint64, ``np.sort`` runs
-    numpy's vectorised (SIMD) sort, several times faster than a stable
-    argsort or a digit lexsort.  ``lead`` comes back in sorted order; it
-    is monotone in ``word``, and ``exact`` tells whether no bit was
-    shifted off (then equal leads mean equal words).
+    the row index; it is monotone in ``word`` and comes back sorted.
     """
     n = word.size
-    k = (n - 1).bit_length() if n else 0
-    base = word.min() if n else np.uint64(0)
-    lead = word - base
-    span = int(lead.max()).bit_length() if n else 0
-    shift = max(0, span + k - 64)
-    if shift:
-        lead >>= np.uint64(shift)
-    lead <<= np.uint64(k)
-    lead |= np.arange(n, dtype=np.uint64)
-    lead.sort()
-    # the index bits hold values below 2**63: an intp view reads them
-    order = (lead & np.uint64((1 << k) - 1)).view(np.intp)
-    lead >>= np.uint64(k)
-    return order, lead, shift == 0
+    if not n:
+        return np.arange(0, dtype=np.intp), np.zeros(0, dtype=np.uint64)
+    k = (n - 1).bit_length()
+    base = word.min()
+    span = int(word.max() - base).bit_length()
+    lead = _stream_bits([word], [base], [span], None, 0, min(span, 64 - k))
+    return _sorted_rows(lead, k)
 
 
-def packed_key_order(*words, within=None) -> np.ndarray:
+def packed_key_order(*words) -> np.ndarray:
     """Stable order by uint64 ``words`` (most significant first).
 
     The permutation is **identical** to ``np.lexsort`` with the words
-    reversed (``packed_key_order(hi, lo) == np.lexsort((lo, hi))``),
-    computed by one vectorised sort of the first word's lead and the row
-    index (:func:`_lead_sort`).  Only adjacent rows that share a lead are
-    then compared on the other words (and on the first word too, if the
-    lead lost low bits); a run of one lead that holds two or more keys
-    is re-sorted exactly, by ``np.lexsort`` over that run's rows alone.
-    Its callers need the exporter's canonical (key, start) order:
+    reversed (``packed_key_order(hi, lo) == np.lexsort((lo, hi))``).  The
+    key is read as one bit stream (each word's ``word - min``, its
+    varying bits only) and ordered a window at a time by
+    :func:`_sorted_rows`: the first window is as many leading bits as
+    fit beside the row index.  Only adjacent rows equal on the bits read
+    so far are compared on the words that go on; each later window
+    re-sorts just the runs holding two keys, by (run, next bits, place),
+    and skips the words on which no such run differs.  Its callers need
+    the exporter's canonical (key, start) order:
     :meth:`~repro.measurement.streaming.StreamingMeasurement.seal` and
     ``assemble`` over flows, the export records' start order and the
     accountant's collision fallbacks; the accountant's per-packet
-    grouping sorts by the lead of a key mix itself.
-
-    ``within`` (e.g. timestamps) is the least significant sort key; omit
-    it when rows of equal key are already in the desired relative order
-    (stability preserves it).
+    grouping sorts by the lead of a key mix itself.  Fewer than
+    ``2**31`` rows.
     """
-    pre = None
-    if within is not None:
-        pre = np.argsort(within, kind="stable")
-        words = [word[pre] for word in words]
-    first = np.asarray(words[0], dtype=np.uint64)
-    order, lead, exact = _lead_sort(first)
-    rest = [np.asarray(word, dtype=np.uint64) for word in words[1:]]
-    if not exact:
-        rest.insert(0, first)
-    if rest and order.size > 1:
-        pair = np.flatnonzero(lead[1:] == lead[:-1])
-        if pair.size:
-            a, b = order[pair], order[pair + 1]
-            differ = np.zeros(pair.size, dtype=bool)
-            for word in rest:
-                differ |= word[a] != word[b]
-            if differ.any():
-                # runs of one lead holding two keys: re-sort them exactly
-                run = np.cumsum(np.concatenate(([True], lead[1:] != lead[:-1])))
-                mixed = np.zeros(int(run[-1]) + 1, dtype=bool)
-                mixed[run[pair[differ]]] = True
-                at = np.flatnonzero(mixed[run])
-                rows = order[at]
-                keys = [word[rows] for word in reversed(rest)]
-                order[at] = rows[np.lexsort((*keys, run[at]))]
-    return order if pre is None else pre[order]
+    words = [np.asarray(word, dtype=np.uint64) for word in words]
+    n = words[0].size
+    order = np.arange(n, dtype=np.intp)
+    if n < 2:
+        return order
+    bases = [word.min() for word in words]
+    spans = [
+        int(word.max() - base).bit_length() for word, base in zip(words, bases)
+    ]
+    ends = np.cumsum(spans).tolist()
+    at, run, pos = None, None, 0  # rows still tied; their runs; bits read
+    while True:
+        m = n if at is None else at.size
+        k = (m - 1).bit_length()
+        run_bits = 0 if run is None else int(run[-1]).bit_length()
+        take = min(ends[-1] - pos, 64 - k - run_bits)
+        rows = None if at is None else order[at]
+        key = _stream_bits(words, bases, spans, rows, pos, take)
+        if run is not None:
+            key |= run.astype(np.uint64) << np.uint64(take)
+        place, key = _sorted_rows(key, k)
+        if rows is None:
+            order = place
+        else:
+            order[at] = rows[place]
+        pos += take
+        tie = np.flatnonzero(key[1:] == key[:-1])
+        if pos == ends[-1] or not tie.size:
+            break
+        a = order[tie] if at is None else order[at[tie]]
+        b = order[tie + 1] if at is None else order[at[tie + 1]]
+        differ = np.zeros(tie.size, dtype=bool)
+        for word, end in zip(words, ends):
+            if end > pos:
+                split = word[a] != word[b]
+                if not differ.any() and not split.any():
+                    pos = end  # no run differs on this word: skip it
+                differ |= split
+        if not differ.any():
+            break
+        # keep the runs that hold two keys, renumbered densely
+        group = np.cumsum(np.concatenate(([0], key[1:] != key[:-1])))
+        mixed = np.zeros(int(group[-1]) + 1, dtype=bool)
+        mixed[group[tie[differ]]] = True
+        keep = np.flatnonzero(mixed[group])
+        at = keep if at is None else at[keep]
+        group = group[keep]
+        run = np.cumsum(np.concatenate(([0], group[1:] != group[:-1])))
+    return order
 
 
 def unpack_packet_keys(

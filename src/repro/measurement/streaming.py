@@ -327,7 +327,7 @@ def process_shard(task):  # noqa: E741
     # mix: one sort of (lead, arrival rank)
     mix = _key_mix(h, l)
     arrival = None if time_sorted else np.argsort(t, kind="stable")
-    order, lead, _ = _lead_sort(mix if arrival is None else mix[arrival])
+    order, lead = _lead_sort(mix if arrival is None else mix[arrival])
     if arrival is not None:
         order = arrival[order]
     h, l = h[order], l[order]  # noqa: E741
@@ -620,25 +620,18 @@ class StreamingMeasurement:
         bins = None
         if self.delta is not None:
             bins = np.floor(ts / self.delta).astype(np.int64)
-            # bins are monotone in time, so the extreme times bound them
-            if 0 <= np.floor(t_min / self.delta) and (
-                np.floor(t_max / self.delta) < self.n_bins
-            ):
-                increment = np.bincount(
-                    bins, weights=sizes, minlength=self.n_bins
-                )
-            else:
-                in_range = (bins >= 0) & (bins < self.n_bins)
+            in_range = (bins >= 0) & (bins < self.n_bins)
+            if in_range.any():
                 increment = np.bincount(
                     bins[in_range], weights=sizes[in_range],
                     minlength=self.n_bins,
                 )
-                bins = np.where(in_range, bins, _NO_BIN)
-            self._volumes += increment
-            if self._raw_volumes is not None:
-                # raw accumulation: same packets, no later discard
-                # subtraction — equals the unmasked from_packets bins
-                self._raw_volumes += increment
+                self._volumes += increment
+                if self._raw_volumes is not None:
+                    # raw accumulation: same packets, no later discard
+                    # subtraction — equals the unmasked from_packets bins
+                    self._raw_volumes += increment
+            bins = np.where(in_range, bins, _NO_BIN)
 
         # a time-sorted chunk lets the shard sort drop its timestamp pass
         # entirely (stability preserves arrival order within a key); shard

@@ -4,8 +4,8 @@
 (key, start) once, and :meth:`StreamingMeasurement.assemble` combines
 sealed parts with disjoint keys by a stable sort on the key alone — no
 sort at all for one part.  These tests hold that to one full
-``packed_key_order(hi, lo, within=starts)`` sort of the parts' flows,
-byte for byte, and check that the order survives the pickling the
+``np.lexsort((starts, lo, hi))`` sort of the parts' flows, byte for
+byte, and check that the order survives the pickling the
 process backend puts a sealed measurement through.
 """
 
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import FlowExportError
 from repro.execution import make_pool
-from repro.flows.keys import pack_packet_keys, packed_key_order
+from repro.flows.keys import pack_packet_keys
 from repro.measurement import StreamingMeasurement
 from repro.trace import packets_from_columns
 
@@ -80,7 +80,7 @@ def one_sort(parts):
         for name in ("starts", "ends", "sizes", "packet_counts", "keys")
     )
     hi, lo = (np.concatenate(words) for words in zip(*map(packed, alone)))
-    order = packed_key_order(hi, lo, within=starts)
+    order = np.lexsort((starts, lo, hi))
     return starts[order], ends[order], sizes[order], counts[order], keys[order]
 
 
